@@ -119,18 +119,19 @@ def work_counters(cell: ExperimentResult) -> Dict[str, float]:
     }
 
 
-def emit_bench_json(name: str, payload: Dict[str, Any]) -> Path:
-    """Write one ``BENCH_<name>.json`` artifact at the repository root.
+def emit_bench_json(name: str, payload: Dict[str, Any], directory: Path) -> Path:
+    """Write one ``BENCH_<name>.json`` artifact into ``directory``.
 
-    The artifact is the checked-in, machine-readable record of a benchmark
-    run (the printed tables stay the human-facing output).  A small
-    provenance block (python/platform) is added so a checked-in figure can
-    be told apart from one regenerated on different hardware; measured
-    wall-clock numbers inside ``payload`` are informational, while counter
-    fields are exact and machine-independent.
+    ``directory`` is the ``bench_json_dir`` fixture: the repository root
+    under ``--record-bench`` (refreshing the checked-in, machine-readable
+    record of a reference run), a temporary directory otherwise — an
+    ordinary test run leaves the working tree clean.  A small provenance
+    block (python/platform) is added so a checked-in figure can be told
+    apart from one regenerated on different hardware; measured wall-clock
+    numbers inside ``payload`` are informational, while counter fields are
+    exact and machine-independent.
     """
-    root = Path(__file__).resolve().parent.parent
-    target = root / f"BENCH_{name}.json"
+    target = directory / f"BENCH_{name}.json"
     document = {
         "benchmark": name,
         "provenance": {

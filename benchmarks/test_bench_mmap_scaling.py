@@ -571,7 +571,7 @@ def test_ftv_index_identity_grid(benchmark):
     print(format_table(table_rows))
 
 
-def test_mmap_build_decode_and_worker_scaling(benchmark, tmp_path):
+def test_mmap_build_decode_and_worker_scaling(benchmark, tmp_path, bench_json_dir):
     """Build/decode/QPS cells; writes ``BENCH_mmap_scaling.json``."""
     cells = benchmark.pedantic(
         _storage_cells, args=(str(tmp_path),), rounds=1, iterations=1
@@ -710,4 +710,5 @@ def test_mmap_build_decode_and_worker_scaling(benchmark, tmp_path):
                 },
             },
         },
+        bench_json_dir,
     )

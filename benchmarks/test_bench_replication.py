@@ -97,7 +97,7 @@ def run_identity_grid() -> List[Dict[str, object]]:
     return rows
 
 
-def test_replica_identity_grid(benchmark):
+def test_replica_identity_grid(benchmark, bench_json_dir):
     rows = benchmark.pedantic(run_identity_grid, rounds=1, iterations=1)
     print_table(
         rows,
@@ -113,6 +113,7 @@ def test_replica_identity_grid(benchmark):
             "recovery": run_recovery_replay(),
             "read_fanout": run_read_fanout(),
         },
+        bench_json_dir,
     )
 
 

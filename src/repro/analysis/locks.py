@@ -38,6 +38,7 @@ name                    rank  guards
 ``index.readers``         50  published-buffer pointer + per-buffer reader counts
 ``pipeline.filter_pool``  60  lazy Mfilter thread-pool creation vs. close
 ``serial``                61  the cache's serial counter
+``pipeline.mfilter_memo`` 69  the Mfilter stage's query → CS_M memo
 ``index.memo``            70  the query-feature memo
 ``processors.memo``       71  the containment-verdict memo
 ``matcher.fallback``      75  lazy construction of the shared fallback matcher
@@ -68,6 +69,7 @@ LOCK_RANKS: Dict[str, int] = {
     "index.readers": 50,
     "pipeline.filter_pool": 60,
     "serial": 61,
+    "pipeline.mfilter_memo": 69,
     "index.memo": 70,
     "processors.memo": 71,
     "matcher.fallback": 75,

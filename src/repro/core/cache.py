@@ -40,11 +40,11 @@ from ..isomorphism.base import SubgraphMatcher
 from ..isomorphism.cost import estimate_subiso_cost
 from ..isomorphism.registry import matcher_by_name
 from ..methods.base import Method
-from ..methods.executor import verify_candidates
 from .backends import StorageBackend, create_backend
 from .config import GraphCacheConfig
 from .pipeline import (
     CommitStage,
+    MfilterResult,
     MfilterStage,
     ProcessorStage,
     PruneStage,
@@ -331,8 +331,9 @@ class GraphCache:
         self._compaction_events: List[Dict[str, object]] = []
         self._compaction_pending: Set[int] = set()
         self._serial_lock = make_lock("serial")
+        self._mfilter = MfilterStage(method)
         self._pipeline = QueryPipeline(
-            MfilterStage(method),
+            self._mfilter,
             ProcessorStage(self._processors),
             PruneStage(self._pruner),
             VerifyStage(method, query_mode=self._config.query_mode),
@@ -491,41 +492,33 @@ class GraphCache:
         """Answer a subgraph (or supergraph) query through the cache."""
         return self._pipeline.execute(self._new_context(query))
 
+    def prefilter(self, query: Graph) -> MfilterResult:
+        """Run only the (memoised) Mfilter stage for ``query``.
+
+        Mfilter is cache-state independent, so this is safe from any thread;
+        feed the result to :meth:`execute_prefiltered`.
+        """
+        return self._mfilter.filter(query)
+
     def execute_prefiltered(
-        self,
-        query: Graph,
-        method_candidates: FrozenSet[int],
-        filter_time_s: float = 0.0,
+        self, query: Graph, filtered: MfilterResult
     ) -> CacheQueryResult:
         """Answer a query whose Mfilter stage was already computed elsewhere.
 
-        This is the entry point of the batched service facade: Mfilter is
-        cache-state independent, so candidate sets prefetched concurrently
-        feed the remaining (serially executed) GC stages with answers and
-        work counters byte-identical to :meth:`query`.
+        This is the entry point of the batched service facade: candidate
+        sets prefetched concurrently through :meth:`prefilter` feed the
+        remaining (serially executed) GC stages with answers and work
+        counters byte-identical to :meth:`query`.
         """
-        ctx = self._new_context(
-            query,
-            method_candidates=frozenset(method_candidates),
-            filter_time_s=filter_time_s,
-        )
+        ctx = self._new_context(query)
+        ctx.method_candidates, ctx.filter_time_s, ctx.first_filter_time_s = filtered
         return self._pipeline.execute(ctx)
 
-    def _new_context(
-        self,
-        query: Graph,
-        method_candidates: Optional[FrozenSet[int]] = None,
-        filter_time_s: float = 0.0,
-    ) -> StageContext:
+    def _new_context(self, query: Graph) -> StageContext:
         with self._serial_lock:
             self._serial += 1
             serial = self._serial
-        return StageContext(
-            query=query,
-            serial=serial,
-            method_candidates=method_candidates,
-            filter_time_s=filter_time_s,
-        )
+        return StageContext(query=query, serial=serial)
 
     def _commit(self, ctx: StageContext) -> None:
         """CommitStage body: statistics, window admission, result construction.
@@ -535,21 +528,23 @@ class GraphCache:
         """
         started = time.perf_counter()
         outcome, pruning = ctx.outcome, ctx.pruning
-        answer_ids = frozenset(ctx.verified_answers | pruning.direct_answers)
+        answer_ids = ctx.answer_ids
 
         # Statistics monitoring: credit contributing cached queries.
         self._record_contributions(ctx.query, ctx.serial, outcome, pruning)
 
         # Window admission: the executed query joins the Window with its
         # first-execution costs (measured against Method M's own candidate
-        # set semantics: filtering time + its verification effort).
+        # set semantics: filtering time + its verification effort) — on an
+        # Mfilter memo hit that is the filter time of the call that filled
+        # the memo, so repeats do not look cheaper to admission control.
         maintenance_time = 0.0
         report = self._window_manager.add_query(
             WindowEntry(
                 serial=ctx.serial,
                 query=ctx.query,
                 answer_ids=answer_ids,
-                filter_time_s=ctx.filter_time_s + outcome.elapsed_s,
+                filter_time_s=ctx.first_filter_time_s + outcome.elapsed_s,
                 verify_time_s=ctx.verify_time_s,
             )
         )
@@ -751,19 +746,9 @@ class GraphCache:
         query to the window or mutating any cache state, so N replicas can
         serve lookups while the primary alone owns admission.
         """
-        candidates = frozenset(self._method.candidates(query))
-        with self._gc_lock:
-            outcome = self._processors.process(query)
-            pruning = self._pruner.prune(candidates, outcome)
-        verified: FrozenSet[int] = frozenset()
-        if pruning.final_candidates:
-            verified, _, _, _, _ = verify_candidates(
-                self._method,
-                query,
-                pruning.final_candidates,
-                query_mode=self._config.query_mode,
-            )
-        return frozenset(verified | pruning.direct_answers)
+        ctx = StageContext(query=query, serial=0)
+        self._pipeline.execute_readonly(ctx)
+        return ctx.answer_ids
 
     @classmethod
     def recover(
@@ -882,17 +867,17 @@ class GraphCache:
         pruning: PruningResult,
     ) -> None:
         """Feed the Statistics Manager with each cached query's contribution."""
+        query_order = query.order
         query_labels = max(1, len(query.distinct_labels()))
+        dataset = self._method.dataset
         for cached_serial, removed_ids in pruning.contributions.items():
             if cached_serial not in self._cache_store:
                 continue
             cost_saving = 0.0
             for graph_id in removed_ids:
-                target_order = self._method.dataset[graph_id].order
+                # Positional: the cost model is memoised on these three ints.
                 cost_saving += estimate_subiso_cost(
-                    query_order=query.order,
-                    query_distinct_labels=query_labels,
-                    target_order=target_order,
+                    query_order, query_labels, dataset[graph_id].order
                 )
             # The engine's hit hook feeds the statistics store *and* the
             # incremental utility heap in one call.

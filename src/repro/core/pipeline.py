@@ -5,7 +5,8 @@ shared state; this module makes that dataflow explicit instead of burying it
 in one monolithic ``GraphCache.query()``:
 
 * :class:`MfilterStage` — Method M filtering, producing ``CS_M`` (cache-state
-  independent: it only reads the method's own dataset index);
+  independent: it only reads the method's own dataset index), memoised per
+  query structure — the one place in ``core/`` that calls Method M's filter;
 * :class:`ProcessorStage` — the GCsub/GCsuper processors over the GCindex;
 * :class:`PruneStage` — the Candidate Set Pruner (equations (1)/(2) and the
   two special cases), which may short-circuit verification entirely;
@@ -39,7 +40,15 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, FrozenSet, Optional, Protocol, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    FrozenSet,
+    NamedTuple,
+    Optional,
+    Protocol,
+    Tuple,
+)
 
 from ..analysis.runtime import make_lock, make_rlock
 from ..graphs.graph import Graph
@@ -53,6 +62,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (cache builds us)
 
 __all__ = [
     "STAGE_NAMES",
+    "MFILTER_MEMO_ID_LIMIT",
+    "MfilterResult",
     "StageContext",
     "PipelineStage",
     "MfilterStage",
@@ -66,6 +77,24 @@ __all__ = [
 #: Canonical stage order; ``StageContext.stage_times`` is keyed by these names.
 STAGE_NAMES: Tuple[str, ...] = ("mfilter", "processors", "prune", "verify", "commit")
 
+#: Most candidate ids one :class:`MfilterStage` memo may hold before it is
+#: reset.  The bound is on ids, not entries: a ``CS_M`` is a few dozen ids at
+#: reproduction scale but thousands on a real dataset, and an id costs some
+#: tens of bytes of ``frozenset`` table, so this caps the memo near 10 MB.
+MFILTER_MEMO_ID_LIMIT = 262_144
+
+
+class MfilterResult(NamedTuple):
+    """What one pass through :meth:`MfilterStage.filter` produced."""
+
+    #: Method M's candidate set ``CS_M``.
+    candidates: FrozenSet[int]
+    #: Seconds this call took (a memo hit costs one dictionary probe).
+    elapsed_s: float
+    #: Seconds Method M's filter took when this ``CS_M`` was computed — the
+    #: query's *first-execution* filter cost, which admission control scores.
+    first_elapsed_s: float
+
 
 @dataclass
 class StageContext:
@@ -78,9 +107,12 @@ class StageContext:
     query: Graph
     serial: int
 
-    # MfilterStage (may be pre-filled by GraphCacheService's batched prefetch).
+    # MfilterStage (may be pre-filled by GraphCacheService's batched prefetch):
+    # CS_M, the seconds observed for this request, and the seconds Method M
+    # took when CS_M was first computed (they differ on a memo hit).
     method_candidates: Optional[FrozenSet[int]] = None
     filter_time_s: float = 0.0
+    first_filter_time_s: float = 0.0
 
     # ProcessorStage.
     outcome: Optional[ProcessorOutcome] = None
@@ -100,6 +132,11 @@ class StageContext:
 
     stage_times: Dict[str, float] = field(default_factory=dict)
 
+    @property
+    def answer_ids(self) -> FrozenSet[int]:
+        """The answer set: verified answers plus the pruner's free ones."""
+        return frozenset(self.verified_answers | self.pruning.direct_answers)
+
 
 class PipelineStage(Protocol):
     """One stage of the query pipeline: consume/extend a :class:`StageContext`."""
@@ -117,12 +154,52 @@ class MfilterStage:
     This stage only reads the method's own dataset/index, never cache state —
     which is what makes it safe to run concurrently with the GC processors
     (Figure 2) or to prefetch for a whole batch of queries.
+
+    It is also the only place in ``core/`` that calls ``method.candidates``:
+    :meth:`filter` is the seam ``query()``, ``lookup()``, the batched prefetch,
+    replicas and pool workers all go through, and it memoises ``query → CS_M``
+    on the query's labelled structure.  The dataset and Method M's index are
+    immutable for the life of a cache, so an entry never goes stale; should
+    dynamic datasets ever land, :meth:`clear_memo` is the hook a dataset
+    update must call.  The memo sits on the cache side of the seam: Method M
+    itself — and therefore uncached ``execute_query`` — is left untouched.
     """
 
     name = "mfilter"
 
     def __init__(self, method: Method) -> None:
         self._method = method
+        # Values carry Method M's own seconds beside CS_M so a memo hit can
+        # still report the query's first-execution filter cost.
+        self._memo: Dict[Graph, Tuple[FrozenSet[int], float]] = {}
+        self._memo_ids = 0
+        self._memo_lock = make_rlock("pipeline.mfilter_memo")
+
+    @property
+    def memo_ids(self) -> int:
+        """Total number of candidate ids the memo currently holds."""
+        return self._memo_ids
+
+    def clear_memo(self) -> None:
+        """Forget every memoised ``CS_M``."""
+        with self._memo_lock:
+            self._memo.clear()
+            self._memo_ids = 0
+
+    def filter(self, query: Graph) -> MfilterResult:
+        """``CS_M`` of ``query``, from the memo or from Method M's filter."""
+        started = time.perf_counter()
+        entry = self._memo.get(query)
+        if entry is None:
+            candidates = frozenset(self._method.candidates(query))
+            entry = (candidates, time.perf_counter() - started)
+            with self._memo_lock:
+                if query not in self._memo:  # a concurrent miss may have won
+                    if self._memo_ids + len(candidates) > MFILTER_MEMO_ID_LIMIT:
+                        self.clear_memo()
+                    self._memo[query] = entry
+                    self._memo_ids += len(candidates)
+        return MfilterResult(entry[0], time.perf_counter() - started, entry[1])
 
     def run(self, ctx: StageContext) -> None:
         if ctx.method_candidates is not None:
@@ -130,9 +207,9 @@ class MfilterStage:
             # time measured on the prefetch worker as this stage's cost.
             ctx.stage_times[self.name] = ctx.filter_time_s
             return
-        started = time.perf_counter()
-        ctx.method_candidates = frozenset(self._method.candidates(ctx.query))
-        ctx.filter_time_s = time.perf_counter() - started
+        ctx.method_candidates, ctx.filter_time_s, ctx.first_filter_time_s = (
+            self.filter(ctx.query)
+        )
 
 
 class ProcessorStage:
@@ -294,6 +371,19 @@ class QueryPipeline:
 
     def execute(self, ctx: StageContext) -> "CacheQueryResult":
         """Run every stage for ``ctx`` and return the committed result."""
+        self.execute_readonly(ctx)
+        # CommitStage records its own stage time: the result object is frozen
+        # inside the commit, so the measurement must happen there.
+        with self._gc_lock:
+            self._commit.run(ctx)
+        return ctx.result
+
+    def execute_readonly(self, ctx: StageContext) -> None:
+        """Run every stage but the commit; ``ctx.answer_ids`` is then final.
+
+        On its own this is the read-only path (``GraphCache.lookup``): no
+        cache state is mutated, so any number of replicas can serve it.
+        """
         if self._parallel_filter and ctx.method_candidates is None:
             self._filter_and_process_concurrently(ctx)
         else:
@@ -302,11 +392,6 @@ class QueryPipeline:
                 self._timed(self._processors, ctx)
                 self._timed(self._prune, ctx)
         self._timed(self._verify, ctx)
-        # CommitStage records its own stage time: the result object is frozen
-        # inside the commit, so the measurement must happen there.
-        with self._gc_lock:
-            self._commit.run(ctx)
-        return ctx.result
 
     def _filter_and_process_concurrently(self, ctx: StageContext) -> None:
         """Figure 2's parallel arrow: Mfilter on a helper worker, GC inline.

@@ -327,8 +327,7 @@ class QueryGraphIndex:
     def _apply_remove(self, buffer: _IndexBuffer, serial: int) -> None:
         if serial not in buffer.graphs:
             return
-        buffer.trie.remove_owner(serial)
-        del buffer.features[serial]
+        buffer.trie.remove_owner(serial, buffer.features.pop(serial))
         del buffer.probes[serial]
         del buffer.graphs[serial]
 

@@ -31,7 +31,6 @@ across two serial runs.
 
 from __future__ import annotations
 
-import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
@@ -146,13 +145,7 @@ class GraphCacheService:
         self, ordered: Sequence[Graph], jobs: int
     ) -> List[CacheQueryResult]:
         """Plain cache: overlap Mfilter prefetch with in-order GC stages."""
-        method = self._cache.method
-
-        def prefilter(query: Graph) -> Tuple[FrozenSet[int], float]:
-            started = time.perf_counter()
-            candidates = frozenset(method.candidates(query))
-            return candidates, time.perf_counter() - started
-
+        prefilter = self._cache.prefilter  # the memoised Mfilter seam
         # Bounded look-ahead: keep ~2*jobs prefetches in flight instead of
         # submitting the whole batch, so peak memory stays O(jobs) candidate
         # sets rather than O(batch) while the worker pool never starves.
@@ -165,12 +158,10 @@ class GraphCacheService:
             for query in ordered[:lookahead]:
                 pending.append(pool.submit(prefilter, query))
             for position, query in enumerate(ordered):
-                candidates, filter_time = pending.popleft().result()
+                filtered = pending.popleft().result()
                 if position + lookahead < len(ordered):
                     pending.append(pool.submit(prefilter, ordered[position + lookahead]))
-                results.append(
-                    self._cache.execute_prefiltered(query, candidates, filter_time)
-                )
+                results.append(self._cache.execute_prefiltered(query, filtered))
         return results
 
     def answers_many(

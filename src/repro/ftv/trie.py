@@ -13,7 +13,7 @@ it lives in its own module.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
 __all__ = ["PathTrie"]
 
@@ -76,27 +76,30 @@ class PathTrie:
         for feature, count in features.items():
             self.insert(feature, owner_id, count)
 
-    def remove_owner(self, owner_id: int) -> None:
-        """Remove every posting of ``owner_id`` (used on cache eviction)."""
+    def remove_owner(self, owner_id: int, features: Iterable[Sequence[str]]) -> None:
+        """Remove ``owner_id``'s postings (used on cache eviction).
+
+        ``features`` are the keys the owner was inserted under: only those
+        paths are walked, so a removal costs O(the owner's own features), not
+        O(trie).  Nodes left without postings and children are pruned.
+        """
         if owner_id not in self._owners:
             return
-        removed = self._remove_owner_recursive(self._root, owner_id)
-        self._feature_count -= removed
+        for feature in features:
+            path = [self._root]
+            for label in feature:
+                child = path[-1].children.get(label)
+                if child is None:
+                    break
+                path.append(child)
+            else:
+                if path[-1].counts.pop(owner_id, None) is not None:
+                    self._feature_count -= 1
+                for depth in range(len(feature), 0, -1):
+                    if path[depth].counts or path[depth].children:
+                        break
+                    del path[depth - 1].children[feature[depth - 1]]
         self._owners.discard(owner_id)
-
-    def _remove_owner_recursive(self, node: _TrieNode, owner_id: int) -> int:
-        removed = 0
-        if owner_id in node.counts:
-            del node.counts[owner_id]
-            removed += 1
-        empty_children = []
-        for label, child in node.children.items():
-            removed += self._remove_owner_recursive(child, owner_id)
-            if not child.counts and not child.children:
-                empty_children.append(label)
-        for label in empty_children:
-            del node.children[label]
-        return removed
 
     # ------------------------------------------------------------------ #
     def lookup(self, feature: Sequence[str]) -> Dict[int, int]:

@@ -15,6 +15,7 @@ Factorials blow up quickly, so everything is computed in log-space with
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 from ..graphs.graph import Graph
 
@@ -23,6 +24,7 @@ __all__ = ["estimate_subiso_cost", "estimate_query_cost"]
 _LOG_FLOAT_MAX = math.log(1.7976931348623157e308)
 
 
+@lru_cache(maxsize=1 << 14)
 def estimate_subiso_cost(
     query_order: int,
     query_distinct_labels: int,
@@ -44,6 +46,10 @@ def estimate_subiso_cost(
     float
         ``N * N! / (L^(n+1) * (N-n)!)``, or ``0.0`` when ``N < n`` (the test
         is trivially negative and costs effectively nothing).
+
+    Pure in its three integers and memoised on them: crediting one exact hit
+    asks for the same handful of ``(n, L, N)`` triples once per pruned
+    candidate.
     """
     n = int(query_order)
     big_n = int(target_order)

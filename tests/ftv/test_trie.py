@@ -69,27 +69,55 @@ class TestFilter:
         assert trie.filter({("C",): 4}) == frozenset({3})
 
 
+#: The keys each owner of the ``trie`` fixture was inserted under.
+FEATURES = {1: [("C", "O"), ("C", "N")], 2: [("C", "O")], 3: [("C",)]}
+
+
 class TestRemoveOwner:
     def test_remove_owner(self, trie):
-        trie.remove_owner(1)
+        trie.remove_owner(1, FEATURES[1])
         assert trie.lookup(("C", "O")) == {2: 1}
         assert trie.lookup(("C", "N")) == {}
         assert 1 not in trie.owners
 
     def test_remove_missing_owner_is_noop(self, trie):
-        trie.remove_owner(99)
+        trie.remove_owner(99, [("C", "O")])
         assert trie.feature_count == 4
+        assert trie.lookup(("C", "O")) == {1: 2, 2: 1}
 
-    def test_remove_prunes_empty_branches(self, trie):
-        trie.remove_owner(3)
+    def test_remove_tolerates_features_never_inserted(self, trie):
+        trie.remove_owner(2, [("C", "O"), ("C", "N"), ("Z", "Z", "Z")])
+        assert trie.feature_count == 3
+        assert trie.lookup(("C", "N")) == {1: 1}
+
+    def test_remove_keeps_nodes_that_root_other_features(self, trie):
+        trie.remove_owner(3, FEATURES[3])
         # The single-label branch ("C",) had only owner 3 at its node but the
         # node also roots ("C","O")/("C","N"); lookups must still work.
         assert trie.lookup(("C", "O")) == {1: 2, 2: 1}
         assert trie.lookup(("C",)) == {}
 
+    def test_remove_prunes_emptied_branches_bottom_up(self, trie):
+        before = trie.approximate_size_bytes()
+        trie.insert(("N", "N", "O"), owner_id=4, count=1)
+        trie.insert(("N", "N"), owner_id=4, count=2)
+        trie.remove_owner(4, [("N", "N", "O"), ("N", "N")])
+        # Three nodes were created for owner 4 alone; all three are gone.
+        assert trie.approximate_size_bytes() == before
+        assert {feature for feature, _ in trie.iter_features()} == {
+            ("C", "O"), ("C", "N"), ("C",),
+        }
+
     def test_feature_count_updated_on_removal(self, trie):
-        trie.remove_owner(1)
+        trie.remove_owner(1, FEATURES[1])
         assert trie.feature_count == 2
+
+    def test_removing_every_owner_empties_the_trie(self, trie):
+        empty = PathTrie().approximate_size_bytes()
+        for owner, features in FEATURES.items():
+            trie.remove_owner(owner, features)
+        assert trie.feature_count == 0 and trie.owners == frozenset()
+        assert trie.approximate_size_bytes() == empty
 
 
 class TestIterationAndSize:
