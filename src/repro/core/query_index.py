@@ -17,7 +17,10 @@ both directions:
   of ``g`` at least as often;
 * super-direction filtering compares the cached query's stored feature
   counter against ``g``'s counter (the cache holds at most a few hundred
-  entries, so the scan is cheap), plus vertex/edge/label-histogram dominance.
+  entries, so the scan is cheap), plus vertex/edge/label-histogram dominance;
+  the per-entry verdict depends only on the two labelled structures, so it is
+  memoised per ``(cached query, g)`` pair and a repeated ``g`` scans with one
+  dictionary probe per entry.
 
 Both filters are *necessary-condition* filters: surviving candidates are then
 confirmed with an actual sub-iso test by the GC processors.
@@ -158,11 +161,17 @@ class IndexView:
         if features is None:
             features = self._index.query_features(query)
         survivors: List[int] = []
+        graphs = buffer.graphs
+        memo = self._index._scan_memo
         for serial, probe in buffer.probes.items():
-            cached_graph = buffer.graphs[serial]
-            if not could_be_subgraph(cached_graph, query):
-                continue
-            if all(features.get(feature, 0) >= count for feature, count in probe):
+            cached_graph = graphs[serial]
+            verdict = memo.get((cached_graph, query))
+            if verdict is None:
+                verdict = could_be_subgraph(cached_graph, query) and all(
+                    features.get(feature, 0) >= count for feature, count in probe
+                )
+                self._index._remember_scan(cached_graph, query, verdict)
+            if verdict:
                 survivors.append(serial)
         return frozenset(survivors)
 
@@ -202,6 +211,13 @@ class QueryGraphIndex:
     #: workloads repeat heavily).
     FEATURE_MEMO_LIMIT = 8192
 
+    #: Maximum number of memoised ``(cached query, query)`` scan verdicts of
+    #: :meth:`IndexView.candidate_subgraphs`.  A pair costs a few hundred
+    #: bytes, so this caps the memo near 2 MB: room for a pool of ~100
+    #: repeating queries over a 30-entry cache (2.5 k pairs at reproduction
+    #: scale); a stream of distinct queries merely refills it.
+    SCAN_MEMO_LIMIT = 4096
+
     def __init__(
         self, max_path_length: int = 3, double_buffered: bool = True
     ) -> None:
@@ -226,6 +242,10 @@ class QueryGraphIndex:
         self._batch_depth = 0
         self._batch_journal: List[Tuple] = []
         self._feature_memo: Dict[Graph, Counter] = {}
+        # (cached query, query) -> may the cached query be a subgraph of the
+        # query?  A pure function of the two labelled structures (the probe is
+        # derived from the cached graph alone), so entries never go stale.
+        self._scan_memo: Dict[Tuple[Graph, Graph], bool] = {}
         self._memo_lock = make_lock("index.memo")
 
     # ------------------------------------------------------------------ #
@@ -438,6 +458,12 @@ class QueryGraphIndex:
                     self._feature_memo.clear()
                 self._feature_memo[query] = features
         return features
+
+    def _remember_scan(self, cached_graph: Graph, query: Graph, verdict: bool) -> None:
+        with self._memo_lock:
+            if len(self._scan_memo) >= self.SCAN_MEMO_LIMIT:
+                self._scan_memo.clear()
+            self._scan_memo[(cached_graph, query)] = verdict
 
     def candidate_supergraphs(
         self, query: Graph, features: Optional[Counter] = None

@@ -104,3 +104,45 @@ class TestCandidateGeneration:
         features = index.query_features(query)
         assert index.candidate_supergraphs(query, features) == index.candidate_supergraphs(query)
         assert index.candidate_subgraphs(query, features) == index.candidate_subgraphs(query)
+
+
+class TestScanMemo:
+    """The ``(cached query, query)`` scan verdicts behind ``candidate_subgraphs``."""
+
+    @staticmethod
+    def _random_index_and_queries(seed, cached=12, queries=15):
+        rng = random.Random(seed)
+        idx = QueryGraphIndex(max_path_length=3)
+        for serial in range(cached):
+            idx.add(serial, random_connected_graph(rng.randint(3, 8), 2.4, ["C", "O", "N"], rng))
+        pool = [
+            random_connected_graph(rng.randint(4, 12), 2.4, ["C", "O", "N"], rng)
+            for _ in range(queries)
+        ]
+        return idx, pool
+
+    def test_repeats_match_a_cold_scan_across_index_changes(self):
+        idx, pool = self._random_index_and_queries(5)
+        rng = random.Random(6)
+        for round_number in range(6):
+            for query in pool:
+                warm = idx.candidate_subgraphs(query)
+                idx._scan_memo.clear()
+                assert idx.candidate_subgraphs(query) == warm
+            # A maintenance round: one entry leaves, one joins; verdicts of
+            # the surviving entries stay valid, the new entry is scanned cold.
+            idx.remove(round_number)
+            idx.add(100 + round_number, random_connected_graph(5, 2.4, ["C", "O", "N"], rng))
+
+    def test_one_verdict_per_pair_and_the_bound(self, monkeypatch):
+        idx, pool = self._random_index_and_queries(7, cached=4, queries=5)
+        for query in pool * 3:
+            idx.candidate_subgraphs(query)
+        assert len(idx._scan_memo) == 4 * 5
+        # Filling past the limit resets the memo and keeps answering correctly.
+        monkeypatch.setattr(QueryGraphIndex, "SCAN_MEMO_LIMIT", 6)
+        expected = {query: idx.candidate_subgraphs(query) for query in pool}
+        idx._scan_memo.clear()
+        for query in pool * 2:
+            assert idx.candidate_subgraphs(query) == expected[query]
+            assert len(idx._scan_memo) <= 6
