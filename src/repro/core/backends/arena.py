@@ -26,8 +26,8 @@ Offsets are payload-relative and stable within a phase; full sealing
 compacts dead extents away and returns an old→new offset remap for the
 owner's offset table.  :meth:`view_at` memoises one
 :class:`~repro.graphs.packed.PackedGraphView` per live offset — the arena
-address keys the memo, so matcher plan caches keyed on the (hash-cached)
-view keep hitting across requests.  The arena itself is deliberately
+address keys the memo, so memos keyed on the (hash-cached) view — compiled
+matcher plans, containment verdicts — keep hitting across requests.  The arena itself is deliberately
 lock-free: the owning :class:`~repro.core.backends.mmapped.MmapBackend`
 serialises access under its ``backend`` lock, exactly like the dict inside
 the in-memory backend.
@@ -204,8 +204,8 @@ class GraphArena:
 
         One :class:`PackedGraphView` per live offset: repeat requests get
         the *same* object back, so lazily-derived state (bitmask core,
-        cached hash — and with it downstream matcher plan-cache entries
-        keyed on the view) survives across requests.  The memo is dropped
+        cached hash — and with it downstream memo entries keyed on the
+        view) survives across requests.  The memo is dropped
         per-offset by :meth:`free` and wholesale by a full :meth:`seal`
         (offsets move); :meth:`seal_delta` keeps it (offsets don't).
         """

@@ -220,7 +220,7 @@ class GraphCache:
         resolved exactly once, here: the explicit argument wins, then
         ``config.containment_matcher`` (by registry name), then the method's
         own verifier — so every pipeline stage shares one matcher instance
-        and its plan cache.
+        and its plan memo.
 
     Examples
     --------

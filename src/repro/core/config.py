@@ -79,7 +79,7 @@ class GraphCacheConfig:
         Registry name of the matcher used for query-vs-query containment
         checks in the GC processors (``None`` = the method's own verifier).
         Resolved once by :class:`~repro.core.cache.GraphCache` so every
-        pipeline stage shares one matcher instance and plan cache.
+        pipeline stage shares one matcher instance and plan memo.
     backend:
         Storage backend of the cache/window stores: ``"memory"`` (the seed's
         in-RAM dictionaries, default), ``"sqlite"`` (write-through, lazy

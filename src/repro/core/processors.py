@@ -35,7 +35,7 @@ from .query_index import QueryGraphIndex
 __all__ = ["ProcessorOutcome", "CacheProcessors"]
 
 # Fallback matcher for processors constructed without one (standalone use in
-# tests/tools).  A single module-level instance is shared so its plan cache is
+# tests/tools).  A single module-level instance is shared so its plan memo is
 # not duplicated per processor pair; GraphCache itself always resolves the
 # configured matcher and passes it in explicitly.
 _fallback_matcher: Optional[SubgraphMatcher] = None

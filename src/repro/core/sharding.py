@@ -85,7 +85,7 @@ class ShardedGraphCache:
     ----------
     method:
         The Method M shared by every shard.  Method state (dataset, FTV
-        index, matcher plan caches) is read-only on the query path, so one
+        index, matcher plan memo) is read-only on the query path, so one
         instance safely serves all shards concurrently.
     config:
         Cache configuration; ``config.shards`` sets the shard count (every

@@ -28,11 +28,17 @@ class MatcherError(ReproError):
 
 
 class MatchTimeout(ReproError):
-    """Raised when a subgraph-isomorphism search exceeds its time budget."""
+    """Raised when a subgraph-isomorphism search exceeds its time or node budget.
 
-    def __init__(self, budget_s: float) -> None:
-        super().__init__(f"subgraph isomorphism search exceeded {budget_s:.3f}s budget")
+    ``node_limit`` is set when the node limit was the one hit; ``budget_s`` is
+    the time budget (``0.0`` if none was configured).
+    """
+
+    def __init__(self, budget_s: float, node_limit: int | None = None) -> None:
+        spent = f"{budget_s:.3f}s" if node_limit is None else f"{node_limit}-node"
+        super().__init__(f"subgraph isomorphism search exceeded {spent} budget")
         self.budget_s = budget_s
+        self.node_limit = node_limit
 
 
 class IndexError_(ReproError):

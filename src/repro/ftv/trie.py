@@ -13,7 +13,7 @@ it lives in its own module.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, Sequence, Tuple
 
 __all__ = ["PathTrie"]
 
@@ -102,19 +102,23 @@ class PathTrie:
         self._owners.discard(owner_id)
 
     # ------------------------------------------------------------------ #
-    def lookup(self, feature: Sequence[str]) -> Dict[int, int]:
-        """Return ``{owner_id: count}`` for owners containing ``feature``."""
-        node: Optional[_TrieNode] = self._root
+    def _counts(self, feature: Sequence[str]) -> Dict[int, int]:
+        """The live ``{owner_id: count}`` table at ``feature`` — read-only."""
+        node = self._root
         for label in feature:
-            node = node.children.get(label) if node is not None else None
+            node = node.children.get(label)
             if node is None:
                 return {}
-        return dict(node.counts)
+        return node.counts
+
+    def lookup(self, feature: Sequence[str]) -> Dict[int, int]:
+        """Return ``{owner_id: count}`` for owners containing ``feature`` (a copy)."""
+        return dict(self._counts(feature))
 
     def owners_with_feature(self, feature: Sequence[str], min_count: int = 1) -> frozenset:
         """Owners containing ``feature`` at least ``min_count`` times."""
         return frozenset(
-            owner for owner, count in self.lookup(feature).items() if count >= min_count
+            owner for owner, count in self._counts(feature).items() if count >= min_count
         )
 
     def filter(self, query_features: Dict[Sequence[str], int]) -> frozenset:
@@ -125,22 +129,19 @@ class PathTrie:
         """
         if not query_features:
             return frozenset(self._owners)
-        survivors: Optional[set] = None
         # Evaluate rare features first: they shrink the survivor set fastest.
         ordered = sorted(query_features.items(), key=lambda item: -len(item[0]))
-        for feature, needed in ordered:
-            matching = {
-                owner
-                for owner, count in self.lookup(feature).items()
-                if count >= needed
-            }
-            if survivors is None:
-                survivors = matching
-            else:
-                survivors &= matching
+        feature, needed = ordered[0]
+        survivors = [
+            owner for owner, count in self._counts(feature).items() if count >= needed
+        ]
+        # Later features only probe the survivors; no owner set is built.
+        for feature, needed in ordered[1:]:
             if not survivors:
-                return frozenset()
-        return frozenset(survivors if survivors is not None else self._owners)
+                break
+            count_of = self._counts(feature).get
+            survivors = [owner for owner in survivors if count_of(owner, 0) >= needed]
+        return frozenset(survivors)
 
     # ------------------------------------------------------------------ #
     def iter_features(self) -> Iterator[Tuple[Tuple[str, ...], Dict[int, int]]]:

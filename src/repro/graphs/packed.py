@@ -392,8 +392,8 @@ class PackedGraphView(Graph):
     sealed arena record (see :meth:`GraphArena.view_at
     <repro.core.backends.arena.GraphArena.view_at>`) pays each derivation
     once per process — and because its cached ``_hash`` survives with it,
-    per-(pattern, target) matcher plan caches keyed on the view keep hitting
-    across requests.  Lazy writes are idempotent derivations of the immutable
+    memos keyed on the view as a *pattern* (the matcher's compiled plans, the
+    processors' containment verdicts) keep hitting across requests.  Lazy writes are idempotent derivations of the immutable
     record, so concurrent readers may race them harmlessly.
     """
 

@@ -51,16 +51,30 @@ class SearchBudget:
     def tick(self) -> None:
         """Account for one expanded search node; raise if the budget is blown."""
         self._nodes += 1
-        if self.node_limit is not None and self._nodes > self.node_limit:
-            raise MatchTimeout(self.time_limit_s or 0.0)
-        if self.time_limit_s is not None and (self._nodes & 0x3F) == 0:
+        self.check(self._nodes)
+
+    def check(self, nodes: int) -> None:
+        """Raise if expanding the ``nodes``-th search node blows the budget."""
+        if self.node_limit is not None and nodes > self.node_limit:
+            raise MatchTimeout(self.time_limit_s or 0.0, node_limit=self.node_limit)
+        if self.time_limit_s is not None and (nodes & 0x3F) == 0:
             if time.perf_counter() - self._started_at > self.time_limit_s:
                 raise MatchTimeout(self.time_limit_s)
 
     @property
+    def unlimited(self) -> bool:
+        """``True`` when no limit is set, so a search may count nodes locally."""
+        return self.node_limit is None and self.time_limit_s is None
+
+    @property
     def nodes_expanded(self) -> int:
-        """Number of search-tree nodes expanded so far."""
+        """Number of search-tree nodes expanded so far (searches that count in
+        a local instead of ticking assign it back when they stop)."""
         return self._nodes
+
+    @nodes_expanded.setter
+    def nodes_expanded(self, nodes: int) -> None:
+        self._nodes = nodes
 
 
 @dataclass(frozen=True)

@@ -35,26 +35,18 @@ def iter_embeddings(
     budget = budget or SearchBudget()
     budget.start()
 
-    matcher = VF2PlusMatcher()
-    order = matcher._order(pattern, target)
+    # The matcher's own compiled plan and per-call base masks (VF2+ order).
+    plan = VF2PlusMatcher().compile(pattern, target)
+    order, anchor_positions = plan.order, plan.anchors
+    base_masks = plan.base_masks(target)
     n = len(order)
     target_masks = target.neighbor_masks
-    position_of = {vertex: pos for pos, vertex in enumerate(order)}
-    anchor_positions: List[List[int]] = [
-        [position_of[nb] for nb in pattern.neighbors(vertex) if position_of[nb] < pos]
-        for pos, vertex in enumerate(order)
-    ]
-    base_masks: List[int] = [
-        target.label_id_mask(pattern.label_id(vertex))
-        & target.degree_ge_mask(pattern.degree(vertex))
-        for vertex in order
-    ]
 
     images: List[int] = [0] * n
 
     def backtrack(pos: int, used_mask: int) -> Iterator[Dict[int, int]]:
         if pos == n:
-            yield {vertex: images[position_of[vertex]] for vertex in order}
+            yield dict(zip(order, images, strict=True))
             return
         # Candidates: label/degree-compatible, unused, adjacent to the images
         # of every already-mapped pattern neighbour.  Bits are consumed in

@@ -18,12 +18,12 @@ undirected graphs:
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..graphs.graph import Graph
 from .base import SearchBudget, SubgraphMatcher
 
-__all__ = ["VF2Matcher"]
+__all__ = ["PatternPlan", "VF2Matcher"]
 
 
 def connectivity_order(pattern: Graph, priority: Optional[Sequence[float]] = None) -> List[int]:
@@ -66,59 +66,73 @@ def connectivity_order(pattern: Graph, priority: Optional[Sequence[float]] = Non
     return ordered
 
 
+class PatternPlan(NamedTuple):
+    """The pattern-only half of a search, indexed by position in ``order``.
+
+    ``anchors[pos]`` are the positions of the pattern neighbours already mapped
+    when ``pos`` is reached (they drive candidate generation), ``lookahead[pos]``
+    counts the neighbours still unmapped there (one-step look-ahead) and
+    ``qualifiers[pos]`` is the ``(label id, degree)`` a target vertex must meet.
+    """
+
+    order: Tuple[int, ...]
+    anchors: Tuple[Tuple[int, ...], ...]
+    lookahead: Tuple[int, ...]
+    qualifiers: Tuple[Tuple[int, int], ...]
+
+    def base_masks(self, target: Graph) -> List[int]:
+        """Per-position candidate masks: the target-dependent half, two table
+        probes per pattern vertex, computed per call and never stored."""
+        label_mask, degree_mask = target.label_id_mask, target.degree_ge_mask
+        return [label_mask(label) & degree_mask(degree) for label, degree in self.qualifiers]
+
+
 class VF2Matcher(SubgraphMatcher):
     """Vanilla VF2 for non-induced, vertex-labelled subgraph isomorphism.
 
-    The per-pair search *plan* — vertex order, per-position anchor positions,
-    look-ahead degrees and label/degree-qualified base candidate masks — is
-    cached on the matcher instance keyed by the ``(pattern, target)`` pair:
-    workloads match the same query against many dataset graphs and repeat
-    query structures, so plan construction (which otherwise dominates cheap
-    searches) amortises to a dict lookup.
+    One :class:`PatternPlan` is memoised on the matcher per *pattern* (by
+    labelled structure): workloads match a query against many dataset graphs
+    and repeat query structures, so plan construction (which otherwise
+    dominates cheap searches) amortises to a dict probe.  No target is stored.
     """
 
     name = "vf2"
 
-    #: Upper bound on cached plans; the cache is cleared when it fills (a
-    #: safety valve — at reproduction scale it never does).
-    PLAN_CACHE_LIMIT = 65536
+    #: Upper bound on memoised plans; the memo is cleared when it fills.
+    PLAN_MEMO_LIMIT = 16384
 
     def __init__(self) -> None:
-        self._plan_cache: Dict[Tuple[Graph, Graph], tuple] = {}
+        self._plans: Dict[object, PatternPlan] = {}
 
     def _order(self, pattern: Graph, target: Graph) -> List[int]:
         """Pattern vertex processing order; subclasses override to reorder."""
         return connectivity_order(pattern)
 
-    def _plan(self, pattern: Graph, target: Graph) -> tuple:
-        """Cached (order, anchor_positions, unmapped_degrees, base_masks)."""
-        key = (pattern, target)
-        plan = self._plan_cache.get(key)
-        if plan is not None:
-            return plan
-        order = self._order(pattern, target)
-        # Per position: the positions of the pattern neighbours already mapped
-        # when that position is reached (they drive candidate generation), the
-        # number of pattern neighbours still unmapped there (for the one-step
-        # look-ahead), and the label/degree-qualified base candidate mask.
-        position_of = {vertex: pos for pos, vertex in enumerate(order)}
-        anchor_positions: List[List[int]] = []
-        unmapped_pattern_degree: List[int] = []
-        base_masks: List[int] = []
-        for pos, vertex in enumerate(order):
-            anchors = [
-                position_of[nb] for nb in pattern.neighbors(vertex) if position_of[nb] < pos
-            ]
-            anchor_positions.append(anchors)
-            unmapped_pattern_degree.append(pattern.degree(vertex) - len(anchors))
-            base_masks.append(
-                target.label_id_mask(pattern.label_id(vertex))
-                & target.degree_ge_mask(pattern.degree(vertex))
+    def _plan_key(self, pattern: Graph, target: Graph) -> object:
+        """Everything :meth:`_order` reads — for VF2, the pattern alone."""
+        return pattern
+
+    def compile(self, pattern: Graph, target: Graph) -> PatternPlan:
+        """The memoised plan of ``pattern`` (``target`` only informs the order)."""
+        key = self._plan_key(pattern, target)
+        plan = self._plans.get(key)
+        if plan is None:
+            order = self._order(pattern, target)
+            position_of = {vertex: pos for pos, vertex in enumerate(order)}
+            anchors = tuple(
+                tuple(position_of[nb] for nb in pattern.neighbors(vertex) if position_of[nb] < pos)
+                for pos, vertex in enumerate(order)
             )
-        plan = (order, anchor_positions, unmapped_pattern_degree, base_masks)
-        if len(self._plan_cache) >= self.PLAN_CACHE_LIMIT:
-            self._plan_cache.clear()
-        self._plan_cache[key] = plan
+            degrees = [pattern.degree(vertex) for vertex in order]
+            plan = PatternPlan(
+                tuple(order),
+                anchors,
+                tuple(d - len(mapped) for d, mapped in zip(degrees, anchors, strict=True)),
+                tuple(zip(map(pattern.label_id, order), degrees, strict=True)),
+            )
+            if len(self._plans) >= self.PLAN_MEMO_LIMIT:
+                self._plans.clear()
+            self._plans[key] = plan
         return plan
 
     def _search(
@@ -128,45 +142,58 @@ class VF2Matcher(SubgraphMatcher):
         budget: SearchBudget,
         want_embedding: bool,
     ) -> Optional[Dict[int, int]]:
-        order, anchor_positions, unmapped_pattern_degree, base_masks = self._plan(
-            pattern, target
-        )
-        n = len(order)
+        plan = self.compile(pattern, target)
+        order, anchors, lookahead, _ = plan
+        if not order:
+            return {}
+        base_masks = plan.base_masks(target)
         target_masks = target.neighbor_masks
-
-        images: List[int] = [0] * n  # target image of the vertex at each position
-        used_mask = 0
-
-        def backtrack(pos: int) -> bool:
-            nonlocal used_mask
-            if pos == n:
-                return True
-            # Candidate pool: label- and degree-compatible target vertices,
-            # unused, adjacent to the image of every already-mapped pattern
-            # neighbour (which also enforces adjacency consistency).
-            pool = base_masks[pos] & ~used_mask
-            for anchor in anchor_positions[pos]:
-                pool &= target_masks[images[anchor]]
-                if not pool:
-                    return False
-            lookahead = unmapped_pattern_degree[pos]
-            while pool:
-                low = pool & -pool
-                pool ^= low
-                candidate = low.bit_length() - 1
-                budget.tick()
-                # One-step look-ahead: the candidate must have at least as
-                # many unmapped neighbours as the pattern vertex (necessary
-                # condition for extending the mapping later).
-                if (target_masks[candidate] & ~used_mask).bit_count() < lookahead:
-                    continue
-                images[pos] = candidate
-                used_mask |= low
-                if backtrack(pos + 1):
-                    return True
-                used_mask &= ~low
-            return False
-
-        if backtrack(0):
-            return {vertex: images[pos] for pos, vertex in enumerate(order)}
-        return None
+        last = len(order) - 1
+        # Explicit-stack depth-first search, one frame per position: the bit
+        # chosen there, its neighbour mask, and the candidates not yet tried.
+        chosen, image_masks, pools = [0] * len(order), [0] * len(order), [0] * len(order)
+        pos = 0
+        pool, need = base_masks[0], lookahead[0]
+        free_mask = target.full_vertex_mask  # target vertices not yet used
+        # An unlimited budget is counted in a local; a limited one is checked
+        # at every node, exactly as ``SearchBudget.tick`` would.
+        check = None if budget.unlimited else budget.check
+        nodes = budget.nodes_expanded
+        try:
+            while True:
+                while pool:
+                    low = pool & -pool
+                    pool ^= low
+                    nodes += 1
+                    if check is not None:
+                        check(nodes)
+                    reach = target_masks[low.bit_length() - 1]
+                    # One-step look-ahead: the candidate needs at least as many
+                    # unmapped neighbours as the pattern vertex.  It cannot
+                    # fail where no pattern neighbour is left unmapped.
+                    if need and (reach & free_mask).bit_count() < need:
+                        continue
+                    chosen[pos] = low
+                    if pos == last:
+                        images = [bit.bit_length() - 1 for bit in chosen]
+                        return dict(zip(order, images, strict=True))
+                    image_masks[pos], pools[pos] = reach, pool
+                    free_mask ^= low
+                    pos += 1
+                    need = lookahead[pos]
+                    # Candidate pool: label- and degree-compatible target
+                    # vertices, unused, adjacent to the image of every mapped
+                    # pattern neighbour (which also enforces adjacency).
+                    pool = base_masks[pos] & free_mask
+                    for anchor in anchors[pos]:
+                        pool &= image_masks[anchor]
+                        if not pool:
+                            break
+                # Every candidate at ``pos`` is spent: resume the frame below.
+                if pos == 0:
+                    return None
+                pos -= 1
+                pool, need = pools[pos], lookahead[pos]
+                free_mask ^= chosen[pos]
+        finally:
+            budget.nodes_expanded = nodes

@@ -24,12 +24,17 @@ class VF2PlusMatcher(VF2Matcher):
 
     def _order(self, pattern: Graph, target: Graph) -> List[int]:
         total = max(1, target.order)
+        # Label frequency via the interned-label histogram: one int-keyed
+        # probe is cheaper than hashing the label object itself.
+        count_of = target.label_id_histogram.get
         priorities = []
         for vertex in pattern.vertices():
-            # Label frequency via the interned-label vertex masks: counting a
-            # popcount is cheaper than hashing the label object itself.
-            frequency = target.label_id_mask(pattern.label_id(vertex)).bit_count() / total
+            frequency = count_of(pattern.label_id(vertex), 0) / total
             # Rare labels and high degrees are the most selective; the small
             # frequency term dominates, degree breaks ties.
             priorities.append((1.0 - frequency) * 1000.0 + pattern.degree(vertex))
         return connectivity_order(pattern, priority=priorities)
+
+    def _plan_key(self, pattern: Graph, target: Graph) -> object:
+        # The target's size and its count of each pattern vertex's label.
+        return (pattern, target.order, *map(target.label_id_histogram.get, pattern.label_ids))

@@ -112,36 +112,56 @@ class TestBitmaskAdjacency:
 
 
 class TestPlanCacheDeterminism:
-    def test_repeated_matches_agree_and_hit_plan_cache(self):
+    """Compiled pattern plans are memoised per pattern structure, never per pair."""
+
+    def test_repeated_matches_agree_and_hit_plan_memo(self):
         matcher = VF2PlusMatcher()
         rng = random.Random(11)
         target = random_connected_graph(16, 2.8, LABELS, rng)
         pattern = target.induced_subgraph(rng.sample(range(16), k=6))
         first = matcher.match(pattern, target)
-        assert len(matcher._plan_cache) == 1
+        assert len(matcher._plans) == 1
+        plan = matcher.compile(pattern, target)
         second = matcher.match(pattern, target)
-        assert len(matcher._plan_cache) == 1  # same pair: plan reused
+        assert len(matcher._plans) == 1  # same pattern, same label profile
+        assert matcher.compile(pattern, target) is plan  # reused, not rebuilt
         assert first.matched == second.matched
         assert first.embedding == second.embedding
         assert first.nodes_expanded == second.nodes_expanded
         assert matcher.verify_embedding(pattern, target, second.embedding)
 
-    def test_plan_cache_bounded(self):
+    def test_plan_memo_bounded(self):
         matcher = VF2Matcher()
-        matcher.PLAN_CACHE_LIMIT = 4
+        matcher.PLAN_MEMO_LIMIT = 4
         for seed in range(10):
             r = random.Random(seed)
             target = random_connected_graph(10, 2.2, LABELS, r)
             pattern = target.induced_subgraph(r.sample(range(10), k=4))
             matcher.is_subgraph(pattern, target)
-        assert len(matcher._plan_cache) <= 4
+        assert 0 < len(matcher._plans) <= 4
 
-    def test_structurally_equal_pairs_share_plans(self):
+    def test_structurally_equal_patterns_share_one_plan(self):
         matcher = VF2Matcher()
         pattern_a = Graph(labels=["C", "O"], edges=[(0, 1)])
         pattern_b = Graph(labels=["C", "O"], edges=[(0, 1)], graph_id="other")
         target = Graph(labels=["C", "O", "C"], edges=[(0, 1), (1, 2)])
+        other_target = Graph(labels=["O", "C", "C", "N"], edges=[(0, 1), (1, 2), (2, 3)])
         assert matcher.is_subgraph(pattern_a, target)
         assert matcher.is_subgraph(pattern_b, target)
-        # graph_id does not participate in structure equality: one plan.
-        assert len(matcher._plan_cache) == 1
+        assert matcher.is_subgraph(pattern_b, other_target)
+        # Neither graph_id nor the target participates in the key: one plan.
+        assert len(matcher._plans) == 1
+        assert matcher.compile(pattern_a, target) is matcher.compile(pattern_b, other_target)
+
+    def test_vf2plus_keys_on_label_counts_not_the_target(self):
+        matcher = VF2PlusMatcher()
+        pattern = Graph(labels=["C", "O"], edges=[(0, 1)])
+        target = Graph(labels=["C", "O", "C"], edges=[(0, 1), (1, 2)])
+        same_profile = Graph(labels=["C", "C", "O"], edges=[(0, 2), (1, 2)])
+        more_oxygen = Graph(labels=["O", "O", "C"], edges=[(0, 2), (1, 2)])
+        assert matcher.compile(pattern, target) is matcher.compile(pattern, same_profile)
+        assert len(matcher._plans) == 1
+        # The rarer label leads, so a different profile is a different plan.
+        assert matcher.compile(pattern, target).order == (1, 0)
+        assert matcher.compile(pattern, more_oxygen).order == (0, 1)
+        assert len(matcher._plans) == 2
