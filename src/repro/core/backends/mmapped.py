@@ -337,6 +337,9 @@ class MmapBackend(StorageBackend):
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as stream:
                 json.dump(payload, stream)
+                # It names the live segment: durable before it replaces the old one.
+                stream.flush()
+                os.fsync(stream.fileno())
             os.replace(tmp_name, meta)
         except BaseException:
             if os.path.exists(tmp_name):

@@ -10,9 +10,11 @@ the answer sets of previously executed queries (§4, Figure 2):
 3. the Candidate Set Pruner applies equations (1) and (2) and the two special
    cases, producing a reduced candidate set and a set of "free" answers;
 4. only the reduced candidate set is verified with ``Mverifier``;
-5. statistics flow to the Statistics Manager, and the query joins the Window;
-   when the Window fills up, the Window Manager runs admission control, the
-   replacement policy and the GCindex rebuild.
+5. statistics flow to the Statistics Manager, and the query joins the Window
+   unless it is an exact hit (credited to the cached entry it hit) or a
+   repeat of a structure already waiting there; every ``window_size``
+   requests the Window Manager runs admission control, the replacement
+   policy and the GCindex update.
 
 The hit-path itself is implemented as an explicit staged dataflow in
 :mod:`repro.core.pipeline` (``MfilterStage`` → ``ProcessorStage`` →
@@ -105,7 +107,7 @@ class CacheQueryResult:
         Effective verification time (divided by Method M's parallelism).
     maintenance_time_s:
         Cache-maintenance time triggered by this query (0 unless the query
-        completed a window); reported separately, as in Figure 10.
+        was a window's last request); reported separately, as in Figure 10.
     shortcut:
         ``"exact"``, ``"empty"`` or ``None``.
     sub_hits / super_hits:
@@ -369,20 +371,12 @@ class GraphCache:
                 )
             )
         for entry in window_entries:
-            self._statistics.register_query(
-                CachedQueryStats(
-                    serial=entry.serial,
-                    order=entry.query.order,
-                    size=entry.query.size,
-                    distinct_labels=len(entry.query.distinct_labels()),
-                    filter_time_s=entry.filter_time_s,
-                    verify_time_s=entry.verify_time_s,
-                )
-            )
+            self._statistics.register_query(CachedQueryStats.of_window_entry(entry))
         self._serial = max(
             [entry.serial for entry in entries]
             + [entry.serial for entry in window_entries]
         )
+        self._window_manager.resync()
         self._engine.rebuild_scores()
 
     def _resolve_containment_matcher(
@@ -533,11 +527,12 @@ class GraphCache:
         # Statistics monitoring: credit contributing cached queries.
         self._record_contributions(ctx.query, ctx.serial, outcome, pruning)
 
-        # Window admission: the executed query joins the Window with its
-        # first-execution costs (measured against Method M's own candidate
-        # set semantics: filtering time + its verification effort) — on an
-        # Mfilter memo hit that is the filter time of the call that filled
-        # the memo, so repeats do not look cheaper to admission control.
+        # Window admission: an exact hit on a still-cached entry was credited
+        # above and only counts toward the window (the cache never holds two
+        # isomorphic queries).  Any other query joins it with its
+        # first-execution costs (Method M's filtering time + its verification
+        # effort) — on an Mfilter memo hit that is the filter time of the call
+        # that filled the memo, so repeats do not look cheaper to admission.
         maintenance_time = 0.0
         report = self._window_manager.add_query(
             WindowEntry(
@@ -546,7 +541,9 @@ class GraphCache:
                 answer_ids=answer_ids,
                 filter_time_s=ctx.first_filter_time_s + outcome.elapsed_s,
                 verify_time_s=ctx.verify_time_s,
-            )
+            ),
+            credited=pruning.shortcut == "exact"
+            and pruning.shortcut_serial in self._cache_store,
         )
         if report is not None:
             maintenance_time = report.elapsed_s
@@ -611,7 +608,10 @@ class GraphCache:
         next_serial, maintenance)`` with statistics covering cached and
         window queries; ``maintenance`` is the engine's state record
         (admission calibration, adaptive-threshold history — snapshot format
-        v3 carries it so a cache interrupted mid-calibration resumes exactly).
+        v3 carries it so a cache interrupted mid-calibration resumes exactly)
+        plus the window's request count and calibration samples, so a cache
+        restored mid-window fires — and calibrates — its next round exactly
+        as the uninterrupted one.
 
         **Drain-before-snapshot**: pending background maintenance rounds are
         applied first, so a snapshot never captures a half-executed plan —
@@ -639,7 +639,10 @@ class GraphCache:
                     stats,
                     window_entries,
                     self.current_serial,
-                    self._engine.state_record(),
+                    {
+                        **self._engine.state_record(),
+                        **self._window_manager.state_record(),
+                    },
                 )
 
     def restore(
@@ -683,6 +686,7 @@ class GraphCache:
                 self._window_store.drain()  # discard pre-existing window contents
                 for entry in window_entries:
                     self._window_store.add(entry)
+                self._window_manager.resync(maintenance)
                 for snapshot in stats:
                     self._statistics.register_query(snapshot)
                 self._engine.rebuild_scores()
@@ -710,10 +714,11 @@ class GraphCache:
         :meth:`~repro.core.policies.engine.MaintenanceEngine.replay` — the
         sanctioned delta machinery (analyzer rule REPRO008) — under the GC
         lock, then the window store is scrubbed of the serials the round
-        consumed and the serial counter advances past every serial the
-        frame mentions, so a recovered cache resumes numbering exactly
-        where the primary's round left it.  The scheduler and the journal
-        are bypassed: a replayed round is never re-journaled.
+        consumed, the window's request count restarts at the round boundary
+        and the serial counter advances past every serial the frame
+        mentions, so a recovered cache resumes numbering exactly where the
+        primary's round left it.  The scheduler and the journal are
+        bypassed: a replayed round is never re-journaled.
         """
         started = time.perf_counter()
         with self._gc_lock:
@@ -729,6 +734,7 @@ class GraphCache:
                 ]
                 for entry in survivors:
                     self._window_store.add(entry)
+            self._window_manager.resync()
             with self._serial_lock:
                 self._serial = max(
                     [self._serial, plan.current_serial, *plan.window_serials]

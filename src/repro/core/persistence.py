@@ -312,6 +312,8 @@ def recover_cache(
         if journal_path is None or not journal_path.exists():
             continue
         records = PlanJournal.read_records(journal_path, since_round=watermark + 1)
+        if not records:
+            continue  # pending hits stay buffered: the next frame must carry them
         # Hits absorbed between the watermark round and the snapshot are
         # already in the restored statistics; they are the prefix of the
         # first replayed frame.

@@ -67,12 +67,13 @@ class AdaptiveAdmissionController(AdmissionController):
         """Threshold values after each adaptation step (newest last)."""
         return list(self._history)
 
-    def record_window_saving(self, saving_per_query_s: float) -> None:
-        """Feed the average per-query time saving observed in the last window.
+    def record_window_saving(self, saving_s: float) -> None:
+        """Feed the time saving observed in the last window.
 
         The maintenance engine calls this after every cache-update round with
-        the window's average *estimated sub-iso cost alleviated* per query
-        (deterministic, accumulated from the per-hit hooks); external
+        the window's *estimated sub-iso cost alleviated* (deterministic,
+        accumulated from the per-hit hooks; windows span a fixed number of
+        requests, so totals compare like per-query averages); external
         monitoring loops may instead feed measured *plain method time −
         cached time*.  Either way the controller uses consecutive
         observations to hill-climb its threshold.
@@ -80,11 +81,11 @@ class AdaptiveAdmissionController(AdmissionController):
         if not self.enabled or not self.calibrated:
             return
         if self._previous_saving is not None:
-            if saving_per_query_s < self._previous_saving:
+            if saving_s < self._previous_saving:
                 # The last move hurt: reverse and shrink the step.
                 self._direction = -self._direction
                 self._step_factor = max(1.05, 1.0 + (self._step_factor - 1.0) / 2.0)
-        self._previous_saving = saving_per_query_s
+        self._previous_saving = saving_s
         self._adjust_threshold()
 
     def _adjust_threshold(self) -> None:
@@ -99,10 +100,12 @@ class AdaptiveAdmissionController(AdmissionController):
         self._history.append(updated)
 
     # ------------------------------------------------------------------ #
-    def observe_window(self, entries: Sequence[WindowEntry]) -> None:
+    def observe_window(
+        self, entries: Sequence[WindowEntry], sampled: Sequence[float] = ()
+    ) -> None:
         """Calibrate as the base class does, then seed the adaptation history."""
         was_calibrated = self.calibrated
-        super().observe_window(entries)
+        super().observe_window(entries, sampled)
         if not was_calibrated and self.calibrated and self.threshold is not None:
             self._history.append(self.threshold)
 

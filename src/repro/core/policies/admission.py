@@ -7,8 +7,8 @@ The admission-control mechanism scores every executed query by its
 *expensiveness* — the ratio of its verification time to its filtering time —
 and only queries above a threshold may enter the cache.
 
-The threshold is calibrated from the queries of the first few windows: it is
-set so that a configured fraction of those queries classify as expensive.  A
+The threshold is calibrated from the requests of the first few windows: it is
+set so that a configured fraction of those requests classify as expensive.  A
 threshold of zero disables the mechanism (the paper's "C" configuration; the
 calibrated one is "C + AC").
 
@@ -80,20 +80,22 @@ class AdmissionController:
         return self._threshold is not None
 
     # ------------------------------------------------------------------ #
-    def observe_window(self, entries: Sequence[WindowEntry]) -> None:
+    def observe_window(
+        self, entries: Sequence[WindowEntry], sampled: Sequence[float] = ()
+    ) -> None:
         """Feed one completed window into the calibration phase.
 
-        Has no effect once the threshold is fixed or when an explicit
-        threshold was supplied.
+        ``sampled`` scores the window's requests that are no candidates (exact
+        hits, repeats).  No effect once the threshold is fixed or explicit.
         """
         if not self._enabled or self._explicit_threshold is not None:
             return
         if self.calibrated:
             return
         self._observed_scores.extend(
-            entry.expensiveness
-            for entry in entries
-            if entry.expensiveness != float("inf")
+            score
+            for score in [entry.expensiveness for entry in entries] + list(sampled)
+            if score != float("inf")
         )
         self._windows_observed += 1
         if self._windows_observed >= self._calibration_windows:

@@ -129,17 +129,21 @@ class MaintenanceEngine:
     # Decide: window -> pure plan.
     # ------------------------------------------------------------------ #
     def decide(
-        self, window_entries: Sequence[WindowEntry], current_serial: int
+        self,
+        window_entries: Sequence[WindowEntry],
+        current_serial: int,
+        sampled: Sequence[float] = (),
     ) -> MaintenancePlan:
         """Produce the maintenance plan for one drained window.
 
         Pure with respect to cache state: only the admission controller's
-        calibration advances (it observes the window, as in the paper).
+        calibration advances (it observes the window — its entries plus the
+        ``sampled`` expensiveness of its credited requests — as in the paper).
         Rejection is computed per *serial* — a set membership test, not the
         seed's O(window²) identity-by-equality scan — so a serial is
         rejected iff no entry carrying it was admitted.
         """
-        self._admission.observe_window(window_entries)
+        self._admission.observe_window(window_entries, sampled)
         admitted = self._admission.filter_admitted(window_entries)
         if len(admitted) > self._cache_store.capacity:
             # Windows larger than the cache itself: only the most recent
@@ -255,14 +259,16 @@ class MaintenanceEngine:
         window_entries: Sequence[WindowEntry],
         current_serial: int,
         lock: Optional[threading.RLock] = None,
+        sampled: Sequence[float] = (),
     ) -> Tuple[MaintenancePlan, int, int, Tuple[Tuple[int, int, float, float, bool], ...]]:
         """Decide and apply one round; returns the plan, the apply ops and
         the hit events the round consumed.
 
-        An adaptive admission controller also receives the window's average
-        per-query estimated cost saving (accumulated by :meth:`on_hit`) as
-        its hill-climb feedback, so ``admission_kind="adaptive"`` tunes its
-        threshold live instead of waiting for an external monitoring loop.
+        An adaptive admission controller also receives the window's estimated
+        cost saving (accumulated by :meth:`on_hit`) as its hill-climb
+        feedback, so ``admission_kind="adaptive"`` tunes its threshold live
+        instead of waiting for an external monitoring loop (windows span a
+        fixed number of requests, so totals rank them like averages).
         ``lock`` is threaded through to :meth:`apply` (and guards the
         adaptive feedback, which reads the hit-accumulated saving).
 
@@ -272,16 +278,11 @@ class MaintenanceEngine:
         """
         with lock if lock is not None else nullcontext():  # repro: lock[gc]
             hit_events, self._hit_events = self._hit_events, []
-        plan = self.decide(window_entries, current_serial)
+        plan = self.decide(window_entries, current_serial, sampled)
         index_ops, backend_row_ops = self.apply(plan, window_entries, lock=lock)
         with lock if lock is not None else nullcontext():  # repro: lock[gc]
-            if (
-                isinstance(self._admission, AdaptiveAdmissionController)
-                and window_entries
-            ):
-                self._admission.record_window_saving(
-                    self._window_cost_saving / len(window_entries)
-                )
+            if isinstance(self._admission, AdaptiveAdmissionController):
+                self._admission.record_window_saving(self._window_cost_saving)
             self._window_cost_saving = 0.0
         return plan, index_ops, backend_row_ops, tuple(hit_events)
 
@@ -329,16 +330,7 @@ class MaintenanceEngine:
                     special=special,
                 )
             for entry in admitted_entries:
-                self._statistics.register_query(
-                    CachedQueryStats(
-                        serial=entry.serial,
-                        order=entry.query.order,
-                        size=entry.query.size,
-                        distinct_labels=len(entry.query.distinct_labels()),
-                        filter_time_s=entry.filter_time_s,
-                        verify_time_s=entry.verify_time_s,
-                    )
-                )
+                self._statistics.register_query(CachedQueryStats.of_window_entry(entry))
         ops = self.apply(plan, admitted_entries, lock=lock)
         with lock if lock is not None else nullcontext():  # repro: lock[gc]
             # Mirror run(): the primary reset its window saving when this

@@ -164,11 +164,12 @@ class MaintenanceScheduler:
         window_entries: Sequence[WindowEntry],
         current_serial: int,
         inline: bool,
+        sampled: Sequence[float],
     ) -> MaintenanceReport:
         """Run decide+apply for one drained window and record everything."""
         started = time.perf_counter()
         plan, index_ops, backend_row_ops, hit_events = self._engine.run(
-            window_entries, current_serial, lock=self._round_lock()
+            window_entries, current_serial, lock=self._round_lock(), sampled=sampled
         )
         elapsed = time.perf_counter() - started
         report = MaintenanceReport(
@@ -224,10 +225,14 @@ class MaintenanceScheduler:
     # The scheduling contract.
     # ------------------------------------------------------------------ #
     def submit(
-        self, window_entries: Sequence[WindowEntry], current_serial: int
+        self,
+        window_entries: Sequence[WindowEntry],
+        current_serial: int,
+        sampled: Sequence[float] = (),
     ) -> Optional[MaintenanceReport]:
         """Schedule one round for a drained window.
 
+        ``sampled`` (admission calibration samples) travels with the round.
         Returns the completed report when the round ran to completion before
         returning (``sync``/``barrier``), else ``None`` (``background``).
         """
@@ -271,11 +276,16 @@ class SyncMaintenanceScheduler(MaintenanceScheduler):
     mode = "sync"
 
     def submit(
-        self, window_entries: Sequence[WindowEntry], current_serial: int
+        self,
+        window_entries: Sequence[WindowEntry],
+        current_serial: int,
+        sampled: Sequence[float] = (),
     ) -> Optional[MaintenanceReport]:
         # The submitter is the committing thread and already holds the GC
         # lock (re-entrant), so taking it again in the apply phase is free.
-        return self._execute_round(window_entries, current_serial, inline=True)
+        return self._execute_round(
+            window_entries, current_serial, inline=True, sampled=sampled
+        )
 
 
 class BackgroundMaintenanceScheduler(MaintenanceScheduler):
@@ -293,9 +303,9 @@ class BackgroundMaintenanceScheduler(MaintenanceScheduler):
         journal: Optional[PlanJournal] = None,
     ) -> None:
         super().__init__(engine, gc_lock=gc_lock, journal=journal)
-        # Queue items: None (shutdown sentinel), a (window, serial) round, or
-        # a callable storage-maintenance task (submit_task).
-        self._queue: "queue.Queue[Union[None, Tuple[List[WindowEntry], int], Callable[[], None]]]" = (
+        # Queue items: None (shutdown sentinel), a (window, serial, sampled)
+        # round, or a callable storage-maintenance task (submit_task).
+        self._queue: "queue.Queue[Union[None, Tuple[List[WindowEntry], int, List[float]], Callable[[], None]]]" = (
             queue.Queue()
         )
         self._worker: Optional[threading.Thread] = None
@@ -323,8 +333,10 @@ class BackgroundMaintenanceScheduler(MaintenanceScheduler):
                 if callable(task):
                     self._execute_task(task, inline=False)
                     continue
-                window_entries, current_serial = task
-                self._execute_round(window_entries, current_serial, inline=False)
+                window_entries, current_serial, sampled = task
+                self._execute_round(
+                    window_entries, current_serial, inline=False, sampled=sampled
+                )
             except BaseException as exc:  # noqa: BLE001 - surfaced on drain
                 self._failure = exc
             finally:
@@ -339,7 +351,10 @@ class BackgroundMaintenanceScheduler(MaintenanceScheduler):
 
     # ------------------------------------------------------------------ #
     def submit(
-        self, window_entries: Sequence[WindowEntry], current_serial: int
+        self,
+        window_entries: Sequence[WindowEntry],
+        current_serial: int,
+        sampled: Sequence[float] = (),
     ) -> Optional[MaintenanceReport]:
         self._raise_pending_failure()
         # The closed-check, worker start and enqueue form one critical
@@ -350,7 +365,7 @@ class BackgroundMaintenanceScheduler(MaintenanceScheduler):
             if self._closed:
                 raise CacheError("maintenance scheduler is closed")
             self._ensure_worker_locked()
-            self._queue.put((list(window_entries), current_serial))
+            self._queue.put((list(window_entries), current_serial, list(sampled)))
         return None
 
     def submit_task(self, task: Callable[[], None]) -> None:
@@ -402,9 +417,12 @@ class BarrierMaintenanceScheduler(BackgroundMaintenanceScheduler):
         return None
 
     def submit(
-        self, window_entries: Sequence[WindowEntry], current_serial: int
+        self,
+        window_entries: Sequence[WindowEntry],
+        current_serial: int,
+        sampled: Sequence[float] = (),
     ) -> Optional[MaintenanceReport]:
-        super().submit(window_entries, current_serial)
+        super().submit(window_entries, current_serial, sampled)
         self._queue.join()
         self._raise_pending_failure()
         with self._state_lock:

@@ -1,9 +1,11 @@
 """Window Manager: batched cache updates with admission control (§6.2).
 
 New queries are not inserted into the cache one by one.  They accumulate in
-the Window; when the Window is full, the Window Manager drains it and hands
-the batch to a :class:`~repro.core.policies.scheduler.MaintenanceScheduler`,
-which decides *where* the round executes:
+the Window; every ``window_size`` *requests* the Window Manager drains it and
+hands the batch (even an empty one) to a
+:class:`~repro.core.policies.scheduler.MaintenanceScheduler`.  Exact hits and
+repeats of a waiting structure only count, so the cache never holds two
+copies of one query.  The scheduler decides *where* the round executes:
 
 * ``sync`` — inline on the committing thread (the seed's behaviour);
 * ``background`` — on a worker thread, off the query path (the paper's
@@ -31,8 +33,9 @@ charged to query response time.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Set
 
+from ...graphs.graph import Graph
 from ..statistics import CachedQueryStats, StatisticsManager
 from ..stores import CacheStore, WindowEntry, WindowStore
 from .admission import AdmissionController
@@ -91,6 +94,12 @@ class WindowManager:
         self._cache_store = cache_store
         self._window_store = window_store
         self._statistics = statistics
+        # Requests since the last round; the structures waiting in the window
+        # (keyed like the Mfilter memo: Graph and PackedGraphView hash alike);
+        # the expensiveness of the requests that did not become entries.
+        self._requests = 0
+        self._structures: Set[Graph] = set()
+        self._sampled: List[float] = []
 
     # ------------------------------------------------------------------ #
     @property
@@ -127,28 +136,43 @@ class WindowManager:
         """Current window contents (ordered by serial), without draining."""
         return self._window_store.entries()
 
-    # ------------------------------------------------------------------ #
-    def add_query(self, entry: WindowEntry) -> Optional[MaintenanceReport]:
-        """Add a processed query to the Window; submit maintenance if it filled.
+    def state_record(self) -> Dict[str, Any]:
+        """Requests since the last round and their calibration samples."""
+        return {"window_requests": self._requests, "window_sampled": list(self._sampled)}
 
+    def resync(self, record: Optional[Dict[str, Any]] = None) -> None:
+        """Adopt a :meth:`state_record` (default: one request per entry) after
+        the window store's contents were replaced wholesale."""
+        entries = self._window_store.entries()
+        record = record or {}
+        self._structures = {entry.query for entry in entries}
+        self._requests = int(record.get("window_requests", len(entries)))
+        self._sampled = [float(score) for score in record.get("window_sampled", ())]
+
+
+    # ------------------------------------------------------------------ #
+    def add_query(
+        self, entry: WindowEntry, credited: bool = False
+    ) -> Optional[MaintenanceReport]:
+        """Commit one executed request; submit maintenance on every
+        ``window_size``-th request.
+
+        A new structure joins the window.  An exact hit ``credited`` to its
+        cached entry, or a repeat of a waiting structure, only counts (and
+        its expensiveness goes to the round's admission calibration).
         Returns the round's report when the scheduler completed it before
-        returning (``sync``/``barrier``); ``None`` when nothing was due or a
-        background round is still in flight.
+        returning (``sync``/``barrier``).
         """
-        self._window_store.add(entry)
-        # Window queries get their static statistics recorded immediately so
-        # that, if admitted, their history starts at first execution.
-        self._statistics.register_query(
-            CachedQueryStats(
-                serial=entry.serial,
-                order=entry.query.order,
-                size=entry.query.size,
-                distinct_labels=len(entry.query.distinct_labels()),
-                filter_time_s=entry.filter_time_s,
-                verify_time_s=entry.verify_time_s,
-            )
-        )
-        if self._window_store.is_full:
+        if credited or entry.query in self._structures:
+            self._sampled.append(entry.expensiveness)
+        else:
+            self._structures.add(entry.query)
+            self._window_store.add(entry)
+            # Window queries get their static statistics recorded immediately
+            # so that, if admitted, their history starts at first execution.
+            self._statistics.register_query(CachedQueryStats.of_window_entry(entry))
+        self._requests += 1
+        if self._requests >= self._window_store.capacity:
             return self.run_maintenance(current_serial=entry.serial)
         return None
 
@@ -160,9 +184,11 @@ class WindowManager:
         never overflow while a round is pending); the scheduler decides
         whether decide/apply run inline, behind a barrier, or asynchronously
         (in which case ``None`` is returned and the report appears in
-        :attr:`reports` once applied).
+        :attr:`reports` once applied).  An empty drain is still a round: its
+        frame journals the hit events of a window made only of hits.
         """
         window_entries = self._window_store.drain()
-        if not window_entries:
-            return None
-        return self._scheduler.submit(window_entries, current_serial)
+        sampled, self._sampled = self._sampled, []
+        self._structures.clear()
+        self._requests = 0
+        return self._scheduler.submit(window_entries, current_serial, sampled)

@@ -108,6 +108,18 @@ class CachedQueryStats:
     cs_reduction: float = 0.0
     cost_reduction: float = 0.0
 
+    @classmethod
+    def of_window_entry(cls, entry) -> "CachedQueryStats":
+        """Initial statistics of a window entry: static shape + first-run costs."""
+        return cls(
+            serial=entry.serial,
+            order=entry.query.order,
+            size=entry.query.size,
+            distinct_labels=len(entry.query.distinct_labels()),
+            filter_time_s=entry.filter_time_s,
+            verify_time_s=entry.verify_time_s,
+        )
+
     @property
     def first_execution_time_s(self) -> float:
         """Total filtering plus verification time of the query's first run."""

@@ -314,12 +314,6 @@ class WindowStore:
         """The storage backend holding the entries (exposed for inspection)."""
         return self._backend
 
-    @property
-    def is_full(self) -> bool:
-        """``True`` when the window reached its configured size."""
-        with self._lock:
-            return self._backend.count() >= self._capacity
-
     def __len__(self) -> int:
         with self._lock:
             return self._backend.count()

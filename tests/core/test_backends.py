@@ -213,7 +213,7 @@ class TestStoreFacadesOverBackends:
 
         store.add(window_entry(2))
         store.add(window_entry(1))
-        assert store.is_full
+        assert len(store) == 2
         with pytest.raises(CacheError):
             store.add(window_entry(3))
         assert [entry.serial for entry in store.entries()] == [1, 2]

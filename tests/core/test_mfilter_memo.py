@@ -321,20 +321,22 @@ def test_admission_calibration_is_unchanged_by_repeats():
     cache = GraphCache(
         method,
         GraphCacheConfig(
-            cache_capacity=4,
-            window_size=8,
+            cache_capacity=2,
+            window_size=4,
             admission_control=True,
-            admission_calibration_windows=2,
+            admission_calibration_windows=1,
         ),
     )
-    seen_by_admission = []
-    results = []
-    for query in stream:
-        results.append(cache.query(query))
-        seen_by_admission += [
-            entry for entry in cache.window_entries() if entry.serial == results[-1].serial
-        ]
     controller = cache.maintenance_engine.admission
+    seen_by_admission = []
+    filter_admitted = controller.filter_admitted
+
+    def spy(entries, *args):
+        seen_by_admission.extend(entries)
+        return filter_admitted(entries, *args)
+
+    controller.filter_admitted = spy
+    results = [cache.query(query) for query in stream]
     cache.close()
     assert method.calls == 4
 
@@ -342,9 +344,13 @@ def test_admission_calibration_is_unchanged_by_repeats():
     # What the caller is told is what happened: repeats skip Method M's filter.
     assert all(r.filter_time_s < delay / 4 for r in repeats)
     assert all(r.stage_times["mfilter"] < delay / 4 for r in repeats)
-    # What admission control scores is the first execution's cost.  The entry
-    # that completes a window is drained at once; the others are all here.
-    assert len(seen_by_admission) == len(stream) - 2
+    # Exact hits are credited, never re-admitted: admission sees the four
+    # first executions, then only repeats of the structures it rejected —
+    # and what it scores for those is still the first execution's cost.
+    by_serial = {r.serial: r for r in results}
+    assert [entry.query for entry in seen_by_admission[:4]] == pool
+    assert len(seen_by_admission) > len(pool), "no rejected structure came back"
+    assert not any(by_serial[e.serial].shortcut == "exact" for e in seen_by_admission)
     assert all(entry.filter_time_s >= 0.9 * delay for entry in seen_by_admission)
     # So the calibrated threshold sits where a stream without repeats would
     # put it: verify/filter with the real filter cost in the denominator.

@@ -9,6 +9,8 @@ transactional delta, and the snapshot records carrying arena addresses.
 from __future__ import annotations
 
 import json
+import os
+from pathlib import Path
 
 import pytest
 
@@ -109,6 +111,36 @@ class TestSealAttach:
         offset, length = record["query"]
         assert offset == 0 and length > 0
         backend.close()
+
+
+class TestDurablePublish:
+    def test_every_published_file_is_fsynced_before_replace(self, tmp_path, monkeypatch):
+        """Segment and sidecar alike: ``os.replace`` only ever moves a file
+        whose contents were fsync'd first (the sidecar names the live
+        segment, so a torn one after a crash loses the whole store)."""
+        synced, published = set(), []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            synced.add(os.fstat(fd).st_ino)
+            real_fsync(fd)
+
+        def replace(src, dst):
+            published.append((Path(dst).name, os.stat(src).st_ino in synced))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        backend = make_backend(tmp_path)
+        backend.put(1, entry(1))
+        backend.seal()
+        backend.put(2, entry(2))
+        assert backend.seal_delta() == 1
+        backend.close()
+        names = [name for name, _ in published]
+        assert names.count(backend.meta_path.name) == 2
+        assert any(name != backend.meta_path.name for name in names)
+        assert all(durable for _, durable in published), published
 
 
 class TestDeadExtentReclamation:

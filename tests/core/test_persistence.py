@@ -220,19 +220,25 @@ class TestRoundTripReplayProperty:
 
 
 class TestSnapshotFormatV2:
-    def test_window_entries_are_persisted(self, warm_cache, tmp_path):
-        cache, method, workload = warm_cache
-        # Put the cache mid-window, then snapshot.
-        extra = workload[0]
-        cache.query(extra)
+    def test_window_entries_are_persisted(self, warm_cache, tmp_path, tiny_dataset):
+        cache, method, _ = warm_cache
+        # Put the cache mid-window (a new structure waiting), then snapshot.
+        # Exact hits are credited, not windowed, so feed fresh queries.
+        for extra in generate_type_a(tiny_dataset, "UU", 20, query_sizes=(4,), seed=99):
+            cache.query(extra)
+            if cache.window_manager.window_entries():
+                break
         in_window = [e.serial for e in cache.window_manager.window_entries()]
-        assert in_window  # the fixture's workload leaves a non-empty window
+        assert in_window
         path = tmp_path / "cache.json"
         save_cache(cache, path)
         restored = load_cache(path, method)
         assert [
             e.serial for e in restored.window_manager.window_entries()
         ] == in_window
+        assert (
+            restored.window_manager.state_record() == cache.window_manager.state_record()
+        )
 
     def test_sharded_round_trip_preserves_every_shard(self, tmp_path):
         dataset = _roundtrip_dataset(1)

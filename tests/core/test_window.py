@@ -25,10 +25,12 @@ def make_manager(cache_capacity=4, window_size=2, policy="lru", admission=None):
     return manager, cache_store, window_store, statistics, index
 
 
-def entry(serial, verify=1.0, filter_=0.1):
+def entry(serial, verify=1.0, filter_=0.1, label=None):
+    """A window entry whose structure is its own unless ``label`` is shared
+    (a repeat of one structure folds into the first waiting entry)."""
     return WindowEntry(
         serial=serial,
-        query=Graph(labels=["C", "O"], edges=[(0, 1)], graph_id=serial),
+        query=Graph(labels=["C", label or f"O{serial}"], edges=[(0, 1)], graph_id=serial),
         answer_ids=frozenset({serial % 3}),
         filter_time_s=filter_,
         verify_time_s=verify,
@@ -123,6 +125,28 @@ class TestAdmissionIntegration:
         manager.add_query(entry(1, verify=1.0))
         manager.add_query(entry(2, verify=9.0))
         assert admission.calibrated
+
+
+class TestRequestCounting:
+    def test_repeat_of_a_waiting_structure_folds_into_it(self):
+        manager, _, window_store, statistics, _ = make_manager(window_size=3)
+        manager.add_query(entry(1, label="N"))
+        manager.add_query(entry(2, label="N"))
+        assert manager.state_record()["window_requests"] == 2
+        assert len(window_store) == 1
+        assert 2 not in statistics.known_serials()
+        report = manager.add_query(entry(3))
+        assert report.plan.window_serials == (1, 3)
+        assert manager.state_record()["window_requests"] == 0
+
+    def test_credited_requests_still_fire_the_round(self):
+        manager, cache_store, window_store, _, _ = make_manager(window_size=2)
+        assert manager.add_query(entry(1), credited=True) is None
+        assert len(window_store) == 0
+        report = manager.add_query(entry(2), credited=True)
+        assert report is not None
+        assert report.plan.window_serials == () and report.plan.current_serial == 2
+        assert len(cache_store) == 0
 
 
 class TestAccounting:
