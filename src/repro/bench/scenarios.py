@@ -118,7 +118,7 @@ def get_method(dataset_name: str, method_name: str) -> Method:
     """Build (once) Method M ``method_name`` over dataset ``dataset_name``.
 
     The dense datasets (PCM-like, Synthetic) use path length 3 for the
-    path-trie FTV methods: indexing every length-4 path of a dense graph is
+    path-index FTV methods: indexing every length-4 path of a dense graph is
     a C++-implementation affair in the paper and would dominate the runtime
     of this pure-Python suite without changing which system wins.
     """

@@ -81,6 +81,11 @@ class StorageBackend(ABC):
     def get(self, serial: int) -> Any:
         """Return the entry stored under ``serial`` or ``None`` if absent."""
 
+    def get_stub(self, serial: int) -> Any:
+        """:meth:`get`, but a backend that stores the query graph apart may
+        leave it out (``query=None``); the default returns the full entry."""
+        return self.get(serial)
+
     @abstractmethod
     def delete(self, serial: int) -> bool:
         """Remove the entry under ``serial``; return whether it existed."""

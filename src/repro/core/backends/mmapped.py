@@ -142,6 +142,11 @@ class MmapBackend(StorageBackend):
                 query = self._arena.graph_at(extent)
         return replace(stub, query=query)
 
+    def get_stub(self, serial: int) -> Any:
+        with self._lock:
+            record = self._records.get(serial)
+        return None if record is None else record[1]
+
     def delete(self, serial: int) -> bool:
         with self._lock:
             record = self._records.pop(serial, None)

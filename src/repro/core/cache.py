@@ -333,7 +333,7 @@ class GraphCache:
         self._compaction_events: List[Dict[str, object]] = []
         self._compaction_pending: Set[int] = set()
         self._serial_lock = make_lock("serial")
-        self._mfilter = MfilterStage(method)
+        self._mfilter = MfilterStage(method, self._index)
         self._pipeline = QueryPipeline(
             self._mfilter,
             ProcessorStage(self._processors),

@@ -56,6 +56,7 @@ from ..methods.base import Method
 from ..methods.executor import verify_candidates
 from .processors import CacheProcessors, ProcessorOutcome
 from .pruner import CandidateSetPruner, PruningResult
+from .query_index import QueryGraphIndex
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (cache builds us)
     from .cache import CacheQueryResult, GraphCache
@@ -155,10 +156,13 @@ class MfilterStage:
     which is what makes it safe to run concurrently with the GC processors
     (Figure 2) or to prefetch for a whole batch of queries.
 
-    It is also the only place in ``core/`` that calls ``method.candidates``:
-    :meth:`filter` is the seam ``query()``, ``lookup()``, the batched prefetch,
-    replicas and pool workers all go through, and it memoises ``query → CS_M``
-    on the query's labelled structure.  The dataset and Method M's index are
+    It is also the only place in ``core/`` that calls Method M's filter,
+    :meth:`~repro.methods.base.Method.filter`: :meth:`filter` is the seam
+    ``query()``, ``lookup()``, the batched prefetch, replicas and pool
+    workers all go through, and it memoises ``query → CS_M`` on the query's
+    labelled structure.  On a miss it hands the label-path counter Method M
+    enumerated to the GCindex (``adopt_features``), so the processors do not
+    enumerate the query's paths again.  The dataset and Method M's index are
     immutable for the life of a cache, so an entry never goes stale; should
     dynamic datasets ever land, :meth:`clear_memo` is the hook a dataset
     update must call.  The memo sits on the cache side of the seam: Method M
@@ -167,8 +171,9 @@ class MfilterStage:
 
     name = "mfilter"
 
-    def __init__(self, method: Method) -> None:
+    def __init__(self, method: Method, index: Optional[QueryGraphIndex] = None) -> None:
         self._method = method
+        self._index = index
         # Values carry Method M's own seconds beside CS_M so a memo hit can
         # still report the query's first-execution filter cost.
         self._memo: Dict[Graph, Tuple[FrozenSet[int], float]] = {}
@@ -191,8 +196,11 @@ class MfilterStage:
         started = time.perf_counter()
         entry = self._memo.get(query)
         if entry is None:
-            candidates = frozenset(self._method.candidates(query))
+            filtered = self._method.filter(query)
+            candidates = frozenset(filtered.candidates)
             entry = (candidates, time.perf_counter() - started)
+            if filtered.paths is not None and self._index is not None:
+                self._index.adopt_features(query, filtered.paths, filtered.path_length)
             with self._memo_lock:
                 if query not in self._memo:  # a concurrent miss may have won
                     if self._memo_ids + len(candidates) > MFILTER_MEMO_ID_LIMIT:

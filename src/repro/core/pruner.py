@@ -87,7 +87,7 @@ class CandidateSetPruner:
             expanding = outcome.result_super    # g'' ⊆ g: answers of g'' are answers of g
             restricting = outcome.result_sub    # g ⊆ g': answers of g must lie in answers of g'
 
-        # Every store read below goes through the tolerant ``peek``: the
+        # Every store read below goes through the tolerant ``answers``: the
         # serials come from a published GCindex snapshot, and a background
         # maintenance apply may have evicted one of them from the store in
         # the meantime.  Skipping such an entry wholesale is exactly as if
@@ -99,11 +99,11 @@ class CandidateSetPruner:
         # Special case 1: exact (isomorphic) hit — return the cached answer.
         if outcome.exact_match_serial is not None:
             serial = outcome.exact_match_serial
-            entry = self._cache_store.peek(serial)
-            if entry is not None:
+            answer = self._cache_store.answers(serial)
+            if answer is not None:
                 return PruningResult(
                     final_candidates=frozenset(),
-                    direct_answers=entry.answer_ids,
+                    direct_answers=answer,
                     shortcut="exact",
                     shortcut_serial=serial,
                     contributions={serial: frozenset(method_candidates)},
@@ -112,8 +112,8 @@ class CandidateSetPruner:
         # Special case 2: an expanding... no — a *restricting* entry with an
         # empty answer set proves the final answer set is empty.
         for serial in sorted(restricting):
-            entry = self._cache_store.peek(serial)
-            if entry is not None and not entry.answer_ids:
+            answer = self._cache_store.answers(serial)
+            if answer is not None and not answer:
                 return PruningResult(
                     final_candidates=frozenset(),
                     direct_answers=frozenset(),
@@ -129,10 +129,9 @@ class CandidateSetPruner:
         # Equation (1) (subgraph mode): graphs in the answer set of any cached
         # query that contains g are guaranteed answers.
         for serial in sorted(expanding):
-            entry = self._cache_store.peek(serial)
-            if entry is None:
+            answer = self._cache_store.answers(serial)
+            if answer is None:
                 continue
-            answer = entry.answer_ids
             removed = candidates & answer
             if removed:
                 contributions.setdefault(serial, set()).update(removed)
@@ -142,10 +141,9 @@ class CandidateSetPruner:
         # Equation (2) (subgraph mode): the remaining candidates must lie in
         # the answer set of every cached query contained in g.
         for serial in sorted(restricting):
-            entry = self._cache_store.peek(serial)
-            if entry is None:
+            answer = self._cache_store.answers(serial)
+            if answer is None:
                 continue
-            answer = entry.answer_ids
             removed = candidates - answer
             if removed:
                 contributions.setdefault(serial, set()).update(removed)

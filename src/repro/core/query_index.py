@@ -8,19 +8,25 @@ a new query ``g``, it can quickly find
 * ``Resultsuper(g)`` — cached queries ``g''`` with ``g'' ⊆ g`` (``g`` is a
   supergraph of a previous query).
 
-The index is loosely based on the GraphGrepSX path trie (as in the paper,
-§6.1), augmented with per-query feature counters so the same structure serves
-both directions:
+The index is GraphGrepSX's counted path index built over the cached queries
+(as in the paper, §6.1) — the same flat :class:`~repro.ftv.postings.Postings`
+map Method M's GGSX/Grapes filter with — augmented with per-query feature
+counters so the same structure serves both directions:
 
-* sub-direction filtering uses the trie: a cached query can only be a
+* sub-direction filtering probes the postings: a cached query can only be a
   supergraph of ``g`` — i.e. contain ``g`` — if it contains every label path
   of ``g`` at least as often;
 * super-direction filtering compares the cached query's stored feature
   counter against ``g``'s counter (the cache holds at most a few hundred
   entries, so the scan is cheap), plus vertex/edge/label-histogram dominance;
-  the per-entry verdict depends only on the two labelled structures, so it is
+  an entry larger than ``g`` in order or size is rejected outright, and the
+  verdict of the rest depends only on the two labelled structures, so it is
   memoised per ``(cached query, g)`` pair and a repeated ``g`` scans with one
   dictionary probe per entry.
+
+``g``'s counter and sorted probe are memoised per query structure; a path
+index Method M hands over the counter its filter enumerated
+(:meth:`QueryGraphIndex.adopt_features`), so a miss enumerates ``g`` once.
 
 Both filters are *necessary-condition* filters: surviving candidates are then
 confirmed with an actual sub-iso test by the GC processors.
@@ -56,15 +62,24 @@ from __future__ import annotations
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Tuple
 
 from ..analysis.runtime import make_condition, make_lock, make_rlock
 from ..ftv.features import path_features
-from ..ftv.trie import PathTrie
+from ..ftv.postings import Postings
 from ..graphs.graph import Graph
 from ..graphs.signatures import could_be_subgraph
 
-__all__ = ["IndexOpCounts", "IndexView", "QueryGraphIndex"]
+__all__ = ["IndexOpCounts", "IndexView", "QueryFeatures", "QueryGraphIndex"]
+
+
+class QueryFeatures(NamedTuple):
+    """One query's label-path counter and the probe derived from it."""
+
+    #: ``path_features(query, max_path_length)`` — read-only.
+    counts: Counter
+    #: The most selective (longest) ``(feature, count)`` pairs, longest first.
+    probe: Tuple[Tuple[Tuple[str, ...], int], ...]
 
 
 @dataclass
@@ -92,12 +107,11 @@ class IndexOpCounts:
 class _IndexBuffer:
     """One complete copy of the index structures plus its reader count."""
 
-    __slots__ = ("trie", "features", "probes", "graphs", "readers")
+    __slots__ = ("postings", "features", "graphs", "readers")
 
     def __init__(self) -> None:
-        self.trie = PathTrie()
-        self.features: Dict[int, Counter] = {}
-        self.probes: Dict[int, Tuple[Tuple[Tuple[str, ...], int], ...]] = {}
+        self.postings = Postings()
+        self.features: Dict[int, QueryFeatures] = {}
         self.graphs: Dict[int, Graph] = {}
         self.readers = 0
 
@@ -135,7 +149,7 @@ class IndexView:
         return self._buffer.graphs[serial]
 
     def candidate_supergraphs(
-        self, query: Graph, features: Optional[Counter] = None
+        self, query: Graph, features: Optional[QueryFeatures] = None
     ) -> FrozenSet[int]:
         """Cached queries that *may contain* ``query`` (``Resultsub`` candidates)."""
         buffer = self._buffer
@@ -143,16 +157,15 @@ class IndexView:
             return frozenset()
         if features is None:
             features = self._index.query_features(query)
-        probe = dict(QueryGraphIndex._probe_of(features))
-        candidates = buffer.trie.filter(probe)
+        graphs = buffer.graphs
         return frozenset(
             serial
-            for serial in candidates
-            if could_be_subgraph(query, buffer.graphs[serial])
+            for serial in buffer.postings.filter_ordered(features.probe)
+            if could_be_subgraph(query, graphs[serial])
         )
 
     def candidate_subgraphs(
-        self, query: Graph, features: Optional[Counter] = None
+        self, query: Graph, features: Optional[QueryFeatures] = None
     ) -> FrozenSet[int]:
         """Cached queries that *may be contained in* ``query`` (``Resultsuper`` candidates)."""
         buffer = self._buffer
@@ -160,15 +173,19 @@ class IndexView:
             return frozenset()
         if features is None:
             features = self._index.query_features(query)
+        counts = features.counts
+        order, size = query.order, query.size
         survivors: List[int] = []
         graphs = buffer.graphs
         memo = self._index._scan_memo
-        for serial, probe in buffer.probes.items():
+        for serial, cached in buffer.features.items():
             cached_graph = graphs[serial]
+            if cached_graph.order > order or cached_graph.size > size:
+                continue  # could_be_subgraph's first test, without the memo
             verdict = memo.get((cached_graph, query))
             if verdict is None:
                 verdict = could_be_subgraph(cached_graph, query) and all(
-                    features.get(feature, 0) >= count for feature, count in probe
+                    counts.get(feature, 0) >= count for feature, count in cached.probe
                 )
                 self._index._remember_scan(cached_graph, query, verdict)
             if verdict:
@@ -176,11 +193,11 @@ class IndexView:
         return frozenset(survivors)
 
     def approximate_size_bytes(self) -> int:
-        """Rough memory footprint of the snapshot (trie + feature counters)."""
+        """Rough memory footprint of the snapshot (postings + feature counters)."""
         counters = sum(
-            48 + 24 * len(counter) for counter in self._buffer.features.values()
+            48 + 24 * len(features.counts) for features in self._buffer.features.values()
         )
-        return self._buffer.trie.approximate_size_bytes() + counters
+        return self._buffer.postings.approximate_size_bytes() + counters
 
     def release(self) -> None:
         """Return the view (writers may then recycle the buffer)."""
@@ -241,7 +258,7 @@ class QueryGraphIndex:
         self._write_lock = make_rlock("index.write")
         self._batch_depth = 0
         self._batch_journal: List[Tuple] = []
-        self._feature_memo: Dict[Graph, Counter] = {}
+        self._feature_memo: Dict[Graph, QueryFeatures] = {}
         # (cached query, query) -> may the cached query be a subgraph of the
         # query?  A pure function of the two labelled structures (the probe is
         # derived from the cached graph alone), so entries never go stale.
@@ -339,24 +356,21 @@ class QueryGraphIndex:
 
     def _apply_add(self, buffer: _IndexBuffer, serial: int, query: Graph) -> None:
         features = self.query_features(query)
-        buffer.trie.insert_features(features, serial)
+        buffer.postings.insert_features(features.counts, serial)
         buffer.features[serial] = features
-        buffer.probes[serial] = self._probe_of(features)
         buffer.graphs[serial] = query
 
     def _apply_remove(self, buffer: _IndexBuffer, serial: int) -> None:
         if serial not in buffer.graphs:
             return
-        buffer.trie.remove_owner(serial, buffer.features.pop(serial))
-        del buffer.probes[serial]
+        buffer.postings.remove_owner(serial, buffer.features.pop(serial).counts)
         del buffer.graphs[serial]
 
     def _apply_rebuild(
         self, buffer: _IndexBuffer, entries: List[Tuple[int, Graph]]
     ) -> None:
-        buffer.trie = PathTrie()
+        buffer.postings = Postings()
         buffer.features = {}
-        buffer.probes = {}
         buffer.graphs = {}
         for serial, query in entries:
             self._apply_add(buffer, serial, query)
@@ -443,20 +457,41 @@ class QueryGraphIndex:
     # ------------------------------------------------------------------ #
     # Candidate generation (to be confirmed by sub-iso tests).
     # ------------------------------------------------------------------ #
-    def query_features(self, query: Graph) -> Counter:
-        """Feature counter of a new query (shared by both directions).
+    def query_features(self, query: Graph) -> QueryFeatures:
+        """Feature counter and probe of a new query (shared by both directions).
 
         Memoised on the query's labelled structure: repeated queries (the
-        common case under skewed workloads) pay for path extraction once.
-        Callers must treat the returned counter as read-only.
+        common case under skewed workloads) pay for path extraction and the
+        probe sort once.  Callers must treat the counter as read-only.
         """
         features = self._feature_memo.get(query)
         if features is None:
-            features = path_features(query, self._max_path_length)
-            with self._memo_lock:
-                if len(self._feature_memo) >= self.FEATURE_MEMO_LIMIT:
-                    self._feature_memo.clear()
-                self._feature_memo[query] = features
+            features = self._remember_features(
+                query, path_features(query, self._max_path_length)
+            )
+        return features
+
+    def adopt_features(self, query: Graph, paths: Counter, path_length: int) -> None:
+        """Memoise ``query``'s features from ``path_features(query, path_length)``.
+
+        Canonical keys do not depend on the length bound, so dropping keys of
+        more than ``max_path_length + 1`` labels is exact; a shorter counter
+        is ignored.
+        """
+        if path_length < self._max_path_length or query in self._feature_memo:
+            return
+        labels = self._max_path_length + 1
+        self._remember_features(
+            query,
+            Counter({key: count for key, count in paths.items() if len(key) <= labels}),
+        )
+
+    def _remember_features(self, query: Graph, counts: Counter) -> QueryFeatures:
+        features = QueryFeatures(counts, self._probe_of(counts))
+        with self._memo_lock:
+            if len(self._feature_memo) >= self.FEATURE_MEMO_LIMIT:
+                self._feature_memo.clear()
+            self._feature_memo[query] = features
         return features
 
     def _remember_scan(self, cached_graph: Graph, query: Graph, verdict: bool) -> None:
@@ -466,14 +501,14 @@ class QueryGraphIndex:
             self._scan_memo[(cached_graph, query)] = verdict
 
     def candidate_supergraphs(
-        self, query: Graph, features: Optional[Counter] = None
+        self, query: Graph, features: Optional[QueryFeatures] = None
     ) -> FrozenSet[int]:
         """Cached queries that *may contain* ``query`` (``Resultsub`` candidates)."""
         with self.view() as snapshot:
             return snapshot.candidate_supergraphs(query, features)
 
     def candidate_subgraphs(
-        self, query: Graph, features: Optional[Counter] = None
+        self, query: Graph, features: Optional[QueryFeatures] = None
     ) -> FrozenSet[int]:
         """Cached queries that *may be contained in* ``query`` (``Resultsuper`` candidates)."""
         with self.view() as snapshot:
@@ -481,7 +516,7 @@ class QueryGraphIndex:
 
     # ------------------------------------------------------------------ #
     def approximate_size_bytes(self) -> int:
-        """Rough memory footprint of the index (trie + feature counters).
+        """Rough memory footprint of the index (postings + feature counters).
 
         Reports one copy's footprint — the logical index size the
         paper-facing space-overhead figure measures.  A double-buffered

@@ -166,7 +166,7 @@ class ShardedGraphCache:
         """Deterministic shard id for ``query`` (structural feature hash)."""
         if len(self._shards) == 1:
             return 0
-        features = self._router_index.query_features(query)
+        features = self._router_index.query_features(query).counts
         return stable_feature_hash(features) % len(self._shards)
 
     def shard_for(self, query: Graph) -> GraphCache:

@@ -186,16 +186,17 @@ class CacheStore:
             raise CacheError(f"query {serial} is not cached")
         return entry
 
-    def peek(self, serial: int) -> Optional[CacheEntry]:
-        """Return the entry with the given serial, or ``None`` if not cached.
+    def answers(self, serial: int) -> Optional[FrozenSet[int]]:
+        """The answer set cached under ``serial``, or ``None`` if not cached.
 
-        The tolerant twin of :meth:`get` for readers that race a background
+        The tolerant read for the pruner, which races a background
         maintenance apply: a serial taken from a published GCindex snapshot
-        may have been evicted from the store a moment later, which is not an
-        error — the reader simply proceeds without that entry.
+        may have been evicted a moment later, which is not an error.  The
+        backend need not decode the query graph to answer.
         """
         with self._lock:
-            return self._backend.get(serial)
+            entry = self._backend.get_stub(serial)
+        return None if entry is None else entry.answer_ids
 
     # ------------------------------------------------------------------ #
     def add(self, entry: CacheEntry) -> None:

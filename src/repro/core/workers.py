@@ -300,7 +300,7 @@ class ProcessPoolCacheService:
         """Deterministic shard id for ``query`` (structural feature hash)."""
         if self._config.shards == 1:
             return 0
-        features = self._router_index.query_features(query)
+        features = self._router_index.query_features(query).counts
         return stable_feature_hash(features) % self._config.shards
 
     # ------------------------------------------------------------------ #

@@ -17,8 +17,8 @@ from .fingerprints import Fingerprint, feature_bit
 from .ggsx import GraphGrepSX
 from .grapes import Grapes
 from .index_arena import FeatureIndexArena, dataset_content_hash
+from .postings import Postings
 from .supergraph import SupergraphFeatureIndex
-from .trie import PathTrie
 
 __all__ = [
     "FTVMethod",
@@ -26,7 +26,7 @@ __all__ = [
     "Grapes",
     "CTIndex",
     "SupergraphFeatureIndex",
-    "PathTrie",
+    "Postings",
     "Fingerprint",
     "FeatureIndexArena",
     "feature_bit",

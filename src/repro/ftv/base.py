@@ -21,10 +21,12 @@ from ..graphs.dataset import GraphDataset
 from ..graphs.graph import Graph
 from ..isomorphism.base import SubgraphMatcher
 from ..isomorphism.vf2_plus import VF2PlusMatcher
-from ..methods.base import Method
+from ..methods.base import FilterResult, Method
+from .features import path_features
 from .index_arena import FeatureIndexArena, dataset_content_hash
+from .postings import Postings
 
-__all__ = ["FTVMethod"]
+__all__ = ["FTVMethod", "PathFTVMethod"]
 
 PathLike = Union[str, "Path"]
 
@@ -139,3 +141,76 @@ class FTVMethod(Method):
     @abc.abstractmethod
     def index_size_bytes(self) -> int:
         """Approximate memory footprint of the dataset index."""
+
+
+class PathFTVMethod(FTVMethod):
+    """Counted label-path filtering over one :class:`~repro.ftv.postings.Postings`
+    map (GraphGrepSX, Grapes): both seal the same family and parameters, so
+    one ``*.ftv.arena`` segment serves either method.
+    """
+
+    def __init__(
+        self,
+        dataset: GraphDataset,
+        matcher: Optional[SubgraphMatcher],
+        max_path_length: int,
+    ) -> None:
+        self._max_path_length = max_path_length
+        self._postings: Optional[Postings] = None
+        super().__init__(dataset, matcher)
+
+    @property
+    def max_path_length(self) -> int:
+        """Maximum indexed path length in edges."""
+        return self._max_path_length
+
+    def _build_index(self) -> None:
+        postings = Postings()
+        for graph in self.dataset:
+            postings.insert_features(
+                path_features(graph, self._max_path_length), graph.graph_id
+            )
+        self._postings = postings
+
+    def _filter(self, query: Graph) -> frozenset:
+        return self.filter(query).candidates
+
+    def filter(self, query: Graph) -> FilterResult:
+        """``CS_M`` plus the query's path counter, which the filter enumerated.
+
+        A method serving from an attached sealed segment hands no counter
+        over, like :meth:`~repro.methods.base.Method.filter`'s default.
+        """
+        paths = path_features(query, self._max_path_length)
+        if self._findex is not None:
+            return FilterResult(self._findex.filter_counted(paths))
+        assert self._postings is not None, "index not built"
+        return FilterResult(self._postings.filter(paths), paths, self._max_path_length)
+
+    # ------------------------------------------------------------------ #
+    def _index_family(self) -> str:
+        return "paths"
+
+    def _index_params(self) -> Dict[str, object]:
+        return {"max_path_length": self._max_path_length}
+
+    def seal_feature_index(self, path: PathLike) -> Path:
+        """Compile the built postings into a sealed ``*.ftv.arena`` segment."""
+        if self._postings is None:
+            raise CacheError("cannot seal a feature index that was not built here")
+        return FeatureIndexArena.seal(
+            path,
+            family=self._index_family(),
+            params=self._index_params(),
+            dataset_hash=dataset_content_hash(self.dataset),
+            postings=self._postings.iter_features(),
+        )
+
+    def _adopt_index(self, arena: FeatureIndexArena) -> None:
+        self._postings = None
+
+    def index_size_bytes(self) -> int:
+        if self._findex is not None:
+            return self._findex.nbytes
+        assert self._postings is not None, "index not built"
+        return self._postings.approximate_size_bytes()

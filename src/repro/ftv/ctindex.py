@@ -2,7 +2,7 @@
 
 CT-Index summarises every graph by a fixed-width hash fingerprint over two
 feature families — bounded-size *trees* and bounded-size *cycles* — and
-filters with a bitwise subset test.  Compared with the path-trie methods it
+filters with a bitwise subset test.  Compared with the path-index methods it
 trades some filtering precision (hash collisions, no occurrence counts) for a
 far smaller index, which is why the paper singles it out as having "by far the
 smallest index" among the FTV methods it evaluates.

@@ -15,14 +15,16 @@ GraphCache use three feature families:
 
 All extraction functions return a :class:`collections.Counter` keyed by a
 *canonical* feature key so that a path read in either direction (or a cycle
-read from any starting point / direction) maps to the same key.
+read from any starting point / direction) maps to the same key.  A path key
+does not depend on the length bound, so the GCindex cuts its counter out of
+Method M's longer one by key length (``QueryGraphIndex.adopt_features``).
 
 Two extraction routes produce Counter-identical results:
 
 * the **decoded route** (:func:`extract_label_paths` /
   :func:`extract_label_cycles`) walks a fully materialised
-  :class:`~repro.graphs.graph.Graph` — the reference implementation the
-  property tests oracle against;
+  :class:`~repro.graphs.graph.Graph`; both routes' path counts are oracled
+  against a brute-force ``networkx`` path enumeration;
 * the **CSR-native route** (:func:`packed_path_features` /
   :func:`packed_cycle_features`) walks a
   :class:`~repro.graphs.packed.PackedGraph` record directly over its
@@ -118,48 +120,39 @@ def extract_label_paths(graph: Graph, max_length: int) -> Counter:
 
     A path with 0 edges is a single vertex (its label alone); each undirected
     path is counted once (not once per direction).
+
+    Level-by-level frontier of *directed* simple paths ``(end vertex,
+    visited bitmask, label sequence)``.  Both directions of a sequence are
+    counted equally often, so each distinct sequence is canonicalised once:
+    the smaller direction keeps its count, a palindrome half of its own.
     """
     counts: Counter = Counter()
     if max_length < 0:
         return counts
-    for vertex in graph.vertices():
-        counts[canonical_path_key([graph.label(vertex)])] += 1
-    if max_length == 0:
-        return counts
-
-    # Enumerate simple paths by DFS from every start vertex.  Every undirected
-    # path of >= 1 edge is discovered exactly twice (once from each endpoint),
-    # so the per-path counts are halved at the end.  The DFS keeps a single
-    # shared path buffer (append/pop) to avoid per-node list copies — path
-    # enumeration dominates FTV index construction on dense graphs.
-    double_counts: Counter = Counter()
-    labels = graph.labels
-    in_path = [False] * graph.order
-    path_labels: List[str] = []
-
-    def dfs(current: int, depth: int) -> None:
-        for neighbour in graph.neighbors(current):
-            if in_path[neighbour]:
-                continue
-            path_labels.append(str(labels[neighbour]))
-            forward = tuple(path_labels)
-            backward = forward[::-1]
-            double_counts[forward if forward <= backward else backward] += 1
-            if depth + 1 < max_length:
-                in_path[neighbour] = True
-                dfs(neighbour, depth + 1)
-                in_path[neighbour] = False
-            path_labels.pop()
-
-    for start in graph.vertices():
-        in_path[start] = True
-        path_labels.append(str(labels[start]))
-        dfs(start, 0)
-        path_labels.pop()
-        in_path[start] = False
-
-    for key, value in double_counts.items():
-        counts[key] += value // 2
+    labels = [str(label) for label in graph.labels]
+    for label in labels:
+        counts[(label,)] += 1
+    frontier = [(vertex, 1 << vertex, (label,)) for vertex, label in enumerate(labels)]
+    for edges in range(1, max_length + 1):
+        grow = edges < max_length  # the last level is counted, not kept
+        extended: List[Tuple[int, int, FeatureKey]] = []
+        directed: dict = {}
+        for last, visited, sequence in frontier:
+            for neighbour in graph.neighbors(last):
+                bit = 1 << neighbour
+                if visited & bit:
+                    continue
+                longer = sequence + (labels[neighbour],)
+                directed[longer] = directed.get(longer, 0) + 1
+                if grow:
+                    extended.append((neighbour, visited | bit, longer))
+        for sequence, found in directed.items():
+            backward = sequence[::-1]
+            if sequence < backward:
+                counts[sequence] += found
+            elif sequence == backward:
+                counts[sequence] += found // 2
+        frontier = extended
     return counts
 
 

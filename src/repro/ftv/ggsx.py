@@ -1,9 +1,10 @@
-"""GraphGrepSX (GGSX): path-trie FTV method (Bonnici et al., 2010).
+"""GraphGrepSX (GGSX): counted label-path FTV method (Bonnici et al., 2010).
 
 GGSX decomposes every dataset graph into all label paths of bounded length and
-stores them, with occurrence counts, in a suffix trie.  A query graph is
-decomposed the same way; a dataset graph survives filtering only if it
-contains every query path at least as many times as the query does.
+stores them, with occurrence counts, in a path index (here the flat
+:class:`~repro.ftv.postings.Postings` map).  A query graph is decomposed the
+same way; a dataset graph survives filtering only if it contains every query
+path at least as many times as the query does.
 
 The paper configures GGSX (and Grapes) to index paths up to length 4, which is
 also the default here.
@@ -11,25 +12,18 @@ also the default here.
 
 from __future__ import annotations
 
-from collections import Counter
-from pathlib import Path
-from typing import Dict, Optional
+from typing import Optional
 
-from ..exceptions import CacheError
 from ..graphs.dataset import GraphDataset
-from ..graphs.graph import Graph
 from ..isomorphism.base import SubgraphMatcher
 from ..isomorphism.vf2 import VF2Matcher
-from .base import FTVMethod, PathLike
-from .features import path_features
-from .index_arena import FeatureIndexArena, dataset_content_hash
-from .trie import PathTrie
+from .base import PathFTVMethod
 
 __all__ = ["GraphGrepSX"]
 
 
-class GraphGrepSX(FTVMethod):
-    """GraphGrepSX: counted label-path trie filtering.
+class GraphGrepSX(PathFTVMethod):
+    """GraphGrepSX: counted label-path filtering.
 
     Parameters
     ----------
@@ -49,58 +43,5 @@ class GraphGrepSX(FTVMethod):
         matcher: Optional[SubgraphMatcher] = None,
         max_path_length: int = 4,
     ) -> None:
-        self._max_path_length = max_path_length
-        self._trie: PathTrie | None = None
         # The original GraphGrepSX bundles vanilla VF2 as its verifier.
-        super().__init__(dataset, matcher or VF2Matcher())
-
-    # ------------------------------------------------------------------ #
-    @property
-    def max_path_length(self) -> int:
-        """Maximum indexed path length in edges."""
-        return self._max_path_length
-
-    def _build_index(self) -> None:
-        trie = PathTrie()
-        for graph in self.dataset:
-            features = path_features(graph, self._max_path_length)
-            trie.insert_features(features, graph.graph_id)
-        self._trie = trie
-
-    def _query_features(self, query: Graph) -> Counter:
-        return path_features(query, self._max_path_length)
-
-    def _filter(self, query: Graph) -> frozenset:
-        features = self._query_features(query)
-        if self._findex is not None:
-            return self._findex.filter_counted(features)
-        assert self._trie is not None, "index not built"
-        return self._trie.filter(features)
-
-    # ------------------------------------------------------------------ #
-    def _index_family(self) -> str:
-        return "paths"
-
-    def _index_params(self) -> Dict[str, object]:
-        return {"max_path_length": self._max_path_length}
-
-    def seal_feature_index(self, path: PathLike) -> Path:
-        """Compile the built path trie into a sealed ``*.ftv.arena`` segment."""
-        if self._trie is None:
-            raise CacheError("cannot seal a feature index that was not built here")
-        return FeatureIndexArena.seal(
-            path,
-            family=self._index_family(),
-            params=self._index_params(),
-            dataset_hash=dataset_content_hash(self.dataset),
-            postings=self._trie.iter_features(),
-        )
-
-    def _adopt_index(self, arena: FeatureIndexArena) -> None:
-        self._trie = None
-
-    def index_size_bytes(self) -> int:
-        if self._findex is not None:
-            return self._findex.nbytes
-        assert self._trie is not None, "index not built"
-        return self._trie.approximate_size_bytes()
+        super().__init__(dataset, matcher or VF2Matcher(), max_path_length)

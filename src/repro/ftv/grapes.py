@@ -23,24 +23,20 @@ Reproduction notes
 
 from __future__ import annotations
 
-from collections import Counter
-from pathlib import Path
 from typing import Dict, FrozenSet, Optional
 
-from ..exceptions import CacheError
 from ..graphs.dataset import GraphDataset
 from ..graphs.graph import Graph
 from ..isomorphism.base import SubgraphMatcher
 from ..isomorphism.vf2 import VF2Matcher
-from .base import FTVMethod, PathLike
-from .features import canonical_path_key, path_features
-from .index_arena import FeatureIndexArena, dataset_content_hash
-from .trie import PathTrie
+from .base import PathFTVMethod
+from .features import canonical_path_key
+from .index_arena import FeatureIndexArena
 
 __all__ = ["Grapes"]
 
 
-class Grapes(FTVMethod):
+class Grapes(PathFTVMethod):
     """Grapes: counted path filtering with location hints and parallel verify.
 
     Parameters
@@ -66,34 +62,23 @@ class Grapes(FTVMethod):
     ) -> None:
         if threads < 1:
             raise ValueError("threads must be >= 1")
-        self._max_path_length = max_path_length
-        self._trie: PathTrie | None = None
         self._locations: Dict[int, Dict[tuple, FrozenSet[int]]] = {}
         # The original Grapes bundles vanilla VF2 as its verifier.
-        super().__init__(dataset, matcher or VF2Matcher())
+        super().__init__(dataset, matcher or VF2Matcher(), max_path_length)
         self.verify_parallelism = threads
         self.name = f"grapes{threads}"
 
     # ------------------------------------------------------------------ #
-    @property
-    def max_path_length(self) -> int:
-        """Maximum indexed path length in edges."""
-        return self._max_path_length
-
     @property
     def threads(self) -> int:
         """Simulated verification thread count."""
         return self.verify_parallelism
 
     def _build_index(self) -> None:
-        trie = PathTrie()
-        locations: Dict[int, Dict[tuple, FrozenSet[int]]] = {}
-        for graph in self.dataset:
-            features = path_features(graph, self._max_path_length)
-            trie.insert_features(features, graph.graph_id)
-            locations[graph.graph_id] = self._single_vertex_locations(graph)
-        self._trie = trie
-        self._locations = locations
+        super()._build_index()
+        self._locations = {
+            graph.graph_id: self._single_vertex_locations(graph) for graph in self.dataset
+        }
 
     @staticmethod
     def _single_vertex_locations(graph: Graph) -> Dict[tuple, FrozenSet[int]]:
@@ -104,44 +89,12 @@ class Grapes(FTVMethod):
             result.setdefault(key, set()).add(vertex)
         return {key: frozenset(vertices) for key, vertices in result.items()}
 
-    def _query_features(self, query: Graph) -> Counter:
-        return path_features(query, self._max_path_length)
-
-    def _filter(self, query: Graph) -> frozenset:
-        features = self._query_features(query)
-        if self._findex is not None:
-            return self._findex.filter_counted(features)
-        assert self._trie is not None, "index not built"
-        return self._trie.filter(features)
-
-    # ------------------------------------------------------------------ #
-    def _index_family(self) -> str:
-        return "paths"
-
-    def _index_params(self) -> Dict[str, object]:
-        # Same family and parameters as GraphGrepSX: the sealed postings are
-        # the flattened counted trie both methods filter with, so one sealed
-        # segment serves either method at equal max_path_length.
-        return {"max_path_length": self._max_path_length}
-
-    def seal_feature_index(self, path: PathLike) -> Path:
-        """Compile the built path trie into a sealed ``*.ftv.arena`` segment."""
-        if self._trie is None:
-            raise CacheError("cannot seal a feature index that was not built here")
-        return FeatureIndexArena.seal(
-            path,
-            family=self._index_family(),
-            params=self._index_params(),
-            dataset_hash=dataset_content_hash(self.dataset),
-            postings=self._trie.iter_features(),
-        )
-
     def _adopt_index(self, arena: FeatureIndexArena) -> None:
         # Location hints are not part of the sealed postings; refill lazily,
         # per dataset graph, on first candidate_regions() call — the packed
         # dataset's views answer label() CSR-natively, so this stays cheap
         # and touches only the graphs a caller actually inspects.
-        self._trie = None
+        super()._adopt_index(arena)
         self._locations = {}
 
     # ------------------------------------------------------------------ #
@@ -170,7 +123,4 @@ class Grapes(FTVMethod):
             16 * sum(len(vertices) for vertices in per_graph.values())
             for per_graph in self._locations.values()
         )
-        if self._findex is not None:
-            return self._findex.nbytes + location_bytes
-        assert self._trie is not None, "index not built"
-        return self._trie.approximate_size_bytes() + location_bytes
+        return super().index_size_bytes() + location_bytes

@@ -7,11 +7,12 @@ line of work removes everywhere else.  A :class:`FeatureIndexArena` is the
 compiled form of a built index, published once by the pool owner and
 attached read-only by every worker:
 
-* **postings** (GraphGrepSX / Grapes): the counted trie flattens into CSR
-  arrays — ``post_ptr`` (feature-id → slice), ``post_ids`` (sorted owner
-  graph ids) and ``post_counts`` (parallel occurrence counts) — plus the
+* **postings** (GraphGrepSX / Grapes): the in-RAM
+  :class:`~repro.ftv.postings.Postings` map compiles into CSR arrays —
+  ``post_ptr`` (feature-id → slice), ``post_ids`` (sorted owner graph ids)
+  and ``post_counts`` (parallel occurrence counts) — plus the sorted
   feature-key table.  Filtering intersects the per-feature sorted id arrays
-  with ``searchsorted``, reproducing :meth:`PathTrie.filter` exactly.
+  with ``searchsorted``, reproducing :meth:`Postings.filter` exactly.
 * **fingerprints** (CT-Index): one ``uint8`` matrix row per graph
   (little-endian bitmap bytes); filtering is a vectorised row-wise subset
   test.
@@ -163,7 +164,7 @@ class FeatureIndexArena:
         """Compile and atomically publish an index segment at ``path``.
 
         ``postings`` yields ``(feature, {owner: count})`` pairs (the shape
-        of :meth:`PathTrie.iter_features`); ``fingerprints`` maps graph id →
+        of :meth:`Postings.iter_features`); ``fingerprints`` maps graph id →
         integer bitmap of ``fingerprint_bits`` width.  Features are stored
         sorted so the sealed bytes are deterministic for a given index.
         """
@@ -267,7 +268,7 @@ class FeatureIndexArena:
         return self._feature_ids.get(feature)
 
     def posting(self, feature: Sequence[str]) -> Dict[int, int]:
-        """``{owner: count}`` for one feature (:meth:`PathTrie.lookup` shape)."""
+        """``{owner: count}`` for one feature (:meth:`Postings.lookup` shape)."""
         fid = self._feature_id(tuple(feature))
         if fid is None:
             return {}
@@ -283,9 +284,9 @@ class FeatureIndexArena:
     def filter_counted(self, query_features: Mapping[Sequence[str], int]) -> frozenset:
         """Owners containing every query feature with sufficient multiplicity.
 
-        Semantics are :meth:`PathTrie.filter` exactly (same evaluation
+        Semantics are :meth:`Postings.filter` exactly (same evaluation
         order, same no-feature answer), but each step is a ``searchsorted``
-        intersection of sorted id arrays instead of a trie walk.
+        intersection of sorted id arrays instead of a dictionary probe.
         """
         if not query_features:
             return self._owners

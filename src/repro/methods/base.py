@@ -7,7 +7,9 @@ graph.  Both kinds are modelled by :class:`Method`:
 
 * :meth:`Method.candidates` is the filtering stage ``Mfilter`` — it returns
   the candidate set ``CS_M(g)`` of dataset-graph ids that may contain the
-  query.  SI methods return the whole dataset.
+  query.  SI methods return the whole dataset.  :meth:`Method.filter` is the
+  same stage as GraphCache calls it: ``CS_M`` plus the label-path counter a
+  path-index method enumerated on the way, for the cache's query index.
 * :meth:`Method.verify` is the verification stage ``Mverifier`` — a single
   sub-iso test of the query against one dataset graph.
 
@@ -18,13 +20,24 @@ CT-Index) and :mod:`repro.methods.si` (VF2, VF2+, GraphQL, Ullmann).
 from __future__ import annotations
 
 import abc
+from collections import Counter
 from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 from ..graphs.dataset import GraphDataset
 from ..graphs.graph import Graph
 from ..isomorphism.base import MatchOutcome, SubgraphMatcher
 
-__all__ = ["Method", "VerificationRecord"]
+__all__ = ["FilterResult", "Method", "VerificationRecord"]
+
+
+class FilterResult(NamedTuple):
+    """``CS_M`` of one query, plus ``path_features(query, path_length)`` when
+    the filter enumerated it (read-only; the caller may keep it)."""
+
+    candidates: frozenset
+    paths: Optional[Counter] = None
+    path_length: int = 0
 
 
 @dataclass(frozen=True)
@@ -81,6 +94,15 @@ class Method(abc.ABC):
     @abc.abstractmethod
     def candidates(self, query: Graph) -> frozenset:
         """Return the candidate set ``CS_M(query)`` of dataset-graph ids."""
+
+    def filter(self, query: Graph) -> FilterResult:
+        """``CS_M(query)`` plus the label-path counter the filter enumerated.
+
+        The default hands over none, so a method without a path index, or a
+        wrapper that only overrides :meth:`candidates`, leaves the caller to
+        extract its own.
+        """
+        return FilterResult(frozenset(self.candidates(query)))
 
     def verify(self, query: Graph, graph_id: int) -> VerificationRecord:
         """Run one sub-iso test of ``query`` against dataset graph ``graph_id``."""

@@ -202,6 +202,23 @@ class TestStoreFacadesOverBackends:
         assert store.serials() == [5, 6]
         store.close()
 
+    def test_cache_store_answers_read(self, store_backend_kind, monkeypatch):
+        store = CacheStore(
+            2, backend=create_backend(store_backend_kind, CacheEntryCodec())
+        )
+        store.add(cache_entry(1, answers=(3, 4)))
+        store.add(cache_entry(2, answers=()))
+        if store_backend_kind == "mmap":
+            # The answers-only read never decodes the query graph.
+            def no_decode(extent):
+                raise AssertionError("answers() decoded a query graph")
+
+            monkeypatch.setattr(store.backend.arena, "graph_at", no_decode)
+        assert store.answers(1) == frozenset({3, 4})
+        assert store.answers(2) == frozenset()
+        assert store.answers(99) is None  # evicted or never cached
+        store.close()
+
     def test_window_store_contract(self, store_backend_kind):
         store = WindowStore(
             2, backend=create_backend(store_backend_kind, WindowEntryCodec())

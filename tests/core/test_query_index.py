@@ -138,7 +138,17 @@ class TestScanMemo:
         idx, pool = self._random_index_and_queries(7, cached=4, queries=5)
         for query in pool * 3:
             idx.candidate_subgraphs(query)
-        assert len(idx._scan_memo) == 4 * 5
+        # One verdict per pair that passes the (order, size) shape check; a
+        # cached query larger than the query is rejected before the memo.
+        cached = [idx.graph(serial) for serial in idx.serials()]
+        shaped = {
+            (graph, query)
+            for graph in cached
+            for query in pool
+            if graph.order <= query.order and graph.size <= query.size
+        }
+        assert set(idx._scan_memo) == shaped
+        assert 0 < len(shaped) < 4 * 5
         # Filling past the limit resets the memo and keeps answering correctly.
         monkeypatch.setattr(QueryGraphIndex, "SCAN_MEMO_LIMIT", 6)
         expected = {query: idx.candidate_subgraphs(query) for query in pool}

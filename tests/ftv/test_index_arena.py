@@ -1,7 +1,7 @@
 """Sealed feature-index segments: round-trip, filter identity, staleness.
 
 The ``*.ftv.arena`` segment is the compiled form of a built FTV index.
-These tests pin (a) the seal → attach round-trip against the live trie and
+These tests pin (a) the seal → attach round-trip against the live postings and
 fingerprint structures it replaces — same postings, same filter answers on
 real workloads; (b) the attach handshake on the method side: family/params
 mismatches and a stale dataset hash must be *detected* (warn + rebuild),
@@ -53,15 +53,15 @@ class TestSealAttachRoundTrip:
         for query, answer in zip(queries, expected, strict=True):
             assert attacher.candidates(query) == answer
 
-    def test_postings_match_trie(self, tmp_path, dataset):
+    def test_sealed_postings_match_built_postings(self, tmp_path, dataset):
         method = GraphGrepSX(dataset)
         path = tmp_path / "index.ftv.arena"
         method.seal_feature_index(path)
         arena = FeatureIndexArena.attach(path)
-        trie = method._trie
-        for feature, counts in trie.iter_features():
+        postings = method._postings
+        for feature, counts in postings.iter_features():
             assert arena.posting(feature) == dict(counts)
-        assert arena.feature_count == sum(1 for _ in trie.iter_features())
+        assert arena.feature_count == sum(1 for _ in postings.iter_features())
 
     def test_empty_query_features_answer_owners(self, tmp_path, dataset):
         method = GraphGrepSX(dataset)

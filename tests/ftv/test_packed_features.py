@@ -3,7 +3,7 @@
 The packed extractors (:func:`packed_path_features` /
 :func:`packed_cycle_features`) must be *Counter-identical* to the decoded
 reference extractors on every graph — same keys, same multiplicities — or
-the sealed feature index silently diverges from the trie it replaces.  These
+the sealed feature index silently diverges from the postings it replaces.  These
 tests pin that identity with hypothesis over random labelled graphs (mixed
 int/str label universes included, exercising the rank-based
 canonicalisation), plus the dispatch contract of the public entry points and
