@@ -125,7 +125,6 @@ class ModuleModel:
     classes: Dict[str, ClassModel] = field(default_factory=dict)
     functions: Dict[str, FunctionModel] = field(default_factory=dict)
     module_locks: Dict[str, LockDecl] = field(default_factory=dict)
-    import_sites: List[Tuple[str, int]] = field(default_factory=list)  # (dotted, line)
     imported_names: Dict[str, str] = field(default_factory=dict)  # local -> dotted
     allows: Dict[int, Set[str]] = field(default_factory=dict)  # line -> rule ids
     lock_hints: Dict[int, str] = field(default_factory=dict)  # line -> lock name
@@ -542,21 +541,15 @@ def extract_module(path: Path, module: str) -> ModuleModel:
     for node in tree.body:
         if isinstance(node, ast.Import):
             for alias in node.names:
-                model.import_sites.append((alias.name, node.lineno))
                 model.imported_names[alias.asname or alias.name.split(".")[0]] = (
                     alias.name
                 )
         elif isinstance(node, ast.ImportFrom):
             target = _resolve_import_from(module, path.name == "__init__.py", node)
             if target is not None:
-                model.import_sites.append((target, node.lineno))
                 for alias in node.names:
                     model.imported_names[alias.asname or alias.name] = (
                         f"{target}.{alias.name}"
-                    )
-                    # importing a submodule also counts as an import site
-                    model.import_sites.append(
-                        (f"{target}.{alias.name}", node.lineno)
                     )
         elif isinstance(node, ast.ClassDef):
             bases = []

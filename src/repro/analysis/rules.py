@@ -19,9 +19,6 @@ REPRO003  mutation of stores / the GCindex / the utility heap / statistics
 REPRO004  a mutating call or attribute write on a pinned ``IndexView``
           snapshot (bound by ``with idx.view() as v``, ``idx.acquire_view()``,
           or an ``IndexView``-annotated parameter).
-REPRO005  an internal import of one of the four deprecated PR-4 shim
-          modules (``repro.core.{window,admission,adaptive_admission,
-          replacement}``).
 REPRO006  a method call on ``self._backend`` outside the owning store's
           ``self._lock`` — compound store reads must happen under the store
           lock.
@@ -56,13 +53,6 @@ from .locks import GC_LOCK_NAME, rank_of
 from .model import CallSite, ClassModel, FunctionModel, ModuleModel
 
 __all__ = ["Finding", "Program", "run_rules"]
-
-DEPRECATED_SHIMS = {
-    "repro.core.window",
-    "repro.core.admission",
-    "repro.core.adaptive_admission",
-    "repro.core.replacement",
-}
 
 #: Mutating methods per tracked shared-state type (REPRO003 / REPRO004).
 TRACKED_MUTATORS: Dict[str, Set[str]] = {
@@ -710,29 +700,6 @@ def _rule_packed_immutability(prog: Program, findings: List[Finding]) -> None:
                 )
 
 
-def _rule_shim_imports(prog: Program, findings: List[Finding]) -> None:
-    """REPRO005: internal imports of the deprecated PR-4 shim modules."""
-    for module in prog.modules:
-        if module.module in DEPRECATED_SHIMS:
-            continue
-        seen: Set[Tuple[str, int]] = set()
-        for target, line in module.import_sites:
-            if target in DEPRECATED_SHIMS and (target, line) not in seen:
-                seen.add((target, line))
-                findings.append(
-                    Finding(
-                        rule="REPRO005",
-                        path=str(module.path),
-                        line=line,
-                        symbol=f"import:{target}",
-                        message=(
-                            f"internal import of deprecated shim '{target}'; "
-                            f"import the repro.core.policies module instead"
-                        ),
-                    )
-                )
-
-
 def _rule_store_lock(prog: Program, findings: List[Finding]) -> None:
     """REPRO006: self._backend calls outside the owning store's lock."""
     for func in prog.funcs.values():
@@ -774,6 +741,5 @@ def run_rules(modules: Iterable[ModuleModel]) -> List[Finding]:
     _rule_replica_delta_path(prog, findings)
     _rule_view_immutability(prog, findings)
     _rule_packed_immutability(prog, findings)
-    _rule_shim_imports(prog, findings)
     _rule_store_lock(prog, findings)
     return findings

@@ -325,7 +325,6 @@ class GraphCache:
         )
         self._serial = 0
         self._runtime = CacheRuntimeStatistics()
-        self._results: List[CacheQueryResult] = []
         # Arena-compaction bookkeeping: completed event records (list.append
         # is GIL-atomic — events land from scheduler worker threads) and the
         # backends with a fold currently scheduled (guards double-submission
@@ -571,7 +570,6 @@ class GraphCache:
             decode_avoided=1 if isinstance(ctx.query, PackedGraphView) else 0,
         )
         self._update_runtime(result, len(ctx.method_candidates))
-        self._results.append(result)
         ctx.result = result
 
     def answer(self, query: Graph) -> FrozenSet[int]:
@@ -860,10 +858,6 @@ class GraphCache:
 
             self._scheduler.submit_task(fold)
 
-    def results(self) -> List[CacheQueryResult]:
-        """Per-query results since the cache was created."""
-        return list(self._results)
-
     # ------------------------------------------------------------------ #
     def _record_contributions(
         self,
@@ -875,7 +869,7 @@ class GraphCache:
         """Feed the Statistics Manager with each cached query's contribution."""
         query_order = query.order
         query_labels = max(1, len(query.distinct_labels()))
-        dataset = self._method.dataset
+        orders = self._method.dataset.orders
         for cached_serial, removed_ids in pruning.contributions.items():
             if cached_serial not in self._cache_store:
                 continue
@@ -883,7 +877,7 @@ class GraphCache:
             for graph_id in removed_ids:
                 # Positional: the cost model is memoised on these three ints.
                 cost_saving += estimate_subiso_cost(
-                    query_order, query_labels, dataset[graph_id].order
+                    query_order, query_labels, orders[graph_id]
                 )
             # The engine's hit hook feeds the statistics store *and* the
             # incremental utility heap in one call.

@@ -23,10 +23,6 @@ it behind two registries and one engine:
   :class:`PlanJournal` of applied plans (audit log / replication feed);
 * :mod:`~repro.core.policies.window` — the Window Manager, now a thin
   batching front end over the scheduler.
-
-The seed modules (``repro.core.window``, ``repro.core.admission``,
-``repro.core.adaptive_admission``, ``repro.core.replacement``) remain as
-re-export shims so existing imports keep working.
 """
 
 from __future__ import annotations

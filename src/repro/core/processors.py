@@ -175,15 +175,21 @@ class CacheProcessors:
 
     def _process_on(self, snapshot, query: Graph) -> ProcessorOutcome:
         started = time.perf_counter()
+        # An isomorphic cached query yields the greatest possible gain and
+        # makes every other containment check unnecessary (§5.1, special
+        # case 1).  A repeat of a cached structure is one table probe.
+        serial = snapshot.exact_serial(query)
+        if serial is not None:
+            hit = frozenset({serial})
+            return ProcessorOutcome(hit, hit, serial, time.perf_counter() - started, 0, 0)
         tests = 0
         memo_hits = 0
 
         features = self._index.query_features(query)
         sub_candidates = snapshot.candidate_supergraphs(query, features)
 
-        # Fast path: an isomorphic cached query (same vertex and edge counts,
-        # containment in one direction) yields the greatest possible gain and
-        # makes every other containment check unnecessary (§5.1, special case 1).
+        # Isomorphic but differently numbered: same vertex and edge counts
+        # plus containment in one direction.
         for serial in sorted(sub_candidates):
             if not self._same_shape(snapshot, query, serial):
                 continue

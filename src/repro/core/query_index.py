@@ -29,7 +29,9 @@ index Method M hands over the counter its filter enumerated
 (:meth:`QueryGraphIndex.adopt_features`), so a miss enumerates ``g`` once.
 
 Both filters are *necessary-condition* filters: surviving candidates are then
-confirmed with an actual sub-iso test by the GC processors.
+confirmed with an actual sub-iso test by the GC processors.  Beside them, each
+copy keeps an exact-hit table ``structure → serial``, so a query equal to a
+cached one is found with one probe (:meth:`IndexView.exact_serial`).
 
 Double-buffered reads
 ---------------------
@@ -107,12 +109,14 @@ class IndexOpCounts:
 class _IndexBuffer:
     """One complete copy of the index structures plus its reader count."""
 
-    __slots__ = ("postings", "features", "graphs", "readers")
+    __slots__ = ("postings", "features", "graphs", "exact", "readers")
 
     def __init__(self) -> None:
         self.postings = Postings()
         self.features: Dict[int, QueryFeatures] = {}
         self.graphs: Dict[int, Graph] = {}
+        #: Labelled structure -> serial of the indexed query equal to it.
+        self.exact: Dict[Graph, int] = {}
         self.readers = 0
 
 
@@ -147,6 +151,10 @@ class IndexView:
     def graph(self, serial: int) -> Graph:
         """Return the indexed query graph with the given serial."""
         return self._buffer.graphs[serial]
+
+    def exact_serial(self, query: Graph) -> Optional[int]:
+        """Serial of an indexed query equal to ``query``, if the table has one."""
+        return self._buffer.exact.get(query)
 
     def candidate_supergraphs(
         self, query: Graph, features: Optional[QueryFeatures] = None
@@ -359,12 +367,19 @@ class QueryGraphIndex:
         buffer.postings.insert_features(features.counts, serial)
         buffer.features[serial] = features
         buffer.graphs[serial] = query
+        # Equal twins (two background rounds admitting one structure) keep
+        # the lowest serial, the one the processors' loop would credit.
+        buffer.exact[query] = min(serial, buffer.exact.get(query, serial))
 
     def _apply_remove(self, buffer: _IndexBuffer, serial: int) -> None:
         if serial not in buffer.graphs:
             return
         buffer.postings.remove_owner(serial, buffer.features.pop(serial).counts)
-        del buffer.graphs[serial]
+        query = buffer.graphs.pop(serial)
+        # A surviving twin is not re-entered (that would scan every entry on
+        # every eviction): its repeats take the processors' loop instead.
+        if buffer.exact.get(query) == serial:
+            del buffer.exact[query]
 
     def _apply_rebuild(
         self, buffer: _IndexBuffer, entries: List[Tuple[int, Graph]]
@@ -372,6 +387,7 @@ class QueryGraphIndex:
         buffer.postings = Postings()
         buffer.features = {}
         buffer.graphs = {}
+        buffer.exact = {}
         for serial, query in entries:
             self._apply_add(buffer, serial, query)
 

@@ -244,13 +244,6 @@ class ShardedGraphCache:
             collected.extend(shard.window_manager.reports)
         return collected
 
-    def results(self) -> List[CacheQueryResult]:
-        """All per-query results, ordered by serial within each shard."""
-        collected: List[CacheQueryResult] = []
-        for shard in self._shards:
-            collected.extend(shard.results())
-        return collected
-
     def cache_size_bytes(self) -> int:
         """Approximate memory footprint summed over the shards."""
         return sum(shard.cache_size_bytes() for shard in self._shards)

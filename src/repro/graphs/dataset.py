@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Sequence
+from functools import cached_property
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from ..exceptions import DatasetError
 from .graph import Graph
@@ -105,6 +106,11 @@ class GraphDataset:
     def graph_ids(self) -> frozenset:
         """Frozen set of every graph id in the dataset."""
         return self._all_ids
+
+    @cached_property
+    def orders(self) -> Tuple[int, ...]:
+        """Vertex count of every graph, indexed by graph id (computed once)."""
+        return tuple(g.order for g in self._graphs)
 
     # ------------------------------------------------------------------ #
     def statistics(self) -> DatasetStatistics:

@@ -31,7 +31,6 @@ class TestGoldenFixtures:
             ("repro002_blocking.py", "REPRO002", "GC lock"),
             ("repro003_decide.py", "REPRO003", "decide()"),
             ("repro004_view.py", "REPRO004", "IndexView"),
-            ("repro005_shim.py", "REPRO005", "deprecated shim"),
             ("repro006_store.py", "REPRO006", "store lock"),
             ("repro007_packed.py", "REPRO007", "PackedGraph"),
             ("repro007_view.py", "REPRO007", "PackedGraph"),
@@ -62,12 +61,29 @@ class TestGoldenFixtures:
         assert "_install" in finding.message
 
 
+def _view_write_module(comment_above: str = "", comment_inline: str = "") -> str:
+    """A module that writes through a pinned IndexView once (REPRO004)."""
+    above = f"            {comment_above}\n" if comment_above else ""
+    return (
+        "class Writer:\n"
+        "    def violate(self, index):\n"
+        "        with index.view() as snapshot:\n"
+        f"{above}"
+        f"            snapshot._buffer.exact[None] = 0{comment_inline}\n"
+    )
+
+
 class TestSuppressions:
+    def test_unsuppressed_view_write_is_reported(self, tmp_path):
+        module = tmp_path / "unsuppressed.py"
+        module.write_text(_view_write_module())
+        findings, _ = analyze_paths([module])
+        assert [f.rule for f in findings] == ["REPRO004"]
+
     def test_allow_comment_on_same_line(self, tmp_path):
         module = tmp_path / "suppressed.py"
         module.write_text(
-            "from repro.core.window import WindowManager"
-            "  # repro: allow[REPRO005] back-compat re-export\n"
+            _view_write_module(comment_inline="  # repro: allow[REPRO004] test-only write")
         )
         findings, _ = analyze_paths([module])
         assert findings == []
@@ -75,20 +91,16 @@ class TestSuppressions:
     def test_allow_comment_on_preceding_line(self, tmp_path):
         module = tmp_path / "suppressed.py"
         module.write_text(
-            "# repro: allow[REPRO005] back-compat re-export\n"
-            "from repro.core.window import WindowManager\n"
+            _view_write_module(comment_above="# repro: allow[REPRO004] test-only write")
         )
         findings, _ = analyze_paths([module])
         assert findings == []
 
     def test_allow_for_other_rule_does_not_suppress(self, tmp_path):
         module = tmp_path / "unsuppressed.py"
-        module.write_text(
-            "# repro: allow[REPRO001] wrong rule\n"
-            "from repro.core.window import WindowManager\n"
-        )
+        module.write_text(_view_write_module(comment_above="# repro: allow[REPRO001] wrong rule"))
         findings, _ = analyze_paths([module])
-        assert [f.rule for f in findings] == ["REPRO005"]
+        assert [f.rule for f in findings] == ["REPRO004"]
 
     def test_lock_hint_names_a_dynamic_lock(self, tmp_path):
         module = tmp_path / "hinted.py"
@@ -145,9 +157,9 @@ class TestCliSubcommand:
 
     def test_graphcache_analyze_json_on_fixture(self, capsys):
         code = cli_main(
-            ["analyze", str(FIXTURES / "repro005_shim.py"),
+            ["analyze", str(FIXTURES / "repro001_raw_lock.py"),
              "--format", "json", "--no-baseline"]
         )
         assert code == 1
         payload = json.loads(capsys.readouterr().out)
-        assert payload["findings"][0]["rule"] == "REPRO005"
+        assert payload["findings"][0]["rule"] == "REPRO001"

@@ -92,12 +92,11 @@ class TestStatisticsFlow:
         assert payload["queries_processed"] == 2
 
     def test_results_history(self, small_cache):
-        small_cache.query(CCO_PATH)
-        small_cache.query(CC_EDGE)
-        results = small_cache.results()
-        assert len(results) == 2
-        assert results[0].serial == 1
-        assert results[1].serial == 2
+        results = [small_cache.query(CCO_PATH), small_cache.query(CC_EDGE)]
+        assert [result.serial for result in results] == [1, 2]
+        # The cache keeps no per-request history: callers hold what query()
+        # returned, so a long-lived cache's memory does not grow per request.
+        assert not hasattr(small_cache, "results")
 
     def test_answer_convenience_wrapper(self, small_cache, handmade_dataset):
         answers = small_cache.answer(CC_EDGE)

@@ -20,6 +20,7 @@ from repro.core.query_index import QueryGraphIndex
 from repro.graphs.generators import aids_like, random_connected_graph
 from repro.graphs.graph import Graph
 from repro.methods.si import SIMethod
+from repro.workloads import extract_query_bfs
 
 
 def build_index(entries):
@@ -98,11 +99,21 @@ class TestGraphCacheMemoIntegration:
             method, config=GraphCacheConfig(cache_capacity=8, window_size=4)
         )
         rng = random.Random(3)
-        pool = []
-        for _ in range(6):
-            base = dataset[rng.randrange(len(dataset))]
-            k = rng.randint(3, min(6, base.order))
-            pool.append(base.induced_subgraph(rng.sample(range(base.order), k=k)))
+        bases = []
+        while len(bases) < 3:
+            source = dataset[rng.randrange(len(dataset))]
+            query = extract_query_bfs(source, rng.randrange(source.order), rng.randint(3, 5))
+            if query is not None and query not in bases:
+                bases.append(query)
+        # Each base again with its vertex numbering reversed: isomorphic, not
+        # equal, so only the processors' loop (and its memo) finds the hit.
+        pool = bases + [
+            Graph(
+                labels=list(reversed(base.labels)),
+                edges=[(base.order - 1 - u, base.order - 1 - v) for u, v in base.edges],
+            )
+            for base in bases
+        ]
         results = []
         # Three identical passes over the pool.  Pass one populates the cache;
         # pass two still runs real tests against cached structures that did

@@ -183,15 +183,15 @@ class TestAggregation:
         sharded = ShardedGraphCache(
             _method(), GraphCacheConfig(cache_capacity=6, window_size=3, shards=3)
         )
-        for query in workload:
-            sharded.query(query)
+        results = [sharded.query(query) for query in workload]
         aggregate = _counters(sharded)
         shard_wise = [_counters(shard) for shard in sharded.shards]
         for key, value in aggregate.items():
             assert value == sum(counters[key] for counters in shard_wise)
         assert aggregate["queries_processed"] == len(workload)
         assert len(sharded) == sum(len(shard) for shard in sharded.shards)
-        assert len(sharded.results()) == len(workload)
+        assert sum(r.subiso_tests for r in results) == aggregate["subiso_tests"]
+        assert not hasattr(sharded, "results")
         assert sharded.cache_size_bytes() > 0
 
     def test_shard_statistics_indexed_by_shard(self):

@@ -37,7 +37,7 @@ STORAGE_BACKENDS = 3
 #: Snapshot ``format_version`` values ``load_cache`` accepts.
 SNAPSHOT_FORMATS_READ = 4
 #: Lines of Python under ``src/``, rounded up to the next hundred.
-SRC_LINES = 19_200
+SRC_LINES = 19_100
 
 
 def _concrete_subclasses(base):
