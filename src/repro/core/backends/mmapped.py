@@ -2,12 +2,14 @@
 
 :class:`MmapBackend` keeps every entry's *query graph* as a packed record in
 a :class:`~repro.core.backends.arena.GraphArena` and everything else (serial,
-answer set, timings) as a small typed stub in RAM.  ``get()`` decodes lazily:
-the stored extent is opened as a zero-copy
-:class:`~repro.graphs.packed.PackedGraph` view over the arena — a single
-``np.memmap`` once sealed — and rehydrated through the CSR fast path
-(:meth:`~repro.graphs.graph.Graph.from_packed`), never through the dict/text
-materialising codec route the SQLite backend takes.
+answer set, timings) in RAM.  An entry this process wrote keeps the query
+object it was written from (a reference, not a copy), so ``get()`` hands that
+object back and never decodes its own writes.  Only entries adopted from a
+sealed sidecar (attach, warm start, pool workers) are decoded, lazily: the
+stored extent is read from the arena — a single ``np.memmap`` once sealed —
+through the struct-unpacking fast path
+(:meth:`~repro.graphs.packed.PackedGraph.decode_graph`), never through the
+dict/text materialising codec route the SQLite backend takes.
 
 ``apply_delta`` stays transactional through the offset table: removals and
 additions mutate the ``serial -> extent`` dict under one lock hold, and the
@@ -71,8 +73,8 @@ class MmapBackend(StorageBackend):
     packed_views:
         When true, ``get()``/``entries()`` return entries whose ``query`` is
         the arena's memoised CSR-native
-        :class:`~repro.graphs.packed.PackedGraphView` instead of a decoded
-        ``Graph`` — the zero-decode serving mode (``packed_match``).
+        :class:`~repro.graphs.packed.PackedGraphView` instead of a ``Graph``
+        — the zero-decode serving mode (``packed_match``).
     """
 
     name = "mmap"
@@ -92,7 +94,9 @@ class MmapBackend(StorageBackend):
             Path(f"{path}.{table}.arena") if path is not None else None
         )
         self._lock = make_rlock("backend")
-        # The offset table: serial -> (extent, entry-with-query=None stub).
+        # The offset table: serial -> (extent, entry).  The entry is the one
+        # put() was given; records adopted from a sidecar hold a stub whose
+        # query is None and is decoded from the extent on read.
         self._records: Dict[int, Tuple[ArenaExtent, Any]] = {}
         if self._segment is not None and self._segment.exists():
             self._arena = GraphArena.attach(self._segment)
@@ -126,21 +130,21 @@ class MmapBackend(StorageBackend):
             previous = self._records.get(serial)
             if previous is not None:
                 self._arena.free(previous[0])
-            extent = self._arena.append_graph(entry.query)
-            self._records[serial] = (extent, replace(entry, query=None))
+            self._records[serial] = (self._arena.append_graph(entry.query), entry)
             self.op_counts.rows_inserted += 1
+
+    def _resolve(self, extent: ArenaExtent, entry: Any) -> Any:
+        """``entry`` with a readable query (call under the backend lock)."""
+        if self._packed_views:
+            return replace(entry, query=self._arena.view_at(extent))
+        if entry.query is None:
+            return replace(entry, query=self._arena.graph_at(extent))
+        return entry
 
     def get(self, serial: int) -> Any:
         with self._lock:
             record = self._records.get(serial)
-            if record is None:
-                return None
-            extent, stub = record
-            if self._packed_views:
-                query = self._arena.view_at(extent)
-            else:
-                query = self._arena.graph_at(extent)
-        return replace(stub, query=query)
+            return None if record is None else self._resolve(*record)
 
     def get_stub(self, serial: int) -> Any:
         with self._lock:
@@ -169,17 +173,7 @@ class MmapBackend(StorageBackend):
 
     def entries(self) -> List[Any]:
         with self._lock:
-            if self._packed_views:
-                decoded = [
-                    (stub, self._arena.view_at(extent))
-                    for _, (extent, stub) in self._records.items()
-                ]
-            else:
-                decoded = [
-                    (stub, self._arena.graph_at(extent))
-                    for _, (extent, stub) in self._records.items()
-                ]
-        return [replace(stub, query=query) for stub, query in decoded]
+            return [self._resolve(*record) for record in self._records.values()]
 
     def count(self) -> int:
         with self._lock:
@@ -195,8 +189,7 @@ class MmapBackend(StorageBackend):
                 self._arena.free(extent)
             self._records = {}
             for serial, entry in replacement:
-                extent = self._arena.append_graph(entry.query)
-                self._records[serial] = (extent, replace(entry, query=None))
+                self._records[serial] = (self._arena.append_graph(entry.query), entry)
 
     def clear(self) -> None:
         with self._lock:
@@ -223,8 +216,7 @@ class MmapBackend(StorageBackend):
                 previous = self._records.get(serial)
                 if previous is not None:
                     self._arena.free(previous[0])
-                extent = self._arena.append_graph(entry.query)
-                self._records[serial] = (extent, replace(entry, query=None))
+                self._records[serial] = (self._arena.append_graph(entry.query), entry)
                 self.op_counts.rows_inserted += 1
 
     # ------------------------------------------------------------------ #
@@ -247,10 +239,10 @@ class MmapBackend(StorageBackend):
             remap = self._arena.seal([extent for _, (extent, _) in order])
             records: List[Dict[str, Any]] = []
             resealed: Dict[int, Tuple[ArenaExtent, Any]] = {}
-            for serial, (extent, stub) in order:
+            for serial, (extent, entry) in order:
                 moved = ArenaExtent(remap[extent.offset], extent.length)
-                resealed[serial] = (moved, stub)
-                record = self._codec.encode(replace(stub, query=_STUB_GRAPH))
+                resealed[serial] = (moved, entry)
+                record = self._codec.encode(replace(entry, query=_STUB_GRAPH))
                 record["query"] = [moved.offset, moved.length]
                 records.append(record)
             self._records = resealed
@@ -277,8 +269,8 @@ class MmapBackend(StorageBackend):
             published = self._arena.seal_delta()
             if published:
                 records: List[Dict[str, Any]] = []
-                for serial, (extent, stub) in self._records.items():
-                    record = self._codec.encode(replace(stub, query=_STUB_GRAPH))
+                for extent, entry in self._records.values():
+                    record = self._codec.encode(replace(entry, query=_STUB_GRAPH))
                     record["query"] = [extent.offset, extent.length]
                     records.append(record)
                 self._write_sidecar(records)
@@ -380,14 +372,14 @@ class MmapBackend(StorageBackend):
     def dump_records(self) -> List[Dict[str, Any]]:
         with self._lock:
             snapshot = [
-                (serial, extent, stub, self._arena.graph_at(extent))
-                for serial, (extent, stub) in self._records.items()
+                (extent, self._resolve(extent, entry))
+                for extent, entry in self._records.values()
             ]
             arena_path = self.arena_path
         records = []
-        for serial, extent, stub, query in snapshot:
-            record = self._codec.encode(replace(stub, query=query))
-            # Snapshot v3 carries the arena address next to the portable
+        for extent, entry in snapshot:
+            record = self._codec.encode(entry)
+            # Snapshots carry the arena address next to the portable
             # text so a restore can re-attach the packed bytes.
             record["arena"] = {
                 "path": arena_path,

@@ -39,7 +39,7 @@ from ..exceptions import CacheError
 from ..graphs.graph import Graph
 from ..graphs.packed import PackedGraphView
 from ..isomorphism.base import SubgraphMatcher
-from ..isomorphism.cost import estimate_subiso_cost
+from ..isomorphism.cost import subiso_cost_row
 from ..isomorphism.registry import matcher_by_name
 from ..methods.base import Method
 from .backends import StorageBackend, create_backend
@@ -606,7 +606,7 @@ class GraphCache:
         next_serial, maintenance)`` with statistics covering cached and
         window queries; ``maintenance`` is the engine's state record
         (admission calibration, adaptive-threshold history — snapshot format
-        v3 carries it so a cache interrupted mid-calibration resumes exactly)
+        v4 carries it so a cache interrupted mid-calibration resumes exactly)
         plus the window's request count and calibration samples, so a cache
         restored mid-window fires — and calibrates — its next round exactly
         as the uninterrupted one.
@@ -659,7 +659,7 @@ class GraphCache:
         the window with ``window_entries``, re-seeds the engine's utility
         heap from the restored statistics, adopts the persisted
         ``maintenance`` state (admission calibration / adaptive-threshold
-        history; ``None`` restarts those cold, as pre-v3 snapshots must) and
+        history; ``None`` restarts those cold) and
         resumes the serial counter at ``max(next_serial, highest restored
         serial)`` so replayed queries never collide with restored ones.
 
@@ -867,18 +867,17 @@ class GraphCache:
         pruning: PruningResult,
     ) -> None:
         """Feed the Statistics Manager with each cached query's contribution."""
-        query_order = query.order
-        query_labels = max(1, len(query.distinct_labels()))
-        orders = self._method.dataset.orders
+        if pruning.contributions:
+            orders = self._method.dataset.orders
+            costs = subiso_cost_row(
+                query.order, max(1, len(query.distinct_labels())), max(orders)
+            )
         for cached_serial, removed_ids in pruning.contributions.items():
             if cached_serial not in self._cache_store:
                 continue
             cost_saving = 0.0
             for graph_id in removed_ids:
-                # Positional: the cost model is memoised on these three ints.
-                cost_saving += estimate_subiso_cost(
-                    query_order, query_labels, orders[graph_id]
-                )
+                cost_saving += costs[orders[graph_id]]
             # The engine's hit hook feeds the statistics store *and* the
             # incremental utility heap in one call.
             self._engine.on_hit(

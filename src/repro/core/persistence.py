@@ -9,29 +9,27 @@ answer sets, their statistics, the in-flight window and the configuration are
 written to a single JSON snapshot; loading the snapshot restores a warm cache
 in front of the same (re-built) Method M.
 
-Snapshot format v4 (this module writes v4 and reads v1–v4):
+Snapshot format v4 (this module writes and reads v4 only; an older snapshot
+raises :class:`~repro.exceptions.CacheError` naming its version):
 
 * one **sub-snapshot per shard** — a plain cache is a one-shard snapshot —
   each carrying its cached entries (+ per-query statistics), its current
   window entries (+ statistics), its serial counter, its **maintenance
-  state** and (new in v4) its **journal round watermark** — the highest
+  state** and its **journal round watermark** — the highest
   :class:`~repro.core.policies.journal.PlanJournal` round already folded
   into the snapshot, which is what :func:`recover_cache` replays past;
 * ``next_serial`` is the shard's actual serial counter, *not* its
-  ``queries_processed`` count (v1 derived one from the other, which drifts
-  as soon as window queries hold serials — the v1 migration compensates by
-  taking the max with the highest persisted serial);
-* the window **is** persisted (v1 dropped it): restoring mid-window replays
-  exactly, instead of silently losing up to ``window_size - 1`` admissions;
-* the ``maintenance`` record (new in v3) carries the admission controller's
-  full state — calibration scores, windows observed, fixed threshold, and
-  the adaptive controller's hill-climb history — so a cache saved
-  *mid-calibration* resumes exactly where it stopped (v2 silently dropped
-  that state and recalibrated from scratch).  The replacement policy's
-  incremental utility heap is **not** serialized: its contents are derived
-  from the per-entry statistics the snapshot already carries, so the
-  restore path rebuilds it instead of trusting a second copy that could
-  drift.
+  ``queries_processed`` count;
+* the window **is** persisted: restoring mid-window replays exactly,
+  instead of silently losing up to ``window_size - 1`` admissions;
+* the ``maintenance`` record carries the admission controller's full
+  state — calibration scores, windows observed, fixed threshold, and the
+  adaptive controller's hill-climb history — so a cache saved
+  *mid-calibration* resumes exactly where it stopped.  The replacement
+  policy's incremental utility heap is **not** serialized: its contents
+  are derived from the per-entry statistics the snapshot already carries,
+  so the restore path rebuilds it instead of trusting a second copy that
+  could drift.
 
 Restores go through the public :meth:`GraphCache.restore` API — persistence
 never reaches into private stores — so the entries land in whatever storage
@@ -50,7 +48,6 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-import warnings
 from dataclasses import asdict
 from pathlib import Path
 from typing import Any, Dict, Optional, Union
@@ -135,63 +132,27 @@ def save_cache(
         raise
 
 
-def _migrate_v1(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Lift a v1 snapshot (flat, single cache, no window) into the v3 shape.
-
-    v1 stored ``queries_processed`` as ``next_serial``; that undercounts once
-    window queries hold serials, so the restore takes the max with the
-    highest entry serial (the same guard v1's loader applied).  v1 carried
-    no maintenance state, so — like v2 — admission calibration restarts cold.
-    """
-    return {
-        "format_version": _FORMAT_VERSION,
-        "config": payload["config"],
-        "shard_count": 1,
-        "dataset_name": payload.get("dataset_name"),
-        "dataset_size": payload["dataset_size"],
-        "shards": [
-            {
-                "next_serial": int(payload.get("next_serial", 0)),
-                "entries": payload["entries"],
-                "window": [],
-            }
-        ],
-    }
-
-
 def _restore_shard(shard: GraphCache, payload: Dict[str, Any]) -> None:
-    """Feed one sub-snapshot through the public ``restore`` API.
-
-    ``maintenance`` is absent in v1/v2 sub-snapshots; ``restore`` treats
-    ``None`` as "restart admission calibration cold", which is exactly the
-    (buggy-but-only-available) pre-v3 behaviour those snapshots captured.
-    """
+    """Feed one sub-snapshot through the public ``restore`` API."""
     entries = [CacheEntryCodec.decode(record) for record in payload["entries"]]
-    window_entries = [
-        WindowEntryCodec.decode(record) for record in payload.get("window", ())
-    ]
+    window_entries = [WindowEntryCodec.decode(record) for record in payload["window"]]
     stats = [
         CachedQueryStats(**record["statistics"])
-        for record in list(payload["entries"]) + list(payload.get("window", ()))
-        if "statistics" in record
+        for record in payload["entries"] + payload["window"]
     ]
     shard.restore(
         entries,
         stats=stats,
-        next_serial=int(payload.get("next_serial", 0)),
+        next_serial=int(payload["next_serial"]),
         window_entries=window_entries,
-        maintenance=payload.get("maintenance"),
+        maintenance=payload["maintenance"],
     )
 
 
 def load_cache(
     path: PathLike, method: Method
 ) -> Union[GraphCache, ShardedGraphCache]:
-    """Restore a warm cache over ``method`` from a snapshot (v1 through v4).
-
-    v3 snapshots load silently — they only lack the journal round
-    watermark, which plain loads never read (:func:`recover_cache` is the
-    API that needs it and rejects pre-v4 snapshots explicitly).
+    """Restore a warm cache over ``method`` from a v4 snapshot.
 
     Returns a plain :class:`GraphCache` for single-shard snapshots and a
     :class:`ShardedGraphCache` for multi-shard ones.  The snapshot must have
@@ -201,25 +162,11 @@ def load_cache(
     """
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     version = payload.get("format_version")
-    if version not in (1, 2, 3, _FORMAT_VERSION):
-        raise CacheError(f"unsupported cache snapshot version {version!r}")
-    if version in (1, 2):
-        # Pre-v3 snapshots carry no maintenance record: the admission
-        # controller's calibration scores and the adaptive controller's
-        # hill-climb state cannot be restored.  Say so once, explicitly —
-        # the silent cold reset used to masquerade as a full restore.
-        warnings.warn(
-            f"cache snapshot {Path(path)} uses format v{version}: admission "
-            "calibration and adaptive hill-climb state are not persisted in "
-            "this format and restart cold (re-save with save_cache to "
-            "upgrade to v3)",
-            UserWarning,
-            stacklevel=2,
+    if version != _FORMAT_VERSION:
+        raise CacheError(
+            f"unsupported cache snapshot version {version!r}: "
+            f"load_cache reads v{_FORMAT_VERSION} only"
         )
-    if version == 1:
-        payload = _migrate_v1(payload)
-    # v2 is the v3 shape minus the per-shard maintenance record; the shard
-    # restore treats the missing record as cold admission state.
     if payload["dataset_size"] != len(method.dataset):
         raise CacheError(
             f"snapshot was taken against a dataset of {payload['dataset_size']} graphs, "
@@ -279,13 +226,6 @@ def recover_cache(
     exactly that many and never double-counts a hit.
     """
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    version = payload.get("format_version")
-    if version != _FORMAT_VERSION:
-        raise CacheError(
-            f"recovery needs a v{_FORMAT_VERSION} snapshot carrying journal "
-            f"round watermarks; {Path(path)} is v{version!r} — load it with "
-            f"load_cache and re-save to upgrade"
-        )
     # Imported here: replication builds on cache/sharding like this module
     # does, and the frame codec is the single place journal records are
     # decoded for replay.

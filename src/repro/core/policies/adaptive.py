@@ -110,7 +110,7 @@ class AdaptiveAdmissionController(AdmissionController):
             self._history.append(self.threshold)
 
     # ------------------------------------------------------------------ #
-    # Persistable state (snapshot format v3).
+    # Persistable state (snapshot format v4).
     # ------------------------------------------------------------------ #
     def state_record(self) -> Dict[str, Any]:
         """Base record plus the hill-climb state (direction, step, history)."""

@@ -14,7 +14,7 @@ calibrated one is "C + AC").
 
 Controllers are *stateful* (calibration scores, fixed threshold, adaptive
 history) and that state is part of the cache's persistable identity: snapshot
-format v3 carries :meth:`AdmissionController.state_record` so a cache split
+format v4 carries :meth:`AdmissionController.state_record` so a cache split
 mid-calibration resumes exactly where it stopped instead of silently
 recalibrating from scratch.
 """
@@ -130,7 +130,7 @@ class AdmissionController:
         return [entry for entry in entries if self.admit(entry)]
 
     # ------------------------------------------------------------------ #
-    # Persistable state (snapshot format v3).
+    # Persistable state (snapshot format v4).
     # ------------------------------------------------------------------ #
     def state_record(self) -> Dict[str, Any]:
         """JSON-compatible record of the controller's full state.

@@ -391,7 +391,7 @@ class MaintenanceEngine:
         )
 
     # ------------------------------------------------------------------ #
-    # Persistable state (snapshot format v3).
+    # Persistable state (snapshot format v4).
     # ------------------------------------------------------------------ #
     def state_record(self) -> Dict[str, Any]:
         """JSON-compatible record of the engine's own state.

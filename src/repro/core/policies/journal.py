@@ -26,11 +26,12 @@ one cache (one journal per shard for a sharded cache):
   identity remains a statement about *decisions*, not timings.
 
 When constructed with a ``path`` the journal is also written through to disk
-as JSON lines, one record per line, append-only (the file is opened in append
-mode per record, so a crash can lose at most the round being written and
-never corrupts earlier records).  ``fsync=True`` additionally flushes and
-fsyncs every append, so a checkpoint taken after a round can never be durably
-ahead of its own journal.
+as JSON lines, one record per line, through one append handle opened by the
+first append (:meth:`close` releases it).  Each frame is flushed as it is
+written, so readers see whole frames and a crash can lose at most the round
+being written.  ``fsync=True`` also fsyncs every append (and, once, the
+directory of a file it creates), so a checkpoint taken after a round can
+never be durably ahead of its own journal.
 
 Each record carries a 1-based ``round`` sequence number.  Re-opening an
 existing file adopts the highest round already on disk, so a recovered cache
@@ -46,7 +47,7 @@ import os
 import tempfile
 from collections import deque
 from pathlib import Path
-from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, TextIO, Tuple, Union
 
 from ...analysis.runtime import make_lock
 from ...exceptions import CacheError
@@ -68,9 +69,13 @@ _VOLATILE_KEYS = ("admitted_entries", "hits")
 HitEvent = Tuple[int, int, float, float, bool]
 
 
+#: ``json.dumps(record, sort_keys=True, separators=(",", ":"))``, built once.
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def _canonical_line(record: Dict[str, Any]) -> str:
     """One canonical JSON line per record (sorted keys, compact separators)."""
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+    return _CANONICAL.encode(record)
 
 
 def decode_hits(raw: Sequence[Sequence[Any]]) -> Tuple[HitEvent, ...]:
@@ -90,9 +95,10 @@ class PlanJournal:
         Optional file to write the stream through to, one JSON line per
         applied plan.  ``None`` keeps the journal in memory only.
     fsync:
-        When ``True`` (and file-backed), every append is flushed and
-        fsync'd before :meth:`append` returns — the durability mode the
-        crash-recovery tests run under.
+        When ``True`` (and file-backed), every append is fsync'd before
+        :meth:`append` returns — the durability mode the crash-recovery
+        tests run under.  The append that creates the file also fsyncs its
+        directory, so the file itself survives a crash.
 
     Memory bound: an in-memory-only journal (``path=None``) retains every
     record — it *is* the store.  A file-backed journal retains only the most
@@ -112,6 +118,8 @@ class PlanJournal:
             maxlen=self.MEMORY_LIMIT if self._path is not None else None
         )
         self._lock = make_lock("journal")
+        # Opened by the first append; only touched under the journal lock.
+        self._handle: Optional[TextIO] = None
         self._subscribers: List[Callable[[Dict[str, Any], str], None]] = []
         # Adopt the numbering of an existing file so a recovered cache
         # continues the round sequence instead of colliding with it.
@@ -188,13 +196,31 @@ class PlanJournal:
             self._count += 1
             self._records.append(record)
             if self._path is not None:
-                with self._path.open("a", encoding="utf-8") as handle:
-                    handle.write(line + "\n")
-                    if self._fsync:
-                        handle.flush()
-                        os.fsync(handle.fileno())
+                if self._handle is None:
+                    created = not self._path.exists()
+                    self._handle = self._path.open("a", encoding="utf-8")
+                    if created and self._fsync:  # the new directory entry, too
+                        directory = os.open(self._path.parent, os.O_RDONLY)
+                        try:
+                            os.fsync(directory)
+                        finally:
+                            os.close(directory)
+                self._handle.write(line + "\n")
+                self._handle.flush()
+                if self._fsync:
+                    os.fsync(self._handle.fileno())
             for callback in self._subscribers:
                 callback(record, line)
+
+    def close(self) -> None:
+        """Close the append handle; idempotent, and a later append reopens."""
+        with self._lock:
+            self._close_handle()
+
+    def _close_handle(self) -> None:
+        if self._handle is not None:
+            self._handle.close()
+            self._handle = None
 
     def records(self) -> List[Dict[str, Any]]:
         """The retained plan records, in application order.
@@ -243,6 +269,7 @@ class PlanJournal:
         """
         with self._lock:
             dropped = 0
+            self._close_handle()  # the next append opens the republished file
             if self._path is not None and self._path.exists():
                 all_records = self.read_records(self._path)
                 kept = [r for r in all_records if r["round"] > round_watermark]

@@ -268,6 +268,7 @@ class MaintenanceScheduler:
     def close(self) -> None:
         """Drain pending rounds and release scheduler resources."""
         self.drain()
+        self._journal.close()
 
 
 class SyncMaintenanceScheduler(MaintenanceScheduler):
@@ -396,6 +397,7 @@ class BackgroundMaintenanceScheduler(MaintenanceScheduler):
             self._queue.join()
             self._queue.put(None)
             worker.join(timeout=self.JOIN_TIMEOUT_S)
+        self._journal.close()
         self._raise_pending_failure()
 
 

@@ -66,6 +66,14 @@ class TripletStore:
             self._rows[key][column] = updated
             return updated
 
+    def update(self, key: int, increments: Dict[str, float], puts: Dict[str, object]) -> None:
+        """Several ``increment``s, then ``put``s, on one row under one lock hold."""
+        with self._lock:
+            row = self._rows.setdefault(key, {})
+            for column, amount in increments.items():
+                row[column] = float(row.get(column, 0.0)) + amount
+            row.update(puts)
+
     def delete_row(self, key: int) -> None:
         """Remove every triplet stored under ``key`` (lazily tolerated if absent)."""
         with self._lock:
@@ -199,14 +207,14 @@ class StatisticsManager:
         """
         if serial not in self._store:
             return
-        self._store.increment(serial, _COLUMNS["hits"], 1)
+        increments = {_COLUMNS["hits"]: 1}
         if special:
-            self._store.increment(serial, _COLUMNS["special_hits"], 1)
-        self._store.put(serial, _COLUMNS["last_hit_serial"], benefiting_serial)
+            increments[_COLUMNS["special_hits"]] = 1
         if cs_reduction:
-            self._store.increment(serial, _COLUMNS["cs_reduction"], cs_reduction)
+            increments[_COLUMNS["cs_reduction"]] = cs_reduction
         if cost_reduction:
-            self._store.increment(serial, _COLUMNS["cost_reduction"], cost_reduction)
+            increments[_COLUMNS["cost_reduction"]] = cost_reduction
+        self._store.update(serial, increments, {_COLUMNS["last_hit_serial"]: benefiting_serial})
 
     # ------------------------------------------------------------------ #
     def snapshot(self, serial: int) -> CachedQueryStats:

@@ -212,26 +212,33 @@ class PackedGraph:
     # ------------------------------------------------------------------ #
     @classmethod
     def from_graph(cls, graph: Graph) -> "PackedGraph":
-        """Pack a :class:`Graph` (also available as :meth:`Graph.to_packed`)."""
-        n = graph.order
+        """Pack a :class:`Graph` (also available as :meth:`Graph.to_packed`).
+
+        The arrays are built as Python lists and converted with one
+        ``np.array`` each: per-element stores into numpy cost more than the
+        whole list pass.
+        """
         table: list = []
         code_of: dict = {}
-        codes = np.empty(n, dtype=INDEX_DTYPE)
-        for vertex, label in enumerate(graph.labels):
+        codes: list = []
+        for label in graph.labels:
             code = code_of.get(label)
             if code is None:
-                code = len(table)
-                code_of[label] = code
+                code = code_of[label] = len(table)
                 table.append(label)
-            codes[vertex] = code
-        indptr = np.zeros(n + 1, dtype=INDPTR_DTYPE)
-        for vertex in range(n):
-            indptr[vertex + 1] = indptr[vertex] + graph.degree(vertex)
-        indices = np.empty(int(indptr[-1]), dtype=INDEX_DTYPE)
-        for vertex in range(n):
-            start, stop = int(indptr[vertex]), int(indptr[vertex + 1])
-            indices[start:stop] = sorted(graph.neighbors(vertex))
-        return cls(indptr, indices, codes, tuple(table), graph_id=graph.graph_id)
+            codes.append(code)
+        indptr = [0]
+        indices: list = []
+        for vertex in range(graph.order):
+            indices += sorted(graph.neighbors(vertex))
+            indptr.append(len(indices))
+        return cls(
+            np.array(indptr, dtype=INDPTR_DTYPE),
+            np.array(indices, dtype=INDEX_DTYPE),
+            np.array(codes, dtype=INDEX_DTYPE),
+            tuple(table),
+            graph_id=graph.graph_id,
+        )
 
     def to_graph(self) -> Graph:
         """Rebuild a full :class:`Graph` (bitmask core built from CSR slices)."""

@@ -16,15 +16,15 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from typing import Tuple
 
 from ..graphs.graph import Graph
 
-__all__ = ["estimate_subiso_cost", "estimate_query_cost"]
+__all__ = ["estimate_subiso_cost", "estimate_query_cost", "subiso_cost_row"]
 
 _LOG_FLOAT_MAX = math.log(1.7976931348623157e308)
 
 
-@lru_cache(maxsize=1 << 14)
 def estimate_subiso_cost(
     query_order: int,
     query_distinct_labels: int,
@@ -46,10 +46,6 @@ def estimate_subiso_cost(
     float
         ``N * N! / (L^(n+1) * (N-n)!)``, or ``0.0`` when ``N < n`` (the test
         is trivially negative and costs effectively nothing).
-
-    Pure in its three integers and memoised on them: crediting one exact hit
-    asks for the same handful of ``(n, L, N)`` triples once per pruned
-    candidate.
     """
     n = int(query_order)
     big_n = int(target_order)
@@ -66,6 +62,15 @@ def estimate_subiso_cost(
     if log_cost >= _LOG_FLOAT_MAX:
         return float("inf")
     return math.exp(log_cost)
+
+
+@lru_cache(maxsize=256)
+def subiso_cost_row(n: int, labels: int, max_order: int) -> Tuple[float, ...]:
+    """``estimate_subiso_cost(n, labels, N)`` for every ``N`` in ``0..max_order``.
+
+    Memoised for hit crediting, which indexes it by each pruned candidate's order.
+    """
+    return tuple(estimate_subiso_cost(n, labels, order) for order in range(max_order + 1))
 
 
 def estimate_query_cost(query: Graph, target: Graph) -> float:

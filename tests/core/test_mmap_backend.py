@@ -15,6 +15,8 @@ from pathlib import Path
 import pytest
 
 from repro.core.backends import MmapBackend
+from repro.core.policies import PlanJournal
+from repro.core.policies.plan import MaintenancePlan
 from repro.core.stores import (
     CacheEntry,
     CacheEntryCodec,
@@ -141,6 +143,43 @@ class TestDurablePublish:
         assert names.count(backend.meta_path.name) == 2
         assert any(name != backend.meta_path.name for name in names)
         assert all(durable for _, durable in published), published
+
+    @pytest.mark.parametrize("durable", [True, False])
+    def test_journal_creation_fsyncs_the_directory_once(
+        self, tmp_path, monkeypatch, durable
+    ):
+        """A journal created under ``fsync=True`` must survive a crash: the
+        append that creates the file also fsyncs its directory entry; later
+        appends fsync only the file; ``fsync=False`` fsyncs nothing."""
+        synced = []
+        real_fsync = os.fsync
+
+        def fsync(fd):
+            synced.append(os.fstat(fd).st_ino)
+            real_fsync(fd)
+
+        def plan(serial):
+            return MaintenancePlan(serial, (serial,), (serial,), (), (), "lru")
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        path = tmp_path / "journal.jsonl"
+        journal = PlanJournal(path, fsync=durable)
+        journal.append(plan(1))
+        first, synced[:] = list(synced), []
+        journal.append(plan(2))
+        journal.append(plan(3))
+        later, synced[:] = list(synced), []
+        journal.close()
+        reopened = PlanJournal(path, fsync=durable)  # the file exists now
+        reopened.append(plan(4))
+        reopened.close()
+        file_inode, dir_inode = path.stat().st_ino, tmp_path.stat().st_ino
+        if durable:
+            assert sorted(first) == sorted([file_inode, dir_inode])
+            assert later == [file_inode, file_inode]
+            assert synced == [file_inode]
+        else:
+            assert first == later == synced == []
 
 
 class TestDeadExtentReclamation:

@@ -2,8 +2,8 @@
 
 Includes the snapshot round-trip property (ISSUE-3): save → load → replay of
 a workload yields identical answer sets and deterministic work counters to
-the uninterrupted run — for both storage backends, for ``shards > 1``, and
-across the v1 → v2 format migration.
+the uninterrupted run — for both storage backends and for ``shards > 1``.
+Only format v4 loads; older snapshots are rejected by name.
 """
 
 from __future__ import annotations
@@ -11,8 +11,6 @@ from __future__ import annotations
 import functools
 import json
 import random
-import warnings
-from dataclasses import asdict
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -26,7 +24,6 @@ from repro.core.stores import WindowEntry
 from repro.exceptions import CacheError
 from repro.graphs.generators import aids_like
 from repro.graphs.graph import Graph
-from repro.graphs.io import graph_to_text
 from repro.methods import SIMethod
 from repro.workloads import generate_type_a
 
@@ -122,38 +119,6 @@ def _deterministic_fields(result):
     )
 
 
-def _write_v1_snapshot(cache: GraphCache, path) -> None:
-    """Produce a snapshot in the exact v1 format (flat, no window).
-
-    v1 also stored ``queries_processed`` as ``next_serial`` and knew nothing
-    of the backend/shards config fields — reproduced faithfully here so the
-    migration path is exercised end to end.
-    """
-    config = asdict(cache.config)
-    for newer_field in ("backend", "backend_path", "shards", "admission_kind"):
-        config.pop(newer_field, None)
-    entries = []
-    for serial in cache.cached_serials:
-        entry = cache.cached_entry(serial)
-        entries.append(
-            {
-                "serial": serial,
-                "query": graph_to_text(entry.query),
-                "answers": sorted(entry.answer_ids),
-                "statistics": asdict(cache.statistics_manager.snapshot(serial)),
-            }
-        )
-    payload = {
-        "format_version": 1,
-        "config": config,
-        "next_serial": cache.runtime_statistics.queries_processed,
-        "dataset_name": cache.method.dataset.name,
-        "dataset_size": len(cache.method.dataset),
-        "entries": entries,
-    }
-    path.write_text(json.dumps(payload), encoding="utf-8")
-
-
 class TestRoundTripReplayProperty:
     """save → load → replay ≡ uninterrupted run (the ISSUE-3 property)."""
 
@@ -193,30 +158,6 @@ class TestRoundTripReplayProperty:
         uninterrupted.close()
         interrupted.close()
         restored.close()
-
-    def test_v1_migration_replay_at_window_boundary(self, tmp_path):
-        """A v1 snapshot (no window persisted) replays identically when taken
-        at a window boundary — the only state v1 could capture."""
-        dataset = _roundtrip_dataset(0)
-        workload = list(
-            generate_type_a(dataset, "ZZ", 12, query_sizes=(3, 5), seed=11)
-        )
-        config = GraphCacheConfig(cache_capacity=5, window_size=3)
-        split = 6  # multiple of window_size: the window is empty here
-
-        uninterrupted = GraphCache(SIMethod(dataset, matcher="vf2plus"), config)
-        expected = [_deterministic_fields(uninterrupted.query(q)) for q in workload]
-
-        interrupted = GraphCache(SIMethod(dataset, matcher="vf2plus"), config)
-        for query in workload[:split]:
-            interrupted.query(query)
-        path = tmp_path / "v1.json"
-        _write_v1_snapshot(interrupted, path)
-
-        restored = load_cache(path, SIMethod(dataset, matcher="vf2plus"))
-        assert isinstance(restored, GraphCache)
-        suffix = [_deterministic_fields(restored.query(q)) for q in workload[split:]]
-        assert suffix == expected[split:]
 
 
 class TestSnapshotFormatV2:
@@ -278,28 +219,6 @@ class TestSnapshotFormatV2:
         path.write_text(json.dumps(payload))
         with pytest.raises(CacheError):
             load_cache(path, SIMethod(dataset, matcher="vf2plus"))
-
-    def test_v1_next_serial_drift_is_corrected(self, tmp_path):
-        """A v1 ``next_serial`` lower than the highest cached serial (the
-        queries_processed drift) must not cause serial collisions."""
-        dataset = _roundtrip_dataset(2)
-        method = SIMethod(dataset, matcher="vf2plus")
-        cache = GraphCache(method, GraphCacheConfig(cache_capacity=5, window_size=2))
-        workload = list(generate_type_a(dataset, "ZZ", 8, query_sizes=(3, 5), seed=3))
-        for query in workload:
-            cache.query(query)
-        path = tmp_path / "v1.json"
-        _write_v1_snapshot(cache, path)
-        payload = json.loads(path.read_text())
-        payload["next_serial"] = 1  # simulate the drifted counter
-        path.write_text(json.dumps(payload))
-
-        restored = load_cache(path, method)
-        top_restored = max(restored.cached_serials)
-        assert restored.current_serial >= top_restored
-        result = restored.query(workload[0])
-        assert result.serial > top_restored
-
 
 class TestPublicRestoreApi:
     def test_load_cache_does_not_touch_private_stores(self, warm_cache, tmp_path):
@@ -446,58 +365,6 @@ class TestMidCalibrationRoundTrip:
         assert restored_controller.state_record() == controller.state_record()
         assert restored_controller.threshold_history == controller.threshold_history
 
-    def test_v2_snapshot_loads_with_cold_admission_state(self, warm_cache, tmp_path):
-        """A v2 snapshot (no maintenance record) still loads; admission
-        restarts cold — the only behaviour v2 ever captured — and the load
-        says so with exactly one explicit warning (ISSUE-5) instead of
-        silently resetting."""
-        cache, method, _ = warm_cache
-        path = tmp_path / "v2.json"
-        save_cache(cache, path)
-        payload = json.loads(path.read_text())
-        payload["format_version"] = 2
-        for shard_payload in payload["shards"]:
-            shard_payload.pop("maintenance", None)
-        path.write_text(json.dumps(payload))
-
-        with pytest.warns(UserWarning, match="format v2.*restart cold") as caught:
-            restored = load_cache(path, method)
-        assert len(caught) == 1
-        assert sorted(restored.cached_serials) == sorted(cache.cached_serials)
-        # The cold state the warning announces: no fixed threshold, no
-        # observed calibration windows.
-        controller = restored.window_manager.admission
-        assert controller.threshold is None
-        assert controller.state_record()["windows_observed"] == 0
-        assert controller.state_record()["observed_scores"] == []
-
-    def test_v1_snapshot_warns_once_and_v3_is_silent(self, warm_cache, tmp_path):
-        cache, method, _ = warm_cache
-        v3_path = tmp_path / "v3.json"
-        save_cache(cache, v3_path)
-
-        # A v3 load must not warn at all.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", UserWarning)
-            load_cache(v3_path, method)
-
-        v1_path = tmp_path / "v1.json"
-        payload = json.loads(v3_path.read_text())
-        (shard_payload,) = payload["shards"]
-        v1_payload = {
-            "format_version": 1,
-            "config": payload["config"],
-            "dataset_name": payload["dataset_name"],
-            "dataset_size": payload["dataset_size"],
-            "next_serial": shard_payload["next_serial"],
-            "entries": shard_payload["entries"],
-        }
-        v1_path.write_text(json.dumps(v1_payload))
-        with pytest.warns(UserWarning, match="format v1") as caught:
-            load_cache(v1_path, method)
-        assert len(caught) == 1
-
-
 class TestValidation:
     def test_dataset_size_mismatch_rejected(self, warm_cache, tmp_path):
         cache, _, _ = warm_cache
@@ -506,6 +373,19 @@ class TestValidation:
         other_method = SIMethod(aids_like(scale=0.03, seed=99), matcher="vf2plus")
         with pytest.raises(CacheError):
             load_cache(path, other_method)
+
+    @pytest.mark.parametrize("version", [1, 2, 3])
+    def test_pre_v4_snapshot_raises_naming_its_version(
+        self, warm_cache, tmp_path, version
+    ):
+        cache, method, _ = warm_cache
+        path = tmp_path / f"v{version}.json"
+        save_cache(cache, path)
+        payload = json.loads(path.read_text())
+        payload["format_version"] = version
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CacheError, match=f"version {version}: load_cache reads v4 only"):
+            load_cache(path, method)
 
     def test_unsupported_version_rejected(self, warm_cache, tmp_path):
         cache, method, _ = warm_cache

@@ -309,8 +309,9 @@ class TestGuards:
         )
         with pytest.raises(CacheError, match="v4"):
             recover_cache(downgraded, METHOD)
-        # A plain load still accepts the v3 shape (no watermark needed).
-        load_cache(downgraded, METHOD).close()
+        # A plain load rejects it too: load_cache reads v4 only.
+        with pytest.raises(CacheError, match="version 3"):
+            load_cache(downgraded, METHOD)
 
     def test_recover_rejects_audit_only_journals(self, reference_run, tmp_path):
         run = reference_run

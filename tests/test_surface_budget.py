@@ -15,8 +15,6 @@ import json
 import re
 from pathlib import Path
 
-import pytest
-
 from repro.core.backends import AVAILABLE_BACKENDS, StorageBackend
 from repro.core.config import GraphCacheConfig
 from repro.core.persistence import load_cache
@@ -35,7 +33,7 @@ CLI_ARGUMENTS = 51
 #: Concrete storage backends (classes and registry names alike).
 STORAGE_BACKENDS = 3
 #: Snapshot ``format_version`` values ``load_cache`` accepts.
-SNAPSHOT_FORMATS_READ = 4
+SNAPSHOT_FORMATS_READ = 1
 #: Lines of Python under ``src/``, rounded up to the next hundred.
 SRC_LINES = 19_100
 
@@ -66,7 +64,6 @@ def test_storage_backends():
     assert len(_concrete_subclasses(StorageBackend)) == STORAGE_BACKENDS
 
 
-@pytest.mark.filterwarnings("ignore::UserWarning")  # pre-v3 formats warn
 def test_snapshot_formats_read(tmp_path):
     method = SIMethod(aids_like(scale=0.02, seed=1), matcher="vf2plus")
     accepted = []
