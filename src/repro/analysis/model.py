@@ -17,7 +17,7 @@ rules (:mod:`repro.analysis.rules`) reason over:
   ``a if c else b`` / ``a or b`` branches, annotated factory returns), so
   the rules can resolve cross-object dispatch;
 * **view bindings** — variables pinned to ``IndexView`` snapshots
-  (``with idx.view() as v`` / ``v = idx.acquire_view()`` / parameters
+  (``with idx.view() as v`` / ``v = idx.view()`` / parameters
   annotated ``IndexView``) for the immutability rule;
 * **comment annotations** — ``# repro: lock[NAME]`` (names a dynamic lock
   expression), ``# repro: holds[NAME]`` (function runs with NAME held), and
@@ -409,7 +409,7 @@ class _FunctionWalker(ast.NodeVisitor):
                     self.fn.packed_vars.setdefault(path[0], value.lineno)
                 if isinstance(value, ast.Call):
                     func = value.func
-                    if isinstance(func, ast.Attribute) and func.attr == "acquire_view":
+                    if isinstance(func, ast.Attribute) and func.attr == "view":
                         self.fn.view_vars.setdefault(path[0], value.lineno)
                     if isinstance(func, ast.Attribute) and (
                         func.attr in ("to_packed", "packed_at", "view_at")

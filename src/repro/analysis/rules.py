@@ -17,7 +17,7 @@ REPRO003  mutation of stores / the GCindex / the utility heap / statistics
           reachable from a ``decide()`` method on a class that also defines
           ``apply()`` (the PR-4 decide/apply purity split).
 REPRO004  a mutating call or attribute write on a pinned ``IndexView``
-          snapshot (bound by ``with idx.view() as v``, ``idx.acquire_view()``,
+          snapshot (bound by ``with idx.view() as v``, ``v = idx.view()``,
           or an ``IndexView``-annotated parameter).
 REPRO006  a method call on ``self._backend`` outside the owning store's
           ``self._lock`` — compound store reads must happen under the store

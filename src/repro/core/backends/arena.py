@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from pathlib import Path
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -45,16 +44,45 @@ import numpy as np
 
 from ...exceptions import CacheError
 from ...graphs.packed import PackedGraph, PackedGraphView
+from ..atomic_io import publish
 
 __all__ = ["ArenaExtent", "GraphArena"]
 
-PathLike = Union[str, "os.PathLike[str]"]
+PathLike = Union[str, os.PathLike]
 
 #: Segment-file header: 8-byte magic + four little-endian int64 fields
-#: (version, payload length, table offset, table length).
+#: (version, payload length, table offset, table length).  Graph arenas and
+#: sealed feature indexes share the layout under their own magic.
 _MAGIC = b"GCARENA1"
-_HEADER_BYTES = 8 + 4 * 8
+SEGMENT_HEADER_BYTES = 8 + 4 * 8
 _VERSION = 1
+
+
+def write_segment(target: Path, magic: bytes, payloads: Sequence[bytes], table: Dict) -> None:
+    """Publish ``magic``, the header, ``payloads`` and the JSON ``table`` to ``target``."""
+    length = sum(len(payload) for payload in payloads)
+    blob = json.dumps(table).encode("utf-8")
+    header = magic + np.array(
+        [_VERSION, length, SEGMENT_HEADER_BYTES + length, len(blob)], dtype="<i8"
+    ).tobytes()
+    target.parent.mkdir(parents=True, exist_ok=True)
+    publish(target, lambda stream: stream.writelines([header, *payloads, blob]))
+
+
+def read_segment_table(path: Path, magic: bytes, kind: str) -> Tuple[int, Dict]:
+    """Validate a :func:`write_segment` header; return ``(payload_length, table)``."""
+    with open(path, "rb") as stream:
+        raw = stream.read(SEGMENT_HEADER_BYTES)
+        if len(raw) < SEGMENT_HEADER_BYTES or raw[:8] != magic:
+            raise CacheError(f"{path}: not a {kind} segment file")
+        version, payload_length, table_offset, table_length = np.frombuffer(
+            raw, dtype="<i8", count=4, offset=8
+        ).tolist()
+        if version != _VERSION:
+            raise CacheError(f"{path}: unsupported {kind} version {version}")
+        stream.seek(table_offset)
+        table = json.loads(stream.read(table_length).decode("utf-8"))
+    return payload_length, table
 
 
 class ArenaExtent(NamedTuple):
@@ -170,7 +198,7 @@ class GraphArena:
                     raise CacheError(
                         f"arena extent {extent} crosses a segment boundary"
                     )
-                return segment.buffer, _HEADER_BYTES + (offset - segment.start)
+                return segment.buffer, SEGMENT_HEADER_BYTES + (offset - segment.start)
         raise CacheError(f"arena extent {extent} is not in any sealed segment")
 
     def packed_at(self, extent: ArenaExtent) -> PackedGraph:
@@ -263,7 +291,7 @@ class GraphArena:
             ],
         }
         stale_deltas = [segment.path for segment in self._segments[1:]]
-        self._write_segment_file(target, records, table)
+        write_segment(target, _MAGIC, [payload for _, payload in records], table)
         self._path = target
         self._install_segments(
             [self._open_segment(target, 0, position)]
@@ -312,7 +340,7 @@ class GraphArena:
             "start": start,
             "graphs": [[extent.offset - start, extent.length] for extent in live],
         }
-        self._write_segment_file(target, [(None, bytes(payload))], table)
+        write_segment(target, _MAGIC, [bytes(payload)], table)
         self._segments.append(self._open_segment(target, start, len(payload)))
         self._sealed_end = end
         self._tail = {}
@@ -330,14 +358,14 @@ class GraphArena:
         """
         arena = cls(path)
         base = Path(path)
-        payload_length, table = cls._read_segment_table(base)
+        payload_length, table = read_segment_table(base, _MAGIC, "graph-arena")
         segments = [arena._open_segment(base, 0, payload_length)]
         extents = {
             int(o): ArenaExtent(int(o), int(n)) for o, n in table["graphs"]
         }
         position = payload_length
         for delta in cls._existing_delta_paths(base):
-            delta_length, delta_table = cls._read_segment_table(delta)
+            delta_length, delta_table = read_segment_table(delta, _MAGIC, "graph-arena")
             start = int(delta_table["start"])
             if start != position:
                 raise CacheError(
@@ -414,49 +442,6 @@ class GraphArena:
                 return paths
             paths.append(candidate)
             index += 1
-
-    @staticmethod
-    def _write_segment_file(target, records, table) -> None:
-        """Write header + record payloads + JSON table atomically to ``target``."""
-        position = sum(len(payload) for _, payload in records)
-        table_blob = json.dumps(table).encode("utf-8")
-        header = _MAGIC + np.array(
-            [_VERSION, position, _HEADER_BYTES + position, len(table_blob)],
-            dtype="<i8",
-        ).tobytes()
-        target.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(
-            dir=str(target.parent), prefix=target.name, suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "wb") as stream:
-                stream.write(header)
-                for _, payload in records:
-                    stream.write(payload)
-                stream.write(table_blob)
-                stream.flush()
-                os.fsync(stream.fileno())
-            os.replace(tmp_name, target)
-        except BaseException:
-            if os.path.exists(tmp_name):
-                os.unlink(tmp_name)
-            raise
-
-    @staticmethod
-    def _read_segment_table(path: Path):
-        """Validate ``path``'s header and return ``(payload_length, table)``."""
-        raw = path.read_bytes()[:_HEADER_BYTES]
-        if len(raw) < _HEADER_BYTES or raw[:8] != _MAGIC:
-            raise CacheError(f"{path}: not a graph-arena segment file")
-        version, payload_length, table_offset, table_length = np.frombuffer(
-            raw, dtype="<i8", count=4, offset=8
-        ).tolist()
-        if version != _VERSION:
-            raise CacheError(f"{path}: unsupported arena version {version}")
-        with open(path, "rb") as stream:
-            stream.seek(int(table_offset))
-            table = json.loads(stream.read(int(table_length)).decode("utf-8"))
-        return int(payload_length), table
 
     @staticmethod
     def _open_segment(path: Path, start: int, payload_length: int) -> _Segment:

@@ -29,8 +29,6 @@ arena path + offsets while staying loadable by the ordinary codecs).
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from dataclasses import replace
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Tuple
@@ -38,6 +36,7 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 from ...analysis.runtime import make_rlock
 from ...exceptions import CacheError
 from ...graphs.graph import Graph
+from ..atomic_io import publish
 from .arena import ArenaExtent, GraphArena
 from .base import EntryCodec, StorageBackend
 
@@ -327,21 +326,9 @@ class MmapBackend(StorageBackend):
             "arena": self._segment.name,
             "records": records,
         }
-        meta = self.meta_path
-        fd, tmp_name = tempfile.mkstemp(
-            dir=str(meta.parent), prefix=meta.name, suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as stream:
-                json.dump(payload, stream)
-                # It names the live segment: durable before it replaces the old one.
-                stream.flush()
-                os.fsync(stream.fileno())
-            os.replace(tmp_name, meta)
-        except BaseException:
-            if os.path.exists(tmp_name):
-                os.unlink(tmp_name)
-            raise
+        # It names the live segment: durable before it replaces the old one.
+        blob = json.dumps(payload).encode("utf-8")
+        publish(self.meta_path, lambda stream: stream.write(blob))
 
     def _adopt_sidecar(self) -> None:
         """Rebuild the offset table of an attached sealed segment."""

@@ -39,7 +39,7 @@ from ..exceptions import CacheError
 from ..graphs.graph import Graph
 from ..graphs.packed import PackedGraphView
 from ..isomorphism.base import SubgraphMatcher
-from ..isomorphism.cost import subiso_cost_row
+from ..isomorphism.cost import candidates_cost
 from ..isomorphism.registry import matcher_by_name
 from ..methods.base import Method
 from .backends import StorageBackend, create_backend
@@ -565,7 +565,7 @@ class GraphCache:
             super_hits=len(outcome.result_super),
             containment_tests=outcome.containment_tests,
             containment_memo_hits=outcome.memo_hits,
-            stage_times=dict(ctx.stage_times),
+            stage_times=ctx.stage_times,
             short_circuit_stage=ctx.short_circuit_stage,
             decode_avoided=1 if isinstance(ctx.query, PackedGraphView) else 0,
         )
@@ -867,17 +867,15 @@ class GraphCache:
         pruning: PruningResult,
     ) -> None:
         """Feed the Statistics Manager with each cached query's contribution."""
-        if pruning.contributions:
-            orders = self._method.dataset.orders
-            costs = subiso_cost_row(
-                query.order, max(1, len(query.distinct_labels())), max(orders)
-            )
         for cached_serial, removed_ids in pruning.contributions.items():
             if cached_serial not in self._cache_store:
                 continue
-            cost_saving = 0.0
-            for graph_id in removed_ids:
-                cost_saving += costs[orders[graph_id]]
+            special = pruning.shortcut is not None
+            if special:
+                # A shortcut removed all of CS_M: its credit is kept beside it.
+                cost_saving = self._mfilter.shortcut_credit(query, removed_ids)
+            else:
+                cost_saving = candidates_cost(query, removed_ids, self._method.dataset)
             # The engine's hit hook feeds the statistics store *and* the
             # incremental utility heap in one call.
             self._engine.on_hit(
@@ -885,8 +883,7 @@ class GraphCache:
                 benefiting_serial=serial,
                 cs_reduction=float(len(removed_ids)),
                 cost_reduction=cost_saving,
-                special=pruning.shortcut is not None
-                and pruning.shortcut_serial == cached_serial,
+                special=special,
             )
         # Cached queries that matched but removed nothing still count as hits
         # for the popularity statistics.

@@ -46,14 +46,13 @@ checkpoint is either the old complete one or the new complete one.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from dataclasses import asdict
 from pathlib import Path
 from typing import Any, Dict, Optional, Union
 
 from ..exceptions import CacheError
 from ..methods.base import Method
+from .atomic_io import publish
 from .cache import GraphCache
 from .config import GraphCacheConfig
 from .policies import PlanJournal
@@ -103,10 +102,9 @@ def save_cache(
 ) -> None:
     """Write a warm-cache snapshot of ``cache`` to ``path`` (JSON, format v4).
 
-    The snapshot is published atomically: the payload is written to a
-    tempfile in the target directory, fsync'd, and moved over ``path`` with
-    ``os.replace`` — a crash mid-save leaves the previous checkpoint (if
-    any) intact, never a torn file.
+    The snapshot is published atomically
+    (:func:`~repro.core.atomic_io.publish`) — a crash mid-save leaves the
+    previous checkpoint (if any) intact, never a torn file.
     """
     shards = cache.shards if isinstance(cache, ShardedGraphCache) else (cache,)
     payload = {
@@ -117,19 +115,8 @@ def save_cache(
         "dataset_size": len(cache.method.dataset),
         "shards": [_shard_payload(shard) for shard in shards],
     }
-    target = Path(path)
-    fd, tmp_name = tempfile.mkstemp(
-        dir=str(target.parent) or ".", prefix=target.name + ".tmp"
-    )
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(payload, indent=2))
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_name, target)
-    except BaseException:
-        Path(tmp_name).unlink(missing_ok=True)
-        raise
+    blob = json.dumps(payload, indent=2).encode("utf-8")
+    publish(path, lambda stream: stream.write(blob))
 
 
 def _restore_shard(shard: GraphCache, payload: Dict[str, Any]) -> None:

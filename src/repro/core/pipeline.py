@@ -52,6 +52,7 @@ from typing import (
 
 from ..analysis.runtime import make_lock, make_rlock
 from ..graphs.graph import Graph
+from ..isomorphism.cost import candidates_cost
 from ..methods.base import Method
 from ..methods.executor import verify_candidates
 from .processors import CacheProcessors, ProcessorOutcome
@@ -97,6 +98,18 @@ class MfilterResult(NamedTuple):
     first_elapsed_s: float
 
 
+class _MemoEntry:
+    """One ``query → CS_M`` memo value; ``credit`` is filled on first use."""
+
+    __slots__ = ("candidates", "first_elapsed_s", "credit")
+
+    def __init__(self, candidates: FrozenSet[int], first_elapsed_s: float) -> None:
+        self.candidates = candidates
+        self.first_elapsed_s = first_elapsed_s
+        #: The ``C`` credit of a shortcut that removed all of ``candidates``.
+        self.credit: Optional[float] = None
+
+
 @dataclass
 class StageContext:
     """Mutable per-query context threaded through the pipeline stages.
@@ -135,8 +148,17 @@ class StageContext:
 
     @property
     def answer_ids(self) -> FrozenSet[int]:
-        """The answer set: verified answers plus the pruner's free ones."""
-        return frozenset(self.verified_answers | self.pruning.direct_answers)
+        """The answer set: verified answers plus the pruner's free ones.
+
+        Both sides are frozensets, so an empty side hands the other through
+        as is (a shortcut returns the cached entry's own set, uncopied).
+        """
+        verified, direct = self.verified_answers, self.pruning.direct_answers
+        if not verified:
+            return direct
+        if not direct:
+            return verified
+        return verified | direct
 
 
 class PipelineStage(Protocol):
@@ -176,7 +198,7 @@ class MfilterStage:
         self._index = index
         # Values carry Method M's own seconds beside CS_M so a memo hit can
         # still report the query's first-execution filter cost.
-        self._memo: Dict[Graph, Tuple[FrozenSet[int], float]] = {}
+        self._memo: Dict[Graph, _MemoEntry] = {}
         self._memo_ids = 0
         self._memo_lock = make_rlock("pipeline.mfilter_memo")
 
@@ -198,7 +220,7 @@ class MfilterStage:
         if entry is None:
             filtered = self._method.filter(query)
             candidates = frozenset(filtered.candidates)
-            entry = (candidates, time.perf_counter() - started)
+            entry = _MemoEntry(candidates, time.perf_counter() - started)
             if filtered.paths is not None and self._index is not None:
                 self._index.adopt_features(query, filtered.paths, filtered.path_length)
             with self._memo_lock:
@@ -207,7 +229,25 @@ class MfilterStage:
                         self.clear_memo()
                     self._memo[query] = entry
                     self._memo_ids += len(candidates)
-        return MfilterResult(entry[0], time.perf_counter() - started, entry[1])
+        return MfilterResult(
+            entry.candidates, time.perf_counter() - started, entry.first_elapsed_s
+        )
+
+    def shortcut_credit(self, query: Graph, candidates: FrozenSet[int]) -> float:
+        """The cost credit ``C`` of a shortcut that removed all of ``candidates``.
+
+        A shortcut (exact hit or empty-answer proof) removes ``CS_M`` whole,
+        so its credit depends on the structure alone: it is priced once and
+        kept in the memo entry beside ``CS_M``.  Candidates that are not the
+        memo's own set (the memo was cleared since this request filtered)
+        are priced afresh, over the same set in the same order.
+        """
+        entry = self._memo.get(query)
+        if entry is None or entry.candidates is not candidates:
+            return candidates_cost(query, candidates, self._method.dataset)
+        if entry.credit is None:
+            entry.credit = candidates_cost(query, candidates, self._method.dataset)
+        return entry.credit
 
     def run(self, ctx: StageContext) -> None:
         if ctx.method_candidates is not None:

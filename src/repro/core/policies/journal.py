@@ -44,13 +44,13 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from collections import deque
 from pathlib import Path
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, TextIO, Tuple, Union
 
 from ...analysis.runtime import make_lock
 from ...exceptions import CacheError
+from ..atomic_io import fsync_directory, publish
 from ..stores import WindowEntry, WindowEntryCodec
 from .plan import MaintenancePlan
 
@@ -200,11 +200,7 @@ class PlanJournal:
                     created = not self._path.exists()
                     self._handle = self._path.open("a", encoding="utf-8")
                     if created and self._fsync:  # the new directory entry, too
-                        directory = os.open(self._path.parent, os.O_RDONLY)
-                        try:
-                            os.fsync(directory)
-                        finally:
-                            os.close(directory)
+                        fsync_directory(self._path.parent)
                 self._handle.write(line + "\n")
                 self._handle.flush()
                 if self._fsync:
@@ -262,7 +258,7 @@ class PlanJournal:
         The compaction counterpart of a checkpoint: once a snapshot's
         watermark covers a round, its record is dead weight for recovery
         and can be folded away.  The surviving tail is republished
-        atomically (tempfile + ``os.replace``), so a crash mid-compaction
+        atomically (:func:`~repro.core.atomic_io.publish`), so a crash mid-compaction
         leaves either the old or the new file, never a torn mix.  Surviving
         records keep their original round numbers.  Returns the number of
         records dropped.  In-memory journals compact their deque directly.
@@ -274,19 +270,8 @@ class PlanJournal:
                 all_records = self.read_records(self._path)
                 kept = [r for r in all_records if r["round"] > round_watermark]
                 dropped = len(all_records) - len(kept)
-                fd, tmp_name = tempfile.mkstemp(
-                    dir=str(self._path.parent), prefix=self._path.name + ".tmp"
-                )
-                try:
-                    with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                        for record in kept:
-                            handle.write(_canonical_line(record) + "\n")
-                        handle.flush()
-                        os.fsync(handle.fileno())
-                    os.replace(tmp_name, self._path)
-                except BaseException:
-                    Path(tmp_name).unlink(missing_ok=True)
-                    raise
+                blob = "".join(_canonical_line(record) + "\n" for record in kept)
+                publish(self._path, lambda stream: stream.write(blob.encode("utf-8")))
             retained = [
                 r
                 for r in self._records

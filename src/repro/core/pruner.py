@@ -109,8 +109,8 @@ class CandidateSetPruner:
                     contributions={serial: frozenset(method_candidates)},
                 )
 
-        # Special case 2: an expanding... no — a *restricting* entry with an
-        # empty answer set proves the final answer set is empty.
+        # Special case 2: a restricting entry with an empty answer set proves
+        # the final answer set is empty.
         for serial in sorted(restricting):
             answer = self._cache_store.answers(serial)
             if answer is not None and not answer:

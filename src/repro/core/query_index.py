@@ -123,10 +123,11 @@ class _IndexBuffer:
 class IndexView:
     """A reference-counted read view over one published index snapshot.
 
-    Obtained from :meth:`QueryGraphIndex.view` (context manager) or
-    :meth:`QueryGraphIndex.acquire_view`; while held, the snapshot is
-    immutable — an in-flight maintenance apply publishes a *new* snapshot
-    and waits for this view to be released before reusing the buffer.
+    Obtained from :meth:`QueryGraphIndex.view` and used as a context
+    manager (``with index.view() as snapshot:``) or released explicitly;
+    while held, the snapshot is immutable — an in-flight maintenance apply
+    publishes a *new* snapshot and waits for this view to be released before
+    reusing the buffer.
     """
 
     __slots__ = ("_index", "_buffer", "version")
@@ -211,6 +212,12 @@ class IndexView:
         """Return the view (writers may then recycle the buffer)."""
         self._index._release_buffer(self._buffer)
 
+    def __enter__(self) -> "IndexView":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._index._release_buffer(self._buffer)
+
 
 class QueryGraphIndex:
     """Counted path index over a set of cached query graphs.
@@ -293,14 +300,14 @@ class QueryGraphIndex:
     # ------------------------------------------------------------------ #
     # Read views.
     # ------------------------------------------------------------------ #
-    def acquire_view(self) -> IndexView:
+    def view(self) -> IndexView:
         """Pin the currently published snapshot for reading.
 
         Double-buffered: never blocks on an in-flight mutation — an apply
         that has not yet published is invisible, and one that has published
         is complete.  Single-copy: takes the (re-entrant) write lock, so
         reads and mutations exclude each other, as before the scheduler.
-        Callers must :meth:`IndexView.release` (or use :meth:`view`).
+        Use the view as a context manager, or call :meth:`IndexView.release`.
         """
         if not self._double_buffered:
             self._write_lock.acquire()
@@ -318,15 +325,6 @@ class QueryGraphIndex:
             buffer.readers -= 1
             if buffer.readers == 0:
                 self._read_cond.notify_all()
-
-    @contextmanager
-    def view(self):
-        """Context-managed :meth:`acquire_view` / release pair."""
-        snapshot = self.acquire_view()
-        try:
-            yield snapshot
-        finally:
-            snapshot.release()
 
     # ------------------------------------------------------------------ #
     def __len__(self) -> int:

@@ -618,11 +618,6 @@ class ReplicaSet:
         return self._primary
 
     @property
-    def replica_count(self) -> int:
-        """Number of followers."""
-        return len(self._followers)
-
-    @property
     def mode(self) -> str:
         """Fan-out mode: ``"thread"`` or ``"process"``."""
         return self._mode

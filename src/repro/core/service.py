@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..exceptions import CacheError
 from ..graphs.graph import Graph
@@ -163,12 +163,6 @@ class GraphCacheService:
                     pending.append(pool.submit(prefilter, ordered[position + lookahead]))
                 results.append(self._cache.execute_prefiltered(query, filtered))
         return results
-
-    def answers_many(
-        self, queries: Iterable[Graph], jobs: int = 1
-    ) -> List[FrozenSet[int]]:
-        """Convenience wrapper returning only the answer sets, in order."""
-        return [result.answer_ids for result in self.query_many(queries, jobs=jobs)]
 
     def drain_maintenance(self) -> None:
         """Block until the wrapped cache's pending maintenance is applied.

@@ -170,11 +170,10 @@ class StatisticsManager:
 
     def register_query(self, stats: CachedQueryStats) -> None:
         """Store the initial statistics of a newly cached (or windowed) query."""
-        key = stats.serial
-        for attribute, column in _COLUMNS.items():
-            value = getattr(stats, attribute)
-            if value is not None:
-                self._store.put(key, column, value)
+        values = ((column, getattr(stats, attribute)) for attribute, column in _COLUMNS.items())
+        self._store.update(
+            stats.serial, {}, {column: value for column, value in values if value is not None}
+        )
 
     def forget_query(self, serial: int) -> None:
         """Drop every statistic of an evicted query."""

@@ -287,11 +287,6 @@ class ProcessPoolCacheService:
         return self._config.shards
 
     @property
-    def worker_count(self) -> int:
-        """Number of forked worker processes."""
-        return self._workers
-
-    @property
     def started(self) -> bool:
         """Whether the workers have been forked."""
         return bool(self._processes)

@@ -31,25 +31,23 @@ worker falls back to an in-process rebuild with a warning.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
-import tempfile
 from pathlib import Path
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from ..core.backends.arena import SEGMENT_HEADER_BYTES, read_segment_table, write_segment
 from ..exceptions import CacheError
 
 __all__ = ["FeatureIndexArena", "dataset_content_hash"]
 
-PathLike = Union[str, "os.PathLike[str]"]
+PathLike = Union[str, os.PathLike]
 
 #: Segment-file header: 8-byte magic + four little-endian int64 fields
 #: (version, payload length, table offset, table length) — the GraphArena
 #: layout with a distinct magic.
 _MAGIC = b"GCFTVIX1"
-_HEADER_BYTES = 8 + 4 * 8
 _VERSION = 1
 
 
@@ -225,7 +223,7 @@ class FeatureIndexArena:
             "fingerprint_bits": fingerprint_bits,
             "sections": layout,
         }
-        cls._write_segment_file(target, bytes(payload), table)
+        write_segment(target, _MAGIC, [bytes(payload)], table)
         return target
 
     # ------------------------------------------------------------------ #
@@ -235,7 +233,7 @@ class FeatureIndexArena:
     def attach(cls, path: PathLike) -> "FeatureIndexArena":
         """Open a sealed index segment read-only (shared pages across processes)."""
         target = Path(path)
-        payload_length, table = cls._read_segment_table(target)
+        payload_length, table = read_segment_table(target, _MAGIC, "feature-index")
         buffer = np.memmap(target, dtype=np.uint8, mode="r")
         layout = table["sections"]
 
@@ -243,7 +241,7 @@ class FeatureIndexArena:
             offset, length = (int(x) for x in layout[name])
             return np.frombuffer(
                 buffer, dtype=dtype, count=length // np.dtype(dtype).itemsize,
-                offset=_HEADER_BYTES + offset,
+                offset=SEGMENT_HEADER_BYTES + offset,
             )
 
         post_ptr = section("post_ptr", "<i8")
@@ -324,48 +322,6 @@ class FeatureIndexArena:
         hits = ((self._fp_matrix & query_row) == query_row).all(axis=1)
         ids = np.asarray(self._graph_ids, dtype=np.int64)
         return frozenset(ids[hits].tolist())
-
-    # ------------------------------------------------------------------ #
-    # Segment-file plumbing (GraphArena idiom)
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def _write_segment_file(target: Path, payload: bytes, table: Dict[str, object]) -> None:
-        table_blob = json.dumps(table).encode("utf-8")
-        header = _MAGIC + np.array(
-            [_VERSION, len(payload), _HEADER_BYTES + len(payload), len(table_blob)],
-            dtype="<i8",
-        ).tobytes()
-        target.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(
-            dir=str(target.parent), prefix=target.name, suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "wb") as stream:
-                stream.write(header)
-                stream.write(payload)
-                stream.write(table_blob)
-                stream.flush()
-                os.fsync(stream.fileno())
-            os.replace(tmp_name, target)
-        except BaseException:
-            if os.path.exists(tmp_name):
-                os.unlink(tmp_name)
-            raise
-
-    @staticmethod
-    def _read_segment_table(path: Path) -> Tuple[int, Dict[str, object]]:
-        with open(path, "rb") as stream:
-            raw = stream.read(_HEADER_BYTES)
-            if len(raw) < _HEADER_BYTES or raw[:8] != _MAGIC:
-                raise CacheError(f"{path}: not a feature-index segment file")
-            version, payload_length, table_offset, table_length = np.frombuffer(
-                raw, dtype="<i8", count=4, offset=8
-            ).tolist()
-            if version != _VERSION:
-                raise CacheError(f"{path}: unsupported feature-index version {version}")
-            stream.seek(int(table_offset))
-            table = json.loads(stream.read(int(table_length)).decode("utf-8"))
-        return int(payload_length), table
 
     def __repr__(self) -> str:
         return (

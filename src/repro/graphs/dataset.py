@@ -112,6 +112,11 @@ class GraphDataset:
         """Vertex count of every graph, indexed by graph id (computed once)."""
         return tuple(g.order for g in self._graphs)
 
+    @cached_property
+    def max_order(self) -> int:
+        """The largest vertex count in the dataset (0 when empty)."""
+        return max(self.orders, default=0)
+
     # ------------------------------------------------------------------ #
     def statistics(self) -> DatasetStatistics:
         """Compute dataset summary statistics (vertex/edge counts, degree)."""

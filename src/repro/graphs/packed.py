@@ -195,10 +195,6 @@ class PackedGraph:
         """
         return np.intersect1d(self.neighbors(u), self.neighbors(v), assume_unique=True)
 
-    def label_code(self, vertex: int) -> int:
-        """Per-graph label code of ``vertex`` (index into :attr:`label_table`)."""
-        return int(self.label_codes[vertex])
-
     def vertices_with_label(self, label: object) -> np.ndarray:
         """Vertices carrying ``label``: one code lookup + one vectorised filter."""
         try:

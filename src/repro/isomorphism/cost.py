@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Tuple
+from typing import Iterable, Tuple
 
+from ..graphs.dataset import GraphDataset
 from ..graphs.graph import Graph
 
-__all__ = ["estimate_subiso_cost", "estimate_query_cost", "subiso_cost_row"]
+__all__ = ["estimate_subiso_cost", "estimate_query_cost", "subiso_cost_row", "candidates_cost"]
 
 _LOG_FLOAT_MAX = math.log(1.7976931348623157e308)
 
@@ -71,6 +72,20 @@ def subiso_cost_row(n: int, labels: int, max_order: int) -> Tuple[float, ...]:
     Memoised for hit crediting, which indexes it by each pruned candidate's order.
     """
     return tuple(estimate_subiso_cost(n, labels, order) for order in range(max_order + 1))
+
+
+def candidates_cost(query: Graph, graph_ids: Iterable[int], dataset: GraphDataset) -> float:
+    """Summed estimated cost of testing ``query`` against each of ``graph_ids``.
+
+    Reads one cost row at each graph's vertex count (``dataset.orders``),
+    summing in ``graph_ids``' iteration order.
+    """
+    costs = subiso_cost_row(query.order, max(1, len(query.distinct_labels())), dataset.max_order)
+    orders = dataset.orders
+    saving = 0.0
+    for graph_id in graph_ids:
+        saving += costs[orders[graph_id]]
+    return saving
 
 
 def estimate_query_cost(query: Graph, target: Graph) -> float:

@@ -410,6 +410,6 @@ def test_eight_threads_hammer_the_memo_under_the_lock_sanitizer(monkeypatch):
     assert not any(thread.is_alive() for thread in threads)
     assert failures == []
     # A lost update on the id count would leave it out of step with the table.
-    assert stage.memo_ids == sum(len(cs_m) for cs_m, _ in stage._memo.values())
+    assert stage.memo_ids == sum(len(entry.candidates) for entry in stage._memo.values())
     assert 0 < stage.memo_ids <= limit
     cache.close()
