@@ -56,7 +56,7 @@ def run_maintenance_rounds(dataset, label, policy="hd", cache_capacity=30,
 def run_delta_scaling():
     """Per-round op ceilings for a small and an 8x-larger cache, per backend."""
     rows = []
-    for backend in ("memory", "sqlite"):
+    for backend in ("memory", "mmap"):
         for capacity in (SMALL_CAPACITY, LARGE_CAPACITY):
             cache, reports = run_maintenance_rounds(
                 "aids", "ZZ", cache_capacity=capacity, backend=backend
@@ -83,7 +83,7 @@ def test_maintenance_deltas_are_o_window(benchmark):
         f"grows {LARGE_CAPACITY // SMALL_CAPACITY}x (window = {WINDOW_SIZE})",
     )
     by_key = {(row["backend"], row["capacity"]): row for row in rows}
-    for backend in ("memory", "sqlite"):
+    for backend in ("memory", "mmap"):
         small = by_key[(backend, SMALL_CAPACITY)]
         large = by_key[(backend, LARGE_CAPACITY)]
         for row in (small, large):

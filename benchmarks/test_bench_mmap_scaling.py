@@ -4,22 +4,20 @@ Five cells around the mmap arena backend (PRs: packed graph storage,
 CSR-native matching):
 
 1. **Build cost** — writing the bench workload into a sealed
-   :class:`~repro.core.backends.arena.GraphArena` vs the same records into
-   the sqlite store (informational wall clock; record counts asserted).
+   :class:`~repro.core.backends.arena.GraphArena` (informational wall
+   clock; record counts asserted).
 2. **Per-record decode** — the dict-materialising text codec
-   (``CacheEntryCodec.decode``, the sqlite row format) vs the zero-copy
-   ``PackedGraph.decode_graph`` route, plus the same comparison one level
-   up at ``backend.get()`` granularity.
+   (``CacheEntryCodec.decode``) vs the zero-copy
+   ``PackedGraph.decode_graph`` route, plus the arena's ``backend.get()``.
 3. **Aggregate serving QPS at workers ∈ {1, 2, 4}** — ``k`` forked
    processes attach the sealed arena read-only and each serves its slice of
    the request stream through ``MmapBackend.get``; aggregate QPS is total
    requests over wall clock, fork and attach included.  The *single-process
    figure* is the same request stream served in-process through the
-   dict-materialising sqlite route (the repo's durable backend before the
-   arena existed).  On a single-core host the worker axis is flat by
-   construction — the reported speedup is the zero-copy decode advantage,
-   not parallelism — so the JSON records the host's CPU count next to the
-   figures.
+   dict-materialising codec route of cell 2.  On a single-core host the
+   worker axis is flat by construction — the reported speedup is the
+   zero-copy decode advantage, not parallelism — so the JSON records the
+   host's CPU count next to the figures.
 4. **Counter identity** — memory ≡ mmap on the full experiment pipeline,
    and sharded-memory ≡ multi-process-mmap runtime counters — with the
    pool run both in packed-match mode (zero-decode ``PackedGraphView``
@@ -230,13 +228,7 @@ def _storage_cells(tmp_root: str) -> Dict[str, object]:
     by_serial = {entry.serial: entry for entry in entries}
 
     # -- Cell 1: build cost (put every record, durable publish). ------- #
-    sqlite_path = os.path.join(tmp_root, "store.db")
     arena_path = os.path.join(tmp_root, "store.arena")
-    start = time.perf_counter()
-    sqlite_backend = create_backend("sqlite", codec, path=sqlite_path)
-    for entry in entries:
-        sqlite_backend.put(entry.serial, entry)
-    sqlite_build_s = time.perf_counter() - start
     start = time.perf_counter()
     mmap_backend = create_backend("mmap", codec, path=arena_path)
     for entry in entries:
@@ -245,7 +237,7 @@ def _storage_cells(tmp_root: str) -> Dict[str, object]:
     start = time.perf_counter()
     mmap_backend.seal()
     mmap_seal_s = time.perf_counter() - start
-    assert sqlite_backend.count() == mmap_backend.count() == len(entries)
+    assert mmap_backend.count() == len(entries)
     mmap_backend.close()
 
     # -- Cell 2: per-record decode (codec level and backend level). ---- #
@@ -260,9 +252,6 @@ def _storage_cells(tmp_root: str) -> Dict[str, object]:
         len(payloads),
     )
     attached = create_backend("mmap", codec, path=arena_path)
-    sqlite_get = _best_rate(
-        lambda: [sqlite_backend.get(serial) for serial in serials], len(serials)
-    )
     mmap_get = _best_rate(
         lambda: [attached.get(serial) for serial in serials], len(serials)
     )
@@ -310,11 +299,11 @@ def _storage_cells(tmp_root: str) -> Dict[str, object]:
 
     # -- Cell 3: aggregate serving QPS, workers ∈ {1, 2, 4}. ----------- #
     request_stream = [serials[i % len(serials)] for i in range(REQUESTS)]
+    record_by_serial = dict(zip(serials, records))
     start = time.perf_counter()
     for serial in request_stream:
-        sqlite_backend.get(serial)
+        codec.decode(record_by_serial[serial])
     single_process_qps = REQUESTS / (time.perf_counter() - start)
-    sqlite_backend.close()
 
     context = multiprocessing.get_context("fork")
     worker_qps: Dict[int, float] = {}
@@ -342,7 +331,6 @@ def _storage_cells(tmp_root: str) -> Dict[str, object]:
     return {
         "build": {
             "records": len(entries),
-            "sqlite_build_s": sqlite_build_s,
             "mmap_put_s": mmap_put_s,
             "mmap_seal_s": mmap_seal_s,
         },
@@ -350,7 +338,6 @@ def _storage_cells(tmp_root: str) -> Dict[str, object]:
             "records": len(records),
             "dict_codec_per_s": dict_decode,
             "zero_copy_per_s": zero_copy_decode,
-            "sqlite_get_per_s": sqlite_get,
             "mmap_get_per_s": mmap_get,
         },
         "qps": {
@@ -592,8 +579,6 @@ def test_mmap_build_decode_and_worker_scaling(benchmark, tmp_path, bench_json_di
     print(
         format_table(
             [
-                {"cell": "sqlite build", "records": build["records"],
-                 "seconds": f"{build['sqlite_build_s']:.3f}"},
                 {"cell": "arena put", "records": build["records"],
                  "seconds": f"{build['mmap_put_s']:.3f}"},
                 {"cell": "arena seal", "records": build["records"],
@@ -608,8 +593,6 @@ def test_mmap_build_decode_and_worker_scaling(benchmark, tmp_path, bench_json_di
                  "records/s": f"{decode['dict_codec_per_s']:.0f}"},
                 {"decode route": "zero-copy packed",
                  "records/s": f"{decode['zero_copy_per_s']:.0f}"},
-                {"decode route": "sqlite get()",
-                 "records/s": f"{decode['sqlite_get_per_s']:.0f}"},
                 {"decode route": "mmap get()",
                  "records/s": f"{decode['mmap_get_per_s']:.0f}"},
             ]
@@ -629,7 +612,7 @@ def test_mmap_build_decode_and_worker_scaling(benchmark, tmp_path, bench_json_di
     )
     print(
         format_table(
-            [{"serving configuration": "single-process dict (sqlite)",
+            [{"serving configuration": "single-process dict codec",
               "aggregate qps": f"{single:.0f}"}]
             + [
                 {"serving configuration": f"{k} worker(s), sealed arena",
@@ -652,8 +635,8 @@ def test_mmap_build_decode_and_worker_scaling(benchmark, tmp_path, bench_json_di
             "scenario_mix": [f"{dataset}/ZZ" for dataset in DATASETS],
             "notes": (
                 "single_process_dict_materializing serves the request stream "
-                "through the sqlite text-codec route in-process; worker rows "
-                "fork k processes that attach the sealed arena read-only. "
+                "through the dict-materialising entry codec in-process; "
+                "worker rows fork k processes that attach the sealed arena read-only. "
                 "On a single-core host the worker axis is flat and the "
                 "speedup is the zero-copy decode advantage."
             ),

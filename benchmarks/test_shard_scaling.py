@@ -155,19 +155,19 @@ def test_shard_scaling_microbenchmark(benchmark):
 
 
 def test_sharded_scenario_rows(benchmark):
-    """Sharded + sqlite experiment cells render as ordinary scenario rows."""
+    """Sharded + mmap experiment cells render as ordinary scenario rows."""
 
     def run():
         return [
             experiment_cell("aids", METHOD, "ZZ"),
             experiment_cell("aids", METHOD, "ZZ", shards=4),
-            experiment_cell("aids", METHOD, "ZZ", backend="sqlite"),
+            experiment_cell("aids", METHOD, "ZZ", backend="mmap"),
         ]
 
     cells = benchmark.pedantic(run, rounds=1, iterations=1)
-    plain, sharded, sqlite_cell = cells
-    # The sqlite backend is a pure storage swap: counter-identical to memory.
-    assert work_counters(sqlite_cell) == work_counters(plain)
+    plain, sharded, mmap_cell = cells
+    # The mmap backend is a pure storage swap: counter-identical to memory.
+    assert work_counters(mmap_cell) == work_counters(plain)
     # The sharded cell answers every query identically (correctness is
     # cache-structure independent); its counters differ because each shard
     # prunes with its own cache contents.
@@ -175,7 +175,7 @@ def test_sharded_scenario_rows(benchmark):
         assert mine.answer_ids == theirs.answer_ids
     rows = [cell.summary_row() for cell in cells]
     print()
-    print("Scenario rows (config label carries -sN / -sqlite):")
+    print("Scenario rows (config label carries -sN / -mmap):")
     print(format_table(rows))
     labels = [row["config"] for row in rows]
-    assert labels == ["c30-b10", "c30-b10-s4", "c30-b10-sqlite"]
+    assert labels == ["c30-b10", "c30-b10-s4", "c30-b10-mmap"]

@@ -30,13 +30,12 @@ name                    rank  guards
 ``index.write``           25  GCindex writers (standby-copy mutation + publish)
 ``heap``                  30  the utility heap's incremental statistics
 ``stats``                 35  the triplet store's rows
-``backend``               40  one storage backend's record container / connection
+``backend``               40  one storage backend's record container
 ``journal``               45  plan-journal append (count + write-through)
 ``scheduler.state``       46  scheduler reports/counters
 ``replication.state``     47  replica-set ship/apply counters (journal subscribers)
 ``replication.reader``    48  replica-set read fan-out (round-robin cursor)
 ``index.readers``         50  published-buffer pointer + per-buffer reader counts
-``pipeline.filter_pool``  60  lazy Mfilter thread-pool creation vs. close
 ``serial``                61  the cache's serial counter
 ``pipeline.mfilter_memo`` 69  the Mfilter stage's query → CS_M memo
 ``index.memo``            70  the query-feature memo
@@ -67,7 +66,6 @@ LOCK_RANKS: Dict[str, int] = {
     "replication.state": 47,
     "replication.reader": 48,
     "index.readers": 50,
-    "pipeline.filter_pool": 60,
     "serial": 61,
     "pipeline.mfilter_memo": 69,
     "index.memo": 70,

@@ -8,7 +8,7 @@ REPRO001  lock-hierarchy violation: an acquisition edge ``A -> B`` whose
           acquisition-order graph, or a raw ``threading.Lock()``-family
           constructor bypassing the ``make_lock`` factory.
 REPRO002  a blocking operation (file I/O, ``time.sleep``, ``Thread.join``,
-          ``queue.get``, sqlite ``execute``/``commit``, ``Future.result``)
+          ``queue.get``, ``Future.result``)
           performed while the GC lock is held.  Traversal is deliberately
           narrow — lexical regions plus same-class ``self.`` calls — so
           every finding is a hard fact; the runtime sanitizer covers the
@@ -69,7 +69,6 @@ TRACKED_MUTATORS: Dict[str, Set[str]] = {
     },
     "TripletStore": {"add", "remove", "clear", "update"},
     "InMemoryBackend": {"put", "delete", "clear", "replace_all", "close"},
-    "SQLiteBackend": {"put", "delete", "clear", "replace_all", "close"},
     "MmapBackend": {"put", "delete", "clear", "replace_all", "seal", "close"},
 }
 
@@ -112,7 +111,6 @@ PACKED_MUTATORS = {
 
 _THREADISH = re.compile(r"thread|worker|proc", re.IGNORECASE)
 _QUEUEISH = re.compile(r"queue", re.IGNORECASE)
-_CONNISH = re.compile(r"conn|cursor|db\b|database", re.IGNORECASE)
 _FUTUREISH = re.compile(r"fut", re.IGNORECASE)
 
 _BLOCKING_METHODS_ANY = {
@@ -312,11 +310,6 @@ def _classify_blocking(call: CallSite) -> Optional[str]:
         return f"{recv_tail}.join() (thread join)"
     if call.method == "get" and _QUEUEISH.search(recv_tail):
         return f"{recv_tail}.get() (queue wait)"
-    if (
-        call.method in {"execute", "executemany", "commit", "rollback"}
-        and _CONNISH.search(recv_tail)
-    ):
-        return f"{recv_tail}.{call.method}() (sqlite)"
     if call.method == "result" and _FUTUREISH.search(recv_tail):
         return f"{recv_tail}.result() (future wait)"
     return None

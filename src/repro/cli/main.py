@@ -122,9 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="cache replacement policy")
     batch.add_argument("--jobs", type=int, default=4,
                        help="threads prefetching Method M filtering")
-    batch.add_argument("--parallel-stages", action="store_true",
-                       help="also run Mfilter concurrently with the GC "
-                            "processors inside each query (Figure 2)")
     batch.add_argument("--workers", type=int, default=1,
                        help="fork N worker processes serving crc32-routed "
                             "shards over a sealed mmap arena (forces "
@@ -217,10 +214,11 @@ def _add_experiment_arguments(
                              "(hill-climbing) variant")
     parser.add_argument("--backend", choices=list(AVAILABLE_BACKENDS), default="memory",
                         help="storage backend of the cache/window stores "
-                             "(sqlite = write-through, larger-than-RAM)")
+                             "(mmap = packed arena, durable with --backend-path)")
     parser.add_argument("--backend-path", type=Path, default=None,
-                        help="sqlite database file / mmap arena base path "
-                             "for a durable cache (default: in-memory)")
+                        help="mmap arena base path, sealed when the "
+                             "command ends so a later run warm-starts from "
+                             "it (default: in-memory)")
     parser.add_argument("--packed-match", choices=["on", "off", "auto"],
                         default="auto",
                         help="CSR-native matching on packed views: 'on' "
@@ -325,9 +323,7 @@ def _build_experiment(args: argparse.Namespace):
 
 
 def _experiment_config(
-    args: argparse.Namespace,
-    policy: Optional[str] = None,
-    execution_mode: str = "serial",
+    args: argparse.Namespace, policy: Optional[str] = None
 ) -> GraphCacheConfig:
     """GraphCache configuration shared by the experiment subcommands."""
     return GraphCacheConfig(
@@ -336,7 +332,6 @@ def _experiment_config(
         replacement_policy=policy if policy is not None else args.policy,
         admission_control=args.admission_control,
         admission_kind=args.admission,
-        execution_mode=execution_mode,
         backend=args.backend,
         backend_path=None if args.backend_path is None else str(args.backend_path),
         shards=args.shards,
@@ -348,19 +343,31 @@ def _experiment_config(
     )
 
 
+def _seal_backend_path(cache, config) -> None:
+    """With ``--backend-path``, seal the mmap arena before the cache closes.
+
+    The mmap backend writes nothing to disk until it is sealed; sealing at
+    the end of a command makes the path durable, so a later command on the
+    same path warm-starts from the published segment.
+    """
+    if config.backend_path is not None:
+        cache.drain_maintenance()
+        cache.seal_storage()
+
+
 def _command_run(args: argparse.Namespace) -> int:
     method, workload = _build_experiment(args)
     config = _experiment_config(args)
     result = run_experiment("cli-run", method, workload, config, jobs=args.jobs)
     print(format_table([result.summary_row()]))
+    _seal_backend_path(result.cache, config)
+    result.cache.close()
     return 0
 
 
 def _command_batch(args: argparse.Namespace) -> int:
     method, workload = _build_experiment(args)
-    config = _experiment_config(
-        args, execution_mode="parallel" if args.parallel_stages else "serial"
-    )
+    config = _experiment_config(args)
     if args.workers > 1:
         return _batch_multiprocess(args, method, workload, config)
     service = GraphCacheService.for_method(method, config)
@@ -391,6 +398,7 @@ def _command_batch(args: argparse.Namespace) -> int:
     for stage in STAGE_NAMES:
         row[f"{stage}_ms"] = round(stages.get(stage, 0.0) * 1000.0, 3)
     print(format_table([row]))
+    _seal_backend_path(service.cache, config)
     service.close()
     return 0
 
@@ -489,9 +497,9 @@ def _command_policies(args: argparse.Namespace) -> int:
     for policy in available_policies():
         config = _experiment_config(args, policy=policy)
         if config.backend_path is not None:
-            # Each policy must start cold: a shared durable database would
-            # warm-start every run after the first from its predecessor's
-            # write-through leftovers and invalidate the comparison.
+            # Each policy must start cold: every run seals its arena, so
+            # a shared path would warm-start each run after the first from
+            # its predecessor's leftovers and invalidate the comparison.
             config = config.with_backend(
                 config.backend, f"{config.backend_path}.{policy}"
             )
@@ -502,6 +510,7 @@ def _command_policies(args: argparse.Namespace) -> int:
             )
         cache = build_cache(method, config)
         results = [cache.query(query) for query in workload]
+        _seal_backend_path(cache, config)
         cache.close()
         report = speedup(baseline_aggregate, aggregate_cached(results[warmup:]))
         rows.append(
@@ -646,6 +655,7 @@ def _command_maintenance(args: argparse.Namespace) -> int:
         print("no maintenance rounds ran (window never filled)")
         if replica_set is not None:
             replica_set.close()
+        _seal_backend_path(service.cache, config)
         service.close()
         return 0
     print(format_table(rows))
@@ -668,6 +678,7 @@ def _command_maintenance(args: argparse.Namespace) -> int:
         print(line)
     for line in _compaction_lines(getattr(cache, "compaction_events", [])):
         print(line)
+    _seal_backend_path(cache, config)
     service.close()
     return 0
 

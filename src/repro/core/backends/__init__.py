@@ -10,19 +10,13 @@ a small keyed-record interface with two implementations:
   serialization cost on the hot path; the store's contents live exactly as
   long as the process.  This is the default and the right choice for
   benchmark runs and any cache that fits in RAM.
-* :class:`SQLiteBackend` — a write-through backend over the standard
-  library's ``sqlite3``.  Every mutation is committed to the database
-  immediately and entries are decoded lazily on access, so the working set
-  in RAM is bounded by what the cache logic actually touches rather than by
-  the full store contents — the prerequisite for larger-than-RAM caches and
-  for warm restarts that do not re-parse a JSON snapshot (the
-  persistent-memory-engine direction of WorldDB in PAPERS.md).
 * :class:`MmapBackend` — query graphs as packed CSR records in an
   append-only :class:`~repro.core.backends.arena.GraphArena`.  ``get()``
   decodes lazily to zero-copy numpy views over the segment; once sealed the
   segment is a single read-only ``np.memmap`` that any number of processes
   can attach and share pages over — the storage substrate of the
-  multi-process serving path (:mod:`repro.core.workers`).
+  multi-process serving path (:mod:`repro.core.workers`) and the durable
+  store a reopened cache warm-starts from without a JSON snapshot.
 
 Backends store *entries* (opaque typed objects such as
 :class:`~repro.core.stores.CacheEntry`) keyed by the query's serial number
@@ -33,8 +27,8 @@ decisions or work counters.  Serialization is delegated to an
 entirely.
 
 Choosing a backend is a :class:`~repro.core.config.GraphCacheConfig` concern
-(``backend="memory" | "sqlite" | "mmap"``, optional ``backend_path`` for a
-durable file); :func:`create_backend` is the single construction point.
+(``backend="memory" | "mmap"``, optional ``backend_path`` for a durable
+arena); :func:`create_backend` is the single construction point.
 """
 
 from __future__ import annotations
@@ -46,7 +40,6 @@ from .arena import ArenaExtent, GraphArena
 from .base import BackendOpCounts, EntryCodec, StorageBackend
 from .memory import InMemoryBackend
 from .mmapped import MmapBackend
-from .sqlite import SQLiteBackend
 
 __all__ = [
     "AVAILABLE_BACKENDS",
@@ -57,12 +50,11 @@ __all__ = [
     "StorageBackend",
     "InMemoryBackend",
     "MmapBackend",
-    "SQLiteBackend",
     "create_backend",
 ]
 
 #: Registry names accepted by :func:`create_backend` and the configuration.
-AVAILABLE_BACKENDS = ("memory", "sqlite", "mmap")
+AVAILABLE_BACKENDS = ("memory", "mmap")
 
 
 def create_backend(
@@ -77,27 +69,25 @@ def create_backend(
     Parameters
     ----------
     kind:
-        ``"memory"``, ``"sqlite"`` or ``"mmap"``.
+        ``"memory"`` or ``"mmap"``.
     codec:
         The entry codec of the owning store (used by serializing backends).
     path:
-        SQLite: database file; mmap: base path the arena segment and its
-        sidecar are derived from.  ``None`` keeps the data in memory
-        (useful for tests and for bounded-RAM behaviour without durability).
+        mmap: base path the arena segment and its sidecar are derived from.
+        ``None`` keeps the data in memory (useful for tests and for
+        bounded-RAM behaviour without durability).
     table:
         Logical table name, so several stores (cache entries, window
-        entries, shards) can share one database file / base path.
+        entries, shards) can share one base path.
     packed_views:
         mmap only: serve entry queries as CSR-native
         :class:`~repro.graphs.packed.PackedGraphView` objects instead of
         decoded ``Graph`` instances (the ``packed_match`` serving mode).
-        Ignored by the other backends, which store real ``Graph`` objects.
+        Ignored by the memory backend, which stores real ``Graph`` objects.
     """
     name = kind.lower()
     if name == "memory":
         return InMemoryBackend(codec)
-    if name == "sqlite":
-        return SQLiteBackend(codec, path=path, table=table)
     if name == "mmap":
         return MmapBackend(codec, path=path, table=table, packed_views=packed_views)
     raise CacheError(

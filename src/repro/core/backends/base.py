@@ -63,7 +63,7 @@ class EntryCodec(Protocol):
 class StorageBackend(ABC):
     """Keyed entry container with dict-like, insertion-ordered semantics."""
 
-    #: Registry name of the backend (``"memory"``, ``"sqlite"``, ...).
+    #: Registry name of the backend (``"memory"``, ``"mmap"``).
     name: str = "abstract"
 
     def __init__(self) -> None:
@@ -127,8 +127,8 @@ class StorageBackend(ABC):
         their iteration position; additions append in the given order (the
         same observable result a ``replace_all`` with survivors + additions
         would produce).  The default implementation composes the primitive
-        ``delete``/``put`` ops; backends with cheaper bulk paths (one SQLite
-        transaction) override it.
+        ``delete``/``put`` ops; backends that must publish the delta
+        atomically (one lock hold) override it.
         """
         for serial in remove:
             self.delete(serial)

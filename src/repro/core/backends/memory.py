@@ -81,8 +81,7 @@ class InMemoryBackend(StorageBackend):
     ) -> None:
         # Override the base composition to hold the lock across the whole
         # delta: a concurrent reader never observes the evictions without
-        # the admissions (the same atomicity replace_all and the SQLite
-        # transaction give).
+        # the admissions (the same atomicity replace_all gives).
         additions = list(add)
         with self._lock:
             for serial in remove:

@@ -9,7 +9,7 @@ sealed sidecar (attach, warm start, pool workers) are decoded, lazily: the
 stored extent is read from the arena — a single ``np.memmap`` once sealed —
 through the struct-unpacking fast path
 (:meth:`~repro.graphs.packed.PackedGraph.decode_graph`), never through the
-dict/text materialising codec route the SQLite backend takes.
+dict/text materialising codec route of the entry codecs.
 
 ``apply_delta`` stays transactional through the offset table: removals and
 additions mutate the ``serial -> extent`` dict under one lock hold, and the
@@ -65,7 +65,7 @@ class MmapBackend(StorageBackend):
         ``<path>.<table>.arena.meta.json``.  ``None`` keeps the arena in RAM
         (no sealing — tests and bounded-RAM behaviour without durability).
         If a sealed segment already exists at the derived path, the backend
-        attaches it and adopts its entries (warm start, like SQLite).
+        attaches it and adopts its entries (warm start).
     table:
         Logical table name, so the cache and window stores of one cache (and
         every shard) derive distinct files from one base path.
@@ -203,7 +203,7 @@ class MmapBackend(StorageBackend):
     ) -> None:
         # One lock hold across the whole delta — the offset table never
         # exposes the evictions without the admissions (same atomicity as
-        # the in-memory dict swap and the SQLite transaction).
+        # the in-memory dict swap).
         additions = list(add)
         with self._lock:
             for serial in remove:

@@ -212,9 +212,7 @@ class GraphCache:
     method:
         The query-processing method to expedite (FTV or SI).
     config:
-        Cache configuration; defaults to the paper's defaults.  Setting
-        ``config.execution_mode = "parallel"`` runs Method M's filter
-        concurrently with the GC processors (Figure 2's parallel arrow);
+        Cache configuration; defaults to the paper's defaults.
         ``config.containment_matcher`` names the matcher used for
         query-vs-query containment checks.
     matcher:
@@ -248,7 +246,7 @@ class GraphCache:
             raise CacheError(f"method {method.name!r} cannot serve supergraph queries")
 
         # Data layer: the stores are typed facades over the configured
-        # storage backend (two tables sharing one SQLite file, or two dicts).
+        # storage backend (two dicts, or two mmap arenas under one base path).
         # packed_match="on" puts the mmap backend in CSR-native view mode:
         # stored queries come back as PackedGraphView objects and no Graph
         # is ever rebuilt on the serving path ("auto" resolves to "on" only
@@ -340,15 +338,14 @@ class GraphCache:
             VerifyStage(method, query_mode=self._config.query_mode),
             CommitStage(self),
             gc_lock=self._gc_lock,
-            parallel_filter=self._config.execution_mode == "parallel",
         )
         self._warm_start_from_backend()
 
     def _warm_start_from_backend(self) -> None:
-        """Adopt entries a durable (write-through) backend already holds.
+        """Adopt entries a durable backend already holds.
 
-        Reopening a SQLite-backed cache on an existing database warm-starts
-        it without a JSON snapshot: the GCindex is rebuilt from the stored
+        Reopening an mmap-backed cache on a sealed arena warm-starts it
+        without a JSON snapshot: the GCindex is rebuilt from the stored
         query graphs — the same code path the Window Manager uses after a
         cache-update round — and the serial counter resumes past every stored
         serial.  Hit/contribution statistics are *not* in the backend; they
@@ -772,7 +769,7 @@ class GraphCache:
         return recover_cache(snapshot, method, journal=journal)
 
     def close(self) -> None:
-        """Release pipeline and data-layer resources (thread pool, backends).
+        """Release maintenance and data-layer resources (scheduler, backends).
 
         **Drain-on-close**: the maintenance scheduler finishes every pending
         round (applying and journaling its plan) before the worker stops and
@@ -780,7 +777,6 @@ class GraphCache:
         window undecided.
         """
         self._scheduler.close()
-        self._pipeline.close()
         self._cache_store.close()
         self._window_store.close()
 

@@ -26,8 +26,7 @@ QueryMode = str
 _VALID_MODES = ("subgraph", "supergraph")
 _VALID_POLICIES = ("lru", "pop", "pin", "pinc", "hd")
 _VALID_ADMISSION_KINDS = ("threshold", "adaptive")
-_VALID_EXECUTION_MODES = ("serial", "parallel")
-_VALID_BACKENDS = ("memory", "sqlite", "mmap")
+_VALID_BACKENDS = ("memory", "mmap")
 _VALID_MAINTENANCE_MODES = ("sync", "background", "barrier")
 _VALID_PACKED_MATCH = ("on", "off", "auto")
 
@@ -70,11 +69,6 @@ class GraphCacheConfig:
     warmup_windows:
         Number of initial windows excluded from benchmark statistics (the
         paper allows one window before measuring).
-    execution_mode:
-        ``"serial"`` (default) runs the pipeline stages one after another;
-        ``"parallel"`` runs Method M's filter concurrently with the GC
-        processors (the paper's Figure-2 parallel arrow).  Both modes produce
-        identical answers and work counters.
     containment_matcher:
         Registry name of the matcher used for query-vs-query containment
         checks in the GC processors (``None`` = the method's own verifier).
@@ -82,13 +76,12 @@ class GraphCacheConfig:
         pipeline stage shares one matcher instance and plan memo.
     backend:
         Storage backend of the cache/window stores: ``"memory"`` (the seed's
-        in-RAM dictionaries, default), ``"sqlite"`` (write-through, lazy
-        entry loading — larger-than-RAM caches) or ``"mmap"`` (packed query
-        graphs in an append-only arena, zero-copy reads, sealable to a
-        shared segment for multi-process serving).  See
+        in-RAM dictionaries, default) or ``"mmap"`` (packed query graphs in
+        an append-only arena, zero-copy reads, sealable to a shared segment
+        for multi-process serving).  See
         :mod:`repro.core.backends`.
     backend_path:
-        SQLite database file / mmap arena base path holding the stores
+        mmap arena base path holding the stores
         (``None`` keeps the data in memory).  Sharded caches derive one
         file per shard from this path.
     shards:
@@ -148,7 +141,6 @@ class GraphCacheConfig:
     query_mode: QueryMode = "subgraph"
     index_path_length: int = 3
     warmup_windows: int = 1
-    execution_mode: str = "serial"
     containment_matcher: Optional[str] = None
     backend: str = "memory"
     backend_path: Optional[str] = None
@@ -186,23 +178,13 @@ class GraphCacheConfig:
             raise CacheError("index_path_length must be >= 1")
         if self.warmup_windows < 0:
             raise CacheError("warmup_windows must be >= 0")
-        if self.execution_mode not in _VALID_EXECUTION_MODES:
-            raise CacheError(
-                f"unknown execution mode {self.execution_mode!r}; "
-                f"valid modes: {', '.join(_VALID_EXECUTION_MODES)}"
-            )
         if self.backend.lower() not in _VALID_BACKENDS:
             raise CacheError(
                 f"unknown storage backend {self.backend!r}; "
                 f"valid backends: {', '.join(_VALID_BACKENDS)}"
             )
-        if self.backend_path is not None and self.backend.lower() not in (
-            "sqlite",
-            "mmap",
-        ):
-            raise CacheError(
-                "backend_path is only meaningful with backend='sqlite' or 'mmap'"
-            )
+        if self.backend_path is not None and self.backend.lower() != "mmap":
+            raise CacheError("backend_path is only meaningful with backend='mmap'")
         if self.shards < 1:
             raise CacheError("shards must be >= 1")
         if self.maintenance_mode.lower() not in _VALID_MAINTENANCE_MODES:
@@ -286,7 +268,7 @@ class GraphCacheConfig:
     def label(self) -> str:
         """Short label like ``c100-b20`` used in the paper's figures.
 
-        Non-default storage choices are appended (``c100-b20-s4-sqlite``) so
+        Non-default storage choices are appended (``c100-b20-s4-mmap``) so
         sharded/backend experiment rows stay distinguishable in reports.
         """
         label = f"c{self.cache_capacity}-b{self.window_size}"

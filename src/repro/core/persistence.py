@@ -33,7 +33,7 @@ raises :class:`~repro.exceptions.CacheError` naming its version):
 
 Restores go through the public :meth:`GraphCache.restore` API — persistence
 never reaches into private stores — so the entries land in whatever storage
-backend the configuration selects (in-memory or SQLite) and GCindex is
+backend the configuration selects (in-memory or mmap) and GCindex is
 rebuilt through the same code path the engine's delta apply uses.
 
 Snapshots are published atomically (tempfile + ``os.replace``), so a crash
@@ -160,7 +160,15 @@ def load_cache(
             f"but the supplied method serves {len(method.dataset)} graphs"
         )
 
-    config = GraphCacheConfig(**payload["config"])
+    config_fields = dict(payload["config"])
+    # v4 snapshots saved while the stage order was configurable carry an
+    # ``execution_mode`` key; every mode gave the same answers and counters,
+    # and stages now always run in order, so the key is dropped.
+    config_fields.pop("execution_mode", None)
+    try:
+        config = GraphCacheConfig(**config_fields)
+    except TypeError as exc:
+        raise CacheError(f"snapshot config is not a GraphCacheConfig: {exc}") from exc
     shard_payloads = payload["shards"]
     if payload["shard_count"] != len(shard_payloads):
         raise CacheError(

@@ -16,13 +16,11 @@ in one monolithic ``GraphCache.query()``:
 
 Each stage implements the :class:`PipelineStage` protocol and communicates
 through a typed :class:`StageContext`.  :class:`QueryPipeline` orchestrates
-them and supports two execution modes:
-
-* ``serial`` — stages run one after another on the calling thread;
-* ``parallel`` — ``MfilterStage`` runs on a helper thread concurrently with
-  ``ProcessorStage`` (the paper's Figure-2 parallel arrow); the GC stages
-  still execute under the pipeline's GC lock so shared cache state is only
-  ever read/mutated by one query at a time.
+them in order on the calling thread.  The paper's Figure 2 draws Mfilter
+and the GC processors side by side; both are pure Python here, so under the
+GIL a helper thread cannot overlap them and only adds a hand-off per query —
+the stages therefore run one after another (see README, "Query pipeline and
+concurrency model").
 
 Concurrency model.  ``MfilterStage`` and ``VerifyStage`` never touch cache
 state, so they run without the GC lock; ``ProcessorStage`` + ``PruneStage``
@@ -38,7 +36,6 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
@@ -50,7 +47,7 @@ from typing import (
     Tuple,
 )
 
-from ..analysis.runtime import make_lock, make_rlock
+from ..analysis.runtime import make_rlock
 from ..graphs.graph import Graph
 from ..isomorphism.cost import candidates_cost
 from ..methods.base import Method
@@ -175,8 +172,7 @@ class MfilterStage:
     """Method M filtering (``Mfilter``): produce the candidate set ``CS_M``.
 
     This stage only reads the method's own dataset/index, never cache state —
-    which is what makes it safe to run concurrently with the GC processors
-    (Figure 2) or to prefetch for a whole batch of queries.
+    which is what makes it safe to prefetch for a whole batch of queries.
 
     It is also the only place in ``core/`` that calls Method M's filter,
     :meth:`~repro.methods.base.Method.filter`: :meth:`filter` is the seam
@@ -345,9 +341,6 @@ class QueryPipeline:
         (processors + prune as one critical section, and commit).  Callers
         hammering one cache from many threads are safe; counters are
         deterministic whenever the GC stages execute in serial order.
-    parallel_filter:
-        When ``True``, run ``MfilterStage`` on a helper thread concurrently
-        with ``ProcessorStage`` (the paper's Figure-2 parallel arrow).
     """
 
     def __init__(
@@ -358,7 +351,6 @@ class QueryPipeline:
         verify: VerifyStage,
         commit: CommitStage,
         gc_lock: Optional[threading.RLock] = None,
-        parallel_filter: bool = False,
     ) -> None:
         self._mfilter = mfilter
         self._processors = processors
@@ -366,12 +358,6 @@ class QueryPipeline:
         self._verify = verify
         self._commit = commit
         self._gc_lock = gc_lock if gc_lock is not None else make_rlock("gc")
-        self._parallel_filter = parallel_filter
-        # Persistent helper for parallel mode, created lazily on first use so
-        # serial pipelines never spawn a thread.  A pool (not a per-query
-        # Thread) keeps thread create/join churn off the per-query hot path.
-        self._filter_pool: Optional[ThreadPoolExecutor] = None
-        self._filter_pool_lock = make_lock("pipeline.filter_pool")
 
     # ------------------------------------------------------------------ #
     @property
@@ -385,27 +371,9 @@ class QueryPipeline:
         return tuple(stage.name for stage in self.stages)
 
     @property
-    def parallel_filter(self) -> bool:
-        """``True`` when Mfilter runs concurrently with the GC processors."""
-        return self._parallel_filter
-
-    @property
     def gc_lock(self) -> threading.RLock:
         """The lock serializing access to shared cache state."""
         return self._gc_lock
-
-    def close(self) -> None:
-        """Shut down the lazy Mfilter helper pool (no-op for serial pipelines).
-
-        Abandoned pools also self-clean when the pipeline is garbage
-        collected (idle ``ThreadPoolExecutor`` workers exit once their
-        executor is collected); ``close()`` just makes teardown deterministic
-        for long-lived services.
-        """
-        with self._filter_pool_lock:
-            pool, self._filter_pool = self._filter_pool, None
-        if pool is not None:
-            pool.shutdown(wait=False)
 
     # ------------------------------------------------------------------ #
     @staticmethod
@@ -432,37 +400,8 @@ class QueryPipeline:
         On its own this is the read-only path (``GraphCache.lookup``): no
         cache state is mutated, so any number of replicas can serve it.
         """
-        if self._parallel_filter and ctx.method_candidates is None:
-            self._filter_and_process_concurrently(ctx)
-        else:
-            self._timed(self._mfilter, ctx)
-            with self._gc_lock:
-                self._timed(self._processors, ctx)
-                self._timed(self._prune, ctx)
-        self._timed(self._verify, ctx)
-
-    def _filter_and_process_concurrently(self, ctx: StageContext) -> None:
-        """Figure 2's parallel arrow: Mfilter on a helper worker, GC inline.
-
-        The GC lock is held across the wait so that pruning sees exactly the
-        cache state the processors read, even when several threads share the
-        cache; the Mfilter worker never takes the lock, so this cannot
-        deadlock.
-        """
-        # Create-or-submit under the pool lock so a concurrent close() can
-        # never null the pool (or shut it down) between the check and the
-        # submit; enqueueing a task is non-blocking, so the lock stays cheap.
-        with self._filter_pool_lock:
-            if self._filter_pool is None:
-                self._filter_pool = ThreadPoolExecutor(
-                    max_workers=2, thread_name_prefix="gc-mfilter"
-                )
-            future = self._filter_pool.submit(self._timed, self._mfilter, ctx)
+        self._timed(self._mfilter, ctx)
         with self._gc_lock:
             self._timed(self._processors, ctx)
-            # The wait-under-lock is the figure's design: pruning must see
-            # the exact cache state the processors read, and the Mfilter
-            # worker never takes the GC lock, so the wait cannot deadlock.
-            # repro: allow[REPRO002] intentional barrier, worker is lock-free
-            future.result()  # re-raises any Mfilter exception
             self._timed(self._prune, ctx)
+        self._timed(self._verify, ctx)

@@ -8,7 +8,9 @@ axes, depending on what it wraps:
   cache-state independent ``MfilterStage``) is prefetched for the batch on a
   thread pool, while the GC stages — processors, pruning, verification and
   the serialized commit — still execute in submission order on the calling
-  thread.  One GC lock means GC stages never overlap.
+  thread.  One GC lock means GC stages never overlap.  This batch-level
+  prefetch is the only overlap of Mfilter with other work: within one query
+  the pipeline runs its stages in order.
 * :class:`~repro.core.sharding.ShardedGraphCache` — the batch is partitioned
   by the deterministic shard router and each shard's sub-batch runs its
   **full pipelines** (processors, prune, verify, commit) on its own worker

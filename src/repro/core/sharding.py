@@ -30,8 +30,7 @@ Because routing is structural, repeated (Zipf-skewed) query structures hit
 the shard that already caches them; distinct structures spread by hash.  Each
 shard owns ``cache_capacity`` entries and its own window, so a sharded cache
 holds up to ``N x cache_capacity`` entries overall — capacity scales with N,
-which is the point (one process's RAM stops being the ceiling once shards are
-combined with the SQLite backend).
+which is the point.
 """
 
 from __future__ import annotations
@@ -90,8 +89,8 @@ class ShardedGraphCache:
     config:
         Cache configuration; ``config.shards`` sets the shard count (every
         shard gets the full ``cache_capacity``/``window_size``).  With
-        ``backend="sqlite"`` and a ``backend_path``, shard ``k`` stores its
-        tables in ``<path>.shard<k>`` so databases stay independent.
+        ``backend="mmap"`` and a ``backend_path``, shard ``k`` derives its
+        arenas from ``<path>.shard<k>`` so shard files stay independent.
     matcher:
         Optional containment-matcher override, forwarded to every shard.
     """

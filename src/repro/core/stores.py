@@ -13,8 +13,8 @@ the paper.  Since the storage-abstraction refactor they are thin *typed
 facades* over a pluggable :class:`~repro.core.backends.StorageBackend`: the
 capacity policy, the typed entry classes and the error semantics live here,
 while the actual record container is either the in-RAM dictionary of the seed
-(:class:`~repro.core.backends.InMemoryBackend`, the default) or a
-write-through SQLite table (:class:`~repro.core.backends.SQLiteBackend`).
+(:class:`~repro.core.backends.InMemoryBackend`, the default) or a packed
+graph arena (:class:`~repro.core.backends.MmapBackend`).
 Persistence to disk at startup/shutdown is supported through simple JSON
 snapshots so a long-running analytics session can be resumed.
 

@@ -16,7 +16,7 @@ Reproduction notes
   inspection and example applications.
 * Thread-level parallelism is simulated: :attr:`verify_parallelism` is carried
   on the method object and the query executor divides verification wall-clock
-  time by it (see DESIGN.md, substitutions).  This preserves the *relative*
+  time by it (see README, "Substitutions").  This preserves the *relative*
   behaviour the paper reports (Grapes6 is faster than Grapes1, hence the
   cache's relative benefit is smaller).
 """

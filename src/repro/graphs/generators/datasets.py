@@ -20,8 +20,8 @@ Synthetic     :func:`synthetic_like`  like PCM but more, larger graphs
 Every factory accepts a ``scale`` multiplier for the number of graphs and a
 ``seed``; the defaults are sized so that the complete benchmark suite runs on
 a laptop.  The relative shape (AIDS small/sparse/label-rich vs PCM dense) is
-what GraphCache's behaviour depends on — see DESIGN.md for the substitution
-rationale.
+what GraphCache's behaviour depends on — see README, "Substitutions", for
+the rationale.
 """
 
 from __future__ import annotations

@@ -3,8 +3,9 @@
 Every backend must expose dict-like observable semantics — keyed access,
 insertion-ordered iteration, atomic ``replace_all`` — so that switching the
 data layer never changes replacement decisions or work counters.  The suite
-runs identically against :class:`InMemoryBackend`, :class:`SQLiteBackend`
-and :class:`MmapBackend` (in-memory and file-based), which is the "every
+runs identically against :class:`InMemoryBackend` and :class:`MmapBackend`
+(in-memory, file-based, re-attached after a seal, and compacted), which is
+the "every
 backend passes the same store contract suite as InMemory" acceptance
 criterion.
 """
@@ -17,9 +18,9 @@ from repro.core.backends import (
     AVAILABLE_BACKENDS,
     InMemoryBackend,
     MmapBackend,
-    SQLiteBackend,
     create_backend,
 )
+from repro.core.config import GraphCacheConfig
 from repro.core.stores import (
     CacheEntry,
     CacheEntryCodec,
@@ -40,16 +41,37 @@ def cache_entry(serial, answers=(0,)):
     )
 
 
+def reopened_mmap(tmp_path):
+    """A writable backend attached to an (empty) sealed segment: the warm
+    start path, with every write landing after the adoption."""
+    path = str(tmp_path / "store")
+    first = MmapBackend(CacheEntryCodec(), path=path)
+    first.seal()
+    first.close()
+    return MmapBackend(CacheEntryCodec(), path=path)
+
+
+def compacted_mmap(tmp_path):
+    """A backend whose sealed entries were all deleted and then folded away
+    by ``compact``: the contract must hold on the rewritten arena."""
+    backend = MmapBackend(CacheEntryCodec(), path=str(tmp_path / "store"))
+    for serial in (1, 2, 3):
+        backend.put(serial, cache_entry(serial))
+    backend.seal()
+    for serial in (1, 2, 3):
+        backend.delete(serial)
+    backend.compact()
+    return backend
+
+
 BACKEND_FACTORIES = {
     "memory": lambda tmp_path: InMemoryBackend(CacheEntryCodec()),
-    "sqlite-memory": lambda tmp_path: SQLiteBackend(CacheEntryCodec()),
-    "sqlite-file": lambda tmp_path: SQLiteBackend(
-        CacheEntryCodec(), path=str(tmp_path / "store.db")
-    ),
     "mmap-memory": lambda tmp_path: MmapBackend(CacheEntryCodec()),
     "mmap-file": lambda tmp_path: MmapBackend(
         CacheEntryCodec(), path=str(tmp_path / "store")
     ),
+    "mmap-reopened": reopened_mmap,
+    "mmap-compacted": compacted_mmap,
 }
 
 
@@ -117,23 +139,24 @@ class TestBackendContract:
         assert decoded == backend.entries()
 
 
-class TestSQLiteDurability:
-    def test_file_backend_survives_reopen(self, tmp_path):
-        path = str(tmp_path / "durable.db")
-        backend = SQLiteBackend(CacheEntryCodec(), path=path)
+class TestMmapDurability:
+    def test_file_backend_survives_seal_and_reopen(self, tmp_path):
+        path = str(tmp_path / "durable")
+        backend = MmapBackend(CacheEntryCodec(), path=path)
         backend.put(3, cache_entry(3, answers=(1, 2)))
         backend.put(1, cache_entry(1))
+        backend.seal()
         backend.close()
 
-        reopened = SQLiteBackend(CacheEntryCodec(), path=path)
+        reopened = MmapBackend(CacheEntryCodec(), path=path)
         assert reopened.serials() == [3, 1]
         assert reopened.get(3).answer_ids == frozenset({1, 2})
         reopened.close()
 
-    def test_two_tables_share_one_file(self, tmp_path):
-        path = str(tmp_path / "shared.db")
-        cache_backend = SQLiteBackend(CacheEntryCodec(), path=path, table="cache_entries")
-        window_backend = SQLiteBackend(
+    def test_two_tables_share_one_base_path(self, tmp_path):
+        path = str(tmp_path / "shared")
+        cache_backend = MmapBackend(CacheEntryCodec(), path=path, table="cache_entries")
+        window_backend = MmapBackend(
             WindowEntryCodec(), path=path, table="window_entries"
         )
         cache_backend.put(1, cache_entry(1))
@@ -141,48 +164,56 @@ class TestSQLiteDurability:
         assert cache_backend.count() == 1
         assert window_backend.count() == 1
         assert isinstance(window_backend.get(1), WindowEntry)
+        assert cache_backend.arena_path != window_backend.arena_path
         cache_backend.close()
         window_backend.close()
-
-    def test_invalid_table_name_rejected(self):
-        with pytest.raises(ValueError):
-            SQLiteBackend(CacheEntryCodec(), table="entries; DROP TABLE x")
 
 
 class TestFactory:
     def test_available_backends(self):
-        assert AVAILABLE_BACKENDS == ("memory", "sqlite", "mmap")
+        assert AVAILABLE_BACKENDS == ("memory", "mmap")
 
     def test_create_by_name(self, tmp_path):
         assert isinstance(create_backend("memory", CacheEntryCodec()), InMemoryBackend)
-        sqlite_backend = create_backend(
-            "sqlite", CacheEntryCodec(), path=str(tmp_path / "x.db")
-        )
-        assert isinstance(sqlite_backend, SQLiteBackend)
         mmap_backend = create_backend(
             "mmap", CacheEntryCodec(), path=str(tmp_path / "x")
         )
         assert isinstance(mmap_backend, MmapBackend)
-        sqlite_backend.close()
         mmap_backend.close()
 
-    def test_unknown_backend_rejected(self):
+    @pytest.mark.parametrize("kind", ["redis", "sqlite"])
+    def test_unknown_backend_rejected(self, kind):
         with pytest.raises(CacheError):
-            create_backend("redis", CacheEntryCodec())
+            create_backend(kind, CacheEntryCodec())
+        with pytest.raises(CacheError):
+            GraphCacheConfig(backend=kind)
 
 
-@pytest.fixture(params=["memory", "sqlite", "mmap"])
+@pytest.fixture(params=["memory", "mmap", "mmap-file"])
 def store_backend_kind(request):
     return request.param
+
+
+@pytest.fixture
+def new_backend(store_backend_kind, tmp_path):
+    """Build a backend of the parametrised kind; ``mmap-file`` gives every
+    table its own segment under one base path."""
+
+    def build(codec, table="entries"):
+        if store_backend_kind == "mmap-file":
+            return create_backend(
+                "mmap", codec, path=str(tmp_path / "facade"), table=table
+            )
+        return create_backend(store_backend_kind, codec)
+
+    return build
 
 
 class TestStoreFacadesOverBackends:
     """CacheStore/WindowStore behave identically over every backend."""
 
-    def test_cache_store_contract(self, store_backend_kind):
-        store = CacheStore(
-            2, backend=create_backend(store_backend_kind, CacheEntryCodec())
-        )
+    def test_cache_store_contract(self, new_backend):
+        store = CacheStore(2, backend=new_backend(CacheEntryCodec()))
         store.add(cache_entry(1))
         assert 1 in store and len(store) == 1 and not store.is_full
         assert store.free_slots() == 1
@@ -202,13 +233,13 @@ class TestStoreFacadesOverBackends:
         assert store.serials() == [5, 6]
         store.close()
 
-    def test_cache_store_answers_read(self, store_backend_kind, monkeypatch):
-        store = CacheStore(
-            2, backend=create_backend(store_backend_kind, CacheEntryCodec())
-        )
+    def test_cache_store_answers_read(
+        self, store_backend_kind, new_backend, monkeypatch
+    ):
+        store = CacheStore(2, backend=new_backend(CacheEntryCodec()))
         store.add(cache_entry(1, answers=(3, 4)))
         store.add(cache_entry(2, answers=()))
-        if store_backend_kind == "mmap":
+        if store_backend_kind.startswith("mmap"):
             # The answers-only read never decodes the query graph.
             def no_decode(extent):
                 raise AssertionError("answers() decoded a query graph")
@@ -219,10 +250,8 @@ class TestStoreFacadesOverBackends:
         assert store.answers(99) is None  # evicted or never cached
         store.close()
 
-    def test_window_store_contract(self, store_backend_kind):
-        store = WindowStore(
-            2, backend=create_backend(store_backend_kind, WindowEntryCodec())
-        )
+    def test_window_store_contract(self, new_backend):
+        store = WindowStore(2, backend=new_backend(WindowEntryCodec()))
         query = Graph(labels=["C", "O"], edges=[(0, 1)])
 
         def window_entry(serial):
@@ -239,45 +268,46 @@ class TestStoreFacadesOverBackends:
         assert len(store) == 0
         store.close()
 
-    def test_facade_actually_uses_the_given_backend(self, store_backend_kind):
+    def test_facade_actually_uses_the_given_backend(self, new_backend):
         """Regression: an *empty* backend is falsy (it has __len__); the
         facade must keep it anyway rather than silently defaulting."""
-        backend = create_backend(store_backend_kind, CacheEntryCodec())
+        backend = new_backend(CacheEntryCodec(), table="cache_entries")
         store = CacheStore(2, backend=backend)
         assert store.backend is backend
-        window_backend = create_backend(store_backend_kind, WindowEntryCodec())
+        window_backend = new_backend(WindowEntryCodec(), table="window_entries")
         window = WindowStore(2, backend=window_backend)
         assert window.backend is window_backend
         store.close()
         window.close()
 
-    def test_sqlite_facade_is_durable_across_reopen(self, tmp_path):
+    def test_mmap_facade_is_durable_across_reopen(self, tmp_path):
         """Entries added through the facade survive into a new process-like
-        reopen of the same database file (write-through, not a snapshot)."""
-        path = str(tmp_path / "facade.db")
+        reopen of the same sealed arena (the segment, not a JSON snapshot)."""
+        path = str(tmp_path / "facade")
         store = CacheStore(
-            3, backend=SQLiteBackend(CacheEntryCodec(), path=path, table="cache_entries")
+            3, backend=MmapBackend(CacheEntryCodec(), path=path, table="cache_entries")
         )
         store.add(cache_entry(1, answers=(0, 4)))
         store.add(cache_entry(2))
+        store.backend.seal()
         store.close()
         reopened = CacheStore(
-            3, backend=SQLiteBackend(CacheEntryCodec(), path=path, table="cache_entries")
+            3, backend=MmapBackend(CacheEntryCodec(), path=path, table="cache_entries")
         )
         assert reopened.serials() == [1, 2]
         assert reopened.get(1).answer_ids == frozenset({0, 4})
         reopened.close()
 
-    def test_cache_store_snapshot_round_trip(self, store_backend_kind, tmp_path):
-        store = CacheStore(
-            3, backend=create_backend(store_backend_kind, CacheEntryCodec())
-        )
+    def test_cache_store_snapshot_round_trip(
+        self, store_backend_kind, new_backend, tmp_path
+    ):
+        store = CacheStore(3, backend=new_backend(CacheEntryCodec()))
         store.add(cache_entry(1, answers=(0, 2)))
         store.add(cache_entry(2))
         path = tmp_path / "store.json"
         store.save(path)
         # A snapshot taken over one backend loads into any other.
-        other_kind = "memory" if store_backend_kind == "sqlite" else "sqlite"
+        other_kind = "mmap" if store_backend_kind == "memory" else "memory"
         loaded = CacheStore.load(
             path, backend=create_backend(other_kind, CacheEntryCodec())
         )

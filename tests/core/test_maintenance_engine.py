@@ -267,7 +267,7 @@ class TestHeapVersusOracle:
 class TestApplyDeltas:
     """apply() performs O(window) row/index mutations, never a rewrite."""
 
-    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
+    @pytest.mark.parametrize("backend", ["memory", "mmap"])
     def test_apply_is_delta_only(self, backend):
         engine, store, statistics, index = make_engine(
             capacity=6, policy="hd", backend=backend
@@ -305,7 +305,7 @@ class TestApplyDeltas:
 
 
 class TestCacheStoreApplyDelta:
-    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
+    @pytest.mark.parametrize("backend", ["memory", "mmap"])
     def test_order_and_contents(self, backend):
         store = CacheStore(
             4, backend=create_backend(backend, CacheEntryCodec())

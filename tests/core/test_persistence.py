@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from repro.core.cache import GraphCache
 from repro.core.config import GraphCacheConfig
-from repro.core.persistence import load_cache, save_cache
+from repro.core.persistence import load_cache, recover_cache, save_cache
 from repro.core.sharding import ShardedGraphCache, build_cache
 from repro.core.stores import WindowEntry
 from repro.exceptions import CacheError
@@ -130,7 +130,7 @@ class TestRoundTripReplayProperty:
     @given(
         seed=st.integers(min_value=0, max_value=10_000),
         split=st.integers(min_value=1, max_value=13),
-        backend=st.sampled_from(["memory", "sqlite"]),
+        backend=st.sampled_from(["memory", "mmap"]),
         shards=st.sampled_from([1, 3]),
     )
     def test_replay_matches_uninterrupted_run(
@@ -309,7 +309,7 @@ class TestMidCalibrationRoundTrip:
     @given(
         seed=st.integers(min_value=0, max_value=10_000),
         split=st.integers(min_value=1, max_value=23),
-        backend=st.sampled_from(["memory", "sqlite"]),
+        backend=st.sampled_from(["memory", "mmap"]),
         shards=st.sampled_from([1, 3]),
     )
     def test_maintenance_replay_identity(
@@ -385,6 +385,29 @@ class TestValidation:
         payload["format_version"] = version
         path.write_text(json.dumps(payload))
         with pytest.raises(CacheError, match=f"version {version}: load_cache reads v4 only"):
+            load_cache(path, method)
+
+    def test_v4_snapshot_with_stage_mode_key_still_loads(self, warm_cache, tmp_path):
+        # Snapshots saved while the stage order was configurable carry
+        # ``"execution_mode": "serial"`` in their config.
+        cache, method, _ = warm_cache
+        path = tmp_path / "cache.json"
+        save_cache(cache, path)
+        payload = json.loads(path.read_text())
+        payload["config"]["execution_mode"] = "serial"
+        path.write_text(json.dumps(payload))
+        for restored in (load_cache(path, method), recover_cache(path, method)):
+            assert restored.config == cache.config
+            assert sorted(restored.cached_serials) == sorted(cache.cached_serials)
+
+    def test_unknown_config_key_rejected(self, warm_cache, tmp_path):
+        cache, method, _ = warm_cache
+        path = tmp_path / "cache.json"
+        save_cache(cache, path)
+        payload = json.loads(path.read_text())
+        payload["config"]["no_such_field"] = 1
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CacheError, match="no_such_field"):
             load_cache(path, method)
 
     def test_unsupported_version_rejected(self, warm_cache, tmp_path):

@@ -92,30 +92,6 @@ class TestSerialConcurrentEquivalence:
             assert concurrent.short_circuit_stage == serial.short_circuit_stage
         assert _counters(service.cache) == _counters(serial_cache)
 
-    def test_parallel_stage_mode_matches_serial(self) -> None:
-        """execution_mode='parallel' (Mfilter ∥ processors) changes nothing."""
-        dataset = _dataset(1)
-        workload = generate_type_a(dataset, "ZZ", 16, query_sizes=(3, 5), seed=9)
-
-        serial_cache = GraphCache(
-            SIMethod(dataset, matcher="vf2plus"),
-            GraphCacheConfig(cache_capacity=5, window_size=2),
-        )
-        parallel_cache = GraphCache(
-            SIMethod(dataset, matcher="vf2plus"),
-            GraphCacheConfig(
-                cache_capacity=5, window_size=2, execution_mode="parallel"
-            ),
-        )
-        assert parallel_cache.pipeline.parallel_filter
-
-        for query in workload:
-            serial = serial_cache.query(query)
-            parallel = parallel_cache.query(query)
-            assert parallel.answer_ids == serial.answer_ids
-            assert parallel.subiso_tests == serial.subiso_tests
-        assert _counters(parallel_cache) == _counters(serial_cache)
-
     def test_jobs_must_be_positive(self) -> None:
         service = GraphCacheService.for_method(
             SIMethod(_dataset(0), matcher="vf2plus")
@@ -158,8 +134,7 @@ class TestStageAccounting:
 class TestRaceSmoke:
     THREADS = 8
 
-    @pytest.mark.parametrize("execution_mode", ["serial", "parallel"])
-    def test_threads_hammer_one_shared_cache(self, execution_mode: str) -> None:
+    def test_threads_hammer_one_shared_cache(self) -> None:
         dataset = _dataset(2)
         method = SIMethod(dataset, matcher="vf2plus")
         workload = generate_type_a(
@@ -170,12 +145,7 @@ class TestRaceSmoke:
             if query not in expected:
                 expected[query] = execute_query(method, query).answer_ids
 
-        cache = GraphCache(
-            method,
-            GraphCacheConfig(
-                cache_capacity=6, window_size=3, execution_mode=execution_mode
-            ),
-        )
+        cache = GraphCache(method, GraphCacheConfig(cache_capacity=6, window_size=3))
         queries = list(workload)
         chunks = [queries[i :: self.THREADS] for i in range(self.THREADS)]
         barrier = threading.Barrier(self.THREADS)

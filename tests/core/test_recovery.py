@@ -67,10 +67,10 @@ def _journal_paths(base: Path, shard_count: int):
     params=[
         ("memory", 1),
         ("memory", 3),
-        ("sqlite", 1),
-        ("sqlite", 3),
+        ("mmap", 1),
+        ("mmap", 3),
     ],
-    ids=["memory-1shard", "memory-3shards", "sqlite-1shard", "sqlite-3shards"],
+    ids=["memory-1shard", "memory-3shards", "mmap-1shard", "mmap-3shards"],
 )
 def reference_run(request, tmp_path_factory):
     """One uninterrupted run per (backend, shards): journals + boundary digests."""
@@ -81,7 +81,7 @@ def reference_run(request, tmp_path_factory):
         window_size=3,
         maintenance_mode="sync",
         backend=backend,
-        backend_path=str(tmp / "store.db") if backend == "sqlite" else None,
+        backend_path=str(tmp / "store") if backend == "mmap" else None,
         shards=shard_count,
         journal_path=str(tmp / "journal.jsonl"),
         journal_fsync=True,
@@ -127,6 +127,10 @@ def reference_run(request, tmp_path_factory):
                     cache, include_index_version=False, replicated_only=True
                 ),
             )
+    if backend == "mmap":
+        # Leave a stale end-of-run arena behind: every recovery below
+        # attaches it at warm start and must still land on the boundary.
+        cache.seal_storage()
     cache.close()
     journal_lines = [
         path.read_text(encoding="utf-8").splitlines(keepends=True)

@@ -122,7 +122,7 @@ class TestRouting:
 class TestCounterIdentity:
     """``shards=1`` ≡ plain GraphCache, per-result and per-counter."""
 
-    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
+    @pytest.mark.parametrize("backend", ["memory", "mmap"])
     def test_single_shard_matches_plain_cache(self, backend):
         workload = _workload()
         config = GraphCacheConfig(
@@ -210,11 +210,11 @@ class TestConstruction:
         sharded = ShardedGraphCache(_method(), GraphCacheConfig(shards=4))
         assert all(shard.config.shards == 1 for shard in sharded.shards)
 
-    def test_sqlite_shards_get_distinct_database_files(self, tmp_path):
-        path = tmp_path / "cache.db"
+    def test_mmap_shards_get_distinct_arena_files(self, tmp_path):
+        path = tmp_path / "cache"
         sharded = ShardedGraphCache(
             _method(),
-            GraphCacheConfig(shards=3, backend="sqlite", backend_path=str(path)),
+            GraphCacheConfig(shards=3, backend="mmap", backend_path=str(path)),
         )
         paths = [shard.config.backend_path for shard in sharded.shards]
         assert len(set(paths)) == 3
@@ -228,7 +228,7 @@ class TestConstruction:
     def test_config_label_carries_storage_choices(self):
         assert GraphCacheConfig().label() == "c100-b20"
         assert GraphCacheConfig(shards=4).label() == "c100-b20-s4"
-        assert GraphCacheConfig(backend="sqlite").label() == "c100-b20-sqlite"
+        assert GraphCacheConfig(backend="mmap").label() == "c100-b20-mmap"
         assert (
-            GraphCacheConfig(shards=2, backend="sqlite").label() == "c100-b20-s2-sqlite"
+            GraphCacheConfig(shards=2, backend="mmap").label() == "c100-b20-s2-mmap"
         )

@@ -71,6 +71,26 @@ class TestCommands:
         output = capsys.readouterr().out
         assert "time_speedup" in output
 
+    def test_batch_backend_path_is_durable(self, capsys, tmp_path):
+        argv = [
+            "batch", "aids", "--scale", "0.06", "--method", "vf2plus",
+            "--queries", "25", "--cache-size", "5", "--window-size", "3",
+            "--seed", "2", "--shards", "2", "--backend", "mmap",
+            "--backend-path", str(tmp_path / "gc"),
+        ]
+
+        def hit_rate() -> float:
+            assert main(argv) == 0
+            header, _, row = capsys.readouterr().out.splitlines()[:3]
+            columns = [cell.strip() for cell in header.split("|")]
+            return float(row.split("|")[columns.index("hit_rate")])
+
+        cold = hit_rate()
+        for shard in (0, 1):
+            assert (tmp_path / f"gc.shard{shard}.cache_entries.arena").exists()
+        # The second run on the same path warm-starts from the sealed arena.
+        assert hit_rate() > cold
+
     def test_policies_comparison(self, capsys):
         code = main([
             "policies", "aids", "--scale", "0.06", "--method", "vf2plus",
