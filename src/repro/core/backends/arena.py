@@ -170,8 +170,8 @@ class GraphArena:
         return extent
 
     def append_graph(self, graph) -> ArenaExtent:
-        """Pack ``graph`` (a :class:`~repro.graphs.graph.Graph`) and append it."""
-        return self.append(graph.to_packed().to_bytes())
+        """Append ``graph``'s packed record (:meth:`~repro.graphs.graph.Graph.packed_bytes`)."""
+        return self.append(graph.packed_bytes())
 
     def free(self, extent: ArenaExtent) -> None:
         """Mark an extent dead.

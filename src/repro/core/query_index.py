@@ -16,13 +16,10 @@ counters so the same structure serves both directions:
 * sub-direction filtering probes the postings: a cached query can only be a
   supergraph of ``g`` — i.e. contain ``g`` — if it contains every label path
   of ``g`` at least as often;
-* super-direction filtering compares the cached query's stored feature
-  counter against ``g``'s counter (the cache holds at most a few hundred
-  entries, so the scan is cheap), plus vertex/edge/label-histogram dominance;
-  an entry larger than ``g`` in order or size is rejected outright, and the
-  verdict of the rest depends only on the two labelled structures, so it is
-  memoised per ``(cached query, g)`` pair and a repeated ``g`` scans with one
-  dictionary probe per entry.
+* super-direction filtering scans the cached queries (the cache holds at
+  most a few hundred entries): an entry larger than ``g`` in order or size
+  is rejected outright, then one whose probe ``g``'s counter does not
+  dominate, and only the rest pay for vertex/edge/label-histogram dominance.
 
 ``g``'s counter and sorted probe are memoised per query structure; a path
 index Method M hands over the counter its filter enumerated
@@ -61,6 +58,7 @@ or the twice-applied mutations.
 
 from __future__ import annotations
 
+import heapq
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -124,10 +122,9 @@ class IndexView:
     """A reference-counted read view over one published index snapshot.
 
     Obtained from :meth:`QueryGraphIndex.view` and used as a context
-    manager (``with index.view() as snapshot:``) or released explicitly;
-    while held, the snapshot is immutable — an in-flight maintenance apply
-    publishes a *new* snapshot and waits for this view to be released before
-    reusing the buffer.
+    manager (``with index.view() as snapshot:``); while held, the snapshot
+    is immutable — an in-flight maintenance apply publishes a *new* snapshot
+    and waits for this view to be released before reusing the buffer.
     """
 
     __slots__ = ("_index", "_buffer", "version")
@@ -157,48 +154,31 @@ class IndexView:
         """Serial of an indexed query equal to ``query``, if the table has one."""
         return self._buffer.exact.get(query)
 
-    def candidate_supergraphs(
-        self, query: Graph, features: Optional[QueryFeatures] = None
-    ) -> FrozenSet[int]:
+    def candidate_supergraphs(self, query: Graph, features: QueryFeatures) -> FrozenSet[int]:
         """Cached queries that *may contain* ``query`` (``Resultsub`` candidates)."""
-        buffer = self._buffer
-        if not buffer.graphs:
-            return frozenset()
-        if features is None:
-            features = self._index.query_features(query)
-        graphs = buffer.graphs
+        graphs = self._buffer.graphs
         return frozenset(
             serial
-            for serial in buffer.postings.filter_ordered(features.probe)
+            for serial in self._buffer.postings.filter_ordered(features.probe)
             if could_be_subgraph(query, graphs[serial])
         )
 
-    def candidate_subgraphs(
-        self, query: Graph, features: Optional[QueryFeatures] = None
-    ) -> FrozenSet[int]:
+    def candidate_subgraphs(self, query: Graph, features: QueryFeatures) -> FrozenSet[int]:
         """Cached queries that *may be contained in* ``query`` (``Resultsuper`` candidates)."""
-        buffer = self._buffer
-        if not buffer.graphs:
-            return frozenset()
-        if features is None:
-            features = self._index.query_features(query)
         counts = features.counts
         order, size = query.order, query.size
+        graphs = self._buffer.graphs
         survivors: List[int] = []
-        graphs = buffer.graphs
-        memo = self._index._scan_memo
-        for serial, cached in buffer.features.items():
+        for serial, cached in self._buffer.features.items():
             cached_graph = graphs[serial]
             if cached_graph.order > order or cached_graph.size > size:
-                continue  # could_be_subgraph's first test, without the memo
-            verdict = memo.get((cached_graph, query))
-            if verdict is None:
-                verdict = could_be_subgraph(cached_graph, query) and all(
-                    counts.get(feature, 0) >= count for feature, count in cached.probe
-                )
-                self._index._remember_scan(cached_graph, query, verdict)
-            if verdict:
-                survivors.append(serial)
+                continue  # could_be_subgraph's first test
+            for feature, count in cached.probe:
+                if counts.get(feature, 0) < count:
+                    break
+            else:
+                if could_be_subgraph(cached_graph, query):
+                    survivors.append(serial)
         return frozenset(survivors)
 
     def approximate_size_bytes(self) -> int:
@@ -207,10 +187,6 @@ class IndexView:
             48 + 24 * len(features.counts) for features in self._buffer.features.values()
         )
         return self._buffer.postings.approximate_size_bytes() + counters
-
-    def release(self) -> None:
-        """Return the view (writers may then recycle the buffer)."""
-        self._index._release_buffer(self._buffer)
 
     def __enter__(self) -> "IndexView":
         return self
@@ -243,13 +219,6 @@ class QueryGraphIndex:
     #: workloads repeat heavily).
     FEATURE_MEMO_LIMIT = 8192
 
-    #: Maximum number of memoised ``(cached query, query)`` scan verdicts of
-    #: :meth:`IndexView.candidate_subgraphs`.  A pair costs a few hundred
-    #: bytes, so this caps the memo near 2 MB: room for a pool of ~100
-    #: repeating queries over a 30-entry cache (2.5 k pairs at reproduction
-    #: scale); a stream of distinct queries merely refills it.
-    SCAN_MEMO_LIMIT = 4096
-
     def __init__(
         self, max_path_length: int = 3, double_buffered: bool = True
     ) -> None:
@@ -274,10 +243,6 @@ class QueryGraphIndex:
         self._batch_depth = 0
         self._batch_journal: List[Tuple] = []
         self._feature_memo: Dict[Graph, QueryFeatures] = {}
-        # (cached query, query) -> may the cached query be a subgraph of the
-        # query?  A pure function of the two labelled structures (the probe is
-        # derived from the cached graph alone), so entries never go stale.
-        self._scan_memo: Dict[Tuple[Graph, Graph], bool] = {}
         self._memo_lock = make_lock("index.memo")
 
     # ------------------------------------------------------------------ #
@@ -307,7 +272,7 @@ class QueryGraphIndex:
         that has not yet published is invisible, and one that has published
         is complete.  Single-copy: takes the (re-entrant) write lock, so
         reads and mutations exclude each other, as before the scheduler.
-        Use the view as a context manager, or call :meth:`IndexView.release`.
+        Use the view as a context manager.
         """
         if not self._double_buffered:
             self._write_lock.acquire()
@@ -348,9 +313,25 @@ class QueryGraphIndex:
     # ------------------------------------------------------------------ #
     @staticmethod
     def _probe_of(features: Counter) -> Tuple[Tuple[Tuple[str, ...], int], ...]:
-        """The most selective (longest) features of a counter, probe-limited."""
-        ordered = sorted(features.items(), key=lambda item: (-len(item[0]), item[0]))
-        return tuple(ordered[: QueryGraphIndex.PROBE_LIMIT])
+        """The most selective features of a counter: longest first, then by key.
+
+        Equal to ``sorted(items, key=(-len(key), key))[:PROBE_LIMIT]``, but
+        only the length buckets that reach the probe are ordered.
+        """
+        buckets: Dict[int, list] = {}
+        for item in features.items():
+            buckets.setdefault(len(item[0]), []).append(item)
+        probe: list = []
+        room = QueryGraphIndex.PROBE_LIMIT
+        for length in sorted(buckets, reverse=True):
+            bucket = buckets[length]
+            if len(bucket) >= room:
+                probe += heapq.nsmallest(room, bucket)  # keys are distinct
+                break
+            bucket.sort()
+            probe += bucket
+            room -= len(bucket)
+        return tuple(probe)
 
     # ------------------------------------------------------------------ #
     # Mutation: standby-apply, publish, drain, replay.
@@ -507,26 +488,6 @@ class QueryGraphIndex:
                 self._feature_memo.clear()
             self._feature_memo[query] = features
         return features
-
-    def _remember_scan(self, cached_graph: Graph, query: Graph, verdict: bool) -> None:
-        with self._memo_lock:
-            if len(self._scan_memo) >= self.SCAN_MEMO_LIMIT:
-                self._scan_memo.clear()
-            self._scan_memo[(cached_graph, query)] = verdict
-
-    def candidate_supergraphs(
-        self, query: Graph, features: Optional[QueryFeatures] = None
-    ) -> FrozenSet[int]:
-        """Cached queries that *may contain* ``query`` (``Resultsub`` candidates)."""
-        with self.view() as snapshot:
-            return snapshot.candidate_supergraphs(query, features)
-
-    def candidate_subgraphs(
-        self, query: Graph, features: Optional[QueryFeatures] = None
-    ) -> FrozenSet[int]:
-        """Cached queries that *may be contained in* ``query`` (``Resultsuper`` candidates)."""
-        with self.view() as snapshot:
-            return snapshot.candidate_subgraphs(query, features)
 
     # ------------------------------------------------------------------ #
     def approximate_size_bytes(self) -> int:

@@ -13,7 +13,7 @@ pages with every sibling.
 Protocol invariants:
 
 * **No pickled graphs.**  Queries cross the process boundary as packed CSR
-  records (:meth:`~repro.graphs.graph.Graph.to_packed` bytes); routing
+  records (:meth:`~repro.graphs.graph.Graph.packed_bytes`); routing
   happens parent-side from the query's interned label-path features (the
   same :func:`~repro.core.sharding.stable_feature_hash` a sharded cache
   uses), so a worker only ever receives queries for shards it owns.
@@ -381,7 +381,7 @@ class ProcessPoolCacheService:
         ]
         for position, query in enumerate(queries):
             shard = self.shard_of(query)
-            payload = query.to_packed().to_bytes()
+            payload = query.packed_bytes()
             batches[shard % self._workers].append((position, shard, payload))
         active = []
         for worker, batch in enumerate(batches):

@@ -72,7 +72,7 @@ def dataset_content_hash(dataset) -> str:
             digest.update(arena.bytes_at(extent))
     else:
         for graph in dataset:
-            digest.update(graph.to_packed().to_bytes())
+            digest.update(graph.packed_bytes())
     return digest.hexdigest()
 
 

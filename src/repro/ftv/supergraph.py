@@ -25,6 +25,7 @@ from typing import Dict, Optional
 from ..graphs.dataset import GraphDataset
 from ..graphs.graph import Graph
 from ..isomorphism.base import SubgraphMatcher
+from ..methods.base import FilterResult
 from .base import FTVMethod
 from .features import path_features
 
@@ -71,6 +72,10 @@ class SupergraphFeatureIndex(FTVMethod):
         }
 
     def _filter(self, query: Graph) -> frozenset:
+        return self.filter(query).candidates
+
+    def filter(self, query: Graph) -> FilterResult:
+        """``CS_M`` plus the query's path counter, which the filter enumerated."""
         query_features = path_features(query, self._max_path_length)
         survivors = []
         for graph_id, features in self._graph_features.items():
@@ -82,7 +87,7 @@ class SupergraphFeatureIndex(FTVMethod):
                 for feature, count in features.items()
             ):
                 survivors.append(graph_id)
-        return frozenset(survivors)
+        return FilterResult(frozenset(survivors), query_features, self._max_path_length)
 
     def index_size_bytes(self) -> int:
         return sum(

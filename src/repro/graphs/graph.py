@@ -132,6 +132,7 @@ class Graph:
         "_degree_prefix_masks",
         "_nbr_label_ge_masks",
         "_label_id_counts",
+        "_packed_record",
     )
 
     def __init__(
@@ -168,6 +169,7 @@ class Graph:
             label: tuple(vertices) for label, vertices in by_label.items()
         }
         self._hash: int | None = None
+        self._packed_record: bytes | None = None
         self._init_bitmask_core(adjacency)
 
     def _init_bitmask_core(self, adjacency: Sequence[Iterable[int]]) -> None:
@@ -537,6 +539,18 @@ class Graph:
 
         return PackedGraph.from_graph(self)
 
+    def packed_bytes(self) -> bytes:
+        """The arena record ``to_packed().to_bytes()``, packed once per graph.
+
+        Every writer of packed records (arena appends, worker payloads, the
+        dataset content hash) reads it here, so a query that enters the
+        window arena and then the cache arena is packed once.
+        """
+        record = self._packed_record
+        if record is None:
+            record = self._packed_record = self.to_packed().to_bytes()
+        return record
+
     @classmethod
     def from_packed(cls, packed) -> "Graph":
         """Rebuild a full graph from a :class:`~repro.graphs.packed.PackedGraph`.
@@ -602,6 +616,7 @@ class Graph:
         self._label_histogram = histogram
         self._vertices_by_label = by_label
         self._hash = None
+        self._packed_record = None
         if n <= _CSR_SCALAR_CUTOFF:
             self._init_bitmask_core_scalar_csr(ptr, rows, per_code, table)
         else:
@@ -630,6 +645,7 @@ class Graph:
         for slot in Graph.__slots__:
             object.__setattr__(clone, slot, getattr(self, slot))
         clone._graph_id = graph_id
+        clone._packed_record = None  # the record embeds the graph id
         return clone
 
     def induced_subgraph(self, vertices: Iterable[int]) -> "Graph":

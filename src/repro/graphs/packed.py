@@ -367,7 +367,7 @@ class PackedGraph:
 
 def pack_graphs(graphs: Sequence[Graph]) -> Tuple[bytes, ...]:
     """Pack a sequence of graphs into byte records (convenience helper)."""
-    return tuple(graph.to_packed().to_bytes() for graph in graphs)
+    return tuple(graph.packed_bytes() for graph in graphs)
 
 
 class PackedGraphView(Graph):
@@ -422,6 +422,7 @@ class PackedGraphView(Graph):
         self._source = source
         self._graph_id = source.graph_id
         self._hash = None
+        self._packed_record = None
 
     def __getattr__(self, name: str):
         # Only ever reached for *unset* slots (set ones resolve normally).

@@ -5,7 +5,8 @@ paths of up to ``max_path_length`` edges to filter; when that bound is at
 least ``index_path_length``, the GCindex derives its own counter from it by
 key length instead of enumerating the paths again.  These tests pin that the
 derived counter is exactly the one the GCindex would have extracted, that a
-cache miss enumerates once and a repeat not at all, and that every method
+cache miss enumerates once and a repeat not at all (in both query modes: the
+supergraph feature index hands over its counter too), and that every method
 without a counter to hand over leaves the GCindex extracting its own.
 """
 
@@ -20,10 +21,12 @@ from repro.core.cache import GraphCache
 from repro.core.config import GraphCacheConfig
 from repro.core.query_index import QueryGraphIndex
 from repro.ftv import base as ftv_base_module
+from repro.ftv import supergraph as ftv_supergraph_module
 from repro.ftv.ctindex import CTIndex
 from repro.ftv.features import path_features
 from repro.ftv.ggsx import GraphGrepSX
 from repro.ftv.grapes import Grapes
+from repro.ftv.supergraph import SupergraphFeatureIndex
 from repro.graphs.generators import aids_like
 from repro.methods import SIMethod
 from repro.methods.base import Method
@@ -75,11 +78,22 @@ def test_handed_over_counter_is_the_index_counter_on_the_e2e_streams(name, monke
     cache.close()
 
 
-def test_one_enumeration_per_mfilter_miss_and_none_on_a_hit(dataset, queries, monkeypatch):
+#: Methods that hand their counter over: query mode, constructor, and the
+#: module whose ``path_features`` the method's filter calls.
+HANDOVERS = {
+    "ggsx": ("subgraph", GraphGrepSX, ftv_base_module),
+    "supergraph-ftv": ("supergraph", SupergraphFeatureIndex, ftv_supergraph_module),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HANDOVERS))
+def test_one_enumeration_per_mfilter_miss_and_none_on_a_hit(name, dataset, queries, monkeypatch):
+    mode, method, module = HANDOVERS[name]
     cache = GraphCache(
-        GraphGrepSX(dataset), GraphCacheConfig(cache_capacity=6, window_size=3)
+        method(dataset),
+        GraphCacheConfig(cache_capacity=6, window_size=3, query_mode=mode),
     )
-    method_calls = _count_calls(monkeypatch, ftv_base_module)
+    method_calls = _count_calls(monkeypatch, module)
     index_calls = _count_calls(monkeypatch, query_index_module)
     stream = queries + queries[::-1] + queries
     for position, query in enumerate(stream):

@@ -6,6 +6,7 @@ import pytest
 
 from repro.exceptions import GraphError
 from repro.graphs.graph import _LABEL_INTERN, Graph, intern_label
+from repro.graphs.packed import PackedGraph
 
 
 class TestConstruction:
@@ -149,12 +150,21 @@ class TestDerivedGraphs:
 
     def test_with_id_copies_every_slot(self, triangle):
         """``with_id`` iterates ``Graph.__slots__`` — a field added to the
-        class can never silently fall off the clone path."""
+        class can never silently fall off the clone path.  The packed record
+        is a derived cache that embeds the id, so the clone starts without it."""
+        triangle.packed_bytes()
         clone = triangle.with_id("cloned")
         for slot in Graph.__slots__:
-            if slot == "_graph_id":
+            if slot in ("_graph_id", "_packed_record"):
                 continue
             assert getattr(clone, slot) == getattr(triangle, slot), slot
+        assert clone._packed_record is None
+
+    def test_with_id_packs_with_the_new_id(self, triangle):
+        assert PackedGraph.from_bytes(triangle.packed_bytes()).graph_id is None
+        clone = triangle.with_id(7)
+        assert PackedGraph.from_bytes(clone.packed_bytes()).graph_id == 7
+        assert clone.packed_bytes() == clone.to_packed().to_bytes()
 
     def test_induced_subgraph(self, house_graph):
         sub = house_graph.induced_subgraph([2, 3, 4])

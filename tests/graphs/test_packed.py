@@ -24,9 +24,11 @@ from repro.graphs.packed import INDEX_DTYPE, INDPTR_DTYPE, PackedGraph, pack_gra
 
 LABELS = ["C", "N", "O", "S"]
 
-#: Every internal field that must survive the round-trip (``_hash`` is a
-#: lazily-populated memo, not part of the graph's identity).
-ROUNDTRIP_SLOTS = tuple(slot for slot in Graph.__slots__ if slot != "_hash")
+#: Every internal field that must survive the round-trip (``_hash`` and the
+#: packed record are lazily-populated memos, not part of the graph's identity).
+ROUNDTRIP_SLOTS = tuple(
+    slot for slot in Graph.__slots__ if slot not in ("_hash", "_packed_record")
+)
 
 
 def _random_graph(seed: int) -> Graph:
@@ -189,6 +191,23 @@ class TestArenaRoundTrip:
             assert_field_identical(view.to_graph(), graph)
             assert_field_identical(reopened.graph_at(extent), graph)
         reopened.close()
+
+    def test_an_arena_reuses_a_graphs_packed_record(self, monkeypatch):
+        """A graph packed once (say, for the window arena) is not packed
+        again when it enters a second arena."""
+        graph = _random_graph(3).with_id(3)
+        window, cache = GraphArena(), GraphArena()
+        first = window.bytes_at(window.append_graph(graph))
+        calls = []
+        original = PackedGraph.from_graph.__func__
+        monkeypatch.setattr(
+            PackedGraph,
+            "from_graph",
+            classmethod(lambda cls, g: calls.append(g) or original(cls, g)),
+        )
+        assert cache.bytes_at(cache.append_graph(graph)) == first
+        assert calls == []
+        assert first == graph.to_packed().to_bytes() and len(calls) == 1
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000))
