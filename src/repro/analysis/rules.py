@@ -32,10 +32,9 @@ REPRO007  mutation of a ``PackedGraph`` (bound by a ``PackedGraph``
 REPRO008  cache mutation reachable from a replica apply path (an ``apply*``
           method on a ``*Replica*`` class) outside the sanctioned delta
           machinery.  A replica must change state only by replaying frames
-          through ``GraphCache.replay_plan`` /
-          ``MaintenanceEngine.replay``/``apply`` — any other route to the
-          stores, the GCindex, the heap or the statistics diverges it from
-          the primary.
+          through ``GraphCache.replay_frames`` /
+          ``MaintenanceEngine.replay`` — any other route to the stores, the
+          GCindex, the heap or the statistics diverges it from the primary.
 ========  ==================================================================
 
 Resolution is best-effort and *sound-where-it-claims*: a call that cannot
@@ -77,9 +76,8 @@ TRACKED_MUTATORS: Dict[str, Set[str]] = {
 #: does not descend into them — everything they mutate is, by construction,
 #: exactly what the primary's round mutated.
 REPLICA_DELTA_PATH: Set[Tuple[str, str]] = {
-    ("GraphCache", "replay_plan"),
+    ("GraphCache", "replay_frames"),
     ("MaintenanceEngine", "replay"),
-    ("MaintenanceEngine", "apply"),
 }
 
 #: Mutating surface of a pinned IndexView (REPRO004): a snapshot is
@@ -589,7 +587,7 @@ def _rule_replica_delta_path(prog: Program, findings: List[Finding]) -> None:
                                     f"{' -> '.join(trail)} calls "
                                     f"{type_name}.{call.method}() "
                                     f"(replicas may only replay frames via "
-                                    f"GraphCache.replay_plan / "
+                                    f"GraphCache.replay_frames / "
                                     f"MaintenanceEngine.replay)"
                                 ),
                             )

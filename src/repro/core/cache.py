@@ -31,8 +31,8 @@ exactly the answer set Method M would return on its own.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from dataclasses import asdict, dataclass, field
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from ..analysis.runtime import make_lock, make_rlock
 from ..exceptions import CacheError
@@ -56,7 +56,6 @@ from .pipeline import (
 )
 from .policies import (
     MaintenanceEngine,
-    MaintenancePlan,
     MaintenanceScheduler,
     PlanJournal,
     WindowManager,
@@ -76,6 +75,9 @@ from .stores import (
     WindowEntryCodec,
     WindowStore,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - type-only (replication builds on this module)
+    from .replication import ReplicationFrame
 
 __all__ = ["GraphCache", "CacheQueryResult", "CacheRuntimeStatistics"]
 
@@ -178,7 +180,7 @@ class CacheRuntimeStatistics:
     total_query_time_s: float = 0.0
     total_maintenance_time_s: float = 0.0
     # Replication/recovery accounting: journal frames applied through
-    # replay_plan() (replica followers and crash recovery), the shipped
+    # replay_frames() (replica followers and crash recovery), the shipped
     # bytes they carried, and the wall-clock spent applying them.
     replay_rounds: int = 0
     replay_bytes: int = 0
@@ -186,22 +188,7 @@ class CacheRuntimeStatistics:
 
     def as_dict(self) -> Dict[str, float]:
         """Return the counters as a plain dictionary (for reports)."""
-        return {
-            "queries_processed": self.queries_processed,
-            "cache_hits": self.cache_hits,
-            "exact_hits": self.exact_hits,
-            "empty_shortcuts": self.empty_shortcuts,
-            "subiso_tests": self.subiso_tests,
-            "subiso_tests_alleviated": self.subiso_tests_alleviated,
-            "containment_tests": self.containment_tests,
-            "containment_memo_hits": self.containment_memo_hits,
-            "decode_avoided": self.decode_avoided,
-            "total_query_time_s": self.total_query_time_s,
-            "total_maintenance_time_s": self.total_maintenance_time_s,
-            "replay_rounds": self.replay_rounds,
-            "replay_bytes": self.replay_bytes,
-            "replay_apply_time_s": self.replay_apply_time_s,
-        }
+        return asdict(self)
 
 
 class GraphCache:
@@ -696,46 +683,42 @@ class GraphCache:
     # ------------------------------------------------------------------ #
     # Replication / recovery: the replay side of the plan journal.
     # ------------------------------------------------------------------ #
-    def replay_plan(
-        self,
-        plan: MaintenancePlan,
-        admitted_entries: Sequence[WindowEntry],
-        hits: Sequence[Tuple[int, int, float, float, bool]] = (),
-        frame_bytes: int = 0,
-    ) -> None:
-        """Apply one journaled maintenance frame (replica/recovery path).
-
-        The frame goes through
+    def replay_frames(self, frames: Iterable["ReplicationFrame"]) -> None:
+        """Apply journaled maintenance frames (followers pass one at a time, a
+        recovery streams a whole journal tail) through
         :meth:`~repro.core.policies.engine.MaintenanceEngine.replay` — the
         sanctioned delta machinery (analyzer rule REPRO008) — under the GC
-        lock, then the window store is scrubbed of the serials the round
-        consumed, the window's request count restarts at the round boundary
-        and the serial counter advances past every serial the frame
-        mentions, so a recovered cache resumes numbering exactly where the
-        primary's round left it.  The scheduler and the journal are
-        bypassed: a replayed round is never re-journaled.
-        """
+        lock.  The window store then drops the serials the rounds consumed,
+        its request count restarts at the last boundary and the serial
+        counter passes every serial the frames mention.  A replayed round
+        is never re-journaled."""
         started = time.perf_counter()
         with self._gc_lock:
-            self._engine.replay(
-                plan, admitted_entries, hits=hits, lock=self._gc_lock
-            )
-            consumed = set(plan.window_serials)
-            if consumed:
-                survivors = [
-                    entry
-                    for entry in self._window_store.drain()
-                    if entry.serial not in consumed
-                ]
-                for entry in survivors:
-                    self._window_store.add(entry)
+            waiting = {entry.serial for entry in self._window_store}
+            rounds = size_bytes = 0
+            top = self._serial
+
+            def observed():
+                nonlocal rounds, size_bytes, top
+                for frame in frames:
+                    rounds += 1
+                    size_bytes += frame.size_bytes
+                    top = max(top, frame.plan.current_serial, *frame.plan.window_serials)
+                    waiting.difference_update(frame.plan.window_serials)
+                    yield frame
+
+            self._engine.replay(observed(), lock=self._gc_lock)
+            if not rounds:
+                return
+            if len(waiting) < len(self._window_store):
+                for entry in self._window_store.drain():
+                    if entry.serial in waiting:
+                        self._window_store.add(entry)
             self._window_manager.resync()
             with self._serial_lock:
-                self._serial = max(
-                    [self._serial, plan.current_serial, *plan.window_serials]
-                )
-            self._runtime.replay_rounds += 1
-            self._runtime.replay_bytes += frame_bytes
+                self._serial = top
+            self._runtime.replay_rounds += rounds
+            self._runtime.replay_bytes += size_bytes
             self._runtime.replay_apply_time_s += time.perf_counter() - started
 
     def lookup(self, query: Graph) -> FrozenSet[int]:
@@ -750,23 +733,6 @@ class GraphCache:
         ctx = StageContext(query=query, serial=0)
         self._pipeline.execute_readonly(ctx)
         return ctx.answer_ids
-
-    @classmethod
-    def recover(
-        cls,
-        snapshot: str,
-        method: Method,
-        journal: Optional[str] = None,
-    ) -> "GraphCache":
-        """Load a checkpoint and replay the journal rounds past its watermark.
-
-        Convenience front end of
-        :func:`repro.core.persistence.recover_cache` (which also handles
-        sharded snapshots); see there for the recovery contract.
-        """
-        from .persistence import recover_cache
-
-        return recover_cache(snapshot, method, journal=journal)
 
     def close(self) -> None:
         """Release maintenance and data-layer resources (scheduler, backends).

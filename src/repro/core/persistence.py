@@ -36,26 +36,24 @@ never reaches into private stores — so the entries land in whatever storage
 backend the configuration selects (in-memory or mmap) and GCindex is
 rebuilt through the same code path the engine's delta apply uses.
 
-Snapshots are published atomically (tempfile + ``os.replace``), so a crash
-mid-save leaves the previous checkpoint intact — the invariant that makes
-``checkpoint + journal replay`` (:func:`recover_cache`) a safe recovery
-story: the journal is append-only with a torn-tail-tolerant decoder, and the
-checkpoint is either the old complete one or the new complete one.
+Snapshots are published atomically, so a crash mid-save leaves the previous
+checkpoint intact: ``checkpoint + journal replay`` (:func:`recover_cache`)
+always starts from a complete checkpoint.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict, Iterator, Optional, Union
 
 from ..exceptions import CacheError
 from ..methods.base import Method
 from .atomic_io import publish
 from .cache import GraphCache
 from .config import GraphCacheConfig
-from .policies import PlanJournal
+from .replication import ReplicationFrame
 from .sharding import ShardedGraphCache
 from .statistics import CachedQueryStats
 from .stores import CacheEntryCodec, WindowEntryCodec
@@ -201,66 +199,57 @@ def recover_cache(
 
     The crash-recovery entry point: ``path`` is the last published
     checkpoint and ``journal`` the (possibly crash-torn) plan journal the
-    writer was appending to.  Every journal frame with a round number
-    strictly greater than the checkpoint's per-shard ``journal_round``
-    watermark is replayed through :meth:`GraphCache.replay_plan` — the
-    same delta machinery replicas use — reproducing the uninterrupted
-    run's state byte-for-byte (entries, statistics, serial counter) up to
-    the last fully journaled round.  A torn final line (the append the
-    crash interrupted) is tolerated and ignored.
+    writer was appending to.  Each shard's frames past its checkpoint
+    ``journal_round`` watermark are streamed through one
+    :meth:`GraphCache.replay_frames` call, reproducing the uninterrupted
+    run's entries, statistics and serial counter at the last fully
+    journaled round.  A torn final line is ignored; an undecodable line
+    before it raises :class:`CacheError`.  A mid-window snapshot already
+    holds the hits buffered for the next frame, so that prefix is skipped.
+
+    Cost: one decode per journal line (replaying a shard's own journal
+    also adopts it for appending), and storage work for the tail's *net*
+    effect only — an entry admitted and evicted after the checkpoint is
+    never packed, indexed or stored; memory holds the live entries, not
+    the tail.
 
     ``journal=None`` replays from each shard's configured
     ``journal_path``; an explicit path is used directly (for sharded
-    snapshots it is treated as the base path and per-shard files are
-    derived from it, exactly as ``config.journal_path`` is).  A missing
-    journal file simply means there is nothing past the checkpoint.
-
-    A snapshot taken mid-window persists the hit events already absorbed
-    since the last round (the engine's pending-hit buffer); the first
-    replayed frame contains those events as its prefix, so recovery skips
-    exactly that many and never double-counts a hit.
+    snapshots it is the base path of the per-shard files, exactly as
+    ``config.journal_path`` is).  A missing journal file means there is
+    nothing past the checkpoint.
     """
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    # Imported here: replication builds on cache/sharding like this module
-    # does, and the frame codec is the single place journal records are
-    # decoded for replay.
-    from .replication import ReplicationFrame
-
     cache = load_cache(path, method)
     shards = cache.shards if isinstance(cache, ShardedGraphCache) else (cache,)
-    for index, (shard, sub) in enumerate(
-        zip(shards, payload["shards"], strict=True)
-    ):
-        watermark = int(sub.get("journal_round", 0))
-        if journal is not None:
-            journal_path = (
-                Path(ShardedGraphCache._shard_path(str(journal), index))
-                if len(shards) > 1
-                else Path(journal)
-            )
-        else:
-            journal_path = (
-                None
-                if shard.config.journal_path is None
-                else Path(shard.config.journal_path)
-            )
-        if journal_path is None or not journal_path.exists():
-            continue
-        records = PlanJournal.read_records(journal_path, since_round=watermark + 1)
-        if not records:
-            continue  # pending hits stay buffered: the next frame must carry them
-        # Hits absorbed between the watermark round and the snapshot are
-        # already in the restored statistics; they are the prefix of the
-        # first replayed frame.
-        skip_hits = len(shard.maintenance_engine.take_pending_hits())
-        for record in records:
-            frame = ReplicationFrame.from_record(record)
-            hits = frame.hits[skip_hits:] if skip_hits else frame.hits
-            skip_hits = 0
-            shard.replay_plan(
-                frame.plan,
-                frame.entries,
-                hits=hits,
-                frame_bytes=frame.size_bytes,
-            )
+    try:
+        for index, (shard, sub) in enumerate(
+            zip(shards, payload["shards"], strict=True)
+        ):
+            if journal is None:
+                journal_path = shard.config.journal_path
+            elif len(shards) > 1:
+                journal_path = ShardedGraphCache._shard_path(str(journal), index)
+            else:
+                journal_path = journal
+            if journal_path is None or not Path(journal_path).exists():
+                continue
+            since_round = int(sub.get("journal_round", 0)) + 1
+            shard.replay_frames(_tail_frames(shard, Path(journal_path), since_round))
+    except BaseException:
+        cache.close()
+        raise
     return cache
+
+
+def _tail_frames(
+    shard: GraphCache, path: Path, since_round: int
+) -> Iterator[ReplicationFrame]:
+    """Decode the frames of ``path`` from ``since_round`` on, one at a time."""
+    skip_hits = None
+    for record, size_bytes in shard.plan_journal.stream(since_round, path):
+        frame = ReplicationFrame.from_record(record, size_bytes)
+        if skip_hits is None:  # the restored pending hits prefix this frame
+            skip_hits = len(shard.maintenance_engine.take_pending_hits())
+            frame = replace(frame, hits=frame.hits[skip_hits:])
+        yield frame

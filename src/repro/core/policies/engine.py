@@ -10,12 +10,12 @@ and rebuilt the whole GCindex.  The engine replaces that with a clean
   :class:`~repro.core.policies.plan.MaintenancePlan` (admitted / rejected /
   evicted serials plus the policy rationale) without touching any state
   beyond the admission controller's own calibration;
-* :meth:`apply` executes a plan as row-level deltas: the cache store's
-  backend deletes/inserts exactly the evicted/admitted rows
-  (:meth:`~repro.core.stores.CacheStore.apply_delta`), the GCindex is
-  updated through its existing ``add``/``remove`` instead of a rebuild, and
-  the incremental utility heap mirrors the same delta — O(window) work per
-  round, independent of the cache size.
+* :meth:`apply` executes a plan as row-level deltas in two halves: the
+  storage half (the backend deletes/inserts exactly the evicted/admitted
+  rows, the GCindex takes the same delta as one batch) and the
+  heap/statistics half — O(window) work per round, whatever the cache size;
+* :meth:`replay` runs journaled frames through the same halves: the
+  heap/statistics half per frame, the storage half once, for the net delta.
 
 Victim selection runs on the :class:`~repro.core.policies.heap.UtilityHeap`
 (incrementally maintained by the per-hit :meth:`on_hit` hook); the seed's
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import threading
 from contextlib import nullcontext
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..statistics import CachedQueryStats, StatisticsManager
 from ..stores import CacheEntry, CacheStore, WindowEntry
@@ -44,8 +44,13 @@ if TYPE_CHECKING:  # pragma: no cover - type-only (query_index pulls the ftv
     # package, which must not be imported before repro.methods; see the
     # ftv/methods import cycle note in repro.methods.registry)
     from ..query_index import QueryGraphIndex
+    from ..replication import ReplicationFrame
 
 __all__ = ["MaintenanceEngine"]
+
+
+def _cache_entry(entry: WindowEntry) -> CacheEntry:
+    return CacheEntry(serial=entry.serial, query=entry.query, answer_ids=entry.answer_ids)
 
 
 class MaintenanceEngine:
@@ -218,41 +223,46 @@ class MaintenanceEngine:
            the GC lock while it waits).
         """
         by_serial = {entry.serial: entry for entry in window_entries}
-        additions = [
-            CacheEntry(
-                serial=serial,
-                query=by_serial[serial].query,
-                answer_ids=by_serial[serial].answer_ids,
-            )
-            for serial in plan.admitted_serials
-        ]
+        additions = [_cache_entry(by_serial[serial]) for serial in plan.admitted_serials]
 
         index_before = self._index.op_counts.incremental_ops
         rows_before = self._cache_store.backend.op_counts.row_ops
 
-        self._cache_store.apply_delta(additions, plan.evicted_serials)
-        with self._index.batch():
-            for serial in plan.evicted_serials:
-                self._index.remove(serial)
-            for entry in additions:
-                self._index.add(entry.serial, entry.query)
-            if self.apply_hold_hook is not None:
-                self.apply_hold_hook(plan)
+        self._apply_storage(additions, plan.evicted_serials, plan)
         with lock if lock is not None else nullcontext():  # repro: lock[gc]
-            for serial in plan.evicted_serials:
-                self._heap.remove(serial)
-                self._statistics.forget_query(serial)
-            for entry in additions:
-                # Seed the heap from the statistics store (registered when
-                # the query joined the window), so both views start identical.
-                self._heap.add(self._statistics.snapshot(entry.serial))
-            for serial in plan.rejected_serials:
-                self._statistics.forget_query(serial)
+            self._apply_accounting(plan)
 
         return (
             self._index.op_counts.incremental_ops - index_before,
             self._cache_store.backend.op_counts.row_ops - rows_before,
         )
+
+    def _apply_storage(
+        self, additions: Sequence[CacheEntry], evicted: Sequence[int], plan=None
+    ) -> None:
+        """The storage half: the store delta, then the GCindex delta as one
+        batch (one publication).  ``plan`` is what :attr:`apply_hold_hook`
+        receives while the batch is still unpublished."""
+        self._cache_store.apply_delta(additions, evicted)
+        with self._index.batch():
+            for serial in evicted:
+                self._index.remove(serial)
+            for entry in additions:
+                self._index.add(entry.serial, entry.query)
+            if plan is not None and self.apply_hold_hook is not None:
+                self.apply_hold_hook(plan)
+
+    def _apply_accounting(self, plan: MaintenancePlan) -> None:  # repro: holds[gc]
+        """The heap/statistics half; the caller holds the GC lock."""
+        for serial in plan.evicted_serials:
+            self._heap.remove(serial)
+            self._statistics.forget_query(serial)
+        for serial in plan.admitted_serials:
+            # Seed the heap from the statistics store (registered when the
+            # query joined the window), so both views start identical.
+            self._heap.add(self._statistics.snapshot(serial))
+        for serial in plan.rejected_serials:
+            self._statistics.forget_query(serial)
 
     def run(
         self,
@@ -287,64 +297,48 @@ class MaintenanceEngine:
         return plan, index_ops, backend_row_ops, tuple(hit_events)
 
     # ------------------------------------------------------------------ #
-    # Replay: journaled frame -> same deltas, no re-deciding.
+    # Replay: journaled frames -> the net delta, no re-deciding.
     # ------------------------------------------------------------------ #
     def replay(
-        self,
-        plan: MaintenancePlan,
-        admitted_entries: Sequence[WindowEntry],
-        hits: Sequence[Tuple[int, int, float, float, bool]] = (),
-        lock: Optional[threading.RLock] = None,
-    ) -> Tuple[int, int]:
-        """Apply one journaled frame exactly as the primary applied it.
+        self, frames: Iterable["ReplicationFrame"], lock: Optional[threading.RLock] = None
+    ) -> None:
+        """Apply a sequence of journaled frames as the primary applied them.
 
-        This is the **sanctioned delta path** for replicas and crash
-        recovery (analyzer rule REPRO008): the frame's hit events are
-        applied to the statistics store and the utility heap in their
-        original order, the admitted entries are registered with the same
-        statistics rows :class:`~repro.core.policies.window.WindowManager`
-        created on the primary, and the plan then goes through the ordinary
-        :meth:`apply` delta machinery.  Nothing is re-decided, and the
-        admission controller's calibration is untouched (it resumes from
-        the snapshot's persisted state).
-
-        The frame's hits can only reference serials that were cached before
-        the round (window entries are never in the GCindex), so replay
-        order — hits, then registrations, then apply — reproduces the
-        primary's interleaved order byte-for-byte at the round boundary.
+        The **sanctioned delta path** for replicas and crash recovery
+        (analyzer rule REPRO008); nothing is re-decided and the admission
+        calibration is untouched.  Frame by frame, under ``lock``: hits,
+        then the admitted entries' statistics rows, then the heap/statistics
+        half of :meth:`apply` — a frame's hits only reference serials cached
+        before its round, so every boundary matches the primary's.  The
+        storage half runs once, for the net delta: an entry admitted and
+        evicted within ``frames`` never reaches the store or the GCindex,
+        survivors are added in admission order, and evicted older entries
+        are removed in the same GCindex batch.  ``frames`` is consumed once.
         """
-        with lock if lock is not None else nullcontext():  # repro: lock[gc]
-            for serial, benefiting, cs_reduction, cost_reduction, special in hits:
-                self._statistics.record_hit(
-                    serial=serial,
-                    benefiting_serial=benefiting,
-                    cs_reduction=cs_reduction,
-                    cost_reduction=cost_reduction,
-                    special=special,
-                )
-                self._heap.record_hit(
-                    serial=serial,
-                    benefiting_serial=benefiting,
-                    cs_reduction=cs_reduction,
-                    cost_reduction=cost_reduction,
-                    special=special,
-                )
-            for entry in admitted_entries:
-                self._statistics.register_query(CachedQueryStats.of_window_entry(entry))
-        ops = self.apply(plan, admitted_entries, lock=lock)
-        with lock if lock is not None else nullcontext():  # repro: lock[gc]
-            # Mirror run(): the primary reset its window saving when this
-            # round executed, so a replayed boundary matches it exactly.
-            self._window_cost_saving = 0.0
-        return ops
+        guard = lock if lock is not None else nullcontext()
+        survivors: Dict[int, CacheEntry] = {}
+        evicted: List[int] = []
+        for frame in frames:
+            with guard:  # repro: lock[gc]
+                for hit in frame.hits:
+                    self._statistics.record_hit(*hit)
+                    self._heap.record_hit(*hit)
+                for entry in frame.entries:
+                    self._statistics.register_query(CachedQueryStats.of_window_entry(entry))
+                self._apply_accounting(frame.plan)
+                # Mirror run(): the primary reset its window saving when this
+                # round executed, so a replayed boundary matches it exactly.
+                self._window_cost_saving = 0.0
+            for serial in frame.plan.evicted_serials:
+                if survivors.pop(serial, None) is None:
+                    evicted.append(serial)
+            for entry in frame.entries:
+                survivors[entry.serial] = _cache_entry(entry)
+        self._apply_storage(list(survivors.values()), evicted)
 
     def take_pending_hits(self) -> List[Tuple[int, int, float, float, bool]]:
-        """Drain the pending hit buffer (recovery consumes it once).
-
-        A snapshot taken mid-window persists the hits already absorbed
-        since the last round; the first replayed frame contains those same
-        events as its prefix, so recovery skips exactly this many.
-        """
+        """Drain the pending hit buffer: a mid-window snapshot's absorbed hits,
+        which recovery skips as the prefix of the first replayed frame."""
         pending, self._hit_events = self._hit_events, []
         return pending
 

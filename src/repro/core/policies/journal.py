@@ -33,9 +33,10 @@ being written.  ``fsync=True`` also fsyncs every append (and, once, the
 directory of a file it creates), so a checkpoint taken after a round can
 never be durably ahead of its own journal.
 
-Each record carries a 1-based ``round`` sequence number.  Re-opening an
-existing file adopts the highest round already on disk, so a recovered cache
-continues the numbering instead of restarting it.  :meth:`truncate_before`
+Each record carries a 1-based ``round`` sequence number.  An existing file
+is adopted on first use (or by the recovery read, :meth:`PlanJournal.stream`):
+numbering continues past its last round, and a crash-torn fragment is cut
+back to the last complete line.  :meth:`truncate_before`
 compacts the file by dropping rounds already folded into a checkpoint
 (atomic tempfile publish; surviving rounds keep their original numbers).
 """
@@ -46,7 +47,9 @@ import json
 import os
 from collections import deque
 from pathlib import Path
-from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, TextIO, Tuple, Union
+from typing import (
+    Any, Callable, Deque, Dict, Iterator, List, Optional, Sequence, TextIO, Tuple, Union,
+)
 
 from ...analysis.runtime import make_lock
 from ...exceptions import CacheError
@@ -78,6 +81,34 @@ def _canonical_line(record: Dict[str, Any]) -> str:
     return _CANONICAL.encode(record)
 
 
+def _scan(path: PathLike) -> Iterator[Tuple[Dict[str, Any], int, int]]:
+    """Stream ``(record, size_bytes, end)`` for every complete record of a
+    journal file (see :meth:`PlanJournal.read_records`), one decode a line:
+    ``end`` is the byte offset past the line's newline (the one it should
+    have, if a crash cut only that)."""
+    previous_round = offset = 0
+    torn: Optional[Tuple[int, json.JSONDecodeError]] = None
+    with open(path, "rb") as stream:
+        for lineno, raw in enumerate(stream, start=1):
+            offset += len(raw)
+            line = raw.strip()
+            if not line:
+                continue
+            if torn is not None:
+                raise CacheError(
+                    f"{path}: line {torn[0]} is not a journal record ({torn[1].msg}); "
+                    f"only the final line of a crashed append may be partial"
+                ) from torn[1]
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                torn = (lineno, exc)
+                continue
+            record["round"] = int(record.get("round", previous_round + 1))
+            previous_round = record["round"]
+            yield record, len(line), offset + (not raw.endswith(b"\n"))
+
+
 def decode_hits(raw: Sequence[Sequence[Any]]) -> Tuple[HitEvent, ...]:
     """Decode journaled hit events back into ``on_hit`` argument tuples."""
     return tuple(
@@ -103,7 +134,7 @@ class PlanJournal:
     Memory bound: an in-memory-only journal (``path=None``) retains every
     record — it *is* the store.  A file-backed journal retains only the most
     recent :data:`MEMORY_LIMIT` records in RAM (the full stream lives on
-    disk; use :meth:`load` to read it back), so a long-running service's
+    disk; :meth:`read_records` reads it back), so a long-running service's
     audit log does not grow the process without bound.
     """
 
@@ -121,13 +152,9 @@ class PlanJournal:
         # Opened by the first append; only touched under the journal lock.
         self._handle: Optional[TextIO] = None
         self._subscribers: List[Callable[[Dict[str, Any], str], None]] = []
-        # Adopt the numbering of an existing file so a recovered cache
-        # continues the round sequence instead of colliding with it.
         self._last_round = 0
-        if self._path is not None and self._path.exists():
-            existing = self.read_records(self._path)
-            if existing:
-                self._last_round = existing[-1]["round"]
+        # An existing file is adopted on first use (see _adopt).
+        self._adopted = self._path is None
 
     # ------------------------------------------------------------------ #
     @property
@@ -144,6 +171,7 @@ class PlanJournal:
     def last_round(self) -> int:
         """The highest round number appended (or adopted from the file)."""
         with self._lock:
+            self._adopt()
             return self._last_round
 
     def __len__(self) -> int:
@@ -190,6 +218,7 @@ class PlanJournal:
         if hits is not None:
             record["hits"] = [list(event) for event in hits]
         with self._lock:
+            self._adopt()
             self._last_round += 1
             record["round"] = self._last_round
             line = _canonical_line(record)
@@ -213,6 +242,34 @@ class PlanJournal:
         with self._lock:
             self._close_handle()
 
+    def _adopt(self, scanned: Optional[Tuple[int, int]] = None) -> None:
+        """Adopt the existing file once (under the journal lock): continue its
+        numbering and cut a crash-torn fragment back to the last complete
+        line, fsync'd under ``fsync=True``, so the next append starts a line
+        of its own.  ``scanned`` is ``(last_round, end)`` of a whole-file
+        :func:`_scan` the caller already made."""
+        if self._adopted:
+            return
+        self._adopted = True
+        if scanned is None:
+            if not self._path.exists():
+                return
+            scanned = (0, 0)
+            for record, _, end in _scan(self._path):
+                scanned = (record["round"], end)
+        self._last_round, end = scanned
+        size = self._path.stat().st_size
+        if size != end:
+            with self._path.open("r+b") as stream:
+                if size > end:
+                    stream.truncate(end)
+                else:  # the final record lost only its newline
+                    stream.seek(size)
+                    stream.write(b"\n")
+                    stream.flush()
+                if self._fsync:
+                    os.fsync(stream.fileno())
+
     def _close_handle(self) -> None:
         if self._handle is not None:
             self._handle.close()
@@ -223,7 +280,7 @@ class PlanJournal:
 
         Complete for in-memory journals; the most recent
         :data:`MEMORY_LIMIT` for file-backed ones (read the file via
-        :meth:`load` for the full stream).
+        :meth:`read_records` for the full stream).
         """
         with self._lock:
             return list(self._records)
@@ -264,6 +321,7 @@ class PlanJournal:
         records dropped.  In-memory journals compact their deque directly.
         """
         with self._lock:
+            self._adopt()  # keep the numbering even if every round is dropped
             dropped = 0
             self._close_handle()  # the next append opens the republished file
             if self._path is not None and self._path.exists():
@@ -283,6 +341,23 @@ class PlanJournal:
             return dropped
 
     # ------------------------------------------------------------------ #
+    def stream(
+        self, since_round: int, path: Optional[PathLike] = None
+    ) -> Iterator[Tuple[Dict[str, Any], int]]:
+        """Stream ``(record, size_bytes)`` for every record of ``path``
+        (default: this journal's file) with ``round >= since_round`` — the
+        recovery read: one decode per line, every check of
+        :meth:`read_records`.  Read to its end, the journal's own file is
+        adopted for appending, so it is never decoded again."""
+        scanned = (0, 0)
+        for record, size, end in _scan(path or self._path):
+            scanned = (record["round"], end)
+            if record["round"] >= since_round:
+                yield record, size
+        if path is None or Path(path) == self._path:
+            with self._lock:
+                self._adopt(scanned)
+
     @staticmethod
     def read_records(
         path: PathLike,
@@ -305,38 +380,11 @@ class PlanJournal:
         :class:`~repro.exceptions.CacheError`; a missing or unreadable file
         raises the underlying :class:`OSError`.
         """
-        numbered = [
-            (lineno, line.strip())
-            for lineno, line in enumerate(
-                Path(path).read_text(encoding="utf-8").splitlines(), start=1
-            )
-            if line.strip()
+        records = [
+            record
+            for record, _, _ in _scan(path)
+            if since_round is None or record["round"] >= since_round
         ]
-        records: List[Dict[str, Any]] = []
-        previous_round = 0
-        for position, (lineno, line) in enumerate(numbered):
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                if position == len(numbered) - 1:
-                    break  # torn tail of an interrupted append
-                raise CacheError(
-                    f"{path}: line {lineno} is not a journal record ({exc.msg}); "
-                    f"only the final line of a crashed append may be partial"
-                ) from exc
-            record["round"] = int(record.get("round", previous_round + 1))
-            previous_round = record["round"]
-            records.append(record)
-        if since_round is not None:
-            records = [r for r in records if r["round"] >= since_round]
         if tail is not None and tail >= 0:
             records = records[-tail:] if tail else []
         return records
-
-    @staticmethod
-    def load(path: PathLike) -> List[MaintenancePlan]:
-        """Read a journal file back into plans (see :meth:`read_records`)."""
-        return [
-            MaintenancePlan.from_record(record)
-            for record in PlanJournal.read_records(path)
-        ]

@@ -12,8 +12,8 @@ journals exactly that — every appended record is a complete, replayable
   frames to its journal;
 * a :class:`ReplicaSet` subscribes to every shard's journal and ships each
   frame, in append order, to N **followers** — read-only caches that apply
-  the frames through the same delta machinery
-  (:meth:`~repro.core.cache.GraphCache.replay_plan` →
+  the frames, one at a time, through the same delta machinery as crash
+  recovery (:meth:`~repro.core.cache.GraphCache.replay_frames` →
   :meth:`~repro.core.policies.engine.MaintenanceEngine.replay`) without
   re-deciding anything;
 * followers serve :meth:`~repro.core.cache.GraphCache.lookup` — the full
@@ -96,7 +96,6 @@ class ReplicationFrame:
     without re-deciding it.
     """
 
-    round: int
     plan: MaintenancePlan
     entries: Tuple[WindowEntry, ...]
     hits: Tuple[HitEvent, ...]
@@ -104,14 +103,17 @@ class ReplicationFrame:
 
     @classmethod
     def from_record(
-        cls, record: Dict[str, Any], line: Optional[str] = None
+        cls, record: Dict[str, Any], size_bytes: Optional[int] = None
     ) -> "ReplicationFrame":
         """Decode a journal record into a frame.
 
-        A record that admits serials but carries no ``admitted_entries``
-        predates frame journaling (pre-PR-10 audit-only journals) and cannot
-        be replayed — that is a hard error, not a silent skip, because a
-        replica that dropped such a round would silently diverge.
+        ``size_bytes`` is the length of the record's journal line; a caller
+        without the line leaves it out and the record is re-encoded to
+        measure it.  A record that admits serials but carries no
+        ``admitted_entries`` predates frame journaling (pre-PR-10
+        audit-only journals) and cannot be replayed — that is a hard error,
+        not a silent skip, because a replica that dropped such a round would
+        silently diverge.
         """
         plan = MaintenancePlan.from_record(record)
         if plan.admitted_serials and "admitted_entries" not in record:
@@ -124,14 +126,15 @@ class ReplicationFrame:
             WindowEntryCodec.decode(raw)
             for raw in record.get("admitted_entries", ())
         )
-        if line is None:
-            line = json.dumps(record, sort_keys=True, separators=(",", ":"))
+        if size_bytes is None:
+            size_bytes = len(
+                json.dumps(record, sort_keys=True, separators=(",", ":")).encode("utf-8")
+            )
         return cls(
-            round=int(record.get("round", 0)),
             plan=plan,
             entries=entries,
             hits=decode_hits(record.get("hits", ())),
-            size_bytes=len(line.encode("utf-8")),
+            size_bytes=size_bytes,
         )
 
 
@@ -259,17 +262,13 @@ class CacheReplica:
         return self._cache
 
     def apply_frame(self, shard: int, frame: ReplicationFrame) -> None:
-        """Apply one frame to the addressed shard (the sanctioned delta path)."""
+        """Apply one frame to the addressed shard (the sanctioned delta path);
+        frame by frame, the follower matches the primary at every boundary."""
         if isinstance(self._cache, ShardedGraphCache):
             target = self._cache.shards[shard]
         else:
             target = self._cache
-        target.replay_plan(
-            frame.plan,
-            frame.entries,
-            hits=frame.hits,
-            frame_bytes=frame.size_bytes,
-        )
+        target.replay_frames((frame,))
 
     def lookup(self, query: Graph) -> FrozenSet[int]:
         """Serve one read-only query (no serial, no window, no statistics)."""
@@ -330,7 +329,7 @@ class _ThreadFollower:
                     return
                 if self._error is None:
                     _, shard, record, line = message
-                    frame = ReplicationFrame.from_record(record, line=line)
+                    frame = ReplicationFrame.from_record(record, len(line.encode("utf-8")))
                     self._replica.apply_frame(shard, frame)
             except BaseException as exc:  # surfaced on the next sync()
                 self._error = exc
@@ -383,7 +382,7 @@ def _follower_process_loop(conn, method, config, matcher) -> None:
                 if error is None:
                     try:
                         _, shard, record, line = message
-                        frame = ReplicationFrame.from_record(record, line=line)
+                        frame = ReplicationFrame.from_record(record, len(line.encode("utf-8")))
                         replica.apply_frame(shard, frame)
                     except BaseException as exc:
                         error = repr(exc)

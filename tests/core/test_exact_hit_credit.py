@@ -100,9 +100,8 @@ def test_a_window_of_exact_hits_journals_one_frame_with_its_hits():
     # The frame is complete: a follower replaying the journal lands on the
     # primary's state, hit statistics included.
     follower = GraphCache(METHOD, cache.config)
-    for record in cache.plan_journal.records():
-        frame = ReplicationFrame.from_record(record)
-        follower.replay_plan(frame.plan, frame.entries, hits=frame.hits)
+    for record in cache.plan_journal.records():  # one frame at a time, as followers do
+        follower.replay_frames([ReplicationFrame.from_record(record)])
     assert cache_state_digest(follower, replicated_only=True) == cache_state_digest(
         cache, replicated_only=True
     )

@@ -19,10 +19,15 @@ many round publishes) and is excluded from recovery digests throughout.
 from __future__ import annotations
 
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import repro.core.policies.journal as journal_module
+import repro.core.query_index as query_index_module
 from repro.core import (
     GraphCacheConfig,
     build_cache,
@@ -30,8 +35,8 @@ from repro.core import (
     recover_cache,
     save_cache,
 )
-from repro.core.policies import PlanJournal
-from repro.core.replication import cache_state_digest
+from repro.core.policies import MaintenancePlan, PlanJournal
+from repro.core.replication import ReplicationFrame, cache_state_digest
 from repro.core.sharding import ShardedGraphCache
 from repro.exceptions import CacheError
 from repro.graphs.generators import aids_like
@@ -300,6 +305,45 @@ class TestJournalReading:
         records = PlanJournal.read_records(path)
         assert [record["round"] for record in records] == list(range(1, 8))
 
+    def test_an_undecodable_line_before_the_tail_raises(self, tmp_path):
+        path = self._journal_file(tmp_path)
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[2] = '{"round": 3, "pay\n'
+        path.write_text("".join(lines), encoding="utf-8")
+        with pytest.raises(CacheError, match="line 3 is not a journal record"):
+            PlanJournal.read_records(path)
+        with pytest.raises(CacheError, match="line 3"):
+            list(PlanJournal(path).stream(0))
+        with pytest.raises(CacheError, match="line 3"):
+            _ = PlanJournal(path).last_round  # the first use adopts the file
+
+    @pytest.mark.parametrize("cut", [15, 1], ids=["torn-frame", "lost-newline"])
+    def test_a_reopened_journal_appends_whole_lines(self, tmp_path, cut):
+        """A crash tore the last append: reopening must not glue the next
+        frame onto the fragment (nor onto a record that lost its newline)."""
+        path = tmp_path / "journal.jsonl"
+        plan = MaintenancePlan(
+            current_serial=1,
+            window_serials=(),
+            admitted_serials=(),
+            rejected_serials=(),
+            evicted_serials=(),
+            policy="pinc",
+        )
+        journal = PlanJournal(path, fsync=True)
+        journal.append(plan)
+        journal.append(plan)
+        journal.close()
+        path.write_bytes(path.read_bytes()[:-cut])
+        kept = len(PlanJournal.read_records(path))
+        assert kept == (1 if cut == 15 else 2)
+        reopened = PlanJournal(path, fsync=True)
+        reopened.append(plan)
+        reopened.append(plan)
+        reopened.close()
+        records = PlanJournal.read_records(path)
+        assert [record["round"] for record in records] == list(range(1, kept + 3))
+
 
 class TestGuards:
     def test_recover_rejects_pre_v4_snapshots(self, reference_run, tmp_path):
@@ -370,3 +414,202 @@ class TestJournalFsyncConfig:
             assert all(shard.plan_journal.fsync for shard in cache.shards)
         finally:
             cache.close()
+
+
+# ---------------------------------------------------------------------- #
+# The folded replay: a tail's net effect, one decode per line.
+# ---------------------------------------------------------------------- #
+def _run(config, queries, checkpoint, checkpoint_at):
+    """Serve ``queries``, checkpointing before query ``checkpoint_at``.
+
+    Returns each shard's digest at its last round boundary (the checkpoint's
+    digest for a shard with no round after it): the full digest for one
+    shard, the replicated one per shard otherwise (see the module notes).
+    """
+    cache = build_cache(METHOD, config)
+    shards = _shards_of(cache)
+
+    def digests():
+        return cache_state_digest(
+            cache, include_index_version=False, replicated_only=len(shards) > 1
+        )
+
+    expected = None
+    rounds = [shard.plan_journal.last_round for shard in shards]
+    for i, query in enumerate(queries):
+        if i == checkpoint_at:
+            save_cache(cache, checkpoint)
+            expected = digests()
+        cache.query(query)
+        now = [shard.plan_journal.last_round for shard in shards]
+        if expected is not None and now != rounds:
+            current = digests()
+            expected = [
+                current[s] if now[s] != rounds[s] else expected[s]
+                for s in range(len(shards))
+            ]
+        rounds = now
+    if expected is None:
+        save_cache(cache, checkpoint)
+        expected = digests()
+    cache.close()
+    return expected
+
+
+def _recovered(checkpoint, shard_count):
+    cache = recover_cache(checkpoint, METHOD)
+    try:
+        return cache_state_digest(
+            cache, include_index_version=False, replicated_only=shard_count > 1
+        )
+    finally:
+        cache.close()
+
+
+POOL = list(dict.fromkeys(_workload(count=40, seed=11)))[:10]
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    capacity=st.integers(2, 5),
+    window=st.integers(1, 4),
+    backend=st.sampled_from(["memory", "mmap"]),
+    shard_count=st.sampled_from([1, 3]),
+    picks=st.lists(st.integers(0, len(POOL) - 1), min_size=4, max_size=24),
+    checkpoint_at=st.integers(0, 24),
+)
+def test_folded_recovery_reaches_the_last_boundary(
+    capacity, window, backend, shard_count, picks, checkpoint_at
+):
+    with tempfile.TemporaryDirectory() as tmp:
+        checkpoint = Path(tmp) / "checkpoint.json"
+        config = GraphCacheConfig(
+            cache_capacity=capacity,
+            window_size=window,
+            backend=backend,
+            backend_path=str(Path(tmp) / "store") if backend == "mmap" else None,
+            shards=shard_count,
+            journal_path=str(Path(tmp) / "journal.jsonl"),
+        )
+        expected = _run(config, [POOL[k] for k in picks], checkpoint, checkpoint_at)
+        assert _recovered(checkpoint, shard_count) == expected
+
+
+def test_background_recovery_reaches_the_live_state(tmp_path):
+    """Background rounds land off the query thread, with hits interleaved
+    between a window's fill and its round; the last request fills a window,
+    so once drained the live cache sits on a boundary recovery must reach."""
+    config = GraphCacheConfig(
+        cache_capacity=3,
+        window_size=2,
+        maintenance_mode="background",
+        journal_path=str(tmp_path / "journal.jsonl"),
+    )
+    checkpoint = tmp_path / "checkpoint.json"
+    cache = build_cache(METHOD, config)
+    for i, query in enumerate(_workload(count=24, seed=5)):
+        if i == 7:
+            save_cache(cache, checkpoint)
+        cache.query(query)
+    cache.drain_maintenance()
+    live = cache_state_digest(cache, include_index_version=False)
+    assert cache.plan_journal.last_round == 12
+    cache.close()
+    assert _recovered(checkpoint, 1) == live
+
+
+@pytest.mark.parametrize("backend", ["memory", "mmap"])
+def test_recovery_does_storage_work_for_survivors_only(tmp_path, monkeypatch, backend):
+    """A tail that admits far more entries than the cache holds: only the
+    survivors are indexed, enumerated and stored."""
+    journal = tmp_path / "journal.jsonl"
+    config = GraphCacheConfig(
+        cache_capacity=3,
+        window_size=2,
+        backend=backend,
+        backend_path=str(tmp_path / "store") if backend == "mmap" else None,
+        journal_path=str(journal),
+    )
+    checkpoint = tmp_path / "checkpoint.json"
+    _run(config, _workload(count=40, seed=9), checkpoint, 0)
+    records = PlanJournal.read_records(journal)
+    admitted = sum(len(record["admitted_serials"]) for record in records)
+    assert admitted >= 5 * config.cache_capacity
+
+    enumerated = []
+    real = query_index_module.path_features
+
+    def counting(query, max_length):
+        enumerated.append(query)
+        return real(query, max_length)
+
+    monkeypatch.setattr(query_index_module, "path_features", counting)
+    cache = recover_cache(checkpoint, METHOD)
+    try:
+        survivors = len(cache.cached_serials)
+        assert 0 < survivors <= config.cache_capacity
+        assert cache.query_index.op_counts.adds == survivors
+        assert cache.query_index.op_counts.removes == 0
+        rows = cache.storage_backends()[0].op_counts
+        assert (rows.rows_inserted, rows.rows_deleted) == (survivors, 0)
+        assert len(enumerated) == survivors
+        runtime = cache.runtime_statistics
+        assert runtime.replay_rounds == len(records)
+        # The bytes are the journal lines', as re-encoding a record gives.
+        assert runtime.replay_bytes == sum(
+            ReplicationFrame.from_record(record).size_bytes for record in records
+        )
+    finally:
+        cache.close()
+
+
+def test_recovery_decodes_its_own_journal_once(tmp_path, monkeypatch):
+    config = GraphCacheConfig(
+        cache_capacity=4, window_size=2, journal_path=str(tmp_path / "journal.jsonl")
+    )
+    checkpoint = tmp_path / "checkpoint.json"
+    _run(config, _workload(count=20), checkpoint, 9)
+    rounds = len(PlanJournal.read_records(config.journal_path))
+    scans = []
+    real = journal_module._scan
+
+    def counting(path):
+        scans.append(path)
+        return real(path)
+
+    monkeypatch.setattr(journal_module, "_scan", counting)
+    cache = recover_cache(checkpoint, METHOD)
+    try:
+        # The recovery read adopted the file: appending needs no second read.
+        assert cache.plan_journal.last_round == rounds
+        assert scans == [Path(config.journal_path)]
+    finally:
+        cache.close()
+
+
+def test_a_torn_journal_keeps_every_later_round(tmp_path):
+    """torn journal -> recover -> two more rounds -> a second recovery reads
+    every round and lands on the first recovered cache's live state."""
+    journal = tmp_path / "journal.jsonl"
+    config = GraphCacheConfig(
+        cache_capacity=6, window_size=3, journal_path=str(journal), journal_fsync=True
+    )
+    checkpoint = tmp_path / "checkpoint.json"
+    queries = _workload(count=30)
+    _run(config, queries[:13], checkpoint, 4)
+    journal.write_bytes(journal.read_bytes()[:-15])  # the last append was torn
+    survived = len(PlanJournal.read_records(journal))
+
+    cache = recover_cache(checkpoint, METHOD)
+    assert cache.plan_journal.last_round == survived
+    for query in queries[13:]:
+        cache.query(query)
+        if cache.plan_journal.last_round == survived + 2:
+            break
+    assert cache.plan_journal.last_round == survived + 2
+    live = cache_state_digest(cache, include_index_version=False)
+    cache.close()
+
+    records = PlanJournal.read_records(journal)
+    assert [record["round"] for record in records] == list(range(1, survived + 3))
+    assert _recovered(checkpoint, 1) == live

@@ -173,7 +173,10 @@ class TestJournal:
                 cache.query(query)
         finally:
             cache.close()  # drain-on-close flushes every pending round
-        plans = PlanJournal.load(journal_file)
+        plans = [
+            MaintenancePlan.from_record(record)
+            for record in PlanJournal.read_records(journal_file)
+        ]
         assert plans == cache.plan_journal.plans()
         assert len(plans) == len(cache.plan_journal)
         # Each line is valid standalone JSON carrying the full rationale.
@@ -205,7 +208,7 @@ class TestJournal:
         retained = journal.records()
         assert len(retained) == limit  # RAM holds only the newest tail
         assert retained[-1]["current_serial"] == total
-        assert len(PlanJournal.load(journal_file)) == total  # disk has all
+        assert len(PlanJournal.read_records(journal_file)) == total  # disk has all
         # In-memory journals (no path) retain everything: they ARE the store.
         unbounded = PlanJournal()
         assert unbounded._records.maxlen is None
@@ -230,7 +233,7 @@ class TestJournal:
             cache.close()
         written = sorted(p.name for p in tmp_path.iterdir())
         assert written == [f"plans.jsonl.shard{k}" for k in range(3)]
-        total = sum(len(PlanJournal.load(path)) for path in tmp_path.iterdir())
+        total = sum(len(PlanJournal.read_records(path)) for path in tmp_path.iterdir())
         assert total == sum(len(j) for j in cache.plan_journals())
         assert total > 0
 
