@@ -145,7 +145,13 @@ def load_cache(
     graph ids); a mismatch raises :class:`CacheError` rather than silently
     returning wrong answers.
     """
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    return _load_payload(json.loads(Path(path).read_text(encoding="utf-8")), method)
+
+
+def _load_payload(
+    payload: Dict[str, Any], method: Method
+) -> Union[GraphCache, ShardedGraphCache]:
+    """:func:`load_cache` over an already parsed snapshot."""
     version = payload.get("format_version")
     if version != _FORMAT_VERSION:
         raise CacheError(
@@ -207,11 +213,12 @@ def recover_cache(
     before it raises :class:`CacheError`.  A mid-window snapshot already
     holds the hits buffered for the next frame, so that prefix is skipped.
 
-    Cost: one decode per journal line (replaying a shard's own journal
-    also adopts it for appending), and storage work for the tail's *net*
-    effect only — an entry admitted and evicted after the checkpoint is
-    never packed, indexed or stored; memory holds the live entries, not
-    the tail.
+    Cost: one snapshot parse, one decode per journal line (which also adopts
+    a shard's own journal for appending) and a full check of every admitted
+    entry, so a damaged one fails even if the tail evicts it.  The rest is
+    for the tail's *net* effect: an entry admitted and evicted after the
+    checkpoint never becomes a Graph, is never packed, indexed or stored;
+    memory holds the live entries, not the tail.
 
     ``journal=None`` replays from each shard's configured
     ``journal_path``; an explicit path is used directly (for sharded
@@ -220,7 +227,7 @@ def recover_cache(
     nothing past the checkpoint.
     """
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    cache = load_cache(path, method)
+    cache = _load_payload(payload, method)
     shards = cache.shards if isinstance(cache, ShardedGraphCache) else (cache,)
     try:
         for index, (shard, sub) in enumerate(

@@ -313,10 +313,12 @@ class MaintenanceEngine:
         storage half runs once, for the net delta: an entry admitted and
         evicted within ``frames`` never reaches the store or the GCindex,
         survivors are added in admission order, and evicted older entries
-        are removed in the same GCindex batch.  ``frames`` is consumed once.
+        are removed in the same GCindex batch.  Entries arrive checked, with
+        a :class:`~repro.graphs.io.ParsedGraph` query; only survivors become
+        Graphs.  ``frames`` is consumed once.
         """
         guard = lock if lock is not None else nullcontext()
-        survivors: Dict[int, CacheEntry] = {}
+        survivors: Dict[int, WindowEntry] = {}
         evicted: List[int] = []
         for frame in frames:
             with guard:  # repro: lock[gc]
@@ -333,8 +335,11 @@ class MaintenanceEngine:
                 if survivors.pop(serial, None) is None:
                     evicted.append(serial)
             for entry in frame.entries:
-                survivors[entry.serial] = _cache_entry(entry)
-        self._apply_storage(list(survivors.values()), evicted)
+                survivors[entry.serial] = entry
+        self._apply_storage(
+            [CacheEntry(e.serial, e.query.build(), e.answer_ids) for e in survivors.values()],
+            evicted,
+        )
 
     def take_pending_hits(self) -> List[Tuple[int, int, float, float, bool]]:
         """Drain the pending hit buffer: a mid-window snapshot's absorbed hits,

@@ -45,7 +45,6 @@ round-robin cursor and is released before any follower work.
 
 from __future__ import annotations
 
-import json
 import queue
 import threading
 from dataclasses import asdict, dataclass, replace
@@ -97,23 +96,20 @@ class ReplicationFrame:
     """
 
     plan: MaintenancePlan
-    entries: Tuple[WindowEntry, ...]
+    entries: Tuple[WindowEntry, ...]  # checked: queries are ParsedGraphs
     hits: Tuple[HitEvent, ...]
     size_bytes: int
 
     @classmethod
-    def from_record(
-        cls, record: Dict[str, Any], size_bytes: Optional[int] = None
-    ) -> "ReplicationFrame":
+    def from_record(cls, record: Dict[str, Any], size_bytes: int) -> "ReplicationFrame":
         """Decode a journal record into a frame.
 
-        ``size_bytes`` is the length of the record's journal line; a caller
-        without the line leaves it out and the record is re-encoded to
-        measure it.  A record that admits serials but carries no
-        ``admitted_entries`` predates frame journaling (pre-PR-10
-        audit-only journals) and cannot be replayed — that is a hard error,
-        not a silent skip, because a replica that dropped such a round would
-        silently diverge.
+        ``size_bytes`` is the length of the record's journal line.  Admitted
+        entries are checked, not built (:meth:`WindowEntryCodec.check`).  A
+        record that admits serials but carries no ``admitted_entries``
+        predates frame journaling (pre-PR-10 audit-only journals) and cannot
+        be replayed — that is a hard error, not a silent skip, because a
+        replica that dropped such a round would silently diverge.
         """
         plan = MaintenancePlan.from_record(record)
         if plan.admitted_serials and "admitted_entries" not in record:
@@ -122,17 +118,9 @@ class ReplicationFrame:
                 "this journal predates replication frames and cannot be "
                 "replayed (re-run the primary to produce a frame journal)"
             )
-        entries = tuple(
-            WindowEntryCodec.decode(raw)
-            for raw in record.get("admitted_entries", ())
-        )
-        if size_bytes is None:
-            size_bytes = len(
-                json.dumps(record, sort_keys=True, separators=(",", ":")).encode("utf-8")
-            )
         return cls(
             plan=plan,
-            entries=entries,
+            entries=tuple(map(WindowEntryCodec.check, record.get("admitted_entries", ()))),
             hits=decode_hits(record.get("hits", ())),
             size_bytes=size_bytes,
         )

@@ -118,12 +118,14 @@ class CachedQueryStats:
 
     @classmethod
     def of_window_entry(cls, entry) -> "CachedQueryStats":
-        """Initial statistics of a window entry: static shape + first-run costs."""
+        """Initial statistics of a window entry: static shape + first-run costs.
+        The shape comes from the label and edge lists, which a checked entry's
+        :class:`~repro.graphs.io.ParsedGraph` carries as well as a Graph."""
         return cls(
             serial=entry.serial,
-            order=entry.query.order,
-            size=entry.query.size,
-            distinct_labels=len(entry.query.distinct_labels()),
+            order=len(entry.query.labels),
+            size=len(entry.query.edges),
+            distinct_labels=len(set(entry.query.labels)),
             filter_time_s=entry.filter_time_s,
             verify_time_s=entry.verify_time_s,
         )

@@ -28,14 +28,14 @@ store across threads.  Iteration yields a point-in-time snapshot.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Union
 
 from ..analysis.runtime import make_rlock
 from ..exceptions import CacheError
 from ..graphs.graph import Graph
-from ..graphs.io import graph_from_text, graph_to_text
+from ..graphs.io import graph_from_text, graph_to_text, parse_graph_text
 from .backends import StorageBackend, create_backend
 
 __all__ = [
@@ -115,14 +115,21 @@ class WindowEntryCodec:
         }
 
     @staticmethod
-    def decode(record: Dict[str, Any]) -> WindowEntry:
+    def check(record: Dict[str, Any]) -> WindowEntry:
+        """Every check :meth:`decode` makes, without building the query graph:
+        the entry's ``query`` is a :class:`~repro.graphs.io.ParsedGraph`."""
         return WindowEntry(
             serial=int(record["serial"]),
-            query=graph_from_text(record["query"]),
-            answer_ids=frozenset(int(x) for x in record["answers"]),
+            query=parse_graph_text(record["query"]),
+            answer_ids=frozenset(map(int, record["answers"])),
             filter_time_s=float(record["filter_time_s"]),
             verify_time_s=float(record["verify_time_s"]),
         )
+
+    @staticmethod
+    def decode(record: Dict[str, Any]) -> WindowEntry:
+        entry = WindowEntryCodec.check(record)
+        return replace(entry, query=entry.query.build())
 
 
 class CacheStore:

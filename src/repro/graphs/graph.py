@@ -85,9 +85,26 @@ def _intern_table(labels: Tuple[object, ...]) -> Tuple[int, ...]:
     return tuple(intern_label(label) for label in labels)
 
 
-def _normalize_edge(u: int, v: int) -> Edge:
-    """Return the canonical (min, max) form of an undirected edge."""
-    return (u, v) if u <= v else (v, u)
+def canonical_edge_set(
+    edges: Iterable[Tuple[int, int]], order: int, adjacency: List[set] | None = None
+) -> set:
+    """The edge rules of :class:`Graph` (and of the text parser's check): the
+    ``(min, max)`` edge set, or :class:`GraphError` on a bad edge.  Fills
+    ``adjacency`` (one set per vertex, in edge order) when given."""
+    edge_set: set = set()
+    for u, v in edges:
+        if not (0 <= u < order and 0 <= v < order):
+            raise GraphError(f"edge ({u}, {v}) references a vertex outside 0..{order - 1}")
+        if u == v:
+            raise GraphError(f"self-loop on vertex {u} is not allowed")
+        e = (u, v) if u < v else (v, u)
+        if e in edge_set:
+            raise GraphError(f"duplicate edge ({u}, {v})")
+        edge_set.add(e)
+        if adjacency is not None:
+            adjacency[u].add(v)
+            adjacency[v].add(u)
+    return edge_set
 
 
 class Graph:
@@ -146,18 +163,7 @@ class Graph:
         self._labels: Tuple[object, ...] = tuple(labels)
         n = len(self._labels)
         adjacency: List[set] = [set() for _ in range(n)]
-        edge_set: set = set()
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphError(f"edge ({u}, {v}) references a vertex outside 0..{n - 1}")
-            if u == v:
-                raise GraphError(f"self-loop on vertex {u} is not allowed")
-            e = _normalize_edge(u, v)
-            if e in edge_set:
-                raise GraphError(f"duplicate edge ({u}, {v})")
-            edge_set.add(e)
-            adjacency[u].add(v)
-            adjacency[v].add(u)
+        edge_set = canonical_edge_set(edges, n, adjacency)
         self._adjacency: Tuple[frozenset, ...] = tuple(frozenset(a) for a in adjacency)
         self._edges: Tuple[Edge, ...] = tuple(sorted(edge_set))
         self._graph_id = graph_id
@@ -670,7 +676,7 @@ class Graph:
         for u, v in edges:
             if not self.has_edge(u, v):
                 raise GraphError(f"edge ({u}, {v}) not in graph")
-            chosen.append(_normalize_edge(u, v))
+            chosen.append((u, v) if u <= v else (v, u))
             vertex_set.add(u)
             vertex_set.add(v)
         selected = sorted(vertex_set)

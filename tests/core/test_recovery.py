@@ -35,11 +35,15 @@ from repro.core import (
     recover_cache,
     save_cache,
 )
+from repro.core.cache import GraphCache
 from repro.core.policies import MaintenancePlan, PlanJournal
-from repro.core.replication import ReplicationFrame, cache_state_digest
+from repro.core.replication import cache_state_digest
 from repro.core.sharding import ShardedGraphCache
-from repro.exceptions import CacheError
+from repro.exceptions import CacheError, GraphFormatError
+from repro.ftv.ggsx import GraphGrepSX
+from repro.graphs.dataset import GraphDataset
 from repro.graphs.generators import aids_like
+from repro.graphs.graph import Graph, graph_constructions
 from repro.methods import SIMethod
 from repro.workloads import generate_type_a
 
@@ -555,9 +559,9 @@ def test_recovery_does_storage_work_for_survivors_only(tmp_path, monkeypatch, ba
         assert len(enumerated) == survivors
         runtime = cache.runtime_statistics
         assert runtime.replay_rounds == len(records)
-        # The bytes are the journal lines', as re-encoding a record gives.
+        # The replayed bytes are the journal lines' lengths.
         assert runtime.replay_bytes == sum(
-            ReplicationFrame.from_record(record).size_bytes for record in records
+            len(line) for line in journal.read_bytes().splitlines()
         )
     finally:
         cache.close()
@@ -613,3 +617,133 @@ def test_a_torn_journal_keeps_every_later_round(tmp_path):
     records = PlanJournal.read_records(journal)
     assert [record["round"] for record in records] == list(range(1, survived + 3))
     assert _recovered(checkpoint, 1) == live
+
+
+@pytest.mark.parametrize("backend", ["memory", "mmap"])
+@pytest.mark.parametrize("shard_count", [1, 3])
+def test_recovery_builds_query_graphs_for_survivors_only(
+    tmp_path, monkeypatch, backend, shard_count
+):
+    """Every journaled entry is checked, but the journal side of a recovery
+    builds one Graph per entry the tail leaves cached, and no more."""
+    base = tmp_path / "journal.jsonl"
+    config = GraphCacheConfig(
+        cache_capacity=2,
+        window_size=2,
+        backend=backend,
+        backend_path=str(tmp_path / "store") if backend == "mmap" else None,
+        shards=shard_count,
+        journal_path=str(base),
+    )
+    checkpoint = tmp_path / "checkpoint.json"
+    _run(config, _workload(count=80, seed=9), checkpoint, 8)
+    snapshot = json.loads(checkpoint.read_text())
+    checkpointed = {  # serials are numbered per shard
+        (index, record["serial"])
+        for index, shard in enumerate(snapshot["shards"])
+        for record in shard["entries"]
+    }
+    admitted = sum(
+        len(record["admitted_serials"])
+        for path, shard in zip(_journal_paths(base, shard_count), snapshot["shards"], strict=True)
+        for record in PlanJournal.read_records(path, since_round=shard["journal_round"] + 1)
+    )
+
+    built = []
+    real = GraphCache.replay_frames
+
+    def counting(self, frames):
+        before = graph_constructions()
+        real(self, frames)
+        built.append(graph_constructions() - before)
+
+    monkeypatch.setattr(GraphCache, "replay_frames", counting)
+    cache = recover_cache(checkpoint, METHOD)
+    try:
+        serials = {
+            (index, serial)
+            for index, shard in enumerate(_shards_of(cache))
+            for serial in shard.cached_serials
+        }
+        survivors = len(serials - checkpointed)
+        assert 0 < survivors and admitted >= 4 * survivors, (admitted, survivors)
+        assert len(built) == shard_count
+        assert sum(built) == survivors
+    finally:
+        cache.close()
+
+
+def _corrupt(field, record):
+    if field == "query":  # still parses line by line; the edge rules reject it
+        record["query"] += "e 0 0\n"
+    elif field == "vertex":
+        record["query"] = record["query"].replace("v 1 ", "v one ", 1)
+    elif field == "answers":
+        record["answers"] = record["answers"] + ["seven"]
+    else:
+        record["verify_time_s"] = "slow"
+
+
+@pytest.mark.parametrize(
+    "field, error",
+    [
+        ("query", GraphFormatError),
+        ("vertex", ValueError),
+        ("answers", ValueError),
+        ("verify_time_s", ValueError),
+    ],
+)
+def test_a_damaged_entry_fails_recovery_even_when_evicted(tmp_path, field, error):
+    """The damaged entry is admitted and evicted inside the tail, so it never
+    becomes a Graph; its check still fails the recovery closed."""
+    journal = tmp_path / "journal.jsonl"
+    config = GraphCacheConfig(cache_capacity=3, window_size=2, journal_path=str(journal))
+    checkpoint = tmp_path / "checkpoint.json"
+    _run(config, _workload(count=40, seed=9), checkpoint, 4)
+    since = json.loads(checkpoint.read_text())["shards"][0]["journal_round"]
+    records = [json.loads(line) for line in journal.read_text().splitlines()]
+    evicted = {s for record in records[since:] for s in record["evicted_serials"]}
+    victim = next(
+        entry
+        for record in records[since:]
+        for entry in record["admitted_entries"]
+        if entry["serial"] in evicted and "v 1 " in entry["query"]
+    )
+    _corrupt(field, victim)
+    journal.write_text("".join(json.dumps(record) + "\n" for record in records))
+    with pytest.raises(error):
+        recover_cache(checkpoint, METHOD)
+
+
+def test_a_label_with_whitespace_survives_the_journal(tmp_path):
+    """``"N H"`` and ``"N"`` are different labels after a recovery too."""
+    dataset = GraphDataset(
+        [
+            Graph(["N H", "C", "O"], [(0, 1), (1, 2)]),
+            Graph(["N", "C", "O"], [(0, 1), (1, 2)]),
+        ]
+    )
+    method = GraphGrepSX(dataset)
+    config = GraphCacheConfig(
+        cache_capacity=5, window_size=1, journal_path=str(tmp_path / "journal.jsonl")
+    )
+    checkpoint = tmp_path / "checkpoint.json"
+    cache = GraphCache(method, config)
+    save_cache(cache, checkpoint)
+    assert cache.query(Graph(["N H", "C"], [(0, 1)])).answer_ids == {0}
+    live = cache_state_digest(cache, include_index_version=False)
+    cache.close()
+
+    recovered = recover_cache(checkpoint, method)
+    try:
+        assert cache_state_digest(recovered, include_index_version=False) == live
+        query = Graph(["N", "C"], [(0, 1)])
+        expected = {
+            graph_id
+            for graph_id in method.candidates(query)
+            if method.verify(query, graph_id).matched
+        }
+        assert expected == {1}
+        assert recovered.query(query).answer_ids == expected
+    finally:
+        recovered.close()

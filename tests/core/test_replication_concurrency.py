@@ -227,7 +227,7 @@ class TestGuards:
             assert record["admitted_serials"]
             record.pop("admitted_entries")
             with pytest.raises(CacheError, match="predates replication frames"):
-                ReplicationFrame.from_record(record)
+                ReplicationFrame.from_record(record, 0)
         finally:
             primary.close()
 
