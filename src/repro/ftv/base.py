@@ -166,9 +166,9 @@ class PathFTVMethod(FTVMethod):
 
     def _build_index(self) -> None:
         postings = Postings()
-        for graph in self.dataset:
+        for graph in self.dataset:  # CSR route: faster on dataset graphs, not on queries
             postings.insert_features(
-                path_features(graph, self._max_path_length), graph.graph_id
+                path_features(graph.to_packed(), self._max_path_length), graph.graph_id
             )
         self._postings = postings
 

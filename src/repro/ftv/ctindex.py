@@ -22,6 +22,7 @@ from typing import Dict, Optional
 from ..exceptions import CacheError
 from ..graphs.dataset import GraphDataset
 from ..graphs.graph import Graph
+from ..graphs.packed import PackedGraph
 from ..isomorphism.base import SubgraphMatcher
 from .base import FTVMethod, PathLike
 from .features import cycle_features, path_features
@@ -80,7 +81,7 @@ class CTIndex(FTVMethod):
         """Maximum indexed cycle feature size in vertices."""
         return self._max_cycle_size
 
-    def _graph_fingerprint(self, graph: Graph) -> Fingerprint:
+    def _graph_fingerprint(self, graph: Graph | PackedGraph) -> Fingerprint:
         fingerprint = Fingerprint(self._fingerprint_bits)
         fingerprint.add_features(path_features(graph, self._max_tree_size).keys())
         fingerprint.add_features(cycle_features(graph, self._max_cycle_size).keys())
@@ -88,7 +89,8 @@ class CTIndex(FTVMethod):
 
     def _build_index(self) -> None:
         self._fingerprints = {
-            graph.graph_id: self._graph_fingerprint(graph) for graph in self.dataset
+            graph.graph_id: self._graph_fingerprint(graph.to_packed())
+            for graph in self.dataset
         }
 
     def _filter(self, query: Graph) -> frozenset:

@@ -67,7 +67,7 @@ class SupergraphFeatureIndex(FTVMethod):
 
     def _build_index(self) -> None:
         self._graph_features = {
-            graph.graph_id: path_features(graph, self._max_path_length)
+            graph.graph_id: path_features(graph.to_packed(), self._max_path_length)
             for graph in self.dataset
         }
 

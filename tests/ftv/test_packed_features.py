@@ -98,11 +98,12 @@ class TestPackedPathIdentity:
                 graph.to_packed(), max_size
             ) == extract_label_cycles(graph, max_size)
 
-    @given(seed=st.integers(0, 500), max_length=st.integers(1, 3))
+    @given(seed=st.integers(0, 500), max_length=st.integers(1, 4))
     @settings(max_examples=25, deadline=None)
     def test_counter_identity_above_bitset_width(self, seed, max_length):
         # > 64 vertices: the frontier falls back from uint64 visited bitsets
-        # to column comparisons against the stored path matrix.
+        # to column comparisons against the stored path matrix.  Every pdbs
+        # dataset graph is built this way, at 4 edges.
         rng = random.Random(seed)
         graph = random_connected_graph(rng.randint(65, 90), 2.0, MIXED_LABELS, rng)
         assert packed_path_features(
@@ -113,6 +114,36 @@ class TestPackedPathIdentity:
         packed = _random_graph(3).to_packed()
         assert packed_path_features(packed, -1) == Counter()
         assert packed_cycle_features(packed, 2) == Counter()
+
+
+def _labelled_path(width: int) -> Graph:
+    """A path over ``width`` vertices, every one with its own label."""
+    return Graph([f"L{i:05d}" for i in range(width)], [(i, i + 1) for i in range(width - 1)])
+
+
+class TestCodeSpaceOverflow:
+    """Path codes are ``max_length + 1`` base-W digits in ``int64``.
+
+    With W distinct labels they wrap once ``W ** (max_length + 1) > 2**63``
+    (W = 6 209 at 4 edges); such a record must take the decoded route
+    rather than report paths the graph does not have.
+    """
+
+    def test_seven_thousand_labels(self):
+        graph = _labelled_path(7000)
+        packed = packed_path_features(graph.to_packed(), 4)
+        assert len(packed) == 34_990
+        assert packed == extract_label_paths(graph, 4)
+
+    @pytest.mark.parametrize("width, decodes", [(6208, 0), (6209, 1)])
+    def test_widest_code_space_at_four_edges(self, width, decodes):
+        graph = _labelled_path(width)
+        record = graph.to_packed()
+        before = graph_constructions()
+        packed = packed_path_features(record, 4)
+        # 6 208 ** 5 still fits: only the next width falls back to a Graph.
+        assert graph_constructions() - before == decodes
+        assert packed == extract_label_paths(graph, 4)
 
 
 class TestDispatch:

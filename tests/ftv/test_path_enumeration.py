@@ -7,7 +7,9 @@ every vertex once as a 0-edge path, and every undirected simple path of up
 to ``L`` edges once, under the key of its lexicographically smaller
 direction.  The generated graphs mix isolated vertices, repeated labels,
 palindromic label sequences and more than 64 vertices (the packed
-extractor's multi-word visited sets).
+extractor's multi-word visited sets).  Both cycle extractors, which share
+one walk over different adjacency rows and ring keys, must likewise count
+each simple cycle of 3..``max_size`` vertices once, as ``networkx`` finds it.
 """
 
 from __future__ import annotations
@@ -19,8 +21,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ftv.features import (
+    canonical_cycle_key,
     canonical_path_key,
+    extract_label_cycles,
     extract_label_paths,
+    packed_cycle_features,
     packed_path_features,
 )
 from repro.graphs.graph import Graph
@@ -91,3 +96,21 @@ def test_palindromes_isolated_vertices_and_a_wide_graph():
     wide = Graph(labels, [(v, v + 1) for v in range(69)] + [(0, 69)])
     for max_length in range(5):
         _assert_three_agree(wide, max_length)
+
+
+def _networkx_cycle_count(graph: Graph, max_size: int) -> Counter:
+    nx_graph = nx.Graph()
+    nx_graph.add_nodes_from(graph.vertices())
+    nx_graph.add_edges_from(graph.edges)
+    return Counter(
+        canonical_cycle_key(graph.label(v) for v in cycle)
+        for cycle in nx.simple_cycles(nx_graph, length_bound=max_size)
+    )
+
+
+@given(graph=labelled_graphs(max_order=10, max_edges=18), max_size=st.integers(3, 6))
+@settings(max_examples=120, deadline=None)
+def test_cycles_match_networkx(graph, max_size):
+    expected = _networkx_cycle_count(graph, max_size)
+    assert extract_label_cycles(graph, max_size) == expected
+    assert packed_cycle_features(graph.to_packed(), max_size) == expected
