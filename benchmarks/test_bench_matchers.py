@@ -56,7 +56,7 @@ class _LegacySetVF2Plus(VF2PlusMatcher):
                 )
                 result = set(sets[0])
                 for other in sets[1:]:
-                    result &= other
+                    result.intersection_update(other)
                     if not result:
                         break
                 pool = result

@@ -53,7 +53,6 @@ decoded instead (see :func:`packed_path_features`).
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache
 from typing import Callable, Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -102,7 +101,6 @@ def _minimal_rotation(ring: Tuple) -> Tuple:
     return best
 
 
-@lru_cache(maxsize=4096)
 def label_rank_map(label_table: Tuple[object, ...]) -> Tuple[Tuple[int, ...], Tuple[str, ...]]:
     """Per-table integer canonicalisation: ``(code -> rank, rank -> string)``.
 
@@ -110,8 +108,9 @@ def label_rank_map(label_table: Tuple[object, ...]) -> Tuple[Tuple[int, ...], Tu
     distinct-string universe of the table, so rank comparison is
     order-equivalent to string comparison (labels whose strings collide —
     e.g. ``1`` and ``"1"`` — share a rank, exactly as they share a canonical
-    key).  Memoised on the table tuple: dataset records repeat a handful of
-    distinct label tables across millions of graphs.
+    key).  Computed per call: a record's table is in first-occurrence order,
+    so dataset records rarely repeat one, and a memo keyed on it would miss
+    about half the time and pin the tables it keeps.
     """
     strings = [str(label) for label in label_table]
     ordered = tuple(sorted(set(strings)))

@@ -21,7 +21,6 @@ for incremental construction with arbitrary vertex names.
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from ..analysis.runtime import make_lock
@@ -73,18 +72,6 @@ def intern_label(label: object) -> int:
     return label_id
 
 
-@lru_cache(maxsize=65536)
-def _intern_table(labels: Tuple[object, ...]) -> Tuple[int, ...]:
-    """Interned ids of a whole label table, memoised on the table itself.
-
-    Packed records repeat a dataset's handful of distinct label tables across
-    millions of graphs; caching the id tuple turns per-record interning into
-    one cache probe (``lru_cache`` is thread-safe, and interned ids are
-    process-stable, so a cached tuple can never go stale).
-    """
-    return tuple(intern_label(label) for label in labels)
-
-
 def canonical_edge_set(
     edges: Iterable[Tuple[int, int]], order: int, adjacency: List[set] | None = None
 ) -> set:
@@ -123,6 +110,13 @@ class Graph:
         Optional identifier used by datasets and result sets.  It does not
         participate in equality or hashing.
 
+    A graph keeps its labels, one neighbour tuple per vertex and the bitmask
+    core the matchers read; the sorted edge tuple and the per-label vertex
+    buckets are derived from those on first use.  A neighbour tuple iterates
+    in the order a ``frozenset`` of the vertex's neighbours (in edge order)
+    iterates: Type B query walks draw ``rng.choice(list(neighbors))``, so
+    this order decides every query pool drawn from a dataset.
+
     Examples
     --------
     >>> g = Graph(labels=["C", "C", "O"], edges=[(0, 1), (1, 2)])
@@ -137,9 +131,9 @@ class Graph:
     __slots__ = (
         "_labels",
         "_adjacency",
+        "_size",
         "_edges",
         "_graph_id",
-        "_label_histogram",
         "_vertices_by_label",
         "_hash",
         "_neighbor_masks",
@@ -163,76 +157,38 @@ class Graph:
         self._labels: Tuple[object, ...] = tuple(labels)
         n = len(self._labels)
         adjacency: List[set] = [set() for _ in range(n)]
-        edge_set = canonical_edge_set(edges, n, adjacency)
-        self._adjacency: Tuple[frozenset, ...] = tuple(frozenset(a) for a in adjacency)
-        self._edges: Tuple[Edge, ...] = tuple(sorted(edge_set))
+        self._size = len(canonical_edge_set(edges, n, adjacency))
+        self._adjacency: Tuple[Tuple[int, ...], ...] = tuple(
+            [tuple(frozenset(a)) for a in adjacency]
+        )
+        self._edges: Tuple[Edge, ...] | None = None
+        self._vertices_by_label: Dict[object, Tuple[int, ...]] | None = None
         self._graph_id = graph_id
-        self._label_histogram: Dict[object, int] = dict(Counter(self._labels))
-        by_label: Dict[object, List[int]] = {}
-        for vertex, label in enumerate(self._labels):
-            by_label.setdefault(label, []).append(vertex)
-        self._vertices_by_label: Dict[object, Tuple[int, ...]] = {
-            label: tuple(vertices) for label, vertices in by_label.items()
-        }
         self._hash: int | None = None
         self._packed_record: bytes | None = None
-        self._init_bitmask_core(adjacency)
+        code_of: Dict[object, int] = {}
+        codes = [code_of.setdefault(label, len(code_of)) for label in self._labels]
+        self._init_bitmask_core(adjacency, codes, tuple(code_of))
 
-    def _init_bitmask_core(self, adjacency: Sequence[Iterable[int]]) -> None:
-        """Precompute the integer-bitmask views used by the matcher hot paths.
+    def _init_bitmask_core(
+        self,
+        rows: Sequence[Iterable[int]],
+        codes: Sequence[int],
+        label_table: Sequence[object],
+    ) -> None:
+        """Precompute the integer-bitmask views used by the matcher hot paths
+        from neighbour rows and per-vertex codes into ``label_table``.
 
         * ``_neighbor_masks[v]`` — one Python int per vertex with bit ``t`` set
           iff ``t`` is adjacent to ``v``;
         * ``_label_ids[v]`` — process-wide interned id of ``labels[v]``;
         * ``_label_masks[label_id]`` — bitmask of the vertices carrying a label;
         * ``_degree_prefix_masks[d]`` — bitmask of the vertices of degree >= d.
-        """
-        masks: List[int] = []
-        for neighbours in adjacency:
-            mask = 0
-            for t in neighbours:
-                mask |= 1 << t
-            masks.append(mask)
-        self._neighbor_masks: Tuple[int, ...] = tuple(masks)
-        self._label_ids: Tuple[int, ...] = tuple(
-            intern_label(label) for label in self._labels
-        )
-        label_masks: Dict[int, int] = {}
-        for vertex, label_id in enumerate(self._label_ids):
-            label_masks[label_id] = label_masks.get(label_id, 0) | (1 << vertex)
-        self._label_masks: Dict[int, int] = label_masks
-        self._label_id_counts: Dict[int, int] = {
-            label_id: mask.bit_count() for label_id, mask in label_masks.items()
-        }
-        degrees = [mask.bit_count() for mask in self._neighbor_masks]
-        self._degree_sequence: Tuple[int, ...] = tuple(sorted(degrees, reverse=True))
-        max_degree = max(degrees, default=0)
-        prefix: List[int] = [0] * (max_degree + 2)
-        for vertex, degree in enumerate(degrees):
-            prefix[degree] |= 1 << vertex
-        # Suffix-OR so that prefix[d] covers every vertex of degree >= d.
-        for d in range(max_degree - 1, -1, -1):
-            prefix[d] |= prefix[d + 1]
-        self._degree_prefix_masks: Tuple[int, ...] = tuple(prefix)
-        # Lazily-built per-label neighbour-count threshold masks (GraphQL-style
-        # 1-hop profile pruning); dataset graphs are matched against many
-        # queries, so the table amortises across calls.
-        self._nbr_label_ge_masks: Dict[int, Tuple[int, ...]] | None = None
 
-    def _init_bitmask_core_scalar_csr(
-        self,
-        ptr: Sequence[int],
-        rows: Sequence[Sequence[int]],
-        per_code: Sequence[Sequence[int]],
-        label_table: Sequence[object],
-    ) -> None:
-        """Scalar bitmask core from CSR row lists (the small-graph fast path).
-
-        For graphs whose masks fit a handful of machine words, plain Python
-        bit arithmetic over the (already materialised) CSR rows beats the
-        vectorised scatter of :meth:`_init_bitmask_core_from_csr` — numpy's
-        per-call overhead outweighs the loop for ``n`` below the cutoff.
-        Produces field-identical results to both sibling constructors.
+        Used by the constructor and, below the scalar cutoff, by the CSR
+        decode paths: for masks of a handful of machine words, plain Python
+        bit arithmetic beats the vectorised scatter of
+        :meth:`_init_bitmask_core_from_csr`, whose results are field-identical.
         """
         masks: List[int] = []
         for row in rows:
@@ -241,7 +197,10 @@ class Graph:
                 mask |= 1 << t
             masks.append(mask)
         self._neighbor_masks = tuple(masks)
-        table_ids = _intern_table(tuple(label_table))
+        table_ids = [intern_label(label) for label in label_table]
+        per_code: List[List[int]] = [[] for _ in label_table]
+        for vertex, code in enumerate(codes):
+            per_code[code].append(vertex)
         label_ids: List[int] = [0] * len(rows)
         label_masks: Dict[int, int] = {}
         counts: Dict[int, int] = {}
@@ -258,16 +217,20 @@ class Graph:
         self._label_ids = tuple(label_ids)
         self._label_masks = label_masks
         self._label_id_counts = counts
-        degrees = [ptr[v + 1] - ptr[v] for v in range(len(rows))]
+        degrees = [len(row) for row in rows]
         self._degree_sequence = tuple(sorted(degrees, reverse=True))
         max_degree = max(degrees, default=0)
         prefix: List[int] = [0] * (max_degree + 2)
         for vertex, degree in enumerate(degrees):
             prefix[degree] |= 1 << vertex
+        # Suffix-OR so that prefix[d] covers every vertex of degree >= d.
         for d in range(max_degree - 1, -1, -1):
             prefix[d] |= prefix[d + 1]
         self._degree_prefix_masks = tuple(prefix)
-        self._nbr_label_ge_masks = None
+        # Lazily-built per-label neighbour-count threshold masks (GraphQL-style
+        # 1-hop profile pruning); dataset graphs are matched against many
+        # queries, so the table amortises across calls.
+        self._nbr_label_ge_masks: Dict[int, Tuple[int, ...]] | None = None
 
     def _init_bitmask_core_from_csr(self, indptr, indices, label_codes, label_table) -> None:
         """Bitmask core built from CSR slices — no per-vertex Python lists.
@@ -295,7 +258,7 @@ class Graph:
             int.from_bytes(row.tobytes(), "little") for row in adj_bits
         )
         # Interned ids: one intern per distinct label, broadcast by code.
-        table_ids = _intern_table(tuple(label_table))
+        table_ids = [intern_label(label) for label in label_table]
         codes = label_codes.tolist()
         self._label_ids = tuple(table_ids[code] for code in codes)
         verts = np.arange(n, dtype=np.int64)
@@ -341,7 +304,7 @@ class Graph:
     @property
     def size(self) -> int:
         """Number of edges."""
-        return len(self._edges)
+        return self._size
 
     @property
     def labels(self) -> Tuple[object, ...]:
@@ -350,8 +313,14 @@ class Graph:
 
     @property
     def edges(self) -> Tuple[Edge, ...]:
-        """Sorted tuple of canonical ``(u, v)`` edges with ``u < v``."""
-        return self._edges
+        """Sorted tuple of canonical ``(u, v)`` edges with ``u < v`` (derived
+        from the neighbour tuples on first use, then kept)."""
+        edges = self._edges
+        if edges is None:
+            edges = self._edges = tuple(
+                [(u, v) for u, row in enumerate(self._adjacency) for v in sorted(row) if u < v]
+            )
+        return edges
 
     def vertices(self) -> range:
         """Range over all vertex ids."""
@@ -361,8 +330,13 @@ class Graph:
         """Return the label of ``vertex``."""
         return self._labels[vertex]
 
-    def neighbors(self, vertex: int) -> frozenset:
-        """Return the (frozen) set of neighbours of ``vertex``."""
+    def neighbors(self, vertex: int) -> Tuple[int, ...]:
+        """Return the neighbours of ``vertex`` as a tuple.
+
+        The tuple iterates in the legacy ``frozenset`` order (see the class
+        docstring): Type B walks draw ``rng.choice(list(neighbors))``, so a
+        different order would re-draw every query pool.
+        """
         return self._adjacency[vertex]
 
     def degree(self, vertex: int) -> int:
@@ -371,7 +345,7 @@ class Graph:
 
     def has_edge(self, u: int, v: int) -> bool:
         """Return ``True`` if the undirected edge ``(u, v)`` exists."""
-        return v in self._adjacency[u]
+        return v >= 0 and self._neighbor_masks[u] >> v & 1 == 1
 
     def has_vertex(self, vertex: int) -> bool:
         """Return ``True`` if ``vertex`` is a valid vertex id."""
@@ -471,20 +445,29 @@ class Graph:
     # ------------------------------------------------------------------ #
     @property
     def label_histogram(self) -> Dict[object, int]:
-        """Mapping ``label -> number of vertices carrying it`` (copy)."""
-        return dict(self._label_histogram)
+        """Mapping ``label -> number of vertices carrying it`` (a new dict)."""
+        return dict(Counter(self._labels))
 
     def label_count(self, label: object) -> int:
         """Number of vertices carrying ``label``."""
-        return self._label_histogram.get(label, 0)
+        return self._labels.count(label)
 
     def distinct_labels(self) -> frozenset:
         """Set of distinct labels present in the graph."""
-        return frozenset(self._label_histogram)
+        return frozenset(self._labels)
 
     def vertices_with_label(self, label: object) -> Tuple[int, ...]:
-        """All vertices carrying ``label`` (possibly empty)."""
-        return self._vertices_by_label.get(label, ())
+        """All vertices carrying ``label`` (possibly empty); the per-label
+        buckets are derived from the labels on first use, then kept."""
+        by_label = self._vertices_by_label
+        if by_label is None:
+            buckets: Dict[object, List[int]] = {}
+            for vertex, vertex_label in enumerate(self._labels):
+                buckets.setdefault(vertex_label, []).append(vertex)
+            by_label = self._vertices_by_label = {
+                key: tuple(vertices) for key, vertices in buckets.items()
+            }
+        return by_label.get(label, ())
 
     def degree_sequence(self) -> Tuple[int, ...]:
         """Non-increasing degree sequence (precomputed at construction)."""
@@ -492,16 +475,17 @@ class Graph:
 
     def average_degree(self) -> float:
         """Average vertex degree (0.0 for the empty graph)."""
-        if not self._labels:
+        n = self.order
+        if not n:
             return 0.0
-        return 2.0 * len(self._edges) / len(self._labels)
+        return 2.0 * self._size / n
 
     def density(self) -> float:
         """Edge density ``2m / (n (n-1))`` (0.0 for graphs with < 2 vertices)."""
-        n = len(self._labels)
+        n = self.order
         if n < 2:
             return 0.0
-        return 2.0 * len(self._edges) / (n * (n - 1))
+        return 2.0 * self._size / (n * (n - 1))
 
     def is_connected(self) -> bool:
         """Return ``True`` if the graph is connected (empty graph is connected)."""
@@ -562,7 +546,7 @@ class Graph:
         """Rebuild a full graph from a :class:`~repro.graphs.packed.PackedGraph`.
 
         The inverse of :meth:`to_packed`, also reached from zero-copy views
-        over a sealed arena: adjacency sets come straight from the CSR
+        over a sealed arena: neighbour tuples come straight from the CSR
         slices, and the bitmask core is built by
         :meth:`_init_bitmask_core_from_csr` without per-vertex Python lists.
         The result is indistinguishable from ``Graph(labels, edges)``.
@@ -600,31 +584,15 @@ class Graph:
         self._labels = tuple([table[code] for code in codes])
         n = len(codes)
         rows = [idx[ptr[v] : ptr[v + 1]] for v in range(n)]
-        self._adjacency = tuple([frozenset(row) for row in rows])
-        # CSR rows are sorted, so scanning each row for the u < v half yields
-        # the canonical sorted edge tuple directly.
-        self._edges = tuple(
-            [(u, v) for u, row in enumerate(rows) for v in row if u < v]
-        )
+        self._adjacency = tuple([tuple(frozenset(row)) for row in rows])
+        self._size = len(idx) // 2
+        self._edges = None
+        self._vertices_by_label = None
         self._graph_id = graph_id
-        # Group vertices by label code first: one pass over the codes, then
-        # one small dict per *distinct* label instead of per vertex.
-        per_code: List[List[int]] = [[] for _ in table]
-        for vertex, code in enumerate(codes):
-            per_code[code].append(vertex)
-        histogram: Dict[object, int] = {}
-        by_label: Dict[object, Tuple[int, ...]] = {}
-        for code, vertices in enumerate(per_code):
-            if vertices:
-                label = table[code]
-                histogram[label] = len(vertices)
-                by_label[label] = tuple(vertices)
-        self._label_histogram = histogram
-        self._vertices_by_label = by_label
         self._hash = None
         self._packed_record = None
         if n <= _CSR_SCALAR_CUTOFF:
-            self._init_bitmask_core_scalar_csr(ptr, rows, per_code, table)
+            self._init_bitmask_core(rows, codes, table)
         else:
             if arrays is None:
                 import numpy as np
@@ -664,7 +632,7 @@ class Graph:
         labels = [self._labels[v] for v in selected]
         edges = [
             (remap[u], remap[v])
-            for u, v in self._edges
+            for u, v in self.edges
             if u in remap and v in remap
         ]
         return Graph(labels=labels, edges=edges)
@@ -692,23 +660,27 @@ class Graph:
             if not self.has_vertex(vertex):
                 raise GraphError(f"vertex {vertex} not in graph")
             labels[vertex] = label
-        return Graph(labels=labels, edges=self._edges, graph_id=self._graph_id)
+        return Graph(labels=labels, edges=self.edges, graph_id=self._graph_id)
 
     # ------------------------------------------------------------------ #
     # Identity, hashing, representation
     # ------------------------------------------------------------------ #
     def structure_key(self) -> Tuple[Tuple[object, ...], Tuple[Edge, ...]]:
         """Key capturing the exact labelled structure (not isomorphism class)."""
-        return (self._labels, self._edges)
+        return (self._labels, self.edges)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self._labels == other._labels and self._edges == other._edges
+        # Equal labels and neighbour masks is equal labels and edges.
+        return (
+            self._labels == other._labels
+            and self._neighbor_masks == other._neighbor_masks
+        )
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self._labels, self._edges))
+            self._hash = hash((self._labels, self.edges))
         return self._hash
 
     def __len__(self) -> int:

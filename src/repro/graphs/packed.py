@@ -387,9 +387,10 @@ class PackedGraphView(Graph):
       constructors ``Graph._from_csr_lists`` dispatches to, so masks — and
       therefore matcher work counters — are field-identical to a decoded
       ``Graph``;
-    * the **structure tuples** (``labels``/``edges``/adjacency sets and the
-      label histogram) are materialised separately, only for callers that
-      walk them (feature extraction, hashing, the text codecs).
+    * the **structure tuples** (``labels`` and the neighbour tuples, from
+      which ``edges`` and the label buckets derive as on any ``Graph``) are
+      materialised separately, only for callers that walk them (feature
+      extraction, hashing, the text codecs).
 
     Materialised fields stick to the instance, so a long-lived view over a
     sealed arena record (see :meth:`GraphArena.view_at
@@ -403,9 +404,7 @@ class PackedGraphView(Graph):
     __slots__ = ("_source",)
 
     #: Fields derived together from the CSR record, as two independent groups.
-    _STRUCTURE_FIELDS = frozenset(
-        ("_labels", "_adjacency", "_edges", "_label_histogram", "_vertices_by_label")
-    )
+    _STRUCTURE_FIELDS = frozenset(("_labels", "_adjacency", "_edges", "_vertices_by_label"))
     _MASK_CORE_FIELDS = frozenset(
         (
             "_neighbor_masks",
@@ -420,6 +419,7 @@ class PackedGraphView(Graph):
 
     def __init__(self, source: PackedGraph) -> None:
         self._source = source
+        self._size = source.size
         self._graph_id = source.graph_id
         self._hash = None
         self._packed_record = None
@@ -443,27 +443,13 @@ class PackedGraphView(Graph):
         source = self._source
         ptr = source.indptr.tolist()
         idx = source.indices.tolist()
-        codes = source.label_codes.tolist()
         table = source.label_table
-        n = len(codes)
-        self._labels = tuple([table[code] for code in codes])
-        rows = [idx[ptr[v] : ptr[v + 1]] for v in range(n)]
-        self._adjacency = tuple([frozenset(row) for row in rows])
-        self._edges = tuple(
-            [(u, v) for u, row in enumerate(rows) for v in row if u < v]
+        self._labels = tuple([table[code] for code in source.label_codes.tolist()])
+        self._adjacency = tuple(
+            [tuple(frozenset(idx[ptr[v] : ptr[v + 1]])) for v in range(source.order)]
         )
-        per_code: list = [[] for _ in table]
-        for vertex, code in enumerate(codes):
-            per_code[code].append(vertex)
-        histogram: dict = {}
-        by_label: dict = {}
-        for code, vertices in enumerate(per_code):
-            if vertices:
-                label = table[code]
-                histogram[label] = len(vertices)
-                by_label[label] = tuple(vertices)
-        self._label_histogram = histogram
-        self._vertices_by_label = by_label
+        self._edges = None
+        self._vertices_by_label = None
 
     def _materialize_mask_core(self) -> None:
         source = self._source
@@ -471,12 +457,8 @@ class PackedGraphView(Graph):
         if n <= _CSR_SCALAR_CUTOFF:
             ptr = source.indptr.tolist()
             idx = source.indices.tolist()
-            codes = source.label_codes.tolist()
             rows = [idx[ptr[v] : ptr[v + 1]] for v in range(n)]
-            per_code: list = [[] for _ in source.label_table]
-            for vertex, code in enumerate(codes):
-                per_code[code].append(vertex)
-            self._init_bitmask_core_scalar_csr(ptr, rows, per_code, source.label_table)
+            self._init_bitmask_core(rows, source.label_codes.tolist(), source.label_table)
         else:
             self._init_bitmask_core_from_csr(
                 source.indptr, source.indices, source.label_codes, source.label_table
@@ -493,10 +475,6 @@ class PackedGraphView(Graph):
     @property
     def order(self) -> int:
         return self._source.order
-
-    @property
-    def size(self) -> int:
-        return self._source.size
 
     @property
     def full_vertex_mask(self) -> int:
@@ -520,17 +498,6 @@ class PackedGraphView(Graph):
     def common_neighbors(self, u: int, v: int) -> np.ndarray:
         """Sorted common neighbours (CSR two-pointer; see :class:`PackedGraph`)."""
         return self._source.common_neighbors(u, v)
-
-    def average_degree(self) -> float:
-        if not self._source.order:
-            return 0.0
-        return 2.0 * self._source.size / self._source.order
-
-    def density(self) -> float:
-        n = self._source.order
-        if n < 2:
-            return 0.0
-        return 2.0 * self._source.size / (n * (n - 1))
 
     def __len__(self) -> int:
         return self._source.order

@@ -55,7 +55,7 @@ class UllmannMatcher(SubgraphMatcher):
                     ok = True
                     for p_neighbour in pattern.neighbors(p_vertex):
                         t_neighbourhood = target.neighbors(t_candidate)
-                        if not (domains[p_neighbour] & t_neighbourhood):
+                        if domains[p_neighbour].isdisjoint(t_neighbourhood):
                             ok = False
                             break
                     if ok:

@@ -57,8 +57,9 @@ class TestLabelRankMap:
         code_ranks, _ = label_rank_map((1, "1"))
         assert code_ranks[0] == code_ranks[1]
 
-    def test_memoised_on_table(self):
-        assert label_rank_map(("C", "N")) is label_rank_map(("C", "N"))
+    def test_computed_per_call(self):
+        assert not hasattr(label_rank_map, "cache_info")
+        assert label_rank_map(("C", "N")) == label_rank_map(("C", "N"))
 
 
 class TestPackedPathIdentity:

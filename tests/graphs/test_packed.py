@@ -9,6 +9,7 @@ of corrupting a cache that served its entries from an arena segment.
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import numpy as np
@@ -18,17 +19,31 @@ from hypothesis import strategies as st
 
 from repro.core.backends.arena import GraphArena
 from repro.exceptions import GraphError
-from repro.graphs.generators import random_connected_graph
+from repro.graphs.generators import dataset_by_name, random_connected_graph
 from repro.graphs.graph import _CSR_SCALAR_CUTOFF, Graph
 from repro.graphs.packed import INDEX_DTYPE, INDPTR_DTYPE, PackedGraph, pack_graphs
 
 LABELS = ["C", "N", "O", "S"]
 
-#: Every internal field that must survive the round-trip (``_hash`` and the
-#: packed record are lazily-populated memos, not part of the graph's identity).
+#: Every internal field compared raw across the round-trip.  ``_hash`` and
+#: the packed record are lazily-populated memos, not part of the graph's
+#: identity; the edge tuple and the label buckets are derived on first use
+#: and compared through their accessors; the neighbour tuples are compared
+#: row by row as sets (see :func:`assert_field_identical`).
 ROUNDTRIP_SLOTS = tuple(
-    slot for slot in Graph.__slots__ if slot not in ("_hash", "_packed_record")
+    slot
+    for slot in Graph.__slots__
+    if slot not in ("_hash", "_packed_record", "_adjacency", "_edges", "_vertices_by_label")
 )
+
+#: sha256 over ``repr(list(neighbors(v)))`` of every vertex of
+#: ``Graph(g.labels, g.edges)`` for each graph ``g`` of a stand-in dataset, as
+#: the frozenset-adjacency graph iterated them.  Type B query pools are drawn
+#: by walks over this order, so it must not drift.
+NEIGHBOUR_ORDER_SHA256 = {
+    "aids": "e50d9370c25b18690eed7801ff0cd551c710e0497d90e47b3f035ed5b1036474",
+    "pdbs": "e9effd7443eee9d5f39e9667382210d7016dd4d5312f10cf7ffaa3656f5e74ae",
+}
 
 
 def _random_graph(seed: int) -> Graph:
@@ -47,7 +62,26 @@ def _big_graph(order: int = 160) -> Graph:
 def assert_field_identical(rebuilt: Graph, original: Graph) -> None:
     for slot in ROUNDTRIP_SLOTS:
         assert getattr(rebuilt, slot) == getattr(original, slot), slot
+    # A CSR-decoded graph may iterate a row in another order than the graph
+    # it was packed from (its rows arrive sorted), so rows compare as sets.
+    assert [set(row) for row in rebuilt._adjacency] == [
+        set(row) for row in original._adjacency
+    ]
+    assert rebuilt.edges == original.edges
+    for label in set(original.labels):
+        assert rebuilt.vertices_with_label(label) == original.vertices_with_label(label)
+    assert rebuilt.label_histogram == original.label_histogram
     assert rebuilt == original and hash(rebuilt) == hash(original)
+
+
+@pytest.mark.parametrize("name", sorted(NEIGHBOUR_ORDER_SHA256))
+def test_neighbour_order_is_the_frozenset_order(name):
+    digest = hashlib.sha256()
+    for graph in dataset_by_name(name):
+        rebuilt = Graph(graph.labels, graph.edges)
+        for vertex in rebuilt.vertices():
+            digest.update(repr(list(rebuilt.neighbors(vertex))).encode())
+    assert digest.hexdigest() == NEIGHBOUR_ORDER_SHA256[name]
 
 
 class TestGraphRoundTrip:
