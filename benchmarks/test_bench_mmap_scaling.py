@@ -19,10 +19,10 @@ CSR-native matching):
    zero-copy decode advantage, not parallelism — so the JSON records the
    host's CPU count next to the figures.
 4. **Counter identity** — memory ≡ mmap on the full experiment pipeline,
-   and sharded-memory ≡ multi-process-mmap runtime counters — with the
-   pool run both in packed-match mode (zero-decode ``PackedGraphView``
-   serving, ``decode_avoided`` pinned to the request count) and with
-   ``packed_match="off"`` — on all 12 aids/pdbs scenario cells.
+   and sharded-memory ≡ multi-process-mmap runtime counters and answers —
+   the pool's workers serve every request as a zero-decode
+   ``PackedGraphView`` (``decode_avoided`` pinned to the request count) —
+   on all 12 aids/pdbs scenario cells.
 5. **Packed-match serve rate** — per-request ``get()`` + sub-iso match
    against the stored query, served CSR-native on memoised views vs
    decode-then-match through fresh ``Graph`` construction; verdicts
@@ -112,28 +112,19 @@ def _identity_rows() -> Tuple[Dict[str, object], ...]:
             sharded = ShardedGraphCache(
                 get_method(dataset, METHOD), bench_config(shards=IDENTITY_SHARDS)
             )
-            for query in workload:
-                sharded.query(query)
+            sharded_results = [sharded.query(query) for query in workload]
             sharded_counters = _runtime_counters(sharded.runtime_statistics)
             sharded.close()
-            # Packed-match pool: the default "auto" resolves to zero-decode
-            # PackedGraphView serving inside the forked workers.
+            # The pool's workers serve zero-decode PackedGraphViews.
             with ProcessPoolCacheService(
                 get_method(dataset, METHOD),
                 bench_config(shards=IDENTITY_SHARDS),
                 workers=IDENTITY_SHARDS,
             ) as pool:
-                packed_results = pool.run(list(workload))
-                packed_stats = pool.runtime_statistics()
-                pool_counters = _runtime_counters(packed_stats)
-                packed_decode_avoided = packed_stats.decode_avoided
-            with ProcessPoolCacheService(
-                get_method(dataset, METHOD),
-                bench_config(shards=IDENTITY_SHARDS).with_packed_match("off"),
-                workers=IDENTITY_SHARDS,
-            ) as pool:
-                decode_results = pool.run(list(workload))
-                pool_off_counters = _runtime_counters(pool.runtime_statistics())
+                pool_results = pool.run(list(workload))
+                pool_stats = pool.runtime_statistics()
+                pool_counters = _runtime_counters(pool_stats)
+                pool_decode_avoided = pool_stats.decode_avoided
             rows.append(
                 {
                     "dataset": dataset,
@@ -142,11 +133,10 @@ def _identity_rows() -> Tuple[Dict[str, object], ...]:
                     "mmap": work_counters(mmap_cell),
                     "sharded": sharded_counters,
                     "multiprocess": pool_counters,
-                    "multiprocess_decode": pool_off_counters,
-                    "decode_avoided": packed_decode_avoided,
+                    "decode_avoided": pool_decode_avoided,
                     "requests": len(workload),
-                    "answers_equal": [r.answer_ids for r in packed_results]
-                    == [r.answer_ids for r in decode_results],
+                    "answers_equal": [r.answer_ids for r in pool_results]
+                    == [r.answer_ids for r in sharded_results],
                 }
             )
     return tuple(rows)
@@ -161,9 +151,8 @@ def test_mmap_counter_identity(benchmark):
         scenario = (row["dataset"], row["label"])
         assert row["memory"] == row["mmap"], scenario
         assert row["sharded"] == row["multiprocess"], scenario
-        assert row["sharded"] == row["multiprocess_decode"], scenario
         assert row["answers_equal"], scenario
-        # Zero Graph constructions in packed-match workers: every request
+        # Zero Graph constructions in pool workers: every request
         # was served as a PackedGraphView.
         assert row["decode_avoided"] == row["requests"], scenario
         table_rows.append(
@@ -655,10 +644,8 @@ def test_mmap_build_decode_and_worker_scaling(benchmark, tmp_path, bench_json_di
                 "sharded_eq_multiprocess": all(
                     row["sharded"] == row["multiprocess"] for row in identity
                 ),
-                "packed_eq_decode_pool": all(
-                    row["multiprocess"] == row["multiprocess_decode"]
-                    and row["answers_equal"]
-                    for row in identity
+                "pool_answers_eq_sharded": all(
+                    row["answers_equal"] for row in identity
                 ),
                 "decode_avoided_pinned": all(
                     row["decode_avoided"] == row["requests"]

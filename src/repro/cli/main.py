@@ -219,13 +219,6 @@ def _add_experiment_arguments(
                         help="mmap arena base path, sealed when the "
                              "command ends so a later run warm-starts from "
                              "it (default: in-memory)")
-    parser.add_argument("--packed-match", choices=["on", "off", "auto"],
-                        default="auto",
-                        help="CSR-native matching on packed views: 'on' "
-                             "serves mmap-backed entries as zero-decode "
-                             "PackedGraphView objects, 'off' always decodes "
-                             "to Graph, 'auto' (default) decodes in-process "
-                             "but switches on inside forked workers")
     parser.add_argument("--shards", type=int, default=1,
                         help="split the cache into N independent shards; "
                              "with --jobs > 1 full GC pipelines run "
@@ -336,7 +329,6 @@ def _experiment_config(
         backend_path=None if args.backend_path is None else str(args.backend_path),
         shards=args.shards,
         maintenance_mode=args.maintenance_mode,
-        packed_match=args.packed_match,
         journal_path=None if args.journal_path is None else str(args.journal_path),
         journal_fsync=args.journal_fsync,
         compaction_threshold=args.compaction_threshold,

@@ -82,12 +82,12 @@ def create_backend(
     packed_views:
         mmap only: serve entry queries as CSR-native
         :class:`~repro.graphs.packed.PackedGraphView` objects instead of
-        decoded ``Graph`` instances (the ``packed_match`` serving mode).
+        decoded ``Graph`` instances (the serving mode of pool workers).
         Ignored by the memory backend, which stores real ``Graph`` objects.
     """
     name = kind.lower()
     if name == "memory":
-        return InMemoryBackend(codec)
+        return InMemoryBackend()
     if name == "mmap":
         return MmapBackend(codec, path=path, table=table, packed_views=packed_views)
     raise CacheError(

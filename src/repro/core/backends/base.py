@@ -136,12 +136,6 @@ class StorageBackend(ABC):
             self.put(serial, entry)
 
     # ------------------------------------------------------------------ #
-    # Lifecycle / persistence hooks.
-    # ------------------------------------------------------------------ #
-    @abstractmethod
-    def dump_records(self) -> List[Dict[str, Any]]:
-        """Encoded records of every entry, in insertion order (for snapshots)."""
-
     def close(self) -> None:
         """Release any resources held by the backend (no-op by default)."""
 

@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Tuple
 
 from ...analysis.runtime import make_rlock
-from .base import EntryCodec, StorageBackend
+from .base import StorageBackend
 
 __all__ = ["InMemoryBackend"]
 
@@ -14,15 +14,13 @@ class InMemoryBackend(StorageBackend):
     """Entries live in a plain dict; no serialization on any path.
 
     This is exactly the data structure the stores used before the backend
-    abstraction existed, so it is the zero-overhead default.  The codec is
-    only exercised by :meth:`dump_records` (snapshot writing).
+    abstraction existed, so it is the zero-overhead default.
     """
 
     name = "memory"
 
-    def __init__(self, codec: Optional[EntryCodec] = None) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        self._codec = codec
         self._entries: Dict[int, Any] = {}
         # Backends may be used directly (contract tests, ad-hoc tools); the
         # store facades add their own coarser lock on top.
@@ -90,11 +88,3 @@ class InMemoryBackend(StorageBackend):
             for serial, entry in additions:
                 self._entries[serial] = entry
                 self.op_counts.rows_inserted += 1
-
-    # ------------------------------------------------------------------ #
-    def dump_records(self) -> List[Dict[str, Any]]:
-        if self._codec is None:
-            raise RuntimeError("InMemoryBackend has no codec; cannot encode records")
-        with self._lock:
-            entries = list(self._entries.values())
-        return [self._codec.encode(entry) for entry in entries]

@@ -21,9 +21,7 @@ holding the per-entry records, so another process — typically a forked
 pair read-only and adopt the warm contents with shared pages.
 
 The codec contract is honoured with a twist: the entry codec's ``query``
-field stores an arena extent instead of graph text inside the sidecar (and
-alongside the text in :meth:`dump_records`, so JSON snapshots record the
-arena path + offsets while staying loadable by the ordinary codecs).
+field stores an arena extent instead of graph text inside the sidecar.
 """
 
 from __future__ import annotations
@@ -57,8 +55,7 @@ class MmapBackend(StorageBackend):
     Parameters
     ----------
     codec:
-        The owning store's entry codec; used for the seal sidecar and for
-        :meth:`dump_records` (snapshots).
+        The owning store's entry codec; used for the seal sidecar.
     path:
         Base path of the backing files; the segment lands in
         ``<path>.<table>.arena`` and its sidecar in
@@ -73,7 +70,7 @@ class MmapBackend(StorageBackend):
         When true, ``get()``/``entries()`` return entries whose ``query`` is
         the arena's memoised CSR-native
         :class:`~repro.graphs.packed.PackedGraphView` instead of a ``Graph``
-        — the zero-decode serving mode (``packed_match``).
+        — the zero-decode serving mode of pool workers.
     """
 
     name = "mmap"
@@ -354,28 +351,6 @@ class MmapBackend(StorageBackend):
             )
 
     # ------------------------------------------------------------------ #
-    # Lifecycle / persistence hooks.
-    # ------------------------------------------------------------------ #
-    def dump_records(self) -> List[Dict[str, Any]]:
-        with self._lock:
-            snapshot = [
-                (extent, self._resolve(extent, entry))
-                for extent, entry in self._records.values()
-            ]
-            arena_path = self.arena_path
-        records = []
-        for extent, entry in snapshot:
-            record = self._codec.encode(entry)
-            # Snapshots carry the arena address next to the portable
-            # text so a restore can re-attach the packed bytes.
-            record["arena"] = {
-                "path": arena_path,
-                "offset": extent.offset,
-                "length": extent.length,
-            }
-            records.append(record)
-        return records
-
     def close(self) -> None:
         with self._lock:
             self._arena.close()

@@ -44,6 +44,7 @@ from ..isomorphism.registry import matcher_by_name
 from ..methods.base import Method
 from .backends import StorageBackend, create_backend
 from .config import GraphCacheConfig
+from .packed_dataset import PackedGraphDataset
 from .pipeline import (
     CommitStage,
     MfilterResult,
@@ -129,7 +130,7 @@ class CacheQueryResult:
         (``"prune"`` on an exact/empty shortcut), or ``None``.
     decode_avoided:
         1 when the query reached the cache as a CSR-native
-        :class:`~repro.graphs.packed.PackedGraphView` (packed-match serving:
+        :class:`~repro.graphs.packed.PackedGraphView` (pool-worker serving:
         no ``Graph`` was constructed for it), else 0.  The multi-process
         identity suites pin ``sum(decode_avoided) == requests served``.
     """
@@ -234,11 +235,11 @@ class GraphCache:
 
         # Data layer: the stores are typed facades over the configured
         # storage backend (two dicts, or two mmap arenas under one base path).
-        # packed_match="on" puts the mmap backend in CSR-native view mode:
-        # stored queries come back as PackedGraphView objects and no Graph
-        # is ever rebuilt on the serving path ("auto" resolves to "on" only
-        # inside forked pool workers — see repro.core.workers).
-        packed_views = self._config.packed_match.lower() == "on"
+        # Over a packed dataset arena (only ever attached inside a forked
+        # pool worker — see repro.core.workers) the mmap backend serves
+        # stored queries as CSR-native PackedGraphView objects, so no Graph
+        # is rebuilt on the serving path; in-process caches decode.
+        packed_views = isinstance(method.dataset, PackedGraphDataset)
         self._cache_store = CacheStore(
             self._config.cache_capacity,
             backend=create_backend(

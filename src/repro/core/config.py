@@ -28,7 +28,6 @@ _VALID_POLICIES = ("lru", "pop", "pin", "pinc", "hd")
 _VALID_ADMISSION_KINDS = ("threshold", "adaptive")
 _VALID_BACKENDS = ("memory", "mmap")
 _VALID_MAINTENANCE_MODES = ("sync", "background", "barrier")
-_VALID_PACKED_MATCH = ("on", "off", "auto")
 
 
 @dataclass(frozen=True)
@@ -96,17 +95,6 @@ class GraphCacheConfig:
         off the query path — the paper's separate maintenance thread) or
         ``"barrier"`` (worker thread + completion barrier; the deterministic
         test mode whose plan stream is byte-identical to ``sync``).
-    packed_match:
-        CSR-native serving mode of the mmap backend: ``"on"`` serves stored
-        entry queries as zero-decode
-        :class:`~repro.graphs.packed.PackedGraphView` objects (matchers run
-        straight on the packed CSR record), ``"off"`` decodes to ``Graph``
-        on every read, and ``"auto"`` (default) keeps the decode path
-        in-process but resolves to ``"on"`` inside
-        :class:`~repro.core.workers.ProcessPoolCacheService` workers, where
-        the attached read-only arena makes the view mode strictly cheaper.
-        Only meaningful with ``backend="mmap"``; other backends store real
-        ``Graph`` objects and ignore it.
     journal_path:
         Optional file receiving the append-only maintenance plan journal
         (one JSON line per applied
@@ -146,7 +134,6 @@ class GraphCacheConfig:
     backend_path: Optional[str] = None
     shards: int = 1
     maintenance_mode: str = "sync"
-    packed_match: str = "auto"
     journal_path: Optional[str] = None
     journal_fsync: bool = False
     compaction_threshold: Optional[float] = None
@@ -191,11 +178,6 @@ class GraphCacheConfig:
             raise CacheError(
                 f"unknown maintenance mode {self.maintenance_mode!r}; "
                 f"valid modes: {', '.join(_VALID_MAINTENANCE_MODES)}"
-            )
-        if self.packed_match.lower() not in _VALID_PACKED_MATCH:
-            raise CacheError(
-                f"unknown packed_match mode {self.packed_match!r}; "
-                f"valid modes: {', '.join(_VALID_PACKED_MATCH)}"
             )
         if self.compaction_threshold is not None and self.compaction_threshold <= 0:
             raise CacheError("compaction_threshold must be positive (or None)")
@@ -257,10 +239,6 @@ class GraphCacheConfig:
             self, maintenance_mode=maintenance_mode, journal_path=journal_path
         )
 
-    def with_packed_match(self, packed_match: str) -> "GraphCacheConfig":
-        """Return a copy using a different CSR-native serving mode."""
-        return replace(self, packed_match=packed_match)
-
     def with_compaction(self, threshold: Optional[float]) -> "GraphCacheConfig":
         """Return a copy with a different automatic-compaction threshold."""
         return replace(self, compaction_threshold=threshold)
@@ -278,8 +256,6 @@ class GraphCacheConfig:
             label += f"-{self.backend.lower()}"
         if self.maintenance_mode.lower() != "sync":
             label += f"-{self.maintenance_mode.lower()}"
-        if self.packed_match.lower() == "on":
-            label += "-pm"
         if self.compaction_threshold is not None:
             label += f"-compact{self.compaction_threshold:g}"
         return label

@@ -165,10 +165,12 @@ def _load_payload(
         )
 
     config_fields = dict(payload["config"])
-    # v4 snapshots saved while the stage order was configurable carry an
-    # ``execution_mode`` key; every mode gave the same answers and counters,
-    # and stages now always run in order, so the key is dropped.
-    config_fields.pop("execution_mode", None)
+    # Older v4 snapshots carry retired config keys: ``execution_mode`` (every
+    # stage order gave the same answers and counters; stages now always run
+    # in order) and ``packed_match`` (the serving mode now follows the
+    # dataset: views in pool workers, decoded graphs in-process).
+    for retired in ("execution_mode", "packed_match"):
+        config_fields.pop(retired, None)
     try:
         config = GraphCacheConfig(**config_fields)
     except TypeError as exc:

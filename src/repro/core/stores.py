@@ -15,8 +15,9 @@ capacity policy, the typed entry classes and the error semantics live here,
 while the actual record container is either the in-RAM dictionary of the seed
 (:class:`~repro.core.backends.InMemoryBackend`, the default) or a packed
 graph arena (:class:`~repro.core.backends.MmapBackend`).
-Persistence to disk at startup/shutdown is supported through simple JSON
-snapshots so a long-running analytics session can be resumed.
+Persistence to disk at startup/shutdown is the cache-level snapshot of
+:mod:`repro.core.persistence` (plus journal recovery), so a long-running
+analytics session can be resumed.
 
 Both stores are thread-safe: every mutation **and every compound read** —
 including ``is_full``, ``free_slots``, ``__len__``, ``__contains__`` and
@@ -27,10 +28,8 @@ store across threads.  Iteration yields a point-in-time snapshot.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
-from pathlib import Path
-from typing import Any, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Union
+from typing import Any, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence
 
 from ..analysis.runtime import make_rlock
 from ..exceptions import CacheError
@@ -46,8 +45,6 @@ __all__ = [
     "WindowEntryCodec",
     "WindowStore",
 ]
-
-PathLike = Union[str, Path]
 
 
 @dataclass(frozen=True)
@@ -277,27 +274,6 @@ class CacheStore:
         """Release backend resources (database connections)."""
         with self._lock:
             self._backend.close()
-
-    # ------------------------------------------------------------------ #
-    # Persistence (startup load / shutdown save, §6.1).
-    # ------------------------------------------------------------------ #
-    def save(self, path: PathLike) -> None:
-        """Write the store to a JSON snapshot."""
-        with self._lock:
-            records = self._backend.dump_records()
-        payload = {"capacity": self._capacity, "entries": records}
-        Path(path).write_text(json.dumps(payload, indent=2), encoding="utf-8")
-
-    @classmethod
-    def load(
-        cls, path: PathLike, backend: Optional[StorageBackend] = None
-    ) -> "CacheStore":
-        """Read a store back from a JSON snapshot (into any backend)."""
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        store = cls(capacity=int(payload["capacity"]), backend=backend)
-        for record in payload["entries"]:
-            store.add(CacheEntryCodec.decode(record))
-        return store
 
 
 class WindowStore:

@@ -28,9 +28,8 @@ Protocol invariants:
   cache (if any) has been sealed and closed, so no locks or threads are
   alive at fork time and the children inherit nothing but the module state
   and the sealed files.
-* **Zero-decode serving (packed match).**  Unless ``config.packed_match``
-  is ``"off"``, a worker's query loop never constructs a ``Graph``: the
-  packed bytes open as a CSR-native
+* **Zero-decode serving.**  A worker's query loop never constructs a
+  ``Graph``: the packed bytes open as a CSR-native
   :class:`~repro.graphs.packed.PackedGraphView`, stored entries come back
   as memoised views over the attached arena, and the target dataset is a
   :class:`~repro.core.packed_dataset.PackedGraphDataset` over one shared
@@ -118,11 +117,10 @@ def _worker_loop(
     Runs in the forked child.  ``method`` and ``config`` arrive through the
     fork's copy-on-write image, never through pickling; the caches built
     here attach the sealed arena segments read-only and warm-start from
-    them.  In packed-match mode (``packed_match != "off"``; ``"auto"``
-    resolves to ``"on"`` here, where the attached read-only arena makes
-    views strictly cheaper) the loop is zero-decode: queries open as
-    :class:`PackedGraphView` records, stored entries are served as memoised
-    views, and the method verifies against the shared packed dataset arena.
+    them.  The loop is zero-decode: the method is rebound to the shared
+    packed dataset arena (which puts every cache here in view mode), queries
+    open as :class:`PackedGraphView` records and stored entries are served
+    as memoised views.
 
     When the parent sealed a ``*.ftv.arena`` feature index, the worker
     attaches it instead of serving from the copy-on-write image of the
@@ -132,16 +130,12 @@ def _worker_loop(
     worker rebuilds in-process; over the attached packed dataset the rebuild
     is still CSR-native and decode-free.
     """
-    packed = config.packed_match.lower() != "off"
-    if packed:
-        config = replace(config, packed_match="on")
-        if dataset_path is not None and os.path.exists(dataset_path):
-            method.rebind_dataset(
-                PackedGraphDataset.attach(dataset_path, name=method.dataset.name)
-            )
-            if ftv_index_path is not None and os.path.exists(ftv_index_path):
-                if not method.attach_feature_index(ftv_index_path):
-                    method.rebuild_index()
+    method.rebind_dataset(
+        PackedGraphDataset.attach(dataset_path, name=method.dataset.name)
+    )
+    if ftv_index_path is not None and os.path.exists(ftv_index_path):
+        if not method.attach_feature_index(ftv_index_path):
+            method.rebuild_index()
     caches: Dict[int, GraphCache] = {
         shard: GraphCache(method, _shard_config(config, shard, shards), matcher=matcher)
         for shard in owned
@@ -156,10 +150,7 @@ def _worker_loop(
             if kind == "query":
                 replies: List[Tuple[int, CacheQueryResult]] = []
                 for position, shard, payload in message[1]:
-                    if packed:
-                        query: Graph = PackedGraphView(PackedGraph.from_bytes(payload))
-                    else:
-                        query = PackedGraph.decode_graph(payload)
+                    query = PackedGraphView(PackedGraph.from_bytes(payload))
                     replies.append((position, caches[shard].query(query)))
                 conn.send(("result", replies))
             elif kind == "stats":
@@ -251,16 +242,13 @@ class ProcessPoolCacheService:
         self._config = replace(
             base, backend="mmap", backend_path=backend_path, shards=shard_count
         )
-        self._packed = self._config.packed_match.lower() != "off"
-        self._dataset_path: Optional[str] = (
-            f"{backend_path}.dataset.arena" if self._packed else None
-        )
+        self._dataset_path = f"{backend_path}.dataset.arena"
         # One sealed feature index shared by the pool, when the method can
         # compile one (FTV methods).  Sealed in start(), attached by every
         # worker after the fork.
         self._ftv_index_path: Optional[str] = (
             f"{backend_path}.ftv.arena"
-            if self._packed and hasattr(method, "seal_feature_index")
+            if hasattr(method, "seal_feature_index")
             else None
         )
         self._method = method
@@ -325,7 +313,7 @@ class ProcessPoolCacheService:
             self._warm_cache.seal_storage()
             self._warm_cache.close()
             self._warm_cache = None
-        if self._dataset_path is not None and not os.path.exists(self._dataset_path):
+        if not os.path.exists(self._dataset_path):
             # One shared packed copy of the target dataset: sealed here, once,
             # then attached read-only by every worker after the fork.
             seal_dataset(self._method.dataset, self._dataset_path)

@@ -65,7 +65,7 @@ def compacted_mmap(tmp_path):
 
 
 BACKEND_FACTORIES = {
-    "memory": lambda tmp_path: InMemoryBackend(CacheEntryCodec()),
+    "memory": lambda tmp_path: InMemoryBackend(),
     "mmap-memory": lambda tmp_path: MmapBackend(CacheEntryCodec()),
     "mmap-file": lambda tmp_path: MmapBackend(
         CacheEntryCodec(), path=str(tmp_path / "store")
@@ -129,14 +129,6 @@ class TestBackendContract:
         backend.clear()
         assert backend.count() == 0
         assert backend.serials() == []
-
-    def test_dump_records_round_trip(self, backend):
-        for serial in (4, 2):
-            backend.put(serial, cache_entry(serial, answers=(serial, 0)))
-        records = backend.dump_records()
-        assert [record["serial"] for record in records] == [4, 2]
-        decoded = [CacheEntryCodec.decode(record) for record in records]
-        assert decoded == backend.entries()
 
 
 class TestMmapDurability:
@@ -297,21 +289,3 @@ class TestStoreFacadesOverBackends:
         assert reopened.serials() == [1, 2]
         assert reopened.get(1).answer_ids == frozenset({0, 4})
         reopened.close()
-
-    def test_cache_store_snapshot_round_trip(
-        self, store_backend_kind, new_backend, tmp_path
-    ):
-        store = CacheStore(3, backend=new_backend(CacheEntryCodec()))
-        store.add(cache_entry(1, answers=(0, 2)))
-        store.add(cache_entry(2))
-        path = tmp_path / "store.json"
-        store.save(path)
-        # A snapshot taken over one backend loads into any other.
-        other_kind = "mmap" if store_backend_kind == "memory" else "memory"
-        loaded = CacheStore.load(
-            path, backend=create_backend(other_kind, CacheEntryCodec())
-        )
-        assert loaded.serials() == [1, 2]
-        assert loaded.get(1).answer_ids == frozenset({0, 2})
-        store.close()
-        loaded.close()

@@ -219,23 +219,6 @@ class TestTransactionalDelta:
         backend.close()
 
 
-class TestSnapshotRecords:
-    def test_dump_records_carry_arena_addresses(self, tmp_path):
-        backend = make_backend(tmp_path)
-        originals = [entry(serial) for serial in (1, 2)]
-        for item in originals:
-            backend.put(item.serial, item)
-        records = backend.dump_records()
-        codec = CacheEntryCodec()
-        for original, record in zip(originals, records):
-            assert record["arena"]["path"] == backend.arena_path
-            assert record["arena"]["length"] > 0
-            # The portable text stays loadable by the ordinary codec.
-            decoded = codec.decode({k: v for k, v in record.items() if k != "arena"})
-            assert decoded == original
-        backend.close()
-
-
 class TestDeltaSeal:
     """Incremental re-seal: tails publish as delta segments, extents stay put."""
 

@@ -387,14 +387,20 @@ class TestValidation:
         with pytest.raises(CacheError, match=f"version {version}: load_cache reads v4 only"):
             load_cache(path, method)
 
-    def test_v4_snapshot_with_stage_mode_key_still_loads(self, warm_cache, tmp_path):
-        # Snapshots saved while the stage order was configurable carry
-        # ``"execution_mode": "serial"`` in their config.
+    @pytest.mark.parametrize(
+        "key, value",
+        [("execution_mode", "serial"), ("packed_match", "on"), ("packed_match", "auto")],
+    )
+    def test_v4_snapshot_with_retired_config_key_still_loads(
+        self, warm_cache, tmp_path, key, value
+    ):
+        # Snapshots saved while the stage order or the mmap serving mode was
+        # configurable carry that retired key in their config.
         cache, method, _ = warm_cache
         path = tmp_path / "cache.json"
         save_cache(cache, path)
         payload = json.loads(path.read_text())
-        payload["config"]["execution_mode"] = "serial"
+        payload["config"][key] = value
         path.write_text(json.dumps(payload))
         for restored in (load_cache(path, method), recover_cache(path, method)):
             assert restored.config == cache.config

@@ -94,19 +94,6 @@ class TestCacheStore:
         store.add(entry(2))
         assert {e.serial for e in store} == {1, 2}
 
-    def test_persistence_round_trip(self, tmp_path):
-        store = CacheStore(4)
-        store.add(entry(1, answers=(0, 2)))
-        store.add(entry(5, answers=()))
-        path = tmp_path / "cache.json"
-        store.save(path)
-        loaded = CacheStore.load(path)
-        assert loaded.capacity == 4
-        assert sorted(loaded.serials()) == [1, 5]
-        assert loaded.get(1).answer_ids == frozenset({0, 2})
-        assert loaded.get(5).answer_ids == frozenset()
-        assert loaded.get(1).query == store.get(1).query
-
 
 class TestWindowStore:
     def test_capacity_validation(self):

@@ -44,7 +44,6 @@ def _config(tmp_path, **overrides):
         shards=2,
         backend="mmap",
         backend_path=str(tmp_path / "cache.db"),
-        packed_match="on",
     )
     defaults.update(overrides)
     return GraphCacheConfig(**defaults)
@@ -59,12 +58,6 @@ class TestPoolSealsFeatureIndex:
             assert pool.feature_index_path is not None
             assert pool.feature_index_path.endswith(".ftv.arena")
             assert os.path.exists(pool.feature_index_path)
-
-    def test_unpacked_mode_has_no_index_path(self, tmp_path):
-        with ProcessPoolCacheService(
-            GraphGrepSX(_dataset()), _config(tmp_path, packed_match="off"), workers=2
-        ) as pool:
-            assert pool.feature_index_path is None
 
     def test_non_ftv_method_has_no_index_path(self, tmp_path):
         from repro.methods import SIMethod

@@ -14,8 +14,12 @@ import functools
 import pytest
 
 from repro.core import GraphCacheConfig, ProcessPoolCacheService, ShardedGraphCache
+from repro.core.cache import GraphCache
+from repro.core.packed_dataset import PackedGraphDataset, seal_dataset
 from repro.exceptions import CacheError
 from repro.graphs.generators import aids_like
+from repro.graphs.graph import Graph
+from repro.graphs.packed import PackedGraphView
 from repro.methods import SIMethod
 from repro.workloads import generate_type_a
 
@@ -149,29 +153,33 @@ class TestLifecycle:
 
 
 class TestPackedMatch:
-    """The zero-decode serving mode: same answers, decode_avoided pinned."""
+    """Zero-decode serving: decode_avoided pinned (answers and counters are
+    pinned against the in-process sharded cache by TestCounterIdentity)."""
 
-    def test_packed_counters_match_decode_path(self):
+    def test_every_request_avoids_decode(self):
         workload = _workload()
-        with ProcessPoolCacheService(
-            _method(), _config(packed_match="off"), workers=2
-        ) as pool:
-            decoded_results = pool.run(workload)
-            decoded = _counters(pool.runtime_statistics())
-            assert pool.runtime_statistics().decode_avoided == 0
-
-        with ProcessPoolCacheService(
-            _method(), _config(), workers=2  # default "auto" -> on in workers
-        ) as pool:
-            packed_results = pool.run(workload)
-            stats = pool.runtime_statistics()
-            assert _counters(stats) == decoded
+        with ProcessPoolCacheService(_method(), _config(), workers=2) as pool:
+            pool.run(workload)
             # Zero Graph constructions in the worker query loop: every
             # request arrived as a PackedGraphView.
-            assert stats.decode_avoided == len(workload)
-        assert [_result_fields(r) for r in packed_results] == [
-            _result_fields(r) for r in decoded_results
-        ]
+            assert pool.runtime_statistics().decode_avoided == len(workload)
+
+    def test_view_mode_follows_the_dataset(self, tmp_path):
+        # An in-process mmap cache hands back decoded Graphs; the same cache
+        # over a packed dataset arena (what a pool worker attaches) serves
+        # its entries as PackedGraphViews.
+        path = seal_dataset(_dataset(), tmp_path / "aids.dataset.arena")
+        packed = PackedGraphDataset.attach(path, name=_dataset().name)
+        for dataset, query_type in ((_dataset(), Graph), (packed, PackedGraphView)):
+            cache = GraphCache(
+                SIMethod(dataset, matcher="vf2plus"), _config(shards=1, backend="mmap")
+            )
+            for query in _workload():
+                cache.query(query)
+            assert cache.cached_serials
+            for serial in cache.cached_serials:
+                assert type(cache.cached_entry(serial).query) is query_type
+            cache.close()
 
     def test_dataset_arena_sealed_once(self, tmp_path):
         config = _config(backend="mmap", backend_path=str(tmp_path / "pool"))
@@ -179,16 +187,6 @@ class TestPackedMatch:
             pool.run(_workload(count=6))
             dataset_arena = tmp_path / "pool.dataset.arena"
             assert dataset_arena.exists()
-
-    def test_packed_off_skips_dataset_arena(self, tmp_path):
-        config = _config(
-            backend="mmap",
-            backend_path=str(tmp_path / "pool"),
-            packed_match="off",
-        )
-        with ProcessPoolCacheService(_method(), config, workers=2) as pool:
-            pool.run(_workload(count=6))
-            assert not (tmp_path / "pool.dataset.arena").exists()
 
     def test_reseal_publishes_deltas_and_serving_continues(self):
         workload = _workload(count=24)

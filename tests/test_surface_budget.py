@@ -26,16 +26,16 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 #: ``dataclasses.fields(GraphCacheConfig)``: one per settable field, nothing
 #: else (docstring entries, validation tables and CLI flags do not count).
-CONFIG_FIELDS = 20
+CONFIG_FIELDS = 19
 #: ``add_argument(`` calls in the CLI package (every subcommand's flags and
 #: positionals; shared helpers counted once).
-CLI_ARGUMENTS = 50
+CLI_ARGUMENTS = 49
 #: Concrete storage backends (classes and registry names alike).
 STORAGE_BACKENDS = 2
 #: Snapshot ``format_version`` values ``load_cache`` accepts.
 SNAPSHOT_FORMATS_READ = 1
 #: Lines of Python under ``src/``, rounded up to the next hundred.
-SRC_LINES = 18_700
+SRC_LINES = 18_600
 
 
 def _concrete_subclasses(base):
