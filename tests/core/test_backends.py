@@ -12,6 +12,8 @@ criterion.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.core.backends import (
@@ -129,6 +131,16 @@ class TestBackendContract:
         backend.clear()
         assert backend.count() == 0
         assert backend.serials() == []
+
+    def test_entries_round_trip_through_codec(self, backend):
+        # Snapshots write each entry through CacheEntryCodec: whatever a
+        # backend hands back must survive that record format unchanged.
+        for serial in (4, 2):
+            backend.put(serial, cache_entry(serial, answers=(serial, 0)))
+        records = [CacheEntryCodec.encode(entry) for entry in backend.entries()]
+        assert [record["serial"] for record in records] == [4, 2]
+        decoded = [CacheEntryCodec.decode(record) for record in records]
+        assert decoded == backend.entries()
 
 
 class TestMmapDurability:
@@ -289,3 +301,20 @@ class TestStoreFacadesOverBackends:
         assert reopened.serials() == [1, 2]
         assert reopened.get(1).answer_ids == frozenset({0, 4})
         reopened.close()
+
+    def test_cache_store_records_load_over_another_backend(
+        self, store_backend_kind, new_backend
+    ):
+        store = CacheStore(3, backend=new_backend(CacheEntryCodec()))
+        store.add(cache_entry(1, answers=(0, 2)))
+        store.add(cache_entry(2))
+        records = json.loads(json.dumps([CacheEntryCodec.encode(e) for e in store]))
+        # Snapshot records taken over one backend load into any other.
+        other_kind = "mmap" if store_backend_kind == "memory" else "memory"
+        loaded = CacheStore(3, backend=create_backend(other_kind, CacheEntryCodec()))
+        loaded.replace_contents([CacheEntryCodec.decode(record) for record in records])
+        assert loaded.serials() == [1, 2]
+        assert loaded.get(1).answer_ids == frozenset({0, 2})
+        assert loaded.get(2).query == store.get(2).query
+        store.close()
+        loaded.close()

@@ -2,9 +2,17 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
-from repro.core.stores import CacheEntry, CacheStore, WindowEntry, WindowStore
+from repro.core.stores import (
+    CacheEntry,
+    CacheEntryCodec,
+    CacheStore,
+    WindowEntry,
+    WindowStore,
+)
 from repro.exceptions import CacheError
 from repro.graphs.graph import Graph
 
@@ -77,6 +85,19 @@ class TestCacheStore:
         store.add(entry(1))
         store.replace_contents([entry(2), entry(3)])
         assert sorted(store.serials()) == [2, 3]
+
+    def test_persistence_round_trip(self):
+        # Snapshots persist a store as CacheEntryCodec records in JSON.
+        store = CacheStore(4)
+        store.add(entry(1, answers=(0, 2)))
+        store.add(entry(5, answers=()))
+        text = json.dumps([CacheEntryCodec.encode(e) for e in store])
+        loaded = CacheStore(4)
+        loaded.replace_contents([CacheEntryCodec.decode(r) for r in json.loads(text)])
+        assert sorted(loaded.serials()) == [1, 5]
+        assert loaded.get(1).answer_ids == frozenset({0, 2})
+        assert loaded.get(5).answer_ids == frozenset()
+        assert loaded.get(1).query == store.get(1).query
 
     def test_replace_contents_over_capacity_rejected(self):
         store = CacheStore(1)

@@ -10,6 +10,7 @@ full aids/pdbs scenario grid), plus the fork-after-seal lifecycle details.
 from __future__ import annotations
 
 import functools
+import os
 
 import pytest
 
@@ -187,6 +188,18 @@ class TestPackedMatch:
             pool.run(_workload(count=6))
             dataset_arena = tmp_path / "pool.dataset.arena"
             assert dataset_arena.exists()
+
+    def test_memory_backend_config_still_serves_views(self):
+        # No setting takes the pool off the dataset arena: a config naming
+        # the memory backend still gets mmap shards and packed views.
+        workload = _workload(count=6)
+        with ProcessPoolCacheService(
+            _method(), _config(backend="memory"), workers=2
+        ) as pool:
+            pool.run(workload)
+            assert pool.config.backend == "mmap"
+            assert os.path.exists(f"{pool.config.backend_path}.dataset.arena")
+            assert pool.runtime_statistics().decode_avoided == len(workload)
 
     def test_reseal_publishes_deltas_and_serving_continues(self):
         workload = _workload(count=24)
