@@ -28,8 +28,7 @@ name                    rank  guards
 ``store.cache``           20  the cache store facade's compound reads/mutations
 ``store.window``          21  the window store facade's compound reads/mutations
 ``index.write``           25  GCindex writers (standby-copy mutation + publish)
-``heap``                  30  the utility heap's incremental statistics
-``stats``                 35  the triplet store's rows
+``stats``                 35  the statistics rows and the victim selection over them
 ``backend``               40  one storage backend's record container
 ``journal``               45  plan-journal append (count + write-through)
 ``scheduler.state``       46  scheduler reports/counters
@@ -58,7 +57,6 @@ LOCK_RANKS: Dict[str, int] = {
     "store.cache": 20,
     "store.window": 21,
     "index.write": 25,
-    "heap": 30,
     "stats": 35,
     "backend": 40,
     "journal": 45,

@@ -13,7 +13,7 @@ REPRO002  a blocking operation (file I/O, ``time.sleep``, ``Thread.join``,
           narrow — lexical regions plus same-class ``self.`` calls — so
           every finding is a hard fact; the runtime sanitizer covers the
           cross-object dynamic paths.
-REPRO003  mutation of stores / the GCindex / the utility heap / statistics
+REPRO003  mutation of stores / the GCindex / the statistics rows
           reachable from a ``decide()`` method on a class that also defines
           ``apply()`` (the PR-4 decide/apply purity split).
 REPRO004  a mutating call or attribute write on a pinned ``IndexView``
@@ -34,7 +34,7 @@ REPRO008  cache mutation reachable from a replica apply path (an ``apply*``
           machinery.  A replica must change state only by replaying frames
           through ``GraphCache.replay_frames`` /
           ``MaintenanceEngine.replay`` — any other route to the stores, the
-          GCindex, the heap or the statistics diverges it from the primary.
+          GCindex or the statistics rows diverges it from the primary.
 ========  ==================================================================
 
 Resolution is best-effort and *sound-where-it-claims*: a call that cannot
@@ -53,22 +53,27 @@ from .model import CallSite, ClassModel, FunctionModel, ModuleModel
 
 __all__ = ["Finding", "Program", "run_rules"]
 
-#: Mutating methods per tracked shared-state type (REPRO003 / REPRO004).
+#: Mutating methods per tracked shared-state type (REPRO003 / REPRO008).
+#: Every name is a method of its class (``tests/analysis`` checks it).  The
+#: GCindex's feature memo writes (``query_features``/``adopt_features``)
+#: are left out: they change no cached entry.
 TRACKED_MUTATORS: Dict[str, Set[str]] = {
-    "CacheStore": {"add", "evict", "apply_delta", "replace_contents", "load", "close"},
-    "WindowStore": {"add", "drain", "apply_delta", "replace_contents", "close"},
-    "QueryGraphIndex": {"add", "remove", "rebuild", "batch", "clear"},
-    "UtilityHeap": {"add", "remove", "rebuild", "record_hit"},
-    "StatisticsManager": {
-        "register_query",
-        "record_hit",
-        "remove",
-        "rebuild",
+    "CacheStore": {"add", "evict", "apply_delta", "replace_contents", "close"},
+    "WindowStore": {"add", "drain", "close"},
+    "QueryGraphIndex": {"add", "remove", "rebuild", "batch"},
+    "StatisticsManager": {"add", "remove", "rebuild", "record_hit"},
+    "InMemoryBackend": {"put", "delete", "clear", "replace_all", "apply_delta", "close"},
+    "MmapBackend": {
+        "put",
+        "delete",
         "clear",
+        "replace_all",
+        "apply_delta",
+        "seal",
+        "seal_delta",
+        "compact",
+        "close",
     },
-    "TripletStore": {"add", "remove", "clear", "update"},
-    "InMemoryBackend": {"put", "delete", "clear", "replace_all", "close"},
-    "MmapBackend": {"put", "delete", "clear", "replace_all", "seal", "close"},
 }
 
 #: The sanctioned replica delta path (REPRO008): the only methods through

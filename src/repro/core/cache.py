@@ -260,7 +260,9 @@ class GraphCache:
                 packed_views=packed_views,
             ),
         )
-        self._statistics = StatisticsManager()
+        self._statistics = StatisticsManager(
+            policy_by_name(self._config.replacement_policy)
+        )
         # Sync scheduling serializes applies and lookups under the GC lock,
         # so the index keeps one copy; the background/barrier schedulers
         # need the double buffer for lock-free snapshot reads mid-apply.
@@ -277,7 +279,7 @@ class GraphCache:
         )
         # The maintenance subsystem: policy and admission controller come
         # from the repro.core.policies registries; the engine owns the
-        # decide/apply rounds and the incremental utility heap; the
+        # decide/apply rounds over the statistics rows; the
         # scheduler (config.maintenance_mode) decides where rounds execute
         # and journals every applied plan.
         self._gc_lock = make_rlock("gc")
@@ -285,7 +287,6 @@ class GraphCache:
             cache_store=self._cache_store,
             statistics=self._statistics,
             index=self._index,
-            policy=policy_by_name(self._config.replacement_policy),
             admission=admission_by_name(
                 self._config.admission_kind,
                 enabled=self._config.admission_control,
@@ -345,23 +346,20 @@ class GraphCache:
         if not entries and not window_entries:
             return
         self._index.rebuild((entry.serial, entry.query) for entry in entries)
-        for entry in entries:
-            self._statistics.register_query(
-                CachedQueryStats(
-                    serial=entry.serial,
-                    order=entry.query.order,
-                    size=entry.query.size,
-                    distinct_labels=len(entry.query.distinct_labels()),
-                )
+        self._statistics.rebuild(
+            CachedQueryStats(
+                serial=entry.serial,
+                order=entry.query.order,
+                size=entry.query.size,
+                distinct_labels=len(entry.query.distinct_labels()),
             )
-        for entry in window_entries:
-            self._statistics.register_query(CachedQueryStats.of_window_entry(entry))
+            for entry in entries
+        )
         self._serial = max(
             [entry.serial for entry in entries]
             + [entry.serial for entry in window_entries]
         )
         self._window_manager.resync()
-        self._engine.rebuild_scores()
 
     def _resolve_containment_matcher(
         self, matcher: Optional[SubgraphMatcher]
@@ -396,7 +394,7 @@ class GraphCache:
 
     @property
     def maintenance_engine(self) -> MaintenanceEngine:
-        """The maintenance engine (decide/apply rounds, utility heap)."""
+        """The maintenance engine (decide/apply rounds)."""
         return self._engine
 
     @property
@@ -589,7 +587,9 @@ class GraphCache:
         listing and reading it, and no window entry can slip into the cache
         between the two sections.  Returns ``(entries, stats, window_entries,
         next_serial, maintenance)`` with statistics covering cached and
-        window queries; ``maintenance`` is the engine's state record
+        window queries (copies of the cached rows, then each window entry's
+        :meth:`~repro.core.statistics.CachedQueryStats.of_window_entry`);
+        ``maintenance`` is the engine's state record
         (admission calibration, adaptive-threshold history — snapshot format
         v4 carries it so a cache interrupted mid-calibration resumes exactly)
         plus the window's request count and calibration samples, so a cache
@@ -613,10 +613,8 @@ class GraphCache:
                     continue  # a round slipped in before we took the lock
                 entries = list(self._cache_store)
                 window_entries = self._window_store.entries()
-                stats = [
-                    self._statistics.snapshot(entry.serial)
-                    for entry in entries + window_entries
-                ]
+                stats = [self._statistics.snapshot(entry.serial) for entry in entries]
+                stats += map(CachedQueryStats.of_window_entry, window_entries)
                 return (
                     entries,
                     stats,
@@ -639,10 +637,12 @@ class GraphCache:
         """Install externally persisted state (the snapshot-load entry point).
 
         Replaces the cache contents with ``entries``, rebuilds the GCindex —
-        the restore twin of the engine's delta path — registers the supplied
-        per-query ``stats`` (cached *and* in-flight window queries), refills
-        the window with ``window_entries``, re-seeds the engine's utility
-        heap from the restored statistics, adopts the persisted
+        the restore twin of the engine's delta path — installs the supplied
+        per-query ``stats`` as the cached entries' rows and re-keys the
+        victim selection over them (an entry without one starts at zero;
+        rows of other serials, such as window queries, are ignored: a window
+        query's statistics follow from its entry), refills the window with
+        ``window_entries``, adopts the persisted
         ``maintenance`` state (admission calibration / adaptive-threshold
         history; ``None`` restarts those cold) and
         resumes the serial counter at ``max(next_serial, highest restored
@@ -653,6 +653,7 @@ class GraphCache:
         """
         entries = list(entries)
         window_entries = sorted(window_entries, key=lambda entry: entry.serial)
+        by_serial = {row.serial: row for row in stats}
         # Quiesce maintenance before swapping state in: drain, then verify
         # *under the same GC lock hold that performs the swap* that no round
         # slipped in meanwhile (same loop as snapshot_state — an in-flight
@@ -670,9 +671,10 @@ class GraphCache:
                 for entry in window_entries:
                     self._window_store.add(entry)
                 self._window_manager.resync(maintenance)
-                for snapshot in stats:
-                    self._statistics.register_query(snapshot)
-                self._engine.rebuild_scores()
+                self._statistics.rebuild(
+                    by_serial.get(entry.serial, CachedQueryStats(entry.serial))
+                    for entry in entries
+                )
                 self._engine.restore_state(maintenance)
                 restored_serials = [entry.serial for entry in entries] + [
                     entry.serial for entry in window_entries
@@ -839,8 +841,8 @@ class GraphCache:
                 cost_saving = self._mfilter.shortcut_credit(query, removed_ids)
             else:
                 cost_saving = candidates_cost(query, removed_ids, self._method.dataset)
-            # The engine's hit hook feeds the statistics store *and* the
-            # incremental utility heap in one call.
+            # The engine's hit hook updates the entry's one statistics row
+            # and re-keys the victim selection over it.
             self._engine.on_hit(
                 serial=cached_serial,
                 benefiting_serial=serial,

@@ -14,7 +14,10 @@ raises :class:`~repro.exceptions.CacheError` naming its version):
 
 * one **sub-snapshot per shard** — a plain cache is a one-shard snapshot —
   each carrying its cached entries (+ per-query statistics), its current
-  window entries (+ statistics), its serial counter, its **maintenance
+  window entries (+ the statistics each implies, written for every entry
+  and ignored on load: a window query is never credited, so its record is
+  :meth:`~repro.core.statistics.CachedQueryStats.of_window_entry`), its
+  serial counter, its **maintenance
   state** and its **journal round watermark** — the highest
   :class:`~repro.core.policies.journal.PlanJournal` round already folded
   into the snapshot, which is what :func:`recover_cache` replays past;
@@ -26,10 +29,9 @@ raises :class:`~repro.exceptions.CacheError` naming its version):
   state — calibration scores, windows observed, fixed threshold, and the
   adaptive controller's hill-climb history — so a cache saved
   *mid-calibration* resumes exactly where it stopped.  The replacement
-  policy's incremental utility heap is **not** serialized: its contents
-  are derived from the per-entry statistics the snapshot already carries,
-  so the restore path rebuilds it instead of trusting a second copy that
-  could drift.
+  policy's lazy selection heap is **not** serialized: it only keys
+  the statistics rows the snapshot already carries, so the restore path
+  re-keys it over the restored rows.
 
 Restores go through the public :meth:`GraphCache.restore` API — persistence
 never reaches into private stores — so the entries land in whatever storage
@@ -121,10 +123,7 @@ def _restore_shard(shard: GraphCache, payload: Dict[str, Any]) -> None:
     """Feed one sub-snapshot through the public ``restore`` API."""
     entries = [CacheEntryCodec.decode(record) for record in payload["entries"]]
     window_entries = [WindowEntryCodec.decode(record) for record in payload["window"]]
-    stats = [
-        CachedQueryStats(**record["statistics"])
-        for record in payload["entries"] + payload["window"]
-    ]
+    stats = [CachedQueryStats(**record["statistics"]) for record in payload["entries"]]
     shard.restore(
         entries,
         stats=stats,

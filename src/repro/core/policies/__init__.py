@@ -10,9 +10,6 @@ it behind two registries and one engine:
 * :mod:`~repro.core.policies.admission` /
   :mod:`~repro.core.policies.adaptive` — the §6.2 admission controllers
   behind :func:`admission_by_name`, now with persistable calibration state;
-* :mod:`~repro.core.policies.heap` — the incremental utility scorer with
-  per-hit update hooks (the full-snapshot re-score survives only as the
-  reference oracle);
 * :mod:`~repro.core.policies.engine` — :class:`MaintenanceEngine`, the
   decide/apply split: a pure, serializable :class:`MaintenancePlan` per
   round, applied as O(window) row-level deltas;
@@ -30,7 +27,6 @@ from __future__ import annotations
 from .adaptive import AdaptiveAdmissionController
 from .admission import AdmissionController
 from .engine import MaintenanceEngine
-from .heap import SelectionOutcome, UtilityHeap
 from .journal import PlanJournal
 from .plan import MaintenancePlan, MaintenanceReport
 from .registry import (
@@ -79,8 +75,6 @@ __all__ = [
     "PINPolicy",
     "POPPolicy",
     "ReplacementPolicy",
-    "SelectionOutcome",
-    "UtilityHeap",
     "WindowManager",
     "admission_by_name",
     "admission_from_record",

@@ -10,19 +10,28 @@ and rebuilt the whole GCindex.  The engine replaces that with a clean
   :class:`~repro.core.policies.plan.MaintenancePlan` (admitted / rejected /
   evicted serials plus the policy rationale) without touching any state
   beyond the admission controller's own calibration;
-* :meth:`apply` executes a plan as row-level deltas in two halves: the
-  storage half (the backend deletes/inserts exactly the evicted/admitted
-  rows, the GCindex takes the same delta as one batch) and the
-  heap/statistics half — O(window) work per round, whatever the cache size;
-* :meth:`replay` runs journaled frames through the same halves: the
-  heap/statistics half per frame, the storage half once, for the net delta.
+* :meth:`apply` executes a plan as row-level deltas: the admitted entries'
+  statistics rows start, the storage half runs (the backend deletes/inserts
+  exactly the evicted/admitted rows, the GCindex takes the same delta as one
+  batch), then the evicted entries' rows go — O(window) work per round,
+  whatever the cache size;
+* :meth:`replay` runs journaled frames through the same steps: the rows per
+  frame, the storage half once, for the net delta.
 
-Victim selection runs on the :class:`~repro.core.policies.heap.UtilityHeap`
-(incrementally maintained by the per-hit :meth:`on_hit` hook); the seed's
-full-snapshot re-scoring survives as :meth:`oracle_victims`, the reference
-oracle the benchmarks pin the heap against.  Setting ``cross_check=True``
-makes every round run both paths and record any divergence — the maintenance
-benchmark's correctness harness.
+Each cached query has one statistics row, kept by the
+:class:`~repro.core.statistics.StatisticsManager`, which also selects the
+victims over those rows.  The per-hit :meth:`on_hit` hook applies a hit to
+it once.  An admitted entry's row starts as
+:meth:`~repro.core.statistics.CachedQueryStats.of_window_entry` — a window
+query is never credited, so nothing is lost by giving it no row until then.
+The row exists before the store and GCindex publish the entry, and an
+evicted row outlives its entry's publication, so a query committing during
+a background apply never credits a cached entry without a row.  A full sort
+of copies of the rows of the cache store's serials survives as
+:meth:`oracle_victims`, the reference oracle the benchmarks pin the
+selection against.  Setting ``cross_check=True`` makes every round score
+both over the rows as one hold of their lock saw them and record any
+divergence — the maintenance benchmark's correctness harness.
 """
 
 from __future__ import annotations
@@ -35,7 +44,6 @@ from ..statistics import CachedQueryStats, StatisticsManager
 from ..stores import CacheEntry, CacheStore, WindowEntry
 from .adaptive import AdaptiveAdmissionController
 from .admission import AdmissionController
-from .heap import UtilityHeap
 from .plan import MaintenancePlan
 from .registry import admission_from_record
 from .replacement import ReplacementPolicy
@@ -61,9 +69,6 @@ class MaintenanceEngine:
     cache_store, statistics, index:
         The shared state the apply step mutates (the decide step only reads
         it).
-    policy:
-        The replacement policy; scored incrementally through the utility
-        heap, with the full-snapshot oracle kept for cross-checking.
     admission:
         The admission controller (disabled by default).
     cross_check:
@@ -78,16 +83,14 @@ class MaintenanceEngine:
         cache_store: CacheStore,
         statistics: StatisticsManager,
         index: "QueryGraphIndex",
-        policy: ReplacementPolicy,
         admission: Optional[AdmissionController] = None,
         cross_check: bool = False,
     ) -> None:
         self._cache_store = cache_store
         self._statistics = statistics
         self._index = index
-        self._policy = policy
+        self._policy = statistics.policy
         self._admission = admission or AdmissionController(enabled=False)
-        self._heap = UtilityHeap(policy)
         # Estimated sub-iso cost alleviated by cache hits since the last
         # maintenance round — the live feedback signal for the adaptive
         # admission controller's hill climb (persisted in the state record
@@ -95,12 +98,12 @@ class MaintenanceEngine:
         self._window_cost_saving = 0.0
         # Hit events observed since the last round, in order.  Each round
         # drains this buffer into its journal frame, so a replica (or crash
-        # recovery) can replay the exact statistics/heap evolution.
+        # recovery) can replay the exact statistics evolution.
         # Persisted in the state record: a mid-window snapshot's pending
         # hits are exactly the prefix of the next frame already absorbed.
         self._hit_events: List[Tuple[int, int, float, float, bool]] = []
         self.cross_check = cross_check
-        #: ``(current_serial, heap_victims, oracle_victims)`` triples for
+        #: ``(current_serial, victims, oracle_victims)`` triples for
         #: every cross-checked round that diverged (empty = proven identical).
         self.oracle_mismatches: List[Tuple[int, Tuple[int, ...], Tuple[int, ...]]] = []
         #: Test hook: when set, :meth:`apply` invokes it with the plan while
@@ -124,11 +127,6 @@ class MaintenanceEngine:
     def admission(self) -> AdmissionController:
         """The admission controller in use."""
         return self._admission
-
-    @property
-    def heap(self) -> UtilityHeap:
-        """The incremental utility heap (exposed for inspection and tests)."""
-        return self._heap
 
     # ------------------------------------------------------------------ #
     # Decide: window -> pure plan.
@@ -163,13 +161,15 @@ class MaintenanceEngine:
 
         free_slots = self._cache_store.free_slots()
         evict_count = max(0, len(admitted) - free_slots)
-        selection = self._heap.select_victims(evict_count, current_serial)
-        if self.cross_check and evict_count > 0:
-            oracle = tuple(self.oracle_victims(evict_count, current_serial))
+        # The oracle scores copies taken under the selection's own hold of
+        # the rows' lock: no commit's hit lands between the two.  The store
+        # does not change during a decide.
+        audit = self._cache_store.serials() if self.cross_check and evict_count else ()
+        selection = self._statistics.select_victims(evict_count, current_serial, audit)
+        if audit:
+            oracle = tuple(self.oracle_victims(evict_count, current_serial, selection.copies))
             if oracle != selection.victims:
-                self.oracle_mismatches.append(
-                    (current_serial, selection.victims, oracle)
-                )
+                self.oracle_mismatches.append((current_serial, selection.victims, oracle))
 
         return MaintenancePlan(
             current_serial=current_serial,
@@ -183,14 +183,25 @@ class MaintenanceEngine:
             victim_utilities=selection.victim_utilities,
         )
 
-    def oracle_victims(self, evict_count: int, current_serial: int) -> List[int]:
-        """Reference oracle: full-snapshot re-scoring, as the seed did it.
+    def oracle_victims(
+        self,
+        evict_count: int,
+        current_serial: int,
+        rows: Optional[Sequence[CachedQueryStats]] = None,
+    ) -> List[int]:
+        """Reference oracle: the policy's full sort over copies of the rows of
+        the cache store's serials, in the store's order (``rows``: such copies,
+        already taken).
 
-        O(cache) statistics-store reads plus a full sort — kept only to
-        verify the incremental heap, never on the production path.
+        The population comes from the store, not from the rows: a missing row
+        raises :class:`~repro.exceptions.CacheError`, and a leftover row or a
+        row order that differs from the store's shows up as a mismatch.
+        O(cache) copies plus a full sort — kept only to verify the
+        incremental selection, never on the production path.
         """
-        snapshots = self._statistics.snapshots(self._cache_store.serials())
-        return self._policy.select_victims(snapshots, evict_count, current_serial)
+        if rows is None:
+            rows = [self._statistics.snapshot(serial) for serial in self._cache_store.serials()]
+        return self._policy.select_victims(rows, evict_count, current_serial)
 
     # ------------------------------------------------------------------ #
     # Apply: plan -> row-level deltas.
@@ -201,7 +212,7 @@ class MaintenanceEngine:
         window_entries: Sequence[WindowEntry],
         lock: Optional[threading.RLock] = None,
     ) -> Tuple[int, int]:
-        """Execute a plan against the stores, the index and the heap.
+        """Execute a plan against the stores, the index and the statistics.
 
         Returns ``(index_ops, backend_row_ops)`` — the mutation counts this
         apply performed, measured from the index/backend op counters; both
@@ -210,27 +221,36 @@ class MaintenanceEngine:
         The apply is phased so a background scheduler can run it while
         queries are being served:
 
-        1. the **store delta** executes atomically under the store's own
+        1. the admitted entries' **statistics rows** start, under ``lock``
+           (the cache's GC lock, which the commit path holds for its hits);
+        2. the **store delta** executes atomically under the store's own
            lock (readers see pre- or post-delta, never a torn mix);
-        2. the **GCindex delta** runs as one
+        3. the **GCindex delta** runs as one
            :meth:`~repro.core.query_index.QueryGraphIndex.batch` — lookups
            keep reading the previously published snapshot and never block;
-        3. the **heap/statistics delta** runs under ``lock`` (the cache's
-           GC lock) because the commit path mutates the same structures on
-           every hit — this is the only section that can briefly hold up a
-           committing query.  ``None`` skips the locking (single-threaded
-           callers, or a barrier scheduler whose submitter already holds
-           the GC lock while it waits).
+        4. the evicted entries' rows go, under ``lock``.
+
+        A query committing between the steps credits only entries the store
+        holds, and each of those has a row, so no hit is lost — and the
+        journal's replay, which applies a frame's rows before the next
+        frame's hits, counts the same hits.  ``lock=None`` skips the locking
+        (single-threaded callers, or a barrier scheduler whose submitter
+        already holds the GC lock while it waits).
         """
         by_serial = {entry.serial: entry for entry in window_entries}
-        additions = [_cache_entry(by_serial[serial]) for serial in plan.admitted_serials]
+        admitted = [by_serial[serial] for serial in plan.admitted_serials]
+        guard = lock if lock is not None else nullcontext()
 
         index_before = self._index.op_counts.incremental_ops
         rows_before = self._cache_store.backend.op_counts.row_ops
 
-        self._apply_storage(additions, plan.evicted_serials, plan)
-        with lock if lock is not None else nullcontext():  # repro: lock[gc]
-            self._apply_accounting(plan)
+        with guard:  # repro: lock[gc]
+            self._start_rows(admitted)
+        self._apply_storage(
+            [_cache_entry(entry) for entry in admitted], plan.evicted_serials, plan
+        )
+        with guard:  # repro: lock[gc]
+            self._drop_rows(plan.evicted_serials)
 
         return (
             self._index.op_counts.incremental_ops - index_before,
@@ -252,17 +272,15 @@ class MaintenanceEngine:
             if plan is not None and self.apply_hold_hook is not None:
                 self.apply_hold_hook(plan)
 
-    def _apply_accounting(self, plan: MaintenancePlan) -> None:  # repro: holds[gc]
-        """The heap/statistics half; the caller holds the GC lock."""
-        for serial in plan.evicted_serials:
-            self._heap.remove(serial)
-            self._statistics.forget_query(serial)
-        for serial in plan.admitted_serials:
-            # Seed the heap from the statistics store (registered when the
-            # query joined the window), so both views start identical.
-            self._heap.add(self._statistics.snapshot(serial))
-        for serial in plan.rejected_serials:
-            self._statistics.forget_query(serial)
+    def _start_rows(self, admitted: Sequence[WindowEntry]) -> None:  # repro: holds[gc]
+        """Each ``admitted`` entry (in plan order) starts its row."""
+        for entry in admitted:
+            self._statistics.add(CachedQueryStats.of_window_entry(entry))
+
+    def _drop_rows(self, evicted: Sequence[int]) -> None:  # repro: holds[gc]
+        """The ``evicted`` entries' rows go."""
+        for serial in evicted:
+            self._statistics.remove(serial)
 
     def run(
         self,
@@ -284,16 +302,18 @@ class MaintenanceEngine:
 
         The returned hit events are the buffered :meth:`on_hit` calls since
         the previous round — the scheduler journals them with the plan so
-        the round is a complete replayable frame.
+        the round is a complete replayable frame.  Events and saving are
+        taken together when the round starts: a hit a background round
+        overlaps belongs to the next window, in both.
         """
         with lock if lock is not None else nullcontext():  # repro: lock[gc]
             hit_events, self._hit_events = self._hit_events, []
+            saving, self._window_cost_saving = self._window_cost_saving, 0.0
         plan = self.decide(window_entries, current_serial, sampled)
         index_ops, backend_row_ops = self.apply(plan, window_entries, lock=lock)
-        with lock if lock is not None else nullcontext():  # repro: lock[gc]
-            if isinstance(self._admission, AdaptiveAdmissionController):
-                self._admission.record_window_saving(self._window_cost_saving)
-            self._window_cost_saving = 0.0
+        if isinstance(self._admission, AdaptiveAdmissionController):
+            with lock if lock is not None else nullcontext():  # repro: lock[gc]
+                self._admission.record_window_saving(saving)
         return plan, index_ops, backend_row_ops, tuple(hit_events)
 
     # ------------------------------------------------------------------ #
@@ -307,9 +327,9 @@ class MaintenanceEngine:
         The **sanctioned delta path** for replicas and crash recovery
         (analyzer rule REPRO008); nothing is re-decided and the admission
         calibration is untouched.  Frame by frame, under ``lock``: hits,
-        then the admitted entries' statistics rows, then the heap/statistics
-        half of :meth:`apply` — a frame's hits only reference serials cached
-        before its round, so every boundary matches the primary's.  The
+        then the rows :meth:`apply` starts and drops — a frame's hits only
+        reference serials cached before its round, so every boundary matches
+        the primary's.  The
         storage half runs once, for the net delta: an entry admitted and
         evicted within ``frames`` never reaches the store or the GCindex,
         survivors are added in admission order, and evicted older entries
@@ -324,12 +344,10 @@ class MaintenanceEngine:
             with guard:  # repro: lock[gc]
                 for hit in frame.hits:
                     self._statistics.record_hit(*hit)
-                    self._heap.record_hit(*hit)
-                for entry in frame.entries:
-                    self._statistics.register_query(CachedQueryStats.of_window_entry(entry))
-                self._apply_accounting(frame.plan)
-                # Mirror run(): the primary reset its window saving when this
-                # round executed, so a replayed boundary matches it exactly.
+                self._start_rows(frame.entries)
+                self._drop_rows(frame.plan.evicted_serials)
+                # Mirror run(): the primary took its window saving with this
+                # frame's hits, so a replayed boundary matches it exactly.
                 self._window_cost_saving = 0.0
             for serial in frame.plan.evicted_serials:
                 if survivors.pop(serial, None) is None:
@@ -358,35 +376,14 @@ class MaintenanceEngine:
         cost_reduction: float,
         special: bool = False,
     ) -> None:
-        """Record a cache hit in the statistics store *and* the utility heap."""
+        """Apply a cache hit to the cached query's row (and re-key it), then
+        buffer it for the round's frame."""
         self._statistics.record_hit(
-            serial=serial,
-            benefiting_serial=benefiting_serial,
-            cs_reduction=cs_reduction,
-            cost_reduction=cost_reduction,
-            special=special,
-        )
-        self._heap.record_hit(
-            serial=serial,
-            benefiting_serial=benefiting_serial,
-            cs_reduction=cs_reduction,
-            cost_reduction=cost_reduction,
-            special=special,
+            serial, benefiting_serial, cs_reduction, cost_reduction, special
         )
         self._window_cost_saving += cost_reduction
         self._hit_events.append(
             (serial, benefiting_serial, cs_reduction, cost_reduction, special)
-        )
-
-    def rebuild_scores(self) -> None:
-        """Re-seed the utility heap from the statistics store.
-
-        Used after a restore/warm start, when the cached entries (and their
-        statistics) were installed wholesale rather than through deltas.
-        """
-        self._heap.rebuild(
-            self._statistics.snapshot(serial)
-            for serial in self._cache_store.serials()
         )
 
     # ------------------------------------------------------------------ #
@@ -395,10 +392,9 @@ class MaintenanceEngine:
     def state_record(self) -> Dict[str, Any]:
         """JSON-compatible record of the engine's own state.
 
-        The utility heap is *not* serialized: its contents are derived from
-        the per-entry statistics the snapshot already carries, so the
-        restore path rebuilds it (:meth:`rebuild_scores`) instead of
-        trusting a second copy that could drift.
+        The selection's lazy heap is *not* serialized: it keys the per-entry
+        statistics rows the snapshot already carries, so the restore path
+        re-keys it (:meth:`StatisticsManager.rebuild`) from those rows.
         """
         return {
             "admission": self._admission.state_record(),

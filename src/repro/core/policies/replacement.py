@@ -21,10 +21,10 @@ total estimated cost reduction.  The running example of Table 1 in the paper
 is reproduced exactly by the unit tests and by ``benchmarks/bench_table1``.
 
 :meth:`ReplacementPolicy.select_victims` over a full snapshot list is the
-*reference oracle*; the production eviction path scores incrementally through
-:class:`~repro.core.policies.heap.UtilityHeap`, whose victim selection is
+*reference oracle*; the production eviction path selects incrementally
+through :meth:`~repro.core.statistics.StatisticsManager.select_victims`,
 pinned to be identical to the oracle's.  The class attribute
-``age_normalized`` tells the heap which selection strategy applies: utilities
+``age_normalized`` tells the manager which selection strategy applies: utilities
 of age-normalized policies decay as the current serial advances (they must be
 re-evaluated at decision time), while recency utilities (LRU) only change on
 a hit and support a true lazy heap.
@@ -78,8 +78,8 @@ class ReplacementPolicy(abc.ABC):
     name: str = "abstract"
 
     #: ``True`` when the utility divides by the entry's age, so every stored
-    #: utility decays as the current serial advances.  The incremental heap
-    #: re-evaluates such utilities at decision time; recency utilities
+    #: utility decays as the current serial advances.  The incremental
+    #: selection re-evaluates such utilities at decision time; recency utilities
     #: (``age_normalized = False``) change only on hits and live in a true
     #: lazy heap.
     age_normalized: bool = True
@@ -88,12 +88,19 @@ class ReplacementPolicy(abc.ABC):
     def utility(self, stats: CachedQueryStats, current_serial: int) -> float:
         """Utility of one cached entry (higher = more worth keeping)."""
 
+    def choose(self, snapshots: Iterable[CachedQueryStats]) -> "ReplacementPolicy":
+        """The policy that scores this population: the policy itself, except
+        for HD, which picks a delegate from the whole population."""
+        return self
+
     def utilities(
         self, snapshots: Iterable[CachedQueryStats], current_serial: int
     ) -> Dict[int, float]:
         """Utilities of several entries keyed by serial number."""
+        population = list(snapshots)
+        scorer = self.choose(population)
         return {
-            stats.serial: self.utility(stats, current_serial) for stats in snapshots
+            stats.serial: scorer.utility(stats, current_serial) for stats in population
         }
 
     def select_victims(
@@ -108,9 +115,9 @@ class ReplacementPolicy(abc.ABC):
         serial number), which keeps the policies deterministic.  This is the
         full-snapshot *reference oracle*; the maintenance engine's hot path
         selects through the incremental
-        :class:`~repro.core.policies.heap.UtilityHeap` instead, with
-        identical results by construction (same utility formulas, same
-        ``(utility, serial)`` total order).
+        :meth:`~repro.core.statistics.StatisticsManager.select_victims`
+        instead, with identical results by construction (same utility
+        formulas, same ``(utility, serial)`` total order).
         """
         if evict_count < 0:
             raise CacheError("evict_count must be non-negative")
@@ -120,9 +127,10 @@ class ReplacementPolicy(abc.ABC):
             raise CacheError(
                 f"cannot evict {evict_count} entries from a cache of {len(snapshots)}"
             )
+        scorer = self.choose(snapshots)
         ranked = sorted(
             snapshots,
-            key=lambda stats: (self.utility(stats, current_serial), stats.serial),
+            key=lambda stats: (scorer.utility(stats, current_serial), stats.serial),
         )
         return [stats.serial for stats in ranked[:evict_count]]
 
@@ -185,7 +193,7 @@ class HybridPolicy(ReplacementPolicy):
         self._pin = PINPolicy()
         self._pinc = PINCPolicy()
 
-    def choose(self, snapshots: Sequence[CachedQueryStats]) -> ReplacementPolicy:
+    def choose(self, snapshots: Iterable[CachedQueryStats]) -> ReplacementPolicy:
         """Return the delegate policy HD would use for this cache state."""
         cov_squared = squared_coefficient_of_variation(
             [stats.cs_reduction for stats in snapshots]
@@ -194,25 +202,9 @@ class HybridPolicy(ReplacementPolicy):
 
     def utility(self, stats: CachedQueryStats, current_serial: int) -> float:
         # Utility of a single entry in isolation defaults to PINC's view; the
-        # meaningful entry point for HD is select_victims / utilities, where
-        # the whole population is visible.
+        # meaningful entry points for HD are select_victims / utilities, which
+        # score through the delegate chosen over the whole population.
         return self._pinc.utility(stats, current_serial)
-
-    def utilities(
-        self, snapshots: Iterable[CachedQueryStats], current_serial: int
-    ) -> Dict[int, float]:
-        population = list(snapshots)
-        delegate = self.choose(population)
-        return delegate.utilities(population, current_serial)
-
-    def select_victims(
-        self,
-        snapshots: Sequence[CachedQueryStats],
-        evict_count: int,
-        current_serial: int,
-    ) -> List[int]:
-        delegate = self.choose(snapshots)
-        return delegate.select_victims(snapshots, evict_count, current_serial)
 
 
 _POLICIES = {

@@ -18,7 +18,7 @@ policy — ``config.maintenance_mode`` selects one of three schedulers:
     to a dedicated worker thread.  ``decide()`` runs entirely off the query
     path; ``apply()`` runs phased (store delta under the store lock, GCindex
     delta as one double-buffered batch that lookups never block on, and only
-    the small heap/statistics delta briefly under the GC lock).  The
+    the small statistics-row delta briefly under the GC lock).  The
     committing query returns immediately: its ``maintenance_time_s`` is 0
     and the round's :class:`~repro.core.policies.plan.MaintenanceReport`
     appears asynchronously.  Plans may legitimately differ from ``sync``

@@ -18,12 +18,16 @@ Each round runs the engine's decide/apply split:
 
 1. the admission controller filters the window queries (cache pollution
    avoidance),
-2. the replacement policy — via the incremental utility heap — selects the
-   victims needed to make room,
+2. the replacement policy — through the Statistics Manager's incremental
+   selection over the cached queries' rows — selects the victims needed to
+   make room,
 3. the resulting :class:`~repro.core.policies.plan.MaintenancePlan` is
-   applied as row-level deltas to the cache store, the GCindex and the heap,
-   and appended to the scheduler's plan journal,
-4. the statistics of evicted and rejected queries are removed.
+   applied as row-level deltas to the cache store, the GCindex and the
+   statistics rows (evicted rows go, admitted queries start theirs), and
+   appended to the scheduler's plan journal.
+
+A window query has no statistics row: nothing credits it before it is
+cached, so its statistics are derived from its entry when needed.
 
 The window *drain* always happens on the commit path (so the window store
 can never overflow); only decide/apply move off it.  Maintenance wall-clock
@@ -36,7 +40,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Set
 
 from ...graphs.graph import Graph
-from ..statistics import CachedQueryStats, StatisticsManager
+from ..statistics import StatisticsManager
 from ..stores import CacheStore, WindowEntry, WindowStore
 from .admission import AdmissionController
 from .engine import MaintenanceEngine
@@ -55,11 +59,11 @@ class WindowManager:
     """Feeds the Window and submits maintenance rounds when it fills.
 
     Either pass a ready-made ``engine`` or the parts to build one from
-    (``index``, ``policy`` and optionally ``admission``) — the seed's
-    constructor signature, kept so existing callers and tests work
-    unchanged.  ``scheduler`` selects where rounds execute; omitting it
-    yields a :class:`~repro.core.policies.scheduler.SyncMaintenanceScheduler`
-    over the engine (the seed's inline behaviour).
+    (``statistics``, which carries the replacement policy, ``index`` and
+    optionally ``admission``).  ``scheduler`` selects where rounds execute;
+    omitting it yields a
+    :class:`~repro.core.policies.scheduler.SyncMaintenanceScheduler` over
+    the engine (the seed's inline behaviour).
     """
 
     def __init__(
@@ -68,7 +72,6 @@ class WindowManager:
         window_store: WindowStore,
         statistics: StatisticsManager,
         index: Optional["QueryGraphIndex"] = None,
-        policy: Optional[ReplacementPolicy] = None,
         admission: Optional[AdmissionController] = None,
         engine: Optional[MaintenanceEngine] = None,
         scheduler: Optional[MaintenanceScheduler] = None,
@@ -76,15 +79,12 @@ class WindowManager:
         if engine is None and scheduler is not None:
             engine = scheduler.engine
         if engine is None:
-            if index is None or policy is None:
-                raise ValueError(
-                    "WindowManager needs either an engine or index + policy"
-                )
+            if index is None:
+                raise ValueError("WindowManager needs either an engine or an index")
             engine = MaintenanceEngine(
                 cache_store=cache_store,
                 statistics=statistics,
                 index=index,
-                policy=policy,
                 admission=admission,
             )
         if scheduler is None:
@@ -93,7 +93,6 @@ class WindowManager:
         self._scheduler = scheduler
         self._cache_store = cache_store
         self._window_store = window_store
-        self._statistics = statistics
         # Requests since the last round; the structures waiting in the window
         # (keyed like the Mfilter memo: Graph and PackedGraphView hash alike);
         # the expensiveness of the requests that did not become entries.
@@ -168,9 +167,6 @@ class WindowManager:
         else:
             self._structures.add(entry.query)
             self._window_store.add(entry)
-            # Window queries get their static statistics recorded immediately
-            # so that, if admitted, their history starts at first execution.
-            self._statistics.register_query(CachedQueryStats.of_window_entry(entry))
         self._requests += 1
         if self._requests >= self._window_store.capacity:
             return self.run_maintenance(current_serial=entry.serial)

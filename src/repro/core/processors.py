@@ -109,11 +109,9 @@ class CacheProcessors:
         self,
         index: QueryGraphIndex,
         matcher: Optional[SubgraphMatcher] = None,
-        memoize: bool = True,
     ) -> None:
         self._index = index
         self._matcher = matcher if matcher is not None else _shared_fallback_matcher()
-        self._memoize = memoize
         self._memo: Dict[Tuple[Graph, Graph], bool] = {}
         self._memo_hits = 0
         self._memo_lock = make_rlock("processors.memo")
@@ -145,8 +143,6 @@ class CacheProcessors:
         Returns ``(verdict, from_memo)``; only ``from_memo == False`` calls
         ran an actual sub-iso test.
         """
-        if not self._memoize:
-            return self._matcher.is_subgraph(pattern, target), False
         key = (pattern, target)
         with self._memo_lock:
             verdict = self._memo.get(key)

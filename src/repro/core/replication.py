@@ -70,6 +70,7 @@ from .config import GraphCacheConfig
 from .policies import MaintenancePlan
 from .policies.journal import HitEvent, decode_hits
 from .sharding import ShardedGraphCache, build_cache
+from .statistics import CachedQueryStats
 from .stores import CacheEntryCodec, WindowEntry, WindowEntryCodec
 from .workers import fork_context
 
@@ -137,15 +138,8 @@ def _shard_digest(shard: GraphCache, replicated_only: bool) -> Dict[str, Any]:
         ),
         key=lambda record: record["serial"],
     )
-    window = sorted(
-        (WindowEntryCodec.encode(entry) for entry in shard.window_entries()),
-        key=lambda record: record["serial"],
-    )
-    serials = [record["serial"] for record in entries]
-    if not replicated_only:
-        serials += [record["serial"] for record in window]
     stats = [
-        asdict(shard.statistics_manager.snapshot(serial)) for serial in serials
+        asdict(shard.statistics_manager.snapshot(record["serial"])) for record in entries
     ]
     digest: Dict[str, Any] = {
         "entries": entries,
@@ -153,7 +147,10 @@ def _shard_digest(shard: GraphCache, replicated_only: bool) -> Dict[str, Any]:
         "index_version": shard.query_index.version,
     }
     if not replicated_only:
-        digest["window"] = window
+        # A window query has no row; its statistics follow from its entry.
+        window_entries = sorted(shard.window_entries(), key=lambda entry: entry.serial)
+        stats += [asdict(CachedQueryStats.of_window_entry(e)) for e in window_entries]
+        digest["window"] = [WindowEntryCodec.encode(e) for e in window_entries]
         digest["next_serial"] = shard.current_serial
     return digest
 

@@ -217,7 +217,7 @@ class ShardedGraphCache:
     def maintenance_engines(self) -> List[MaintenanceEngine]:
         """Per-shard maintenance engines, indexed by shard id.
 
-        Every shard runs its own engine (own utility heap, own admission
+        Every shard runs its own engine (own statistics rows, own admission
         calibration) under its own GC lock — maintenance rounds on different
         shards proceed concurrently, like everything else per-shard.
         """

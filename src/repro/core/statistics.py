@@ -1,99 +1,59 @@
-"""Statistics layer: the triplet store, the Statistics Manager and per-query stats.
+"""Statistics layer: the Statistics Manager, its per-query rows and the
+victim selection over them.
 
 The paper's Cache Manager keeps per-query metadata in an in-memory key-value
 store holding ``{key, column name, column value}`` triplets, accessible by
-key, by column, or by both (§6.1).  The Statistics Manager wraps that store;
-the Statistics Monitor is the thin layer through which the query-processing
-runtime reports measurements.
+key, by column, or by both (§6.1).  Here a key is a cached query's serial,
+the columns are the typed fields of one :class:`CachedQueryStats` row, and
+the three access paths are a row (:meth:`StatisticsManager.snapshot`), a
+column (an attribute read over :meth:`StatisticsManager.snapshots`) and a
+single value (an attribute of one row).
 
-On top of the generic store, :class:`CachedQueryStats` provides the typed view
-the replacement policies need: hit counts, last-hit serial number, candidate
-set reduction ``R`` and estimated sub-iso cost reduction ``C``.
+The manager holds exactly one mutable row per **cached** query, in the cache
+store's insertion order, and selects the replacement policy's victims over
+those rows (§6.3).  One lock guards the rows and the selection's lazy
+recency heap, so a hit is applied once, and a victim selection on the
+background worker never reads a row a commit is mutating.  A query waiting
+in the window has no row: it cannot be credited before it is cached, so its
+statistics are exactly :meth:`CachedQueryStats.of_window_entry`.
+
+Victim selection never touches the storage backend:
+
+* for *recency* policies (``age_normalized = False``, i.e. LRU), utilities
+  change only on hits, so victims come from a lazy min-heap: every add/hit
+  pushes a re-keyed item, stale items are discarded on pop, and selection
+  costs O((k + stale) log n);
+* for *age-normalized* policies (POP/PIN/PINC/HD) every utility decays as
+  the current serial advances, so no stored key survives to decision time —
+  selection re-evaluates the rows at the decision serial with a bounded-k
+  heap (``heapq.nsmallest``), O(n + k log n).
+
+Selection is pinned (unit tests and the maintenance benchmark) to equal the
+full-sort reference oracle
+(:meth:`~repro.core.policies.replacement.ReplacementPolicy.select_victims`
+over copies of the rows): same utility formulas, same ``(utility, serial)``
+total order, and — for HD — the same delegate choice over the same
+population in the same order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+import heapq
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..analysis.runtime import make_rlock
+from ..exceptions import CacheError
 
-__all__ = ["TripletStore", "StatisticsManager", "CachedQueryStats"]
+if TYPE_CHECKING:  # pragma: no cover - type-only (the policies import this module)
+    from .policies.replacement import ReplacementPolicy
 
-
-class TripletStore:
-    """In-memory key-value store of ``{key, column, value}`` triplets.
-
-    Mirrors the access interface described in §6.1: by key (a "row"), by
-    column name (a "column"), or by key and column (a single value).  All
-    operations are thread-safe: read-modify-write accesses (``increment``)
-    and compound reads hold an internal re-entrant lock.
-    """
-
-    def __init__(self) -> None:
-        self._rows: Dict[int, Dict[str, object]] = {}
-        self._lock = make_rlock("stats")
-
-    def put(self, key: int, column: str, value: object) -> None:
-        """Insert or overwrite a single triplet."""
-        with self._lock:
-            self._rows.setdefault(key, {})[column] = value
-
-    def get(self, key: int, column: str, default: object = None) -> object:
-        """Return the value at ``(key, column)`` or ``default``."""
-        with self._lock:
-            return self._rows.get(key, {}).get(column, default)
-
-    def row(self, key: int) -> Dict[str, object]:
-        """Return a copy of all columns stored for ``key``."""
-        with self._lock:
-            return dict(self._rows.get(key, {}))
-
-    def column(self, column: str) -> Dict[int, object]:
-        """Return ``{key: value}`` for every key that has ``column``."""
-        with self._lock:
-            return {
-                key: columns[column]
-                for key, columns in self._rows.items()
-                if column in columns
-            }
-
-    def increment(self, key: int, column: str, amount: float = 1.0) -> float:
-        """Add ``amount`` to a numeric column (creating it at 0) and return it."""
-        with self._lock:
-            current = float(self._rows.setdefault(key, {}).get(column, 0.0))
-            updated = current + amount
-            self._rows[key][column] = updated
-            return updated
-
-    def update(self, key: int, increments: Dict[str, float], puts: Dict[str, object]) -> None:
-        """Several ``increment``s, then ``put``s, on one row under one lock hold."""
-        with self._lock:
-            row = self._rows.setdefault(key, {})
-            for column, amount in increments.items():
-                row[column] = float(row.get(column, 0.0)) + amount
-            row.update(puts)
-
-    def delete_row(self, key: int) -> None:
-        """Remove every triplet stored under ``key`` (lazily tolerated if absent)."""
-        with self._lock:
-            self._rows.pop(key, None)
-
-    def keys(self) -> List[int]:
-        """All keys present in the store."""
-        with self._lock:
-            return list(self._rows)
-
-    def __contains__(self, key: int) -> bool:
-        return key in self._rows
-
-    def __len__(self) -> int:
-        return len(self._rows)
+__all__ = ["StatisticsManager", "CachedQueryStats", "SelectionOutcome"]
 
 
 @dataclass
 class CachedQueryStats:
-    """Typed statistics snapshot for one cached query.
+    """Typed statistics of one cached query.
 
     Field names follow Table 1 of the paper:
 
@@ -126,68 +86,116 @@ class CachedQueryStats:
             order=len(entry.query.labels),
             size=len(entry.query.edges),
             distinct_labels=len(set(entry.query.labels)),
-            filter_time_s=entry.filter_time_s,
-            verify_time_s=entry.verify_time_s,
+            filter_time_s=float(entry.filter_time_s),
+            verify_time_s=float(entry.verify_time_s),
         )
 
-    @property
-    def first_execution_time_s(self) -> float:
-        """Total filtering plus verification time of the query's first run."""
-        return self.filter_time_s + self.verify_time_s
 
-    @property
-    def expensiveness(self) -> float:
-        """Verification/filtering time ratio used by admission control."""
-        if self.filter_time_s <= 0.0:
-            return float("inf") if self.verify_time_s > 0.0 else 0.0
-        return self.verify_time_s / self.filter_time_s
+class SelectionOutcome:
+    """One victim selection: the victims plus the policy rationale.
 
+    Attributes
+    ----------
+    victims:
+        Serials of the selected victims, lowest utility first.
+    policy:
+        Name of the configured policy.
+    delegate:
+        Name of the delegate HD resolved to (``None`` for non-hybrid
+        policies).
+    victim_utilities:
+        ``(serial, utility)`` pairs for the victims, in eviction order —
+        the per-victim rationale recorded in the maintenance plan.
+    copies:
+        Copies of the rows the caller named, taken under the selection's
+        own hold of the lock (the cross-check oracle's input).
+    """
 
-# Column names used inside the triplet store.
-_COLUMNS = {
-    "order": "static.order",
-    "size": "static.size",
-    "distinct_labels": "static.labels",
-    "filter_time_s": "time.filter",
-    "verify_time_s": "time.verify",
-    "hits": "hits.count",
-    "special_hits": "hits.special",
-    "last_hit_serial": "hits.last_serial",
-    "cs_reduction": "contribution.cs_reduction",
-    "cost_reduction": "contribution.cost_reduction",
-}
+    __slots__ = ("victims", "policy", "delegate", "victim_utilities", "copies")
+
+    def __init__(
+        self,
+        victims: Tuple[int, ...],
+        policy: str,
+        delegate: Optional[str],
+        victim_utilities: Tuple[Tuple[int, float], ...],
+        copies: List[CachedQueryStats],
+    ) -> None:
+        self.victims = victims
+        self.policy = policy
+        self.delegate = delegate
+        self.victim_utilities = victim_utilities
+        self.copies = copies
 
 
 class StatisticsManager:
-    """Typed wrapper over the triplet store (the paper's Statistics Manager)."""
+    """One :class:`CachedQueryStats` row per cached query (§6.1), and the
+    ``policy``'s victim selection over those rows (§6.3).
 
-    def __init__(self, store: Optional[TripletStore] = None) -> None:
-        self._store = store or TripletStore()
+    Rows mirror the cache store: :meth:`add` on admission, :meth:`remove` on
+    eviction, :meth:`rebuild` on restore — so the row order is the store's
+    insertion order, which HD's population-level delegate choice reads.
+    """
 
-    # ------------------------------------------------------------------ #
+    def __init__(self, policy: "ReplacementPolicy") -> None:
+        self._policy = policy
+        self._rows: Dict[int, CachedQueryStats] = {}
+        # Lazy min-heap of (key, serial, stamp) for recency policies.  A
+        # global monotone stamp marks the newest item per serial; anything
+        # older is discarded on pop (lazy deletion).
+        self._heap: List[Tuple[Tuple[float, int], int, int]] = []
+        self._stamps: Dict[int, int] = {}
+        self._counter = 0
+        self._lock = make_rlock("stats")
+
     @property
-    def store(self) -> TripletStore:
-        """The underlying triplet store (exposed for inspection and tests)."""
-        return self._store
+    def policy(self) -> "ReplacementPolicy":
+        """The replacement policy the rows are scored for."""
+        return self._policy
 
-    def register_query(self, stats: CachedQueryStats) -> None:
-        """Store the initial statistics of a newly cached (or windowed) query."""
-        values = ((column, getattr(stats, attribute)) for attribute, column in _COLUMNS.items())
-        self._store.update(
-            stats.serial, {}, {column: value for column, value in values if value is not None}
-        )
+    def __contains__(self, serial: int) -> bool:
+        return serial in self._rows
 
-    def forget_query(self, serial: int) -> None:
-        """Drop every statistic of an evicted query."""
-        self._store.delete_row(serial)
-
-    def known_serials(self) -> List[int]:
-        """Serial numbers of all queries with recorded statistics."""
-        return self._store.keys()
+    def __len__(self) -> int:
+        return len(self._rows)
 
     # ------------------------------------------------------------------ #
-    # Statistics Monitor entry points (called by the query runtime).
+    # Row mutation (the maintenance engine and the Statistics Monitor).
     # ------------------------------------------------------------------ #
+    def _push(self, stats: CachedQueryStats) -> None:
+        """(Re-)key one row in the lazy heap (recency policies only)."""
+        if self._policy.age_normalized:
+            return
+        self._counter += 1
+        self._stamps[stats.serial] = self._counter
+        utility = self._policy.utility(stats, 0)
+        heapq.heappush(self._heap, ((utility, stats.serial), stats.serial, self._counter))
+
+    def add(self, stats: CachedQueryStats) -> None:
+        """Start the row of a newly cached query and key it (O(log n))."""
+        with self._lock:
+            if stats.serial in self._rows:
+                raise CacheError(f"query {stats.serial} already has statistics")
+            self._rows[stats.serial] = stats
+            self._push(stats)
+
+    def remove(self, serial: int) -> None:
+        """Drop an evicted query's row (tolerated if absent; heap items
+        expire on pop)."""
+        with self._lock:
+            self._rows.pop(serial, None)
+            self._stamps.pop(serial, None)
+
+    def rebuild(self, rows: Iterable[CachedQueryStats]) -> None:
+        """Install copies of ``rows`` as the whole population (restore / warm
+        start)."""
+        with self._lock:
+            self._rows = {row.serial: replace(row) for row in rows}
+            self._heap = []
+            self._stamps = {}
+            for stats in self._rows.values():
+                self._push(stats)
+
     def record_hit(
         self,
         serial: int,
@@ -196,53 +204,108 @@ class StatisticsManager:
         cost_reduction: float,
         special: bool = False,
     ) -> None:
-        """Record that cached query ``serial`` benefited ``benefiting_serial``.
+        """Record that cached query ``serial`` benefited ``benefiting_serial``
+        and re-key its row (O(log n)).
 
-        Hits on unknown serials are dropped (mirroring the utility heap's
-        behaviour): under background maintenance a query can confirm a hit
-        against a GCindex snapshot whose entry the worker evicts — and
-        ``forget_query``s — before the query commits; re-creating the row
-        here would leak a permanent ghost entry nothing ever deletes.
-        Under sync scheduling the guard never fires (hits are recorded
-        under the same GC lock as evictions).
+        Hits on serials without a row are dropped: under background
+        maintenance a query can confirm a hit against a GCindex snapshot
+        whose entry the worker evicts before the query commits; creating the
+        row here would leak a permanent ghost row nothing ever deletes.
         """
-        if serial not in self._store:
-            return
-        increments = {_COLUMNS["hits"]: 1}
-        if special:
-            increments[_COLUMNS["special_hits"]] = 1
-        if cs_reduction:
-            increments[_COLUMNS["cs_reduction"]] = cs_reduction
-        if cost_reduction:
-            increments[_COLUMNS["cost_reduction"]] = cost_reduction
-        self._store.update(serial, increments, {_COLUMNS["last_hit_serial"]: benefiting_serial})
+        with self._lock:
+            row = self._rows.get(serial)
+            if row is None:
+                return
+            row.hits += 1
+            if special:
+                row.special_hits += 1
+            row.last_hit_serial = benefiting_serial
+            if cs_reduction:
+                row.cs_reduction += cs_reduction
+            if cost_reduction:
+                row.cost_reduction += cost_reduction
+            self._push(row)
 
     # ------------------------------------------------------------------ #
+    # Reads.
+    # ------------------------------------------------------------------ #
+    def known_serials(self) -> List[int]:
+        """Serial numbers of all queries with a row."""
+        with self._lock:
+            return list(self._rows)
+
     def snapshot(self, serial: int) -> CachedQueryStats:
-        """Return the current typed statistics of one query."""
-        row = self._store.row(serial)
+        """A copy of one query's row (:class:`CacheError` if it has none)."""
+        with self._lock:
+            row = self._rows.get(serial)
+            if row is None:
+                raise CacheError(f"query {serial} has no statistics")
+            return replace(row)
 
-        def value(name: str, default: object) -> object:
-            return row.get(_COLUMNS[name], default)
+    def snapshots(self) -> List[CachedQueryStats]:
+        """Copies of every row, in insertion order."""
+        with self._lock:
+            return [replace(row) for row in self._rows.values()]
 
-        return CachedQueryStats(
-            serial=serial,
-            order=int(value("order", 0)),
-            size=int(value("size", 0)),
-            distinct_labels=int(value("distinct_labels", 0)),
-            filter_time_s=float(value("filter_time_s", 0.0)),
-            verify_time_s=float(value("verify_time_s", 0.0)),
-            hits=int(value("hits", 0)),
-            special_hits=int(value("special_hits", 0)),
-            last_hit_serial=(
-                None
-                if value("last_hit_serial", None) is None
-                else int(value("last_hit_serial", 0))
-            ),
-            cs_reduction=float(value("cs_reduction", 0.0)),
-            cost_reduction=float(value("cost_reduction", 0.0)),
-        )
+    # ------------------------------------------------------------------ #
+    # Victim selection (§6.3).
+    # ------------------------------------------------------------------ #
+    def select_victims(
+        self, evict_count: int, current_serial: int, copy_serials: Sequence[int] = ()
+    ) -> SelectionOutcome:
+        """Pick the ``evict_count`` lowest-utility rows at ``current_serial``.
 
-    def snapshots(self, serials: Iterable[int]) -> List[CachedQueryStats]:
-        """Typed statistics of several queries, in the given order."""
-        return [self.snapshot(serial) for serial in serials]
+        The outcome also carries copies of the rows of ``copy_serials``, in
+        that order, taken under the same hold of the lock
+        (:class:`CacheError` for a serial without a row): a reference oracle
+        scoring them sees exactly the rows this selection saw.
+        """
+        with self._lock:
+            if evict_count < 0:
+                raise CacheError("evict_count must be non-negative")
+            if evict_count > len(self._rows):
+                raise CacheError(
+                    f"cannot evict {evict_count} entries from a cache of {len(self._rows)}"
+                )
+            rows = self._rows.values()
+            scorer = self._policy.choose(rows)
+            if evict_count == 0:
+                victims: List[Tuple[int, float]] = []
+            elif scorer.age_normalized:
+                ranked = heapq.nsmallest(
+                    evict_count,
+                    rows,
+                    key=lambda stats: (scorer.utility(stats, current_serial), stats.serial),
+                )
+                victims = [
+                    (stats.serial, scorer.utility(stats, current_serial)) for stats in ranked
+                ]
+            else:
+                victims = self._pop_lazy(evict_count)
+            return SelectionOutcome(
+                victims=tuple(serial for serial, _ in victims),
+                policy=self._policy.name,
+                delegate=None if scorer is self._policy else scorer.name,
+                victim_utilities=tuple(victims),
+                copies=[self.snapshot(serial) for serial in copy_serials],
+            )
+
+    def _pop_lazy(self, evict_count: int) -> List[Tuple[int, float]]:
+        """Lazy-heap selection for recency policies (keys never decay).
+
+        Stale items (superseded by a hit re-key, or belonging to a removed
+        row) are discarded permanently; live items popped as victims are
+        pushed back so that a pure *decide* (without an apply) leaves the
+        heap intact.
+        """
+        victims: List[Tuple[int, float]] = []
+        live: List[Tuple[Tuple[float, int], int, int]] = []
+        while len(victims) < evict_count:
+            key, serial, stamp = heapq.heappop(self._heap)
+            if self._stamps.get(serial) != stamp:
+                continue  # superseded or removed: drop for good
+            victims.append((serial, key[0]))
+            live.append((key, serial, stamp))
+        for item in live:
+            heapq.heappush(self._heap, item)
+        return victims

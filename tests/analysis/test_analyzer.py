@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.analysis.rules import TRACKED_MUTATORS
 from repro.analysis.run import analyze_paths, main
 from repro.cli.main import main as cli_main
 
@@ -53,7 +54,7 @@ class TestGoldenFixtures:
 
     def test_decide_finding_names_the_call_path(self):
         (finding,) = findings_of("repro003_decide.py")
-        assert "UtilityHeap.remove" in finding.message
+        assert "StatisticsManager.remove" in finding.message
 
     def test_replica_finding_names_the_call_path(self):
         (finding,) = findings_of("repro008_replica.py")
@@ -107,13 +108,50 @@ class TestSuppressions:
         module.write_text(
             "class Hinted:\n"
             "    def run(self, lock):\n"
-            "        with lock:  # repro: lock[heap]\n"
+            "        with lock:  # repro: lock[stats]\n"
             "            with lock:  # repro: lock[gc]\n"
             "                pass\n"
         )
         findings, _ = analyze_paths([module])
         assert [f.rule for f in findings] == ["REPRO001"]
         assert "'gc'" in findings[0].message
+
+
+class TestTrackedMutators:
+    """The mutator table names real methods, so REPRO003/REPRO008 see them."""
+
+    @staticmethod
+    def _classes():
+        from repro.core.backends import InMemoryBackend, MmapBackend
+        from repro.core.query_index import QueryGraphIndex
+        from repro.core.statistics import StatisticsManager
+        from repro.core.stores import CacheStore, WindowStore
+
+        return {
+            cls.__name__: cls
+            for cls in (
+                CacheStore,
+                WindowStore,
+                QueryGraphIndex,
+                StatisticsManager,
+                InMemoryBackend,
+                MmapBackend,
+            )
+        }
+
+    @pytest.mark.parametrize("type_name", sorted(TRACKED_MUTATORS))
+    def test_every_mutator_is_a_method_of_its_class(self, type_name):
+        cls = self._classes()[type_name]
+        missing = sorted(
+            name
+            for name in TRACKED_MUTATORS[type_name]
+            if not callable(getattr(cls, name, None))
+        )
+        assert missing == [], f"{type_name} has no {missing}"
+
+    def test_the_statistics_home_is_tracked(self):
+        assert {"add", "remove", "rebuild", "record_hit"} <= TRACKED_MUTATORS["StatisticsManager"]
+        assert set(TRACKED_MUTATORS) == set(self._classes())
 
 
 class TestRepoGate:

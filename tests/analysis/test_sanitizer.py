@@ -19,9 +19,9 @@ def sanitizer_on(monkeypatch):
 
 class TestRankAssertion:
     def test_out_of_rank_acquisition_raises(self):
-        heap = rt.make_rlock("heap")
+        stats = rt.make_rlock("stats")
         gc = rt.make_rlock("gc")
-        with heap:
+        with stats:
             with pytest.raises(rt.LockRankError, match="rank"):
                 gc.acquire()
 
@@ -42,20 +42,20 @@ class TestRankAssertion:
                 shard_b.acquire()
 
     def test_error_names_both_acquisition_sites(self):
-        heap = rt.make_rlock("heap")
+        stats = rt.make_rlock("stats")
         gc = rt.make_rlock("gc")
-        with heap:
+        with stats:
             with pytest.raises(rt.LockRankError, match=r"test_sanitizer\.py"):
                 gc.acquire()
 
     def test_held_stack_is_clean_after_violation(self):
-        heap = rt.make_rlock("heap")
+        stats = rt.make_rlock("stats")
         gc = rt.make_rlock("gc")
-        with heap:
+        with stats:
             with pytest.raises(rt.LockRankError):
                 gc.acquire()
         with gc:  # nothing held any more: must succeed
-            with heap:
+            with stats:
                 pass
 
 
@@ -145,8 +145,8 @@ class TestFactoryModes:
 
     def test_enabled_ranks_come_from_the_table(self):
         gc = rt.make_rlock("gc")
-        heap = rt.make_rlock("heap")
-        assert (gc.rank, heap.rank) == (0, 30)
+        stats = rt.make_rlock("stats")
+        assert (gc.rank, stats.rank) == (0, 35)
 
     def test_explicit_rank_override(self):
         lock = rt.make_lock("fixture.custom", rank=7)
@@ -154,7 +154,7 @@ class TestFactoryModes:
 
     def test_unranked_lock_skips_rank_check(self):
         custom = rt.make_lock("fixture.unranked")
-        heap = rt.make_rlock("heap")
-        with heap:
+        stats = rt.make_rlock("stats")
+        with stats:
             with custom:  # no rank: only cycle detection applies
                 pass

@@ -6,7 +6,7 @@ Covers the PR-4 acceptance surface:
   byte-for-byte from the :class:`MaintenancePlan` alone;
 * the O(window²) → O(window) rejected-set fix, including the
   duplicate-serial regression;
-* the incremental utility heap picking identical victims to the
+* the incremental victim selection picking identical victims to the
   full-rescore oracle, for all five policies, under randomized hit streams;
 * row-level ``apply_delta`` on both store backends (order, errors,
   counters);
@@ -26,7 +26,6 @@ from repro.core.policies import (
     AdmissionController,
     MaintenanceEngine,
     MaintenancePlan,
-    UtilityHeap,
     admission_by_name,
     admission_from_record,
     available_admission_controllers,
@@ -81,20 +80,19 @@ def make_engine(
     store = CacheStore(
         capacity, backend=create_backend(backend, codec, path=backend_path)
     )
-    statistics = StatisticsManager()
+    statistics = StatisticsManager(policy_by_name(policy))
     index = QueryGraphIndex(max_path_length=2)
     engine = MaintenanceEngine(
         cache_store=store,
         statistics=statistics,
         index=index,
-        policy=policy_by_name(policy),
         admission=admission,
         cross_check=cross_check,
     )
     return engine, store, statistics, index
 
 
-def seed_table1(engine, store, statistics):
+def seed_table1(statistics, store):
     """Install the Table 1 population as the cached state."""
     for stats in TABLE_1:
         store.add(
@@ -104,8 +102,7 @@ def seed_table1(engine, store, statistics):
                 answer_ids=frozenset({stats.serial % 5}),
             )
         )
-        statistics.register_query(stats)
-    engine.rebuild_scores()
+    statistics.rebuild(TABLE_1)
 
 
 class TestPlanGolden:
@@ -113,7 +110,7 @@ class TestPlanGolden:
 
     def test_table1_plan_record(self):
         engine, store, statistics, _ = make_engine(capacity=6, policy="hd")
-        seed_table1(engine, store, statistics)
+        seed_table1(statistics, store)
         window = [window_entry(99), window_entry(100)]
         plan = engine.decide(window, current_serial=CURRENT_SERIAL)
         # The paper: HD sees CoV(R) < 1, delegates to PINC, evicts {53, 82};
@@ -132,7 +129,7 @@ class TestPlanGolden:
 
     def test_plan_json_round_trip(self):
         engine, store, statistics, _ = make_engine(capacity=6, policy="hd")
-        seed_table1(engine, store, statistics)
+        seed_table1(statistics, store)
         plan = engine.decide(
             [window_entry(99), window_entry(100)], current_serial=CURRENT_SERIAL
         )
@@ -152,7 +149,7 @@ class TestPlanGolden:
     )
     def test_all_five_policies_match_paper(self, policy, expected):
         engine, store, statistics, _ = make_engine(capacity=6, policy=policy)
-        seed_table1(engine, store, statistics)
+        seed_table1(statistics, store)
         plan = engine.decide(
             [window_entry(99), window_entry(100)], current_serial=CURRENT_SERIAL
         )
@@ -161,7 +158,7 @@ class TestPlanGolden:
     def test_decide_is_repeatable(self):
         """Pure decide (no apply) must not consume heap state."""
         engine, store, statistics, _ = make_engine(capacity=6, policy="lru")
-        seed_table1(engine, store, statistics)
+        seed_table1(statistics, store)
         window = [window_entry(99), window_entry(100)]
         first = engine.decide(window, current_serial=CURRENT_SERIAL)
         second = engine.decide(window, current_serial=CURRENT_SERIAL)
@@ -222,10 +219,9 @@ class TestHeapVersusOracle:
                 ],
                 [],
             )
-            statistics.register_query(
+            statistics.add(
                 CachedQueryStats(serial=serial, order=2, size=1, distinct_labels=2)
             )
-            engine.heap.add(statistics.snapshot(serial))
         # Randomized hit stream through the engine's hook.
         for benefiting in range(13, 113):
             serial = rng.randint(1, 12)
@@ -238,7 +234,7 @@ class TestHeapVersusOracle:
             )
             if benefiting % 10 == 0:
                 for evict_count in (1, 3, 12):
-                    outcome = engine.heap.select_victims(evict_count, benefiting)
+                    outcome = statistics.select_victims(evict_count, benefiting)
                     assert list(outcome.victims) == engine.oracle_victims(
                         evict_count, benefiting
                     ), (policy, benefiting, evict_count)
@@ -247,21 +243,21 @@ class TestHeapVersusOracle:
         engine, store, statistics, _ = make_engine(
             capacity=6, policy="hd", cross_check=True
         )
-        seed_table1(engine, store, statistics)
+        seed_table1(statistics, store)
         engine.decide([window_entry(99), window_entry(100)], current_serial=100)
         assert engine.oracle_mismatches == []
 
     def test_heap_rejects_overdraw_like_the_oracle(self):
         engine, store, statistics, _ = make_engine(capacity=6)
-        seed_table1(engine, store, statistics)
+        seed_table1(statistics, store)
         with pytest.raises(CacheError):
-            engine.heap.select_victims(7, CURRENT_SERIAL)
+            statistics.select_victims(7, CURRENT_SERIAL)
 
     def test_heap_add_rejects_duplicates(self):
-        heap = UtilityHeap(policy_by_name("lru"))
-        heap.add(CachedQueryStats(serial=1))
+        statistics = StatisticsManager(policy_by_name("lru"))
+        statistics.add(CachedQueryStats(serial=1))
         with pytest.raises(CacheError):
-            heap.add(CachedQueryStats(serial=1))
+            statistics.add(CachedQueryStats(serial=1))
 
 
 class TestApplyDeltas:
@@ -272,7 +268,7 @@ class TestApplyDeltas:
         engine, store, statistics, index = make_engine(
             capacity=6, policy="hd", backend=backend
         )
-        seed_table1(engine, store, statistics)
+        seed_table1(statistics, store)
         for stats in TABLE_1:
             index.add(stats.serial, query_graph(stats.serial))
         rewrites_before = store.backend.op_counts.bulk_rewrites
@@ -287,21 +283,23 @@ class TestApplyDeltas:
         # Survivors keep their order; admissions append (both backends).
         assert store.serials() == [11, 13, 37, 91, 99, 100]
         assert sorted(index.serials()) == [11, 13, 37, 91, 99, 100]
-        # Evicted and rejected statistics are forgotten; admitted seeded.
+        # Evicted rows are forgotten; admitted rows start.
         assert 53 not in statistics.known_serials()
         assert 82 not in statistics.known_serials()
-        assert 99 in engine.heap
+        assert 99 in statistics
 
     def test_apply_updates_heap_population(self):
         engine, store, statistics, _ = make_engine(capacity=6, policy="hd")
-        seed_table1(engine, store, statistics)
+        seed_table1(statistics, store)
         window = [window_entry(99), window_entry(100)]
-        statistics.register_query(CachedQueryStats(serial=99))
-        statistics.register_query(CachedQueryStats(serial=100))
         plan = engine.decide(window, current_serial=CURRENT_SERIAL)
         engine.apply(plan, window)
-        assert len(engine.heap) == len(store)
-        assert 53 not in engine.heap and 82 not in engine.heap
+        assert len(statistics) == len(store)
+        assert 53 not in statistics and 82 not in statistics
+        # An admitted query's row starts from its window entry, appended in
+        # the store's order.
+        assert statistics.known_serials() == store.serials()
+        assert statistics.snapshot(99) == CachedQueryStats.of_window_entry(window[0])
 
 
 class TestCacheStoreApplyDelta:

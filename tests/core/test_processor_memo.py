@@ -39,6 +39,14 @@ def _query_pool(seed: int = 23, count: int = 12):
     return pool
 
 
+class MatcherVerdicts(CacheProcessors):
+    """The memo-free reference: every verdict straight from the matcher's
+    ``is_subgraph``."""
+
+    def _contains(self, pattern, target):
+        return self.matcher.is_subgraph(pattern, target), False
+
+
 CC_EDGE = Graph(labels=["C", "C"], edges=[(0, 1)])
 CCO_PATH = Graph(labels=["C", "C", "O"], edges=[(0, 1), (1, 2)])
 CCON_PATH = Graph(labels=["C", "C", "O", "N"], edges=[(0, 1), (1, 2), (2, 3)])
@@ -62,7 +70,7 @@ class TestContainmentMemo:
         pool = _query_pool()
         entries = [(serial, graph) for serial, graph in enumerate(pool[:6])]
         memoised = CacheProcessors(build_index(entries))
-        plain = CacheProcessors(build_index(entries), memoize=False)
+        plain = MatcherVerdicts(build_index(entries))
         rng = random.Random(7)
         # A Zipf-ish stream: heavy repetition of a few pool structures.
         stream = [pool[min(rng.randint(0, 11), rng.randint(0, 11))] for _ in range(60)]
@@ -83,7 +91,7 @@ class TestContainmentMemo:
         assert processors.memo_size <= 1
 
     def test_unmemoised_counts_every_test(self):
-        processors = CacheProcessors(build_index([(1, CCON_PATH)]), memoize=False)
+        processors = MatcherVerdicts(build_index([(1, CCON_PATH)]))
         first = processors.process(CCO_PATH)
         second = processors.process(CCO_PATH)
         assert first.containment_tests == second.containment_tests >= 1

@@ -12,14 +12,13 @@ from repro.graphs.graph import Graph
 def make_manager(cache_capacity=4, window_size=2, policy="lru", admission=None):
     cache_store = CacheStore(cache_capacity)
     window_store = WindowStore(window_size)
-    statistics = StatisticsManager()
+    statistics = StatisticsManager(policy_by_name(policy))
     index = QueryGraphIndex(max_path_length=2)
     manager = WindowManager(
         cache_store=cache_store,
         window_store=window_store,
         statistics=statistics,
         index=index,
-        policy=policy_by_name(policy),
         admission=admission or AdmissionController(enabled=False),
     )
     return manager, cache_store, window_store, statistics, index
@@ -57,9 +56,12 @@ class TestWindowFilling:
         assert len(window_store) == 0
         assert sorted(index.serials()) == [1, 2]
 
-    def test_statistics_registered_for_window_queries(self):
-        manager, _, _, statistics, _ = make_manager(window_size=3)
+    def test_statistics_row_starts_at_admission(self):
+        manager, _, _, statistics, _ = make_manager(window_size=2)
         manager.add_query(entry(7, verify=2.0, filter_=0.5))
+        # A waiting query has no row: nothing can credit it yet.
+        assert 7 not in statistics.known_serials()
+        manager.add_query(entry(8))
         snapshot = statistics.snapshot(7)
         assert snapshot.order == 2
         assert snapshot.verify_time_s == 2.0

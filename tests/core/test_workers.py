@@ -17,10 +17,11 @@ import pytest
 from repro.core import GraphCacheConfig, ProcessPoolCacheService, ShardedGraphCache
 from repro.core.cache import GraphCache
 from repro.core.packed_dataset import PackedGraphDataset, seal_dataset
+from repro.core.workers import fork_context
 from repro.exceptions import CacheError
 from repro.graphs.generators import aids_like
 from repro.graphs.graph import Graph
-from repro.graphs.packed import PackedGraphView
+from repro.graphs.packed import PackedGraph, PackedGraphView
 from repro.methods import SIMethod
 from repro.workloads import generate_type_a
 
@@ -164,6 +165,30 @@ class TestPackedMatch:
             # Zero Graph constructions in the worker query loop: every
             # request arrived as a PackedGraphView.
             assert pool.runtime_statistics().decode_avoided == len(workload)
+
+    def test_workers_decode_no_stored_entry(self, monkeypatch):
+        # decode_avoided counts only each request's own type; this counts
+        # every record a worker decodes into a Graph.  The warm half is
+        # sealed and adopted by the workers, so each adopted cache and
+        # window entry would be decoded if the backends did not serve views.
+        decoded = fork_context().Value("i", 0)
+        decode = PackedGraph.decode_graph.__func__
+        parent = os.getpid()
+
+        def counting_decode(cls, buffer, offset=0):
+            if os.getpid() != parent:
+                with decoded.get_lock():
+                    decoded.value += 1
+            return decode(cls, buffer, offset)
+
+        monkeypatch.setattr(PackedGraph, "decode_graph", classmethod(counting_decode))
+        workload = _workload(count=24)
+        with ProcessPoolCacheService(_method(), _config(), workers=2) as pool:
+            pool.warm(workload[:12])
+            pool.start()
+            assert pool.run(workload[12:])
+            assert pool.runtime_statistics().cache_hits > 0
+        assert decoded.value == 0
 
     def test_view_mode_follows_the_dataset(self, tmp_path):
         # An in-process mmap cache hands back decoded Graphs; the same cache

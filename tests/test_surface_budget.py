@@ -35,7 +35,7 @@ STORAGE_BACKENDS = 2
 #: Snapshot ``format_version`` values ``load_cache`` accepts.
 SNAPSHOT_FORMATS_READ = 1
 #: Lines of Python under ``src/``, rounded up to the next hundred.
-SRC_LINES = 18_600
+SRC_LINES = 18_400
 
 
 def _concrete_subclasses(base):
