@@ -27,7 +27,6 @@ field stores an arena extent instead of graph text inside the sidecar.
 from __future__ import annotations
 
 import json
-from dataclasses import replace
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
@@ -132,9 +131,9 @@ class MmapBackend(StorageBackend):
     def _resolve(self, extent: ArenaExtent, entry: Any) -> Any:
         """``entry`` with a readable query (call under the backend lock)."""
         if self._packed_views:
-            return replace(entry, query=self._arena.view_at(extent))
+            return entry._replace(query=self._arena.view_at(extent))
         if entry.query is None:
-            return replace(entry, query=self._arena.graph_at(extent))
+            return entry._replace(query=self._arena.graph_at(extent))
         return entry
 
     def get(self, serial: int) -> Any:
@@ -238,7 +237,7 @@ class MmapBackend(StorageBackend):
             for serial, (extent, entry) in order:
                 moved = ArenaExtent(remap[extent.offset], extent.length)
                 resealed[serial] = (moved, entry)
-                record = self._codec.encode(replace(entry, query=_STUB_GRAPH))
+                record = self._codec.encode(entry._replace(query=_STUB_GRAPH))
                 record["query"] = [moved.offset, moved.length]
                 records.append(record)
             self._records = resealed
@@ -266,7 +265,7 @@ class MmapBackend(StorageBackend):
             if published:
                 records: List[Dict[str, Any]] = []
                 for extent, entry in self._records.values():
-                    record = self._codec.encode(replace(entry, query=_STUB_GRAPH))
+                    record = self._codec.encode(entry._replace(query=_STUB_GRAPH))
                     record["query"] = [extent.offset, extent.length]
                     records.append(record)
                 self._write_sidecar(records)
@@ -347,7 +346,7 @@ class MmapBackend(StorageBackend):
             entry = self._codec.decode({**record, "query": stub_text})
             self._records[int(record["serial"])] = (
                 ArenaExtent(offset, length),
-                replace(entry, query=None),
+                entry._replace(query=None),
             )
 
     # ------------------------------------------------------------------ #

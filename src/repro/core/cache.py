@@ -31,8 +31,8 @@ exactly the answer set Method M would return on its own.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field
-from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from dataclasses import asdict, dataclass
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Set, Tuple
 
 from ..analysis.runtime import make_lock, make_rlock
 from ..exceptions import CacheError
@@ -75,6 +75,7 @@ from .stores import (
     WindowEntry,
     WindowEntryCodec,
     WindowStore,
+    expensiveness,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - type-only (replication builds on this module)
@@ -83,8 +84,7 @@ if TYPE_CHECKING:  # pragma: no cover - type-only (replication builds on this mo
 __all__ = ["GraphCache", "CacheQueryResult", "CacheRuntimeStatistics"]
 
 
-@dataclass(frozen=True)
-class CacheQueryResult:
+class CacheQueryResult(NamedTuple):
     """Result and accounting of one query answered through GraphCache.
 
     Attributes
@@ -122,9 +122,9 @@ class CacheQueryResult:
         Query-vs-query verdicts answered from the containment memo instead.
     stage_times:
         Per-stage wall-clock seconds, keyed by pipeline stage name
-        (:data:`~repro.core.pipeline.STAGE_NAMES`).  In parallel execution
-        mode ``mfilter`` and ``processors`` overlap in wall-clock, so the
-        values sum to more than the observed latency by design.
+        (:data:`~repro.core.pipeline.STAGE_NAMES`); every stage has a key,
+        and a stage with nothing to do (``verify`` after a shortcut or a
+        fully pruned candidate set) reports 0.0.
     short_circuit_stage:
         Name of the pipeline stage that short-circuited verification
         (``"prune"`` on an exact/empty shortcut), or ``None``.
@@ -148,9 +148,9 @@ class CacheQueryResult:
     shortcut: Optional[str]
     sub_hits: int
     super_hits: int
-    containment_tests: int = 0
-    containment_memo_hits: int = 0
-    stage_times: Dict[str, float] = field(default_factory=dict)
+    containment_tests: int
+    containment_memo_hits: int
+    stage_times: Dict[str, float]
     short_circuit_stage: Optional[str] = None
     decode_avoided: int = 0
 
@@ -507,29 +507,24 @@ class GraphCache:
         answer_ids = ctx.answer_ids
 
         # Statistics monitoring: credit contributing cached queries.
-        self._record_contributions(ctx.query, ctx.serial, outcome, pruning)
+        credited = self._record_contributions(ctx.query, ctx.serial, outcome, pruning)
 
-        # Window admission: an exact hit on a still-cached entry was credited
-        # above and only counts toward the window (the cache never holds two
-        # isomorphic queries).  Any other query joins it with its
+        # Window admission: an exact hit credited above to a still-cached
+        # entry builds no window entry (the cache never holds two isomorphic
+        # queries); it only counts, and its expensiveness joins the round's
+        # samples.  Any other query joins the window with its
         # first-execution costs (Method M's filtering time + its verification
         # effort) — on an Mfilter memo hit that is the filter time of the call
         # that filled the memo, so repeats do not look cheaper to admission.
-        maintenance_time = 0.0
-        report = self._window_manager.add_query(
-            WindowEntry(
-                serial=ctx.serial,
-                query=ctx.query,
-                answer_ids=answer_ids,
-                filter_time_s=ctx.first_filter_time_s + outcome.elapsed_s,
-                verify_time_s=ctx.verify_time_s,
-            ),
-            credited=pruning.shortcut == "exact"
-            and pruning.shortcut_serial in self._cache_store,
-        )
-        if report is not None:
-            maintenance_time = report.elapsed_s
-        ctx.maintenance_time_s = maintenance_time
+        filter_time_s = ctx.first_filter_time_s + outcome.elapsed_s
+        if credited:
+            report = self._window_manager.add_hit(
+                ctx.serial, expensiveness(filter_time_s, ctx.verify_time_s)
+            )
+        else:
+            report = self._window_manager.add_query(
+                WindowEntry(ctx.serial, ctx.query, answer_ids, filter_time_s, ctx.verify_time_s)
+            )
 
         ctx.stage_times["commit"] = time.perf_counter() - started
         result = CacheQueryResult(
@@ -542,7 +537,7 @@ class GraphCache:
             filter_time_s=ctx.filter_time_s,
             gc_filter_time_s=outcome.elapsed_s,
             verify_time_s=ctx.verify_time_s,
-            maintenance_time_s=maintenance_time,
+            maintenance_time_s=0.0 if report is None else report.elapsed_s,
             shortcut=pruning.shortcut,
             sub_hits=len(outcome.result_sub),
             super_hits=len(outcome.result_super),
@@ -830,12 +825,14 @@ class GraphCache:
         serial: int,
         outcome: ProcessorOutcome,
         pruning: PruningResult,
-    ) -> None:
-        """Feed the Statistics Manager with each cached query's contribution."""
+    ) -> bool:
+        """Feed the Statistics Manager with each cached query's contribution;
+        return whether the request is an exact hit credited to a cached entry."""
+        special = pruning.shortcut is not None
+        credited = False
         for cached_serial, removed_ids in pruning.contributions.items():
             if cached_serial not in self._cache_store:
                 continue
-            special = pruning.shortcut is not None
             if special:
                 # A shortcut removed all of CS_M: its credit is kept beside it.
                 cost_saving = self._mfilter.shortcut_credit(query, removed_ids)
@@ -850,6 +847,10 @@ class GraphCache:
                 cost_reduction=cost_saving,
                 special=special,
             )
+            credited = pruning.shortcut == "exact"  # its one contribution is the hit
+        matched = outcome.result_sub
+        if credited and len(matched) == 1 and matched == outcome.result_super:
+            return True  # the hit was the only match
         # Cached queries that matched but removed nothing still count as hits
         # for the popularity statistics.
         contributing = set(pruning.contributions)
@@ -861,6 +862,7 @@ class GraphCache:
                     cs_reduction=0.0,
                     cost_reduction=0.0,
                 )
+        return credited
 
     def _update_runtime(self, result: CacheQueryResult, method_candidates: int) -> None:
         self._runtime.queries_processed += 1

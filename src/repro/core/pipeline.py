@@ -138,7 +138,6 @@ class StageContext:
     subiso_tests: int = 0
 
     # CommitStage.
-    maintenance_time_s: float = 0.0
     result: Optional["CacheQueryResult"] = None
 
     stage_times: Dict[str, float] = field(default_factory=dict)
@@ -246,14 +245,10 @@ class MfilterStage:
         return entry.credit
 
     def run(self, ctx: StageContext) -> None:
-        if ctx.method_candidates is not None:
-            # Prefetched by the batched service facade; surface the filter
-            # time measured on the prefetch worker as this stage's cost.
-            ctx.stage_times[self.name] = ctx.filter_time_s
-            return
-        ctx.method_candidates, ctx.filter_time_s, ctx.first_filter_time_s = (
-            self.filter(ctx.query)
-        )
+        if ctx.method_candidates is None:  # else prefetched by the service facade
+            ctx.method_candidates, ctx.filter_time_s, ctx.first_filter_time_s = (
+                self.filter(ctx.query)
+            )
 
 
 class ProcessorStage:
@@ -289,7 +284,7 @@ class PruneStage:
 
 
 class VerifyStage:
-    """``Mverifier`` over the surviving candidates (skipped on shortcuts)."""
+    """``Mverifier`` over the surviving candidates (not entered when none survive)."""
 
     name = "verify"
 
@@ -298,8 +293,6 @@ class VerifyStage:
         self._query_mode = query_mode
 
     def run(self, ctx: StageContext) -> None:
-        if not ctx.pruning.final_candidates:
-            return  # short-circuited (or fully pruned): nothing left to verify
         answers, raw_time, tests, _, _ = verify_candidates(
             self._method,
             ctx.query,
@@ -376,19 +369,10 @@ class QueryPipeline:
         return self._gc_lock
 
     # ------------------------------------------------------------------ #
-    @staticmethod
-    def _timed(stage: PipelineStage, ctx: StageContext) -> None:
-        started = time.perf_counter()
-        stage.run(ctx)
-        elapsed = time.perf_counter() - started
-        # A stage may have recorded a larger, more truthful figure itself
-        # (prefetched Mfilter reports the worker-side filtering time).
-        ctx.stage_times[stage.name] = max(ctx.stage_times.get(stage.name, 0.0), elapsed)
-
     def execute(self, ctx: StageContext) -> "CacheQueryResult":
         """Run every stage for ``ctx`` and return the committed result."""
         self.execute_readonly(ctx)
-        # CommitStage records its own stage time: the result object is frozen
+        # CommitStage records its own stage time: the result record is built
         # inside the commit, so the measurement must happen there.
         with self._gc_lock:
             self._commit.run(ctx)
@@ -399,9 +383,28 @@ class QueryPipeline:
 
         On its own this is the read-only path (``GraphCache.lookup``): no
         cache state is mutated, so any number of replicas can serve it.
+
+        One clock reading per stage boundary times the stages.  A prefetched
+        Mfilter reports the larger of the worker-side filter time and the
+        time spent here; the processors' time starts before the GC lock is
+        taken.  Verification is not entered when pruning left no candidates,
+        and then reports 0.0.
         """
-        self._timed(self._mfilter, ctx)
+        clock = time.perf_counter
+        times = ctx.stage_times
+        started = clock()
+        self._mfilter.run(ctx)
+        filtered = clock()
         with self._gc_lock:
-            self._timed(self._processors, ctx)
-            self._timed(self._prune, ctx)
-        self._timed(self._verify, ctx)
+            self._processors.run(ctx)
+            processed = clock()
+            self._prune.run(ctx)
+            pruned = clock()
+        times["mfilter"] = max(ctx.filter_time_s, filtered - started)
+        times["processors"] = processed - filtered
+        times["prune"] = pruned - processed
+        if ctx.pruning.final_candidates:
+            self._verify.run(ctx)
+            times["verify"] = clock() - pruned
+        else:
+            times["verify"] = 0.0

@@ -148,28 +148,32 @@ class WindowManager:
         self._requests = int(record.get("window_requests", len(entries)))
         self._sampled = [float(score) for score in record.get("window_sampled", ())]
 
-
     # ------------------------------------------------------------------ #
-    def add_query(
-        self, entry: WindowEntry, credited: bool = False
-    ) -> Optional[MaintenanceReport]:
-        """Commit one executed request; submit maintenance on every
-        ``window_size``-th request.
+    def add_query(self, entry: WindowEntry) -> Optional[MaintenanceReport]:
+        """Commit one executed request that is not a credited exact hit;
+        submit maintenance on every ``window_size``-th request.
 
-        A new structure joins the window.  An exact hit ``credited`` to its
-        cached entry, or a repeat of a waiting structure, only counts (and
-        its expensiveness goes to the round's admission calibration).
-        Returns the round's report when the scheduler completed it before
-        returning (``sync``/``barrier``).
+        A new structure joins the window; a repeat of a waiting structure
+        only counts, like :meth:`add_hit`.  Returns the round's report when
+        the scheduler completed it before returning (``sync``/``barrier``).
         """
-        if credited or entry.query in self._structures:
-            self._sampled.append(entry.expensiveness)
-        else:
-            self._structures.add(entry.query)
-            self._window_store.add(entry)
+        if entry.query in self._structures:
+            return self.add_hit(entry.serial, entry.expensiveness)
+        self._structures.add(entry.query)
+        self._window_store.add(entry)
+        return self._count(entry.serial)
+
+    def add_hit(self, serial: int, expensiveness: float) -> Optional[MaintenanceReport]:
+        """Count a request that joins no window (an exact hit credited to its
+        cached entry): its expensiveness goes to the round's admission
+        calibration.  Returns what :meth:`add_query` returns."""
+        self._sampled.append(expensiveness)
+        return self._count(serial)
+
+    def _count(self, serial: int) -> Optional[MaintenanceReport]:
         self._requests += 1
         if self._requests >= self._window_store.capacity:
-            return self.run_maintenance(current_serial=entry.serial)
+            return self.run_maintenance(current_serial=serial)
         return None
 
     # ------------------------------------------------------------------ #

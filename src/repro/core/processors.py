@@ -23,8 +23,7 @@ with the configured matcher.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import Dict, FrozenSet, NamedTuple, Optional, Tuple
 
 from ..analysis.runtime import make_lock, make_rlock
 from ..graphs.graph import Graph
@@ -50,8 +49,7 @@ def _shared_fallback_matcher() -> SubgraphMatcher:
         return _fallback_matcher
 
 
-@dataclass(frozen=True)
-class ProcessorOutcome:
+class ProcessorOutcome(NamedTuple):
     """Everything the two GC processors learned about a new query.
 
     Attributes
@@ -194,14 +192,9 @@ class CacheProcessors:
             tests += not from_memo
             memo_hits += from_memo
             if verdict:
-                elapsed = time.perf_counter() - started
+                hit = frozenset({serial})
                 return ProcessorOutcome(
-                    result_sub=frozenset({serial}),
-                    result_super=frozenset({serial}),
-                    exact_match_serial=serial,
-                    elapsed_s=elapsed,
-                    containment_tests=tests,
-                    memo_hits=memo_hits,
+                    hit, hit, serial, time.perf_counter() - started, tests, memo_hits
                 )
 
         # GCsub processor: cached queries that may contain the new query.
@@ -233,12 +226,11 @@ class CacheProcessors:
                 result_super.add(serial)
 
         exact = self._find_exact_match(snapshot, query, result_sub, result_super)
-        elapsed = time.perf_counter() - started
         return ProcessorOutcome(
             result_sub=frozenset(result_sub),
             result_super=frozenset(result_super),
             exact_match_serial=exact,
-            elapsed_s=elapsed,
+            elapsed_s=time.perf_counter() - started,
             containment_tests=tests,
             memo_hits=memo_hits,
         )

@@ -25,8 +25,7 @@ into the ``R`` and ``C`` utility components of the PIN / PINC / HD policies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, Optional
+from typing import Dict, FrozenSet, NamedTuple, Optional
 
 from .processors import ProcessorOutcome
 from .stores import CacheStore
@@ -34,8 +33,7 @@ from .stores import CacheStore
 __all__ = ["PruningResult", "CandidateSetPruner"]
 
 
-@dataclass(frozen=True)
-class PruningResult:
+class PruningResult(NamedTuple):
     """Outcome of candidate-set pruning for one query.
 
     Attributes
@@ -102,11 +100,7 @@ class CandidateSetPruner:
             answer = self._cache_store.answers(serial)
             if answer is not None:
                 return PruningResult(
-                    final_candidates=frozenset(),
-                    direct_answers=answer,
-                    shortcut="exact",
-                    shortcut_serial=serial,
-                    contributions={serial: frozenset(method_candidates)},
+                    frozenset(), answer, "exact", serial, {serial: method_candidates}
                 )
 
         # Special case 2: a restricting entry with an empty answer set proves
@@ -115,11 +109,7 @@ class CandidateSetPruner:
             answer = self._cache_store.answers(serial)
             if answer is not None and not answer:
                 return PruningResult(
-                    final_candidates=frozenset(),
-                    direct_answers=frozenset(),
-                    shortcut="empty",
-                    shortcut_serial=serial,
-                    contributions={serial: frozenset(method_candidates)},
+                    frozenset(), frozenset(), "empty", serial, {serial: method_candidates}
                 )
 
         contributions: Dict[int, set] = {}

@@ -28,8 +28,7 @@ store across threads.  Iteration yields a point-in-time snapshot.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Any, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence
+from typing import Any, Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Sequence
 
 from ..analysis.runtime import make_rlock
 from ..exceptions import CacheError
@@ -44,11 +43,18 @@ __all__ = [
     "WindowEntry",
     "WindowEntryCodec",
     "WindowStore",
+    "expensiveness",
 ]
 
 
-@dataclass(frozen=True)
-class CacheEntry:
+def expensiveness(filter_time_s: float, verify_time_s: float) -> float:
+    """Verification/filtering time ratio (admission-control score)."""
+    if filter_time_s <= 0.0:
+        return float("inf") if verify_time_s > 0.0 else 0.0
+    return verify_time_s / filter_time_s
+
+
+class CacheEntry(NamedTuple):
     """One cached query: the query graph plus its answer set."""
 
     serial: int
@@ -56,8 +62,7 @@ class CacheEntry:
     answer_ids: FrozenSet[int]
 
 
-@dataclass(frozen=True)
-class WindowEntry:
+class WindowEntry(NamedTuple):
     """One window query awaiting the next cache-update round.
 
     Carries everything the admission controller and the replacement round
@@ -73,9 +78,7 @@ class WindowEntry:
     @property
     def expensiveness(self) -> float:
         """Verification/filtering time ratio (admission-control score)."""
-        if self.filter_time_s <= 0.0:
-            return float("inf") if self.verify_time_s > 0.0 else 0.0
-        return self.verify_time_s / self.filter_time_s
+        return expensiveness(self.filter_time_s, self.verify_time_s)
 
 
 class CacheEntryCodec:
@@ -126,7 +129,7 @@ class WindowEntryCodec:
     @staticmethod
     def decode(record: Dict[str, Any]) -> WindowEntry:
         entry = WindowEntryCodec.check(record)
-        return replace(entry, query=entry.query.build())
+        return entry._replace(query=entry.query.build())
 
 
 class CacheStore:

@@ -270,7 +270,7 @@ def _record(monkeypatch, table: bool):
                 {key: frozenset(ids) for key, ids in pruning.contributions.items()},
             )
         )
-        record(self, query, serial, outcome, pruning)
+        return record(self, query, serial, outcome, pruning)
 
     def spy_on_hit(self, **kwargs):
         events.append(tuple(sorted(kwargs.items())))
@@ -351,7 +351,7 @@ def test_the_credited_cost_equals_the_per_graph_order_sum_bit_for_bit(dataset, m
                 for graph_id in removed:
                     old += estimate_subiso_cost(query.order, labels, dataset[graph_id].order)
                 credited.append((cached_serial, serial, old))
-        record(self, query, serial, outcome, pruning)
+        return record(self, query, serial, outcome, pruning)
 
     on_hit = MaintenanceEngine.on_hit
     seen = []

@@ -16,7 +16,10 @@ manager.  Checked here:
 * a view releases its reader count (double-buffered) or the write lock
   (single copy) when the ``with`` body raises;
 * clearing the Mfilter memo, at its id limit or between filter and commit,
-  leaves every credited float unchanged.
+  leaves every credited float unchanged;
+* an exact hit and an exact lookup never enter verification, and the hit
+  still reports every stage, ``verify`` as 0.0;
+* the five per-request records refuse attribute assignment.
 """
 
 from __future__ import annotations
@@ -26,10 +29,14 @@ import threading
 import pytest
 
 from repro.core import pipeline
-from repro.core.cache import GraphCache
+from repro.core.cache import CacheQueryResult, GraphCache
 from repro.core.config import GraphCacheConfig
+from repro.core.pipeline import STAGE_NAMES, VerifyStage
 from repro.core.policies.engine import MaintenanceEngine
+from repro.core.processors import ProcessorOutcome
+from repro.core.pruner import PruningResult
 from repro.core.query_index import QueryGraphIndex
+from repro.core.stores import CacheEntry, WindowEntry
 from repro.ftv.ggsx import GraphGrepSX
 from repro.graphs.generators import aids_like
 from repro.graphs.graph import Graph
@@ -78,7 +85,7 @@ def _spy_expected_credit(monkeypatch, orders):
                 total = expected.setdefault(cached, [0.0, 0.0])
                 total[0] += r
                 total[1] += c
-        record(self, query, serial, outcome, pruning)
+        return record(self, query, serial, outcome, pruning)
 
     monkeypatch.setattr(GraphCache, "_record_contributions", spy)
     return expected
@@ -249,3 +256,61 @@ def test_clearing_the_memo_between_filter_and_commit_credits_identical_floats(mo
     cache.close()
     assert len(credited) == 3
     assert len({(r, c) for _, _, r, c in credited}) == 1
+
+
+# --------------------------------------------------------------------------- #
+# An exact hit does none of the pipeline's other work.
+# --------------------------------------------------------------------------- #
+def test_an_exact_hit_and_an_exact_lookup_never_enter_verification(monkeypatch):
+    cache, query = _cached_query()
+    entered = []
+    run, verify = VerifyStage.run, pipeline.verify_candidates
+    monkeypatch.setattr(VerifyStage, "run", lambda *a: entered.append("run") or run(*a))
+    monkeypatch.setattr(
+        pipeline, "verify_candidates", lambda *a, **k: entered.append("verify") or verify(*a, **k)
+    )
+    results = [cache.query(query) for _ in range(3)]
+    answers = [cache.lookup(query) for _ in range(3)]
+    cache.close()
+    assert entered == []
+    assert all(result.shortcut == "exact" for result in results)
+    assert answers == [result.answer_ids for result in results]
+    for result in results:
+        assert tuple(result.stage_times) == STAGE_NAMES
+        assert result.stage_times["verify"] == 0.0
+
+
+def test_a_miss_still_enters_verification(monkeypatch):
+    """The spy above can see a verification: a fresh query runs one."""
+    cache, _ = _cached_query()
+    entered = []
+    run = VerifyStage.run
+    monkeypatch.setattr(VerifyStage, "run", lambda *a: entered.append("run") or run(*a))
+    fresh = next(iter(generate_type_a(DATASET, "ZZ", 1, query_sizes=(3,), seed=5)))
+    result = cache.query(fresh)
+    cache.close()
+    assert result.final_candidates > 0 and entered == ["run"]
+    assert tuple(result.stage_times) == STAGE_NAMES
+
+
+def test_the_per_request_records_refuse_attribute_assignment():
+    cache, query = _cached_query()
+    result = cache.query(query)
+    ctx = pipeline.StageContext(query=query, serial=0)
+    cache.pipeline.execute_readonly(ctx)
+    entry = cache.cached_entry(next(iter(cache.cached_serials)))
+    window = WindowEntry(1, query, frozenset(), 0.5, 1.0)
+    cache.close()
+    records = (
+        (result, CacheQueryResult),
+        (ctx.outcome, ProcessorOutcome),
+        (ctx.pruning, PruningResult),
+        (window, WindowEntry),
+        (entry, CacheEntry),
+    )
+    for record, kind in records:
+        assert type(record) is kind
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], None)  # a field
+        with pytest.raises(AttributeError):
+            record.note = "added"  # no attribute dictionary either

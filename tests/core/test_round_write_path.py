@@ -254,11 +254,12 @@ def test_stream_frames_are_canonical_and_credit_reads_the_cost_row(
             if cached in self._cache_store
         }
         credited.clear()
-        record(self, query, serial, outcome, pruning)
+        credited_hit = record(self, query, serial, outcome, pruning)
         got = {cached: cost.hex() for cached, cost in credited if cached in want}
         checked.append(len(want))
         if got != want:
             mismatches.append((serial, want, got))
+        return credited_hit
 
     def spy_on_hit(self, **kwargs):
         credited.append((kwargs["serial"], kwargs["cost_reduction"]))

@@ -143,9 +143,10 @@ class TestRequestCounting:
 
     def test_credited_requests_still_fire_the_round(self):
         manager, cache_store, window_store, _, _ = make_manager(window_size=2)
-        assert manager.add_query(entry(1), credited=True) is None
+        assert manager.add_hit(1, entry(1).expensiveness) is None
         assert len(window_store) == 0
-        report = manager.add_query(entry(2), credited=True)
+        assert manager.state_record()["window_sampled"] == [entry(1).expensiveness]
+        report = manager.add_hit(2, entry(2).expensiveness)
         assert report is not None
         assert report.plan.window_serials == () and report.plan.current_serial == 2
         assert len(cache_store) == 0
