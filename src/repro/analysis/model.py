@@ -97,6 +97,8 @@ class FunctionModel:
     line: int
     param_types: Dict[str, Set[str]] = field(default_factory=dict)
     return_types: Set[str] = field(default_factory=set)
+    #: Element classes of a container return annotation (``Tuple[X, ...]``).
+    element_types: Set[str] = field(default_factory=set)
     local_types: Dict[str, Set[str]] = field(default_factory=dict)
     acquisitions: List[Acquisition] = field(default_factory=list)
     calls: List[CallSite] = field(default_factory=list)
@@ -193,6 +195,26 @@ def _annotation_types(node: Optional[ast.expr]) -> Set[str]:
     if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitOr):  # X | None
         return (_annotation_types(node.left) | _annotation_types(node.right)) - {"None"}
     return set()
+
+
+_CONTAINERS = {"List", "Tuple", "Sequence", "Iterable", "Iterator", "FrozenSet", "Set"}
+
+
+def _element_types(node: Optional[ast.expr]) -> Set[str]:
+    """Element classes of a container annotation (``Tuple[X, ...]``, ``List[X]``)."""
+    if not isinstance(node, ast.Subscript) or not _annotation_types(node.value) & _CONTAINERS:
+        return set()
+    return set().union(*map(_annotation_types, getattr(node.slice, "elts", [node.slice])))
+
+
+def _member_tags(node: ast.expr) -> Set[str]:
+    """``self.a.b`` → ``{"@self:a.b"}``, ``self.a.b[i]`` → ``{"@elem:a.b"}``: a
+    local bound to a member of ``self`` or an element of one, typed later."""
+    kind = "@elem:" if isinstance(node, ast.Subscript) else "@self:"
+    path = _attr_path(node.value if isinstance(node, ast.Subscript) else node)
+    if path is None or len(path) < 2 or path[0] != "self":
+        return set()
+    return {kind + ".".join(path[1:])}
 
 
 def _factory_lock(node: ast.expr) -> Optional[Tuple[str, bool]]:
@@ -402,7 +424,7 @@ class _FunctionWalker(ast.NodeVisitor):
                 )
             # local variable types + view/packed bindings
             if len(path) == 1:
-                types = _constructed_types(value, self.fn.param_types)
+                types = _constructed_types(value, self.fn.param_types) | _member_tags(value)
                 if types:
                     self.fn.local_types.setdefault(path[0], set()).update(types)
                 if "PackedGraph" in types or "PackedGraphView" in types:
@@ -508,6 +530,7 @@ def _extract_function(
             if "PackedGraph" in types or "PackedGraphView" in types:
                 fn.packed_vars.setdefault(arg.arg, node.lineno)
     fn.return_types = _annotation_types(node.returns)
+    fn.element_types = _element_types(node.returns)
     for line in (node.lineno, node.lineno - 1):
         fn.holds |= model.holds_hints.get(line, set())
     walker = _FunctionWalker(model, cls, fn)

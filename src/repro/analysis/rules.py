@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .locks import GC_LOCK_NAME, rank_of
 from .model import CallSite, ClassModel, FunctionModel, ModuleModel
@@ -60,7 +60,7 @@ __all__ = ["Finding", "Program", "run_rules"]
 TRACKED_MUTATORS: Dict[str, Set[str]] = {
     "CacheStore": {"add", "evict", "apply_delta", "replace_contents", "close"},
     "WindowStore": {"add", "drain", "close"},
-    "QueryGraphIndex": {"add", "remove", "rebuild", "batch"},
+    "QueryGraphIndex": {"add", "remove", "rebuild", "apply_delta"},
     "StatisticsManager": {"add", "remove", "rebuild", "record_hit"},
     "InMemoryBackend": {"put", "delete", "clear", "replace_all", "apply_delta", "close"},
     "MmapBackend": {
@@ -230,10 +230,11 @@ class Program:
         return out
 
     def receiver_types(self, ctx: _Func, recv: Tuple[str, ...]) -> Set[str]:
-        """Possible class names of a call receiver path, "" when unknown."""
+        """Possible class names of a call receiver path; ``self.a.b`` and
+        ``local.b`` follow each member's return annotation."""
         if recv == ("self",) and ctx.cls is not None:
             return {ctx.cls.name}
-        if len(recv) == 2 and recv[0] == "self" and ctx.cls is not None:
+        if len(recv) >= 2 and recv[0] == "self" and ctx.cls is not None:
             raw = ctx.cls.attr_types.get(recv[1], set())
             out = {t for t in raw if not t.startswith("@call:")}
             # factory-call assignments: resolve through the factory's
@@ -241,13 +242,38 @@ class Program:
             for tag in raw:
                 if tag.startswith("@call:"):
                     out |= self._factory_return_types(tag[len("@call:"):])
-            return out
-        if len(recv) == 1 and recv[0] != "self":
-            name = recv[0]
-            types = set(ctx.fn.local_types.get(name, set()))
-            types |= ctx.fn.param_types.get(name, set())
-            return types
+            return self._member_types(out, recv[2:])
+        if recv[0] != "self":
+            types = set(ctx.fn.param_types.get(recv[0], set()))
+            # A local bound in several places (both branches of an ``if``)
+            # has the types of every binding.
+            for tag in ctx.fn.local_types.get(recv[0], set()):
+                kind, _, members = tag.partition(":")
+                if kind == "@self":
+                    types |= self.receiver_types(ctx, ("self", *members.split(".")))
+                elif kind == "@elem":  # ``self.a[i]``: an attribute has no element type
+                    *owner, last = members.split(".")
+                    owners = self.receiver_types(ctx, ("self", *owner)) if owner else set()
+                    types |= self._member_types(owners, [last], element=True)
+                else:
+                    types.add(tag)
+            return self._member_types(types, recv[1:])
         return set()
+
+    def _member_types(
+        self, types: Set[str], members: Sequence[str], element: bool = False
+    ) -> Set[str]:
+        """``<types>.<members>`` through each member's return annotation (the
+        last one's element annotation when ``element``)."""
+        for depth, name in enumerate(members, start=1):
+            kind = "element_types" if element and depth == len(members) else "return_types"
+            types = {
+                found
+                for owner in types
+                for func in self._method_in_class(owner, name)
+                for found in getattr(func.fn, kind)
+            }
+        return types
 
     def _factory_return_types(self, factory: str) -> Set[str]:
         out: Set[str] = set()
@@ -630,7 +656,7 @@ def _rule_view_immutability(prog: Program, findings: List[Finding]) -> None:
                             f"mutating call {call.recv[0]}.{call.method}() on a "
                             f"pinned IndexView snapshot in {func.fn.qualname}; "
                             f"views are immutable — mutate through "
-                            f"QueryGraphIndex.batch()"
+                            f"QueryGraphIndex.apply_delta()"
                         ),
                     )
                 )

@@ -64,8 +64,8 @@ from .policies import (
     create_scheduler,
     policy_by_name,
 )
-from .processors import CacheProcessors, ProcessorOutcome
-from .pruner import CandidateSetPruner, PruningResult
+from .processors import CacheProcessors
+from .pruner import CandidateSetPruner
 from .query_index import QueryGraphIndex
 from .statistics import CachedQueryStats, StatisticsManager
 from .stores import (
@@ -476,9 +476,7 @@ class GraphCache:
         """
         return self._mfilter.filter(query)
 
-    def execute_prefiltered(
-        self, query: Graph, filtered: MfilterResult
-    ) -> CacheQueryResult:
+    def execute_prefiltered(self, query: Graph, filtered: MfilterResult) -> CacheQueryResult:
         """Answer a query whose Mfilter stage was already computed elsewhere.
 
         This is the entry point of the batched service facade: candidate
@@ -497,7 +495,8 @@ class GraphCache:
         return StageContext(query=query, serial=serial)
 
     def _commit(self, ctx: StageContext) -> None:
-        """CommitStage body: statistics, window admission, result construction.
+        """CommitStage body: statistics, window admission, the result record
+        and the runtime counters.
 
         Runs under the pipeline's GC lock (one commit at a time), so window
         maintenance, replacement decisions and counters stay deterministic.
@@ -507,7 +506,7 @@ class GraphCache:
         answer_ids = ctx.answer_ids
 
         # Statistics monitoring: credit contributing cached queries.
-        credited = self._record_contributions(ctx.query, ctx.serial, outcome, pruning)
+        credited = self._record_contributions(ctx)
 
         # Window admission: an exact hit credited above to a still-cached
         # entry builds no window entry (the cache never holds two isomorphic
@@ -525,30 +524,35 @@ class GraphCache:
             report = self._window_manager.add_query(
                 WindowEntry(ctx.serial, ctx.query, answer_ids, filter_time_s, ctx.verify_time_s)
             )
+        maintenance_s = 0.0 if report is None else report.elapsed_s
 
-        ctx.stage_times["commit"] = time.perf_counter() - started
-        result = CacheQueryResult(
-            serial=ctx.serial,
-            answer_ids=answer_ids,
-            method_candidates=len(ctx.method_candidates),
-            final_candidates=len(pruning.final_candidates),
-            direct_answers=len(pruning.direct_answers),
-            subiso_tests=ctx.subiso_tests,
-            filter_time_s=ctx.filter_time_s,
-            gc_filter_time_s=outcome.elapsed_s,
-            verify_time_s=ctx.verify_time_s,
-            maintenance_time_s=0.0 if report is None else report.elapsed_s,
-            shortcut=pruning.shortcut,
-            sub_hits=len(outcome.result_sub),
-            super_hits=len(outcome.result_super),
-            containment_tests=outcome.containment_tests,
-            containment_memo_hits=outcome.memo_hits,
-            stage_times=ctx.stage_times,
-            short_circuit_stage=ctx.short_circuit_stage,
-            decode_avoided=1 if isinstance(ctx.query, PackedGraphView) else 0,
+        shortcut, method_candidates = pruning.shortcut, len(ctx.method_candidates)
+        decode_avoided = 1 if isinstance(ctx.query, PackedGraphView) else 0
+        ctx.result = result = CacheQueryResult(
+            ctx.serial, answer_ids, method_candidates, len(pruning.final_candidates),
+            len(pruning.direct_answers), ctx.subiso_tests, ctx.filter_time_s,
+            outcome.elapsed_s, ctx.verify_time_s, maintenance_s, shortcut,
+            len(outcome.result_sub), len(outcome.result_super), outcome.containment_tests,
+            outcome.memo_hits, ctx.stage_times, None if shortcut is None else PruneStage.name,
+            decode_avoided,
         )
-        self._update_runtime(result, len(ctx.method_candidates))
-        ctx.result = result
+        runtime = self._runtime
+        runtime.queries_processed += 1
+        runtime.subiso_tests += ctx.subiso_tests
+        runtime.subiso_tests_alleviated += max(0, method_candidates - ctx.subiso_tests)
+        runtime.containment_tests += outcome.containment_tests
+        runtime.containment_memo_hits += outcome.memo_hits
+        runtime.decode_avoided += decode_avoided
+        runtime.total_query_time_s += result.total_time_s
+        runtime.total_maintenance_time_s += maintenance_s
+        if result.cache_hit:
+            runtime.cache_hits += 1
+        if shortcut == "exact":
+            runtime.exact_hits += 1
+        elif shortcut == "empty":
+            runtime.empty_shortcuts += 1
+        # The record holds this dict, so the commit's time lands in it too.
+        ctx.stage_times["commit"] = time.perf_counter() - started
 
     def answer(self, query: Graph) -> FrozenSet[int]:
         """Convenience wrapper returning only the answer set."""
@@ -659,9 +663,7 @@ class GraphCache:
                 if not self._scheduler.idle():
                     continue  # a round slipped in before we took the lock
                 self._cache_store.replace_contents(entries)
-                self._index.rebuild(
-                    (entry.serial, entry.query) for entry in entries
-                )
+                self._index.rebuild((entry.serial, entry.query) for entry in entries)
                 self._window_store.drain()  # discard pre-existing window contents
                 for entry in window_entries:
                     self._window_store.add(entry)
@@ -819,17 +821,13 @@ class GraphCache:
             self._scheduler.submit_task(fold)
 
     # ------------------------------------------------------------------ #
-    def _record_contributions(
-        self,
-        query: Graph,
-        serial: int,
-        outcome: ProcessorOutcome,
-        pruning: PruningResult,
-    ) -> bool:
+    def _record_contributions(self, ctx: StageContext) -> bool:
         """Feed the Statistics Manager with each cached query's contribution;
         return whether the request is an exact hit credited to a cached entry."""
+        query, serial, outcome, pruning = ctx.query, ctx.serial, ctx.outcome, ctx.pruning
         special = pruning.shortcut is not None
         credited = False
+        on_hit = self._engine.on_hit  # updates the entry's one statistics row
         for cached_serial, removed_ids in pruning.contributions.items():
             if cached_serial not in self._cache_store:
                 continue
@@ -838,46 +836,17 @@ class GraphCache:
                 cost_saving = self._mfilter.shortcut_credit(query, removed_ids)
             else:
                 cost_saving = candidates_cost(query, removed_ids, self._method.dataset)
-            # The engine's hit hook updates the entry's one statistics row
-            # and re-keys the victim selection over it.
-            self._engine.on_hit(
-                serial=cached_serial,
-                benefiting_serial=serial,
-                cs_reduction=float(len(removed_ids)),
-                cost_reduction=cost_saving,
-                special=special,
-            )
+            on_hit(serial=cached_serial, benefiting_serial=serial,
+                   cs_reduction=float(len(removed_ids)), cost_reduction=cost_saving,
+                   special=special)
             credited = pruning.shortcut == "exact"  # its one contribution is the hit
         matched = outcome.result_sub
         if credited and len(matched) == 1 and matched == outcome.result_super:
             return True  # the hit was the only match
         # Cached queries that matched but removed nothing still count as hits
         # for the popularity statistics.
-        contributing = set(pruning.contributions)
-        for cached_serial in (outcome.result_sub | outcome.result_super) - contributing:
+        for cached_serial in (matched | outcome.result_super) - set(pruning.contributions):
             if cached_serial in self._cache_store:
-                self._engine.on_hit(
-                    serial=cached_serial,
-                    benefiting_serial=serial,
-                    cs_reduction=0.0,
-                    cost_reduction=0.0,
-                )
+                on_hit(serial=cached_serial, benefiting_serial=serial,
+                       cs_reduction=0.0, cost_reduction=0.0)
         return credited
-
-    def _update_runtime(self, result: CacheQueryResult, method_candidates: int) -> None:
-        self._runtime.queries_processed += 1
-        self._runtime.subiso_tests += result.subiso_tests
-        self._runtime.subiso_tests_alleviated += max(
-            0, method_candidates - result.subiso_tests
-        )
-        self._runtime.containment_tests += result.containment_tests
-        self._runtime.containment_memo_hits += result.containment_memo_hits
-        self._runtime.decode_avoided += result.decode_avoided
-        self._runtime.total_query_time_s += result.total_time_s
-        self._runtime.total_maintenance_time_s += result.maintenance_time_s
-        if result.cache_hit:
-            self._runtime.cache_hits += 1
-        if result.shortcut == "exact":
-            self._runtime.exact_hits += 1
-        elif result.shortcut == "empty":
-            self._runtime.empty_shortcuts += 1

@@ -25,7 +25,8 @@ concurrency model").
 Concurrency model.  ``MfilterStage`` and ``VerifyStage`` never touch cache
 state, so they run without the GC lock; ``ProcessorStage`` + ``PruneStage``
 read the GCindex/stores as one critical section, and ``CommitStage`` (which
-can trigger window maintenance and a GCindex rebuild) uses the same lock.
+can trigger window maintenance and a GCindex delta) uses the same lock — in
+the same hold when there is nothing to verify, in a second one otherwise.
 Because Mfilter is cache-state independent, pre-computing it concurrently for
 many queries and then running the GC stages in serial order — what
 :meth:`~repro.core.service.GraphCacheService.query_many` does — yields
@@ -130,7 +131,6 @@ class StageContext:
 
     # PruneStage.
     pruning: Optional[PruningResult] = None
-    short_circuit_stage: Optional[str] = None
 
     # VerifyStage.
     verified_answers: FrozenSet[int] = frozenset()
@@ -278,9 +278,6 @@ class PruneStage:
 
     def run(self, ctx: StageContext) -> None:
         ctx.pruning = self._pruner.prune(frozenset(ctx.method_candidates), ctx.outcome)
-        if ctx.pruning.shortcut is not None:
-            # An exact hit or empty-answer proof means verification is moot.
-            ctx.short_circuit_stage = self.name
 
 
 class VerifyStage:
@@ -331,9 +328,10 @@ class QueryPipeline:
         The concrete stages, in dataflow order.
     gc_lock:
         Re-entrant lock serializing every access to shared cache state
-        (processors + prune as one critical section, and commit).  Callers
-        hammering one cache from many threads are safe; counters are
-        deterministic whenever the GC stages execute in serial order.
+        (processors + prune, and the commit, in one hold when nothing is left
+        to verify, else in two).  Callers hammering one cache from many
+        threads are safe; counters are deterministic whenever the GC stages
+        execute in serial order.
     """
 
     def __init__(
@@ -371,24 +369,25 @@ class QueryPipeline:
     # ------------------------------------------------------------------ #
     def execute(self, ctx: StageContext) -> "CacheQueryResult":
         """Run every stage for ``ctx`` and return the committed result."""
-        self.execute_readonly(ctx)
-        # CommitStage records its own stage time: the result record is built
-        # inside the commit, so the measurement must happen there.
-        with self._gc_lock:
-            self._commit.run(ctx)
+        self._run(ctx, self._commit)
         return ctx.result
 
     def execute_readonly(self, ctx: StageContext) -> None:
-        """Run every stage but the commit; ``ctx.answer_ids`` is then final.
+        """Run every stage but the commit (``GraphCache.lookup``: no cache
+        state is mutated, so replicas can serve it); ``ctx.answer_ids`` is
+        then final."""
+        self._run(ctx, None)
 
-        On its own this is the read-only path (``GraphCache.lookup``): no
-        cache state is mutated, so any number of replicas can serve it.
+    def _run(self, ctx: StageContext, commit: Optional[CommitStage]) -> None:
+        """The one stage sequence.  Processors, prune and — when nothing is
+        left to verify (exact hit, empty shortcut, fully pruned ``CS_M``) —
+        the commit share one GC-lock hold; a verifying request releases it
+        around ``VerifyStage`` and takes it again to commit.
 
         One clock reading per stage boundary times the stages.  A prefetched
         Mfilter reports the larger of the worker-side filter time and the
         time spent here; the processors' time starts before the GC lock is
-        taken.  Verification is not entered when pruning left no candidates,
-        and then reports 0.0.
+        taken; verification not entered reports 0.0.
         """
         clock = time.perf_counter
         times = ctx.stage_times
@@ -400,11 +399,16 @@ class QueryPipeline:
             processed = clock()
             self._prune.run(ctx)
             pruned = clock()
-        times["mfilter"] = max(ctx.filter_time_s, filtered - started)
-        times["processors"] = processed - filtered
-        times["prune"] = pruned - processed
-        if ctx.pruning.final_candidates:
-            self._verify.run(ctx)
-            times["verify"] = clock() - pruned
-        else:
-            times["verify"] = 0.0
+            times["mfilter"] = max(ctx.filter_time_s, filtered - started)
+            times["processors"] = processed - filtered
+            times["prune"] = pruned - processed
+            if not ctx.pruning.final_candidates:
+                times["verify"] = 0.0
+                if commit is not None:
+                    commit.run(ctx)  # CommitStage times itself
+                return
+        self._verify.run(ctx)
+        times["verify"] = clock() - pruned
+        if commit is not None:
+            with self._gc_lock:
+                commit.run(ctx)

@@ -12,8 +12,8 @@ and rebuilt the whole GCindex.  The engine replaces that with a clean
   beyond the admission controller's own calibration;
 * :meth:`apply` executes a plan as row-level deltas: the admitted entries'
   statistics rows start, the storage half runs (the backend deletes/inserts
-  exactly the evicted/admitted rows, the GCindex takes the same delta as one
-  batch), then the evicted entries' rows go — O(window) work per round,
+  exactly the evicted/admitted rows, the GCindex publishes the same delta
+  once), then the evicted entries' rows go — O(window) work per round,
   whatever the cache size;
 * :meth:`replay` runs journaled frames through the same steps: the rows per
   frame, the storage half once, for the net delta.
@@ -55,10 +55,6 @@ if TYPE_CHECKING:  # pragma: no cover - type-only (query_index pulls the ftv
     from ..replication import ReplicationFrame
 
 __all__ = ["MaintenanceEngine"]
-
-
-def _cache_entry(entry: WindowEntry) -> CacheEntry:
-    return CacheEntry(serial=entry.serial, query=entry.query, answer_ids=entry.answer_ids)
 
 
 class MaintenanceEngine:
@@ -107,7 +103,7 @@ class MaintenanceEngine:
         #: every cross-checked round that diverged (empty = proven identical).
         self.oracle_mismatches: List[Tuple[int, Tuple[int, ...], Tuple[int, ...]]] = []
         #: Test hook: when set, :meth:`apply` invokes it with the plan while
-        #: the round's GCindex batch is still *unpublished* — a "held apply".
+        #: the round's GCindex delta is still *unpublished* — a "held apply".
         #: The concurrency tests park the background worker here to prove
         #: that lookups served meanwhile read the previous index snapshot.
         self.apply_hold_hook: Optional[Callable[[MaintenancePlan], None]] = None
@@ -225,9 +221,9 @@ class MaintenanceEngine:
            (the cache's GC lock, which the commit path holds for its hits);
         2. the **store delta** executes atomically under the store's own
            lock (readers see pre- or post-delta, never a torn mix);
-        3. the **GCindex delta** runs as one
-           :meth:`~repro.core.query_index.QueryGraphIndex.batch` — lookups
-           keep reading the previously published snapshot and never block;
+        3. the **GCindex delta** publishes once, through
+           :meth:`~repro.core.query_index.QueryGraphIndex.apply_delta` —
+           lookups keep reading the previous snapshot and never block;
         4. the evicted entries' rows go, under ``lock``.
 
         A query committing between the steps credits only entries the store
@@ -246,9 +242,8 @@ class MaintenanceEngine:
 
         with guard:  # repro: lock[gc]
             self._start_rows(admitted)
-        self._apply_storage(
-            [_cache_entry(entry) for entry in admitted], plan.evicted_serials, plan
-        )
+        additions = [CacheEntry(e.serial, e.query, e.answer_ids) for e in admitted]
+        self._apply_storage(additions, plan.evicted_serials, plan)
         with guard:  # repro: lock[gc]
             self._drop_rows(plan.evicted_serials)
 
@@ -261,16 +256,15 @@ class MaintenanceEngine:
         self, additions: Sequence[CacheEntry], evicted: Sequence[int], plan=None
     ) -> None:
         """The storage half: the store delta, then the GCindex delta as one
-        batch (one publication).  ``plan`` is what :attr:`apply_hold_hook`
-        receives while the batch is still unpublished."""
+        publication.  ``plan`` is what :attr:`apply_hold_hook` receives while
+        the index delta is still unpublished."""
         self._cache_store.apply_delta(additions, evicted)
-        with self._index.batch():
-            for serial in evicted:
-                self._index.remove(serial)
-            for entry in additions:
-                self._index.add(entry.serial, entry.query)
-            if plan is not None and self.apply_hold_hook is not None:
-                self.apply_hold_hook(plan)
+        hook = self.apply_hold_hook
+        self._index.apply_delta(
+            ((entry.serial, entry.query) for entry in additions),
+            evicted,
+            None if plan is None or hook is None else lambda: hook(plan),
+        )
 
     def _start_rows(self, admitted: Sequence[WindowEntry]) -> None:  # repro: holds[gc]
         """Each ``admitted`` entry (in plan order) starts its row."""
@@ -326,16 +320,15 @@ class MaintenanceEngine:
 
         The **sanctioned delta path** for replicas and crash recovery
         (analyzer rule REPRO008); nothing is re-decided and the admission
-        calibration is untouched.  Frame by frame, under ``lock``: hits,
-        then the rows :meth:`apply` starts and drops — a frame's hits only
+        calibration is untouched.  Frame by frame, under ``lock``: hits, then
+        the rows :meth:`apply` starts and drops — a frame's hits only
         reference serials cached before its round, so every boundary matches
-        the primary's.  The
-        storage half runs once, for the net delta: an entry admitted and
-        evicted within ``frames`` never reaches the store or the GCindex,
-        survivors are added in admission order, and evicted older entries
-        are removed in the same GCindex batch.  Entries arrive checked, with
-        a :class:`~repro.graphs.io.ParsedGraph` query; only survivors become
-        Graphs.  ``frames`` is consumed once.
+        the primary's.  The storage half runs once, for the net delta: an
+        entry admitted and evicted within ``frames`` never reaches the store
+        or the GCindex, survivors are added in admission order, and evicted
+        older entries are removed in the same GCindex delta.  Entries arrive
+        checked, with a :class:`~repro.graphs.io.ParsedGraph` query; only
+        survivors become Graphs.  ``frames`` is consumed once.
         """
         guard = lock if lock is not None else nullcontext()
         survivors: Dict[int, WindowEntry] = {}
@@ -378,13 +371,10 @@ class MaintenanceEngine:
     ) -> None:
         """Apply a cache hit to the cached query's row (and re-key it), then
         buffer it for the round's frame."""
-        self._statistics.record_hit(
-            serial, benefiting_serial, cs_reduction, cost_reduction, special
-        )
+        event = (serial, benefiting_serial, cs_reduction, cost_reduction, special)
+        self._statistics.record_hit(*event)
         self._window_cost_saving += cost_reduction
-        self._hit_events.append(
-            (serial, benefiting_serial, cs_reduction, cost_reduction, special)
-        )
+        self._hit_events.append(event)
 
     # ------------------------------------------------------------------ #
     # Persistable state (snapshot format v4).

@@ -42,9 +42,9 @@ Consequences:
 * lookups never block on an in-flight mutation — a query served while a
   maintenance apply is still underway reads the previously published
   snapshot, in full;
-* a :meth:`batch` groups a whole maintenance round's ``add``/``remove``
-  calls into **one** publication, so readers observe a cache-update round
-  atomically (never a half-applied window);
+* :meth:`apply_delta` takes a whole maintenance round's removals and
+  additions under one write-lock hold and publishes them **once**, so readers
+  observe a cache-update round atomically (never a half-applied window);
 * mutation cost stays O(ops): each logical op is applied once per copy
   (``op_counts`` records logical ops, not per-copy applications).
 
@@ -60,9 +60,8 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Tuple
 
 from ..analysis.runtime import make_condition, make_lock, make_rlock
 from ..ftv.features import path_features
@@ -238,10 +237,8 @@ class QueryGraphIndex:
         # Guards the published pointer and the per-buffer reader counts; the
         # condition wakes writers waiting for a retired buffer to drain.
         self._read_cond = make_condition("index.readers")
-        # Serializes writers; re-entrant so nested batch()/add() compose.
+        # Serializes writers; single-copy views take it too.
         self._write_lock = make_rlock("index.write")
-        self._batch_depth = 0
-        self._batch_journal: List[Tuple] = []
         self._feature_memo: Dict[Graph, QueryFeatures] = {}
         self._memo_lock = make_lock("index.memo")
 
@@ -253,7 +250,7 @@ class QueryGraphIndex:
 
     @property
     def version(self) -> int:
-        """Publication counter: bumps once per published mutation batch.
+        """Publication counter: bumps once per published delta or rebuild.
 
         A reader that observes the same version before and after an
         operation is guaranteed to have read one unchanged snapshot — the
@@ -350,45 +347,46 @@ class QueryGraphIndex:
         # the lowest serial, the one the processors' loop would credit.
         buffer.exact[query] = min(serial, buffer.exact.get(query, serial))
 
-    def _apply_remove(self, buffer: _IndexBuffer, serial: int) -> None:
+    def _apply_remove(self, buffer: _IndexBuffer, serial: int) -> bool:
         if serial not in buffer.graphs:
-            return
+            return False
         buffer.postings.remove_owner(serial, buffer.features.pop(serial).counts)
         query = buffer.graphs.pop(serial)
         # A surviving twin is not re-entered (that would scan every entry on
         # every eviction): its repeats take the processors' loop instead.
         if buffer.exact.get(query) == serial:
             del buffer.exact[query]
+        return True
 
-    def _apply_rebuild(
-        self, buffer: _IndexBuffer, entries: List[Tuple[int, Graph]]
+    def _apply_delta(
+        self,
+        buffer: _IndexBuffer,
+        removals: Iterable[int],
+        additions: Iterable[Tuple[int, Graph]],
+        removed: List[int],
+        added: List[Tuple[int, Graph]],
+        reset: bool = False,
     ) -> None:
-        buffer.postings = Postings()
-        buffer.features = {}
-        buffer.graphs = {}
-        buffer.exact = {}
-        for serial, query in entries:
+        """Remove, then add, on ``buffer`` (emptied first on ``reset``), logging
+        each op that lands in ``removed`` (present serials only) or ``added``."""
+        if reset:
+            buffer.postings, buffer.features, buffer.graphs, buffer.exact = Postings(), {}, {}, {}
+        for serial in removals:
+            if self._apply_remove(buffer, serial):
+                removed.append(serial)
+        for serial, query in additions:
             self._apply_add(buffer, serial, query)
+            added.append((serial, query))
 
-    def _replay(self, buffer: _IndexBuffer, journal: List[Tuple]) -> None:
-        for op in journal:
-            if op[0] == "add":
-                self._apply_add(buffer, op[1], op[2])
-            elif op[0] == "remove":
-                self._apply_remove(buffer, op[1])
-            else:  # "rebuild"
-                self._apply_rebuild(buffer, op[1])
-
-    def _publish(self) -> None:
-        """Swap the buffers, bump the version, drain and converge the old copy.
+    def _publish(self, replay: Callable[[_IndexBuffer], None]) -> None:
+        """Swap the buffers, bump the version, drain the old copy and
+        converge it by calling ``replay`` on it.  Called under the write lock
+        with the mutation applied to the standby copy.
 
         Single-copy mode: mutations already landed in the only copy (under
         the write lock, which also excludes views), so publication is just
         the version bump.
         """
-        journal, self._batch_journal = self._batch_journal, []
-        if not journal:
-            return
         if not self._double_buffered:
             with self._read_cond:
                 self._version += 1
@@ -399,42 +397,45 @@ class QueryGraphIndex:
             self._version += 1
             while retired.readers > 0:
                 self._read_cond.wait()
-        self._replay(retired, journal)
+        replay(retired)
 
-    @contextmanager
-    def batch(self):
-        """Group mutations into one atomic publication.
+    def apply_delta(
+        self,
+        additions: Iterable[Tuple[int, Graph]] = (),
+        removals: Iterable[int] = (),
+        before_publish: Optional[Callable[[], None]] = None,
+    ) -> None:
+        """Remove ``removals``, then index ``additions``, as one publication.
 
-        Every ``add``/``remove``/``rebuild`` inside the block lands in the
-        standby copy only; readers keep seeing the previous snapshot until
-        the block exits, at which point the whole delta publishes at once.
-        The maintenance engine wraps each apply round in a batch, which is
-        what makes a cache-update round atomic for concurrent lookups.
+        The write lock is taken once and every op lands in the standby copy,
+        so readers keep the previous snapshot until the whole delta publishes
+        with one :attr:`version` bump — a maintenance round is atomic for
+        concurrent lookups.  An absent serial in ``removals`` is skipped; a
+        delta that changes nothing publishes nothing.  ``before_publish``
+        runs with the delta applied but not yet visible.  When an op or the
+        hook raises, the ops that landed before it still publish.
         """
+        removed, added = [], []
         with self._write_lock:
-            self._batch_depth += 1
             try:
-                yield
+                self._apply_delta(self._standby(), removals, additions, removed, added)
+                if before_publish is not None:
+                    before_publish()
             finally:
-                self._batch_depth -= 1
-                if self._batch_depth == 0:
-                    self._publish()
+                # What landed in the standby copy publishes even when an op or
+                # the hook raised, so the two copies never drift apart.
+                self.op_counts.removes += len(removed)
+                self.op_counts.adds += len(added)
+                if removed or added:
+                    self._publish(lambda buffer: self._apply_delta(buffer, removed, added, [], []))
 
     def add(self, serial: int, query: Graph) -> None:
         """Index a cached query graph under its serial number."""
-        with self.batch():
-            self.op_counts.adds += 1
-            self._apply_add(self._standby(), serial, query)
-            self._batch_journal.append(("add", serial, query))
+        self.apply_delta(additions=((serial, query),))
 
     def remove(self, serial: int) -> None:
         """Remove a cached query from the index (no-op if absent)."""
-        with self.batch():
-            if serial not in self._standby().graphs:
-                return
-            self.op_counts.removes += 1
-            self._apply_remove(self._standby(), serial)
-            self._batch_journal.append(("remove", serial))
+        self.apply_delta(removals=(serial,))
 
     def rebuild(self, entries: Iterable[Tuple[int, Graph]]) -> None:
         """Rebuild the index from scratch for a new set of cached queries.
@@ -442,12 +443,14 @@ class QueryGraphIndex:
         This mirrors the restore/warm-start path: the new index contents are
         built on the standby copy and swapped in wholesale.
         """
-        materialized = list(entries)
-        with self.batch():
+        materialized, added = list(entries), []
+        with self._write_lock:
             self.op_counts.rebuilds += 1
-            self.op_counts.adds += len(materialized)
-            self._apply_rebuild(self._standby(), materialized)
-            self._batch_journal.append(("rebuild", materialized))
+            try:
+                self._apply_delta(self._standby(), (), materialized, [], added, reset=True)
+            finally:
+                self.op_counts.adds += len(added)
+                self._publish(lambda buffer: self._apply_delta(buffer, (), added, [], [], True))
 
     # ------------------------------------------------------------------ #
     # Candidate generation (to be confirmed by sub-iso tests).

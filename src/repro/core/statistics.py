@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..analysis.runtime import make_rlock
 from ..exceptions import CacheError
@@ -91,41 +91,21 @@ class CachedQueryStats:
         )
 
 
-class SelectionOutcome:
-    """One victim selection: the victims plus the policy rationale.
+class SelectionOutcome(NamedTuple):
+    """One victim selection: the victims plus the policy rationale."""
 
-    Attributes
-    ----------
-    victims:
-        Serials of the selected victims, lowest utility first.
-    policy:
-        Name of the configured policy.
-    delegate:
-        Name of the delegate HD resolved to (``None`` for non-hybrid
-        policies).
-    victim_utilities:
-        ``(serial, utility)`` pairs for the victims, in eviction order —
-        the per-victim rationale recorded in the maintenance plan.
-    copies:
-        Copies of the rows the caller named, taken under the selection's
-        own hold of the lock (the cross-check oracle's input).
-    """
-
-    __slots__ = ("victims", "policy", "delegate", "victim_utilities", "copies")
-
-    def __init__(
-        self,
-        victims: Tuple[int, ...],
-        policy: str,
-        delegate: Optional[str],
-        victim_utilities: Tuple[Tuple[int, float], ...],
-        copies: List[CachedQueryStats],
-    ) -> None:
-        self.victims = victims
-        self.policy = policy
-        self.delegate = delegate
-        self.victim_utilities = victim_utilities
-        self.copies = copies
+    #: Serials of the selected victims, lowest utility first.
+    victims: Tuple[int, ...]
+    #: Name of the configured policy.
+    policy: str
+    #: Name of the delegate HD resolved to (``None`` for other policies).
+    delegate: Optional[str]
+    #: ``(serial, utility)`` pairs for the victims, in eviction order — the
+    #: per-victim rationale recorded in the maintenance plan.
+    victim_utilities: Tuple[Tuple[int, float], ...]
+    #: Copies of the rows the caller named, taken under the selection's own
+    #: hold of the lock (the cross-check oracle's input).
+    copies: List[CachedQueryStats]
 
 
 class StatisticsManager:
@@ -272,14 +252,10 @@ class StatisticsManager:
             if evict_count == 0:
                 victims: List[Tuple[int, float]] = []
             elif scorer.age_normalized:
-                ranked = heapq.nsmallest(
-                    evict_count,
-                    rows,
-                    key=lambda stats: (scorer.utility(stats, current_serial), stats.serial),
-                )
-                victims = [
-                    (stats.serial, scorer.utility(stats, current_serial)) for stats in ranked
-                ]
+                # Each row is scored once; (utility, serial) is the total order.
+                scored = [(scorer.utility(stats, current_serial), stats.serial) for stats in rows]
+                ranked = heapq.nsmallest(evict_count, scored)
+                victims = [(serial, value) for value, serial in ranked]
             else:
                 victims = self._pop_lazy(evict_count)
             return SelectionOutcome(

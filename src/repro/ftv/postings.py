@@ -46,36 +46,44 @@ class Postings:
     # ------------------------------------------------------------------ #
     def insert(self, feature: Sequence[str], owner_id: int, count: int = 1) -> None:
         """Record that ``owner_id`` contains ``feature`` ``count`` times (additive)."""
-        if count <= 0:
-            return
-        counts = self._postings.setdefault(tuple(feature), {})
-        if owner_id not in counts:
-            self._feature_count += 1
-        counts[owner_id] = counts.get(owner_id, 0) + count
-        self._owners.add(owner_id)
+        self.insert_features({tuple(feature): count}, owner_id)
 
-    def insert_features(self, features: Mapping[Sequence[str], int], owner_id: int) -> None:
-        """Bulk-insert a feature counter for a single owner."""
+    def insert_features(self, features: Mapping[FeatureKey, int], owner_id: int) -> None:
+        """Bulk-insert a feature counter (tuple keys) for a single owner."""
+        postings, added, inserted = self._postings, 0, False
         for feature, count in features.items():
-            self.insert(feature, owner_id, count)
+            if count > 0:
+                inserted = True
+                counts = postings.get(feature)
+                if counts is None:
+                    postings[feature] = {owner_id: count}
+                    added += 1
+                elif owner_id in counts:
+                    counts[owner_id] += count
+                else:
+                    counts[owner_id] = count
+                    added += 1
+        if inserted:
+            self._feature_count += added
+            self._owners.add(owner_id)
 
-    def remove_owner(self, owner_id: int, features: Iterable[Sequence[str]]) -> None:
+    def remove_owner(self, owner_id: int, features: Iterable[FeatureKey]) -> None:
         """Remove ``owner_id``'s postings under ``features`` (cache eviction).
 
         ``features`` are the keys the owner was inserted under, so a removal
-        costs O(the owner's own features); a feature left without owners is
-        dropped.
+        costs O(the owner's own features); a key the owner has no posting
+        under is skipped, and a feature left without owners is dropped.
         """
         if owner_id not in self._owners:
             return
+        postings, removed = self._postings, 0
         for feature in features:
-            key = tuple(feature)
-            counts = self._postings.get(key)
-            if counts is None or counts.pop(owner_id, None) is None:
-                continue
-            self._feature_count -= 1
-            if not counts:
-                del self._postings[key]
+            counts = postings.get(feature)
+            if counts is not None and counts.pop(owner_id, None) is not None:
+                removed += 1
+                if not counts:
+                    del postings[feature]
+        self._feature_count -= removed
         self._owners.discard(owner_id)
 
     # ------------------------------------------------------------------ #

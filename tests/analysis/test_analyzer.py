@@ -154,6 +154,61 @@ class TestTrackedMutators:
         assert set(TRACKED_MUTATORS) == set(self._classes())
 
 
+class TestReplicaApplyPath:
+    """REPRO008 follows the real replica's union-typed ``target``."""
+
+    REPLICATION = PACKAGE / "core" / "replication.py"
+    REPLAY = "        target.replay_frames((frame,))\n"
+
+    def _findings(self, tmp_path, extra: str = ""):
+        source = self.REPLICATION.read_text(encoding="utf-8")
+        assert source.count(self.REPLAY) == 1
+        module = tmp_path / "replication.py"
+        module.write_text(source.replace(self.REPLAY, self.REPLAY + extra))
+        others = [path for path in PACKAGE.rglob("*.py") if path != self.REPLICATION]
+        findings, _ = analyze_paths([module, *others])
+        return [finding for finding in findings if finding.rule == "REPRO008"]
+
+    def test_the_real_apply_frame_only_replays(self, tmp_path):
+        assert self._findings(tmp_path) == []
+
+    def test_an_index_delta_beside_the_replay_is_reported(self, tmp_path):
+        extra = "        target.query_index.apply_delta(removals=frame.plan.evicted_serials)\n"
+        (finding,) = self._findings(tmp_path, extra)
+        assert finding.symbol == "CacheReplica.apply_frame:QueryGraphIndex.apply_delta"
+
+    def test_a_local_bound_in_both_branches_has_both_types(self, tmp_path):
+        module = tmp_path / "union_replica.py"
+        module.write_text(
+            "from typing import Tuple\n\n\n"
+            "class CacheStore:\n"
+            "    def add(self, entry) -> None:\n"
+            "        pass\n\n\n"
+            "class WindowStore:\n"
+            "    def add(self, entry) -> None:\n"
+            "        pass\n\n\n"
+            "class Shards:\n"
+            "    @property\n"
+            "    def stores(self) -> Tuple[CacheStore, ...]:\n"
+            "        return ()\n\n\n"
+            "class UnionReplica:\n"
+            "    def __init__(self, shards: Shards, window: WindowStore) -> None:\n"
+            "        self._shards = shards\n"
+            "        self._window = window\n\n"
+            "    def apply_frame(self, shard: int, frame) -> None:\n"
+            "        if shard:\n"
+            "            target = self._shards.stores[shard]\n"
+            "        else:\n"
+            "            target = self._window\n"
+            "        target.add(frame)\n"
+        )
+        findings, _ = analyze_paths([module])
+        assert sorted(finding.symbol for finding in findings) == [
+            "UnionReplica.apply_frame:CacheStore.add",
+            "UnionReplica.apply_frame:WindowStore.add",
+        ]
+
+
 class TestRepoGate:
     def test_repo_is_clean(self):
         findings, _ = analyze_paths([PACKAGE])

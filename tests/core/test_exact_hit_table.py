@@ -26,6 +26,7 @@ from repro.core import (
     seal_dataset,
 )
 from repro.core.cache import GraphCache
+from repro.core.pipeline import PruneStage
 from repro.core.policies.engine import MaintenanceEngine
 from repro.core.processors import CacheProcessors
 from repro.core.query_index import IndexView, QueryGraphIndex
@@ -109,10 +110,7 @@ def test_every_mutation_keeps_the_table_equal_to_the_graphs(double_buffered):
     with index.view() as snapshot:
         assert snapshot.exact_serial(CCO_PATH) == 4
         assert snapshot.exact_serial(CC_EDGE) is None
-    with index.batch():
-        index.add(7, CC_EDGE)
-        index.remove(4)
-        index.remove(5)
+    index.apply_delta([(7, CC_EDGE)], [4, 5])
     for buffer in index._buffers:
         assert buffer.exact == {CC_EDGE: 7}  # twin 6 is left to the loop
     index.remove(6)
@@ -123,13 +121,15 @@ def test_a_batch_publishes_the_table_atomically_and_replays_the_retired_copy():
     index = QueryGraphIndex(max_path_length=3)
     index.add(1, CC_EDGE)
     published = index._buffers[index._published]
-    with index.batch():
-        index.add(2, CCO_PATH)
-        index.remove(1)
+    unpublished = []
+
+    def read():
         # Readers still see the published copy, table included.
         with index.view() as snapshot:
-            assert snapshot.exact_serial(CC_EDGE) == 1
-            assert snapshot.exact_serial(CCO_PATH) is None
+            unpublished.append((snapshot.exact_serial(CC_EDGE), snapshot.exact_serial(CCO_PATH)))
+
+    index.apply_delta([(2, CCO_PATH)], [1], before_publish=read)
+    assert unpublished == [(1, None)]
     with index.view() as snapshot:
         assert snapshot.exact_serial(CC_EDGE) is None
         assert snapshot.exact_serial(CCO_PATH) == 2
@@ -161,10 +161,9 @@ def test_concurrent_readers_never_see_a_table_out_of_step_with_its_graphs():
         for reader in readers:
             reader.start()
         for serial in range(1, 301):
-            with index.batch():
-                index.add(serial, pool[serial % len(pool)])
-                if serial > 8:
-                    index.remove(serial - 8)
+            index.apply_delta(
+                [(serial, pool[serial % len(pool)])], [serial - 8] if serial > 8 else []
+            )
     finally:
         stop.set()
         for reader in readers:
@@ -253,30 +252,32 @@ def test_a_renumbered_repeat_is_still_an_exact_hit_through_the_loop():
 # The stream oracle: the loop alone must reach the same decisions.
 # --------------------------------------------------------------------------- #
 def _record(monkeypatch, table: bool):
-    """Spy on crediting; with ``table=False`` the probe always misses."""
+    """Spy on every request's pruning decision and on crediting; with
+    ``table=False`` the probe always misses."""
     events = []
     if not table:
         monkeypatch.setattr(IndexView, "exact_serial", lambda self, query: None)
-    record = GraphCache._record_contributions
+    run = PruneStage.run
     on_hit = MaintenanceEngine.on_hit
 
-    def spy_record(self, query, serial, outcome, pruning):
+    def spy_prune(self, ctx):
+        result = run(self, ctx)
         events.append(
             (
-                serial,
-                outcome.exact_match_serial,
-                pruning.shortcut,
-                pruning.shortcut_serial,
-                {key: frozenset(ids) for key, ids in pruning.contributions.items()},
+                ctx.serial,
+                ctx.outcome.exact_match_serial,
+                ctx.pruning.shortcut,
+                ctx.pruning.shortcut_serial,
+                {key: frozenset(ids) for key, ids in ctx.pruning.contributions.items()},
             )
         )
-        return record(self, query, serial, outcome, pruning)
+        return result
 
     def spy_on_hit(self, **kwargs):
         events.append(tuple(sorted(kwargs.items())))
         on_hit(self, **kwargs)
 
-    monkeypatch.setattr(GraphCache, "_record_contributions", spy_record)
+    monkeypatch.setattr(PruneStage, "run", spy_prune)
     monkeypatch.setattr(MaintenanceEngine, "on_hit", spy_on_hit)
     return events
 
@@ -341,17 +342,21 @@ def dataset(request, tmp_path_factory):
 def test_the_credited_cost_equals_the_per_graph_order_sum_bit_for_bit(dataset, monkeypatch):
     assert dataset.orders == tuple(graph.order for graph in dataset)
     credited = []
-    record = GraphCache._record_contributions
+    run = PruneStage.run
 
-    def spy(self, query, serial, outcome, pruning):
+    def spy_prune(self, ctx):
+        # Every request commits (the stream makes no lookups), and with sync
+        # maintenance the store does not change between prune and commit.
+        result = run(self, ctx)
+        query = ctx.query
         labels = max(1, len(query.distinct_labels()))
-        for cached_serial, removed in pruning.contributions.items():
-            if removed and cached_serial in self._cache_store:
+        for cached_serial, removed in ctx.pruning.contributions.items():
+            if removed and cached_serial in cache.cached_serials:
                 old = 0.0
                 for graph_id in removed:
                     old += estimate_subiso_cost(query.order, labels, dataset[graph_id].order)
-                credited.append((cached_serial, serial, old))
-        return record(self, query, serial, outcome, pruning)
+                credited.append((cached_serial, ctx.serial, old))
+        return result
 
     on_hit = MaintenanceEngine.on_hit
     seen = []
@@ -361,7 +366,7 @@ def test_the_credited_cost_equals_the_per_graph_order_sum_bit_for_bit(dataset, m
             seen.append((kwargs["serial"], kwargs["benefiting_serial"], kwargs["cost_reduction"]))
         on_hit(self, **kwargs)
 
-    monkeypatch.setattr(GraphCache, "_record_contributions", spy)
+    monkeypatch.setattr(PruneStage, "run", spy_prune)
     monkeypatch.setattr(MaintenanceEngine, "on_hit", spy_on_hit)
     cache = GraphCache(
         SIMethod(dataset, matcher="vf2plus"),

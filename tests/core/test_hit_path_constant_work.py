@@ -8,7 +8,8 @@ handed through without a copy, and the GCindex view is its own context
 manager.  Checked here:
 
 * on every request of the four e2e streams, each cached entry's ``R`` and
-  ``C`` equal, bit for bit, the per-candidate loop the commit used to run;
+  ``C`` equal, bit for bit, the per-candidate loop the commit used to run,
+  and the request credits each still-cached contribution exactly once;
 * a repeated exact hit calls no cost row and never iterates the dataset's
   vertex-count vector;
 * an exact hit returns the cached entry's own answer set, from ``query()``
@@ -19,7 +20,11 @@ manager.  Checked here:
   leaves every credited float unchanged;
 * an exact hit and an exact lookup never enter verification, and the hit
   still reports every stage, ``verify`` as 0.0;
-* the five per-request records refuse attribute assignment.
+* the five per-request records refuse attribute assignment;
+* a request that verifies nothing (exact hit, empty shortcut) and any
+  lookup hold the GC lock once, a verifying miss twice;
+* a round publishes its whole GCindex delta with one version bump, and the
+  op counters still count one add or remove per logical op.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ import pytest
 from repro.core import pipeline
 from repro.core.cache import CacheQueryResult, GraphCache
 from repro.core.config import GraphCacheConfig
-from repro.core.pipeline import STAGE_NAMES, VerifyStage
+from repro.core.pipeline import STAGE_NAMES, CommitStage, VerifyStage
 from repro.core.policies.engine import MaintenanceEngine
 from repro.core.processors import ProcessorOutcome
 from repro.core.pruner import PruningResult
@@ -73,22 +78,38 @@ def _loop_credit(query, removed_ids, orders):
     return float(len(removed_ids)), cost_saving
 
 
-def _spy_expected_credit(monkeypatch, orders):
-    """Accumulate, per cached serial, the ``(R, C)`` the old loop credits."""
-    expected = {}
-    record = GraphCache._record_contributions
+def _spy_expected_credit(monkeypatch, cache):
+    """Accumulate, per cached serial, the ``(R, C)`` the old loop credits, and
+    collect every request whose ``on_hit`` calls differ from the credits it
+    owes (one per contribution whose entry is still cached)."""
+    expected, unpaid, credits = {}, [], []
+    orders = cache.method.dataset.orders
+    commit, on_hit = CommitStage.run, MaintenanceEngine.on_hit
 
-    def spy(self, query, serial, outcome, pruning):
-        for cached, removed in pruning.contributions.items():
-            if cached in self._cache_store:
-                r, c = _loop_credit(query, removed, orders)
-                total = expected.setdefault(cached, [0.0, 0.0])
+    def spy_commit(self, ctx):
+        cached, owed = set(cache.cached_serials), []
+        for serial, removed in ctx.pruning.contributions.items():
+            if serial in cached:
+                r, c = _loop_credit(ctx.query, removed, orders)
+                total = expected.setdefault(serial, [0.0, 0.0])
                 total[0] += r
                 total[1] += c
-        return record(self, query, serial, outcome, pruning)
+                owed.append((serial, r.hex(), c.hex()))
+        credits.clear()
+        commit(self, ctx)
+        got = [credit for credit in credits if credit[0] in ctx.pruning.contributions]
+        if sorted(got) != sorted(owed):  # a missing, extra or mispriced credit
+            unpaid.append((ctx.serial, owed, got))
 
-    monkeypatch.setattr(GraphCache, "_record_contributions", spy)
-    return expected
+    def spy_on_hit(self, **kwargs):
+        credits.append(
+            (kwargs["serial"], kwargs["cs_reduction"].hex(), kwargs["cost_reduction"].hex())
+        )
+        on_hit(self, **kwargs)
+
+    monkeypatch.setattr(CommitStage, "run", spy_commit)
+    monkeypatch.setattr(MaintenanceEngine, "on_hit", spy_on_hit)
+    return expected, unpaid
 
 
 def _credit_events(monkeypatch):
@@ -113,7 +134,7 @@ def _credit_events(monkeypatch):
 def test_every_cached_entry_holds_the_loops_credit_bit_for_bit(name, tmp_path, monkeypatch):
     spec, stream = _stream(name)
     cache = _e2e_cache(spec, tmp_path)
-    expected = _spy_expected_credit(monkeypatch, cache.method.dataset.orders)
+    expected, unpaid = _spy_expected_credit(monkeypatch, cache)
     statistics = cache.statistics_manager
     shortcuts, mismatches = 0, []
 
@@ -136,7 +157,7 @@ def test_every_cached_entry_holds_the_loops_credit_bit_for_bit(name, tmp_path, m
         check(result.serial)
     cache.close()
     assert shortcuts > 0 and expected
-    assert mismatches == []
+    assert unpaid == [] and mismatches == []
 
 
 # --------------------------------------------------------------------------- #
@@ -314,3 +335,120 @@ def test_the_per_request_records_refuse_attribute_assignment():
             setattr(record, record._fields[0], None)  # a field
         with pytest.raises(AttributeError):
             record.note = "added"  # no attribute dictionary either
+
+
+# --------------------------------------------------------------------------- #
+# One critical section per unverified request, one publication per round.
+# --------------------------------------------------------------------------- #
+class _CountingLock:
+    """Counts the holds taken through it of the lock it wraps."""
+
+    def __init__(self, lock):
+        self._lock = lock
+        self.holds = 0
+
+    def __enter__(self):
+        self.holds += 1
+        return self._lock.__enter__()
+
+    def __exit__(self, *exc_info):
+        return self._lock.__exit__(*exc_info)
+
+
+def _count_gc_holds(cache):
+    counting = _CountingLock(cache.pipeline.gc_lock)
+    cache.pipeline._gc_lock = counting
+    return counting
+
+
+def test_a_request_that_verifies_nothing_takes_the_gc_lock_once():
+    cache, query = _cached_query()
+    empty = Graph(labels=["C", "Xx"], edges=[(0, 1)])  # no dataset graph holds it
+    assert cache.query(empty).answer_ids == frozenset()
+    assert cache.query(empty).shortcut == "exact"  # cached after its round
+    grown = Graph(labels=["C", "Xx", "O"], edges=[(0, 1), (1, 2)])
+    counting = _count_gc_holds(cache)
+    shortcuts = []
+    for request in (query, grown):
+        before = counting.holds
+        shortcuts.append(cache.query(request).shortcut)
+        assert counting.holds - before == 1
+    before = counting.holds
+    assert cache.lookup(query)
+    assert counting.holds - before == 1
+    cache.close()
+    assert shortcuts == ["exact", "empty"]
+
+
+def test_a_verifying_miss_takes_it_twice_and_a_verifying_lookup_once():
+    cache, _ = _cached_query()
+    fresh = next(iter(generate_type_a(DATASET, "ZZ", 1, query_sizes=(3,), seed=5)))
+    other = next(iter(generate_type_a(DATASET, "ZZ", 1, query_sizes=(4,), seed=8)))
+    counting = _count_gc_holds(cache)
+    result = cache.query(fresh)
+    assert result.final_candidates > 0 and counting.holds == 2
+    verified = cache.lookup(other)
+    assert counting.holds == 3
+    cache.close()
+    plain = GraphCache(GraphGrepSX(DATASET))
+    assert verified == plain.lookup(other)
+    plain.close()
+
+
+def test_a_round_publishes_its_whole_delta_once():
+    cache = GraphCache(GraphGrepSX(DATASET), GraphCacheConfig(cache_capacity=2, window_size=1))
+    queries = list(dict.fromkeys(generate_type_a(DATASET, "ZZ", 12, query_sizes=(4,), seed=2)))
+    index = cache.query_index
+    rounds = []
+    for query in queries:
+        version, ops = index.version, (index.op_counts.adds, index.op_counts.removes)
+        cache.query(query)
+        plan = cache.window_manager.reports[-1].plan
+        delta = (len(plan.admitted_serials), len(plan.evicted_serials))
+        assert (index.op_counts.adds - ops[0], index.op_counts.removes - ops[1]) == delta
+        assert index.version - version == (1 if any(delta) else 0)
+        rounds.append(delta)
+    cache.close()
+    assert (1, 1) in rounds  # an eviction and an admission in one publication
+
+
+def test_a_delta_counts_one_op_per_logical_add_or_remove():
+    index = QueryGraphIndex(double_buffered=True)
+    a, b = Graph(labels=["C", "O"], edges=[(0, 1)]), Graph(labels=["C", "N"], edges=[(0, 1)])
+    index.apply_delta([(1, a), (2, b)], [7])  # 7 was never indexed
+    assert (index.op_counts.adds, index.op_counts.removes, index.version) == (2, 0, 1)
+    index.apply_delta([(3, a)], [1, 2, 1])
+    assert (index.op_counts.adds, index.op_counts.removes, index.version) == (3, 2, 2)
+    index.apply_delta([], [9])  # changes nothing, publishes nothing
+    assert index.version == 2
+    assert index.serials() == [3]
+    assert all(buffer.graphs == {3: a} for buffer in index._buffers)
+
+
+def _copies(index):
+    return [
+        (buffer.graphs, buffer.exact, dict(buffer.postings.iter_features()))
+        for buffer in index._buffers
+    ]
+
+
+def test_a_delta_that_raises_still_publishes_what_landed_in_both_copies():
+    index = QueryGraphIndex(double_buffered=True)
+    a, b = Graph(labels=["C", "O"], edges=[(0, 1)]), Graph(labels=["C", "N"], edges=[(0, 1)])
+    index.add(1, a)
+
+    def hook():
+        raise RuntimeError("hook failed")
+
+    with pytest.raises(RuntimeError):
+        index.apply_delta([(2, b)], [1], before_publish=hook)
+    assert (index.version, index.serials()) == (2, [2])
+    with pytest.raises(AttributeError):  # the second addition is no graph
+        index.apply_delta([(3, a), (4, None)], [2])
+    assert (index.version, index.serials()) == (3, [3])
+    assert (index.op_counts.adds, index.op_counts.removes) == (3, 2)
+    first, second = _copies(index)
+    assert first == second and first[0] == {3: a}
+    index.apply_delta([(5, b)])  # the next delta starts from equal copies
+    first, second = _copies(index)
+    assert first == second and first[0] == {3: a, 5: b}

@@ -25,6 +25,7 @@ import pytest
 from repro.core.backends.mmapped import MmapBackend
 from repro.core.cache import GraphCache
 from repro.core.config import GraphCacheConfig
+from repro.core.pipeline import CommitStage
 from repro.core.policies import PlanJournal
 from repro.core.policies.engine import MaintenanceEngine
 from repro.core.policies.plan import MaintenancePlan
@@ -243,29 +244,33 @@ def test_stream_frames_are_canonical_and_credit_reads_the_cost_row(
     cache = GraphCache(GraphGrepSX(build_dataset(spec.dataset)), config)
     orders = cache.method.dataset.orders
 
-    checked, mismatches, credited = [], [], []
-    record = GraphCache._record_contributions
+    checked, mismatches, credits = [], [], []
+    commit = CommitStage.run
     on_hit = MaintenanceEngine.on_hit
 
-    def spy_record(self, query, serial, outcome, pruning):
-        want = {
-            cached: _old_credit(query, ids, orders).hex()
-            for cached, ids in pruning.contributions.items()
-            if cached in self._cache_store
-        }
-        credited.clear()
-        credited_hit = record(self, query, serial, outcome, pruning)
-        got = {cached: cost.hex() for cached, cost in credited if cached in want}
+    def spy_commit(self, ctx):
+        # The commit owes one credit to each contribution whose entry is
+        # still cached, priced as the reference loop prices it.
+        cached = set(cache.cached_serials)
+        want = sorted(
+            (serial, _old_credit(ctx.query, ids, orders).hex())
+            for serial, ids in ctx.pruning.contributions.items()
+            if serial in cached
+        )
+        credits.clear()
+        commit(self, ctx)
+        got = sorted(
+            (serial, cost) for serial, cost in credits if serial in ctx.pruning.contributions
+        )
         checked.append(len(want))
-        if got != want:
-            mismatches.append((serial, want, got))
-        return credited_hit
+        if got != want:  # a missing, extra or mispriced credit
+            mismatches.append((ctx.serial, want, got))
 
     def spy_on_hit(self, **kwargs):
-        credited.append((kwargs["serial"], kwargs["cost_reduction"]))
+        credits.append((kwargs["serial"], kwargs["cost_reduction"].hex()))
         on_hit(self, **kwargs)
 
-    monkeypatch.setattr(GraphCache, "_record_contributions", spy_record)
+    monkeypatch.setattr(CommitStage, "run", spy_commit)
     monkeypatch.setattr(MaintenanceEngine, "on_hit", spy_on_hit)
     frames = []
     cache.plan_journal.subscribe(lambda record, line: frames.append((record, line)))

@@ -12,6 +12,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.ftv.ggsx import GraphGrepSX
 from repro.ftv.index_arena import FeatureIndexArena
@@ -132,6 +134,74 @@ class TestRemoveOwner:
             postings.remove_owner(owner, features)
         assert postings.feature_count == 0 and postings.owners == frozenset()
         assert postings.approximate_size_bytes() == empty
+
+
+class _PerFeatureReference:
+    """The postings semantics one feature at a time: the reference the bulk
+    ``insert_features`` and ``remove_owner`` loops must match."""
+
+    def __init__(self) -> None:
+        self.postings = {}
+        self.feature_count = 0
+        self.owners = set()
+
+    def insert(self, feature, owner_id, count):
+        if count <= 0:
+            return
+        counts = self.postings.setdefault(feature, {})
+        if owner_id not in counts:
+            self.feature_count += 1
+        counts[owner_id] = counts.get(owner_id, 0) + count
+        self.owners.add(owner_id)
+
+    def remove(self, owner_id, feature):
+        counts = self.postings.get(feature)
+        if counts is None or counts.pop(owner_id, None) is None:
+            return
+        self.feature_count -= 1
+        if not counts:
+            del self.postings[feature]
+
+
+_FEATURES = st.tuples(st.sampled_from("CNO")) | st.tuples(
+    st.sampled_from("CNO"), st.sampled_from("CNO")
+)
+_OWNERS = st.integers(min_value=0, max_value=4)
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("insert"),
+            _OWNERS,
+            st.dictionaries(_FEATURES, st.integers(min_value=-2, max_value=3), max_size=6),
+        ),
+        # Removal keys are drawn freely: some were never inserted for the owner.
+        st.tuples(st.just("remove"), _OWNERS, st.lists(_FEATURES, max_size=6)),
+    ),
+    max_size=25,
+)
+
+
+class TestBulkLoopsMatchThePerFeatureReference:
+    @settings(max_examples=200, deadline=None)
+    @given(_OPS)
+    def test_any_sequence_of_bulk_calls_leaves_the_reference_state(self, ops):
+        postings, reference = Postings(), _PerFeatureReference()
+        for kind, owner, features in ops:
+            if kind == "insert":
+                postings.insert_features(Counter(features), owner)
+                for feature, count in features.items():
+                    reference.insert(feature, owner, count)
+            else:
+                postings.remove_owner(owner, features)
+                if owner in reference.owners:
+                    for feature in features:
+                        reference.remove(owner, feature)
+                    reference.owners.discard(owner)
+            assert list(postings.iter_features()) == [
+                (feature, dict(counts)) for feature, counts in reference.postings.items()
+            ]
+            assert postings.feature_count == reference.feature_count
+            assert postings.owners == frozenset(reference.owners)
 
 
 class TestIterationAndSize:

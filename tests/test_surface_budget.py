@@ -4,7 +4,7 @@ Each constant below is the current size of one public surface.  A change
 that grows a surface must raise its constant in the same diff, in plain
 sight; a change that shrinks one lowers it, so the next change cannot
 quietly spend the room again.  The assertions are ``<=`` only for
-the source-line budget (rounded up to the next hundred); every other count
+the source-line budget (the count the last change left); every other count
 must match exactly.
 """
 
@@ -34,8 +34,8 @@ CLI_ARGUMENTS = 49
 STORAGE_BACKENDS = 2
 #: Snapshot ``format_version`` values ``load_cache`` accepts.
 SNAPSHOT_FORMATS_READ = 1
-#: Lines of Python under ``src/``, rounded up to the next hundred.
-SRC_LINES = 18_400
+#: Lines of Python under ``src/``.
+SRC_LINES = 18_349
 
 
 def _concrete_subclasses(base):
