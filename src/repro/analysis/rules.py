@@ -31,8 +31,9 @@ REPRO007  mutation of a ``PackedGraph`` (bound by a ``PackedGraph``
           arena-backed twin of REPRO004).
 REPRO008  cache mutation reachable from a replica apply path (an ``apply*``
           method on a ``*Replica*`` class) outside the sanctioned delta
-          machinery.  A replica must change state only by replaying frames
-          through ``GraphCache.replay_frames`` /
+          machinery.  A replica must change state only by restoring the
+          primary's state record and replaying frames through
+          ``GraphCache.restore`` / ``GraphCache.replay_frames`` /
           ``MaintenanceEngine.replay`` — any other route to the stores, the
           GCindex or the statistics rows diverges it from the primary.
 ========  ==================================================================
@@ -79,8 +80,12 @@ TRACKED_MUTATORS: Dict[str, Set[str]] = {
 #: The sanctioned replica delta path (REPRO008): the only methods through
 #: which a replica apply path may reach tracked shared state.  The traversal
 #: does not descend into them — everything they mutate is, by construction,
-#: exactly what the primary's round mutated.
+#: exactly what the primary's rounds mutated.  ``GraphCache.restore`` is the
+#: one restore-then-replay entry a follower starts from: it installs the
+#: primary's state record, which is the fold of every round up to its
+#: watermark, so it writes nothing the primary did not.
 REPLICA_DELTA_PATH: Set[Tuple[str, str]] = {
+    ("GraphCache", "restore"),
     ("GraphCache", "replay_frames"),
     ("MaintenanceEngine", "replay"),
 }
@@ -585,6 +590,10 @@ def _rule_replica_delta_path(prog: Program, findings: List[Finding]) -> None:
     refuses to descend into :data:`REPLICA_DELTA_PATH` — replaying a frame
     through the sanctioned machinery is the *point*; any other reachable
     mutation of tracked shared state diverges the replica from the primary.
+    A late follower's bootstrap, ``GraphCache.restore`` of the primary's
+    state record, is on the path: the record is the fold of the primary's
+    rounds up to its watermark, restored by the same entry crash recovery
+    uses.
     """
     for func in list(prog.funcs.values()):
         if func.cls is None or "Replica" not in func.cls.name:
@@ -617,7 +626,8 @@ def _rule_replica_delta_path(prog: Program, findings: List[Finding]) -> None:
                                     f"outside the delta path: "
                                     f"{' -> '.join(trail)} calls "
                                     f"{type_name}.{call.method}() "
-                                    f"(replicas may only replay frames via "
+                                    f"(replicas may only restore state and "
+                                    f"replay frames via GraphCache.restore / "
                                     f"GraphCache.replay_frames / "
                                     f"MaintenanceEngine.replay)"
                                 ),

@@ -31,8 +31,11 @@ exactly the answer set Method M would return on its own.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass
-from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Set, Tuple
+from dataclasses import asdict, dataclass, replace
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Set,
+    Tuple,
+)
 
 from ..analysis.runtime import make_lock, make_rlock
 from ..exceptions import CacheError
@@ -570,89 +573,78 @@ class GraphCache:
         self._scheduler.drain()
 
     def snapshot_state(
-        self,
-    ) -> Tuple[
-        List[CacheEntry],
-        List[CachedQueryStats],
-        List[WindowEntry],
-        int,
-        Dict[str, object],
-    ]:
-        """Consistent view of the persistable state (the snapshot-save twin
-        of :meth:`restore`).
+        self, attach: Optional[Callable[[Dict[str, Any]], None]] = None
+    ) -> Dict[str, Any]:
+        """The shard's **state record** (the save twin of :meth:`restore`):
+        the fold of its journaled rounds, in the journal's own format.
 
-        Taken under the GC lock, so a snapshot of a cache that is concurrently
-        serving queries can never be torn: no entry can be evicted between
-        listing and reading it, and no window entry can slip into the cache
-        between the two sections.  Returns ``(entries, stats, window_entries,
-        next_serial, maintenance)`` with statistics covering cached and
-        window queries (copies of the cached rows, then each window entry's
-        :meth:`~repro.core.statistics.CachedQueryStats.of_window_entry`);
-        ``maintenance`` is the engine's state record
-        (admission calibration, adaptive-threshold history — snapshot format
-        v4 carries it so a cache interrupted mid-calibration resumes exactly)
-        plus the window's request count and calibration samples, so a cache
-        restored mid-window fires — and calibrates — its next round exactly
-        as the uninterrupted one.
+        ``entries`` (each cached entry's :class:`CacheEntryCodec` record with
+        its statistics row), ``window`` (:class:`WindowEntryCodec` records; a
+        window query's statistics follow from its entry), ``next_serial``,
+        ``maintenance`` (the engine's state — admission calibration, adaptive
+        history, the hits buffered for the next frame — plus the window's
+        request count and calibration samples, so a cache restored
+        mid-window fires and calibrates its next round exactly), the GCindex
+        ``index_version`` and the ``journal_round`` watermark.
 
-        **Drain-before-snapshot**: pending background maintenance rounds are
-        applied first, so a snapshot never captures a half-executed plan —
-        every journaled decision is either fully reflected in the persisted
-        stores or not yet decided.  Drain and lock acquisition loop until
-        the scheduler is idle *while the GC lock is held*: a round submitted
-        by a concurrently committing query between the drain and the lock
-        would otherwise race its store/index phases against the reads below.
-        Once the lock is held with an idle scheduler, no new round can be
-        submitted (submission happens in the commit stage, under this lock).
+        Pending background rounds are drained first, and drain and lock
+        acquisition loop until the scheduler is idle *while the GC lock is
+        held* (rounds are submitted only under it), so the record never holds
+        a half-executed plan.  ``attach(record)`` runs under the same hold,
+        before any later round can journal: a late follower ships the record
+        and subscribes to the journal there.
         """
         while True:
             self.drain_maintenance()
             with self._gc_lock:
                 if not self._scheduler.idle():
                     continue  # a round slipped in before we took the lock
-                entries = list(self._cache_store)
-                window_entries = self._window_store.entries()
-                stats = [self._statistics.snapshot(entry.serial) for entry in entries]
-                stats += map(CachedQueryStats.of_window_entry, window_entries)
-                return (
-                    entries,
-                    stats,
-                    window_entries,
-                    self.current_serial,
-                    {
+                entries = []
+                for entry in self._cache_store:
+                    record = CacheEntryCodec.encode(entry)
+                    record["statistics"] = asdict(self._statistics.snapshot(entry.serial))
+                    entries.append(record)
+                state = {
+                    "entries": entries,
+                    "window": list(map(WindowEntryCodec.encode, self._window_store.entries())),
+                    "next_serial": self.current_serial,
+                    "maintenance": {
                         **self._engine.state_record(),
                         **self._window_manager.state_record(),
                     },
-                )
+                    "index_version": self._index.version,
+                    "journal_round": self.plan_journal.last_round,
+                }
+                if attach is not None:
+                    attach(state)
+                return state
 
     def restore(
-        self,
-        entries: Iterable[CacheEntry],
-        stats: Iterable[CachedQueryStats] = (),
-        next_serial: int = 0,
-        window_entries: Iterable[WindowEntry] = (),
-        maintenance: Optional[Dict[str, object]] = None,
+        self, state: Dict[str, Any], frames: Iterable["ReplicationFrame"] = ()
     ) -> None:
-        """Install externally persisted state (the snapshot-load entry point).
+        """Install a state record, then replay the frames past its watermark.
 
-        Replaces the cache contents with ``entries``, rebuilds the GCindex —
-        the restore twin of the engine's delta path — installs the supplied
-        per-query ``stats`` as the cached entries' rows and re-keys the
-        victim selection over them (an entry without one starts at zero;
-        rows of other serials, such as window queries, are ignored: a window
-        query's statistics follow from its entry), refills the window with
-        ``window_entries``, adopts the persisted
-        ``maintenance`` state (admission calibration / adaptive-threshold
-        history; ``None`` restarts those cold) and
-        resumes the serial counter at ``max(next_serial, highest restored
-        serial)`` so replayed queries never collide with restored ones.
-
-        This is the public API :func:`repro.core.persistence.load_cache`
-        builds on; callers never need to reach into the private stores.
+        The one entry behind :func:`~repro.core.persistence.load_cache`,
+        :func:`~repro.core.persistence.recover_cache` and a late follower.
+        The record's entries replace the cache contents and their statistics
+        rows (re-keying the victim selection); the GCindex is rebuilt over
+        them at the record's version; the window, the maintenance state and
+        the serial counter (at least every restored serial) are adopted.
+        Every answer id must be a graph id of the method's dataset.  Then
+        ``frames``, the journaled rounds past ``journal_round``, go through
+        :meth:`replay_frames`.
         """
-        entries = list(entries)
-        window_entries = sorted(window_entries, key=lambda entry: entry.serial)
-        by_serial = {row.serial: row for row in stats}
+        size = len(self._method.dataset)
+        entries = [CacheEntryCodec.decode(record, size) for record in state["entries"]]
+        stats = [CachedQueryStats(**record["statistics"]) for record in state["entries"]]
+        if any(row.serial != entry.serial for row, entry in zip(stats, entries)):
+            raise ValueError("a statistics row names another entry's serial")
+        window_entries = sorted(
+            (WindowEntryCodec.decode(record, size) for record in state["window"]),
+            key=lambda entry: entry.serial,
+        )
+        maintenance = state["maintenance"]
+        next_serial, index_version = int(state["next_serial"]), int(state["index_version"])
         # Quiesce maintenance before swapping state in: drain, then verify
         # *under the same GC lock hold that performs the swap* that no round
         # slipped in meanwhile (same loop as snapshot_state — an in-flight
@@ -663,22 +655,20 @@ class GraphCache:
                 if not self._scheduler.idle():
                     continue  # a round slipped in before we took the lock
                 self._cache_store.replace_contents(entries)
-                self._index.rebuild((entry.serial, entry.query) for entry in entries)
+                self._index.rebuild(
+                    ((entry.serial, entry.query) for entry in entries), index_version
+                )
                 self._window_store.drain()  # discard pre-existing window contents
                 for entry in window_entries:
                     self._window_store.add(entry)
                 self._window_manager.resync(maintenance)
-                self._statistics.rebuild(
-                    by_serial.get(entry.serial, CachedQueryStats(entry.serial))
-                    for entry in entries
-                )
+                self._statistics.rebuild(stats)
                 self._engine.restore_state(maintenance)
-                restored_serials = [entry.serial for entry in entries] + [
-                    entry.serial for entry in window_entries
-                ]
+                serials = [entry.serial for entry in (*entries, *window_entries)]
                 with self._serial_lock:
-                    self._serial = max([next_serial] + restored_serials)
-                return
+                    self._serial = max([next_serial, *serials])
+                break
+        self.replay_frames(frames)
 
     # ------------------------------------------------------------------ #
     # Replication / recovery: the replay side of the plan journal.
@@ -691,7 +681,9 @@ class GraphCache:
         lock.  The window store then drops the serials the rounds consumed,
         its request count restarts at the last boundary and the serial
         counter passes every serial the frames mention.  A replayed round
-        is never re-journaled."""
+        is never re-journaled.  The hits a restored mid-window state holds
+        pending were counted already; they prefix the next frame's hits,
+        which the first frame therefore skips."""
         started = time.perf_counter()
         with self._gc_lock:
             waiting = {entry.serial for entry in self._window_store}
@@ -701,6 +693,10 @@ class GraphCache:
             def observed():
                 nonlocal rounds, size_bytes, top
                 for frame in frames:
+                    if not rounds:
+                        skip = len(self._engine.take_pending_hits())
+                        if skip:
+                            frame = replace(frame, hits=frame.hits[skip:])
                     rounds += 1
                     size_bytes += frame.size_bytes
                     top = max(top, frame.plan.current_serial, *frame.plan.window_serials)

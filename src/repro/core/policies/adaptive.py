@@ -110,7 +110,7 @@ class AdaptiveAdmissionController(AdmissionController):
             self._history.append(self.threshold)
 
     # ------------------------------------------------------------------ #
-    # Persistable state (snapshot format v4).
+    # Persistable state (part of the shard's state record).
     # ------------------------------------------------------------------ #
     def state_record(self) -> Dict[str, Any]:
         """Base record plus the hill-climb state (direction, step, history)."""

@@ -13,8 +13,8 @@ threshold of zero disables the mechanism (the paper's "C" configuration; the
 calibrated one is "C + AC").
 
 Controllers are *stateful* (calibration scores, fixed threshold, adaptive
-history) and that state is part of the cache's persistable identity: snapshot
-format v4 carries :meth:`AdmissionController.state_record` so a cache split
+history) and that state is part of the cache's persistable identity: a
+shard's state record carries :meth:`AdmissionController.state_record` so a cache split
 mid-calibration resumes exactly where it stopped instead of silently
 recalibrating from scratch.
 """
@@ -130,7 +130,7 @@ class AdmissionController:
         return [entry for entry in entries if self.admit(entry)]
 
     # ------------------------------------------------------------------ #
-    # Persistable state (snapshot format v4).
+    # Persistable state (part of the shard's state record).
     # ------------------------------------------------------------------ #
     def state_record(self) -> Dict[str, Any]:
         """JSON-compatible record of the controller's full state.

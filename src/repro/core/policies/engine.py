@@ -377,7 +377,7 @@ class MaintenanceEngine:
         self._hit_events.append(event)
 
     # ------------------------------------------------------------------ #
-    # Persistable state (snapshot format v4).
+    # Persistable state (part of the shard's state record).
     # ------------------------------------------------------------------ #
     def state_record(self) -> Dict[str, Any]:
         """JSON-compatible record of the engine's own state.

@@ -39,6 +39,8 @@ numbering continues past its last round, and a crash-torn fragment is cut
 back to the last complete line.  :meth:`truncate_before`
 compacts the file by dropping rounds already folded into a checkpoint
 (atomic tempfile publish; surviving rounds keep their original numbers).
+A checkpoint is written in the same line format — one state record per
+shard (:mod:`repro.core.persistence`) — and :func:`read_lines` reads both.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ from ..atomic_io import fsync_directory, publish
 from ..stores import WindowEntry, WindowEntryCodec
 from .plan import MaintenancePlan
 
-__all__ = ["PlanJournal"]
+__all__ = ["PlanJournal", "canonical_line", "read_lines"]
 
 PathLike = Union[str, Path]
 
@@ -76,17 +78,27 @@ HitEvent = Tuple[int, int, float, float, bool]
 _CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
-def _canonical_line(record: Dict[str, Any]) -> str:
-    """One canonical JSON line per record (sorted keys, compact separators)."""
+def canonical_line(record: Dict[str, Any]) -> str:
+    """One canonical JSON line per record (sorted keys, compact separators):
+    the encoding of journal frames and snapshot state records alike."""
     return _CANONICAL.encode(record)
 
 
-def _scan(path: PathLike) -> Iterator[Tuple[Dict[str, Any], int, int]]:
-    """Stream ``(record, size_bytes, end)`` for every complete record of a
-    journal file (see :meth:`PlanJournal.read_records`), one decode a line:
-    ``end`` is the byte offset past the line's newline (the one it should
-    have, if a crash cut only that)."""
-    previous_round = offset = 0
+def read_lines(
+    path: PathLike, whole: bool = False
+) -> Iterator[Tuple[int, Dict[str, Any], int, int]]:
+    """The one reader of the line format, for journals and snapshots alike.
+
+    Streams ``(lineno, record, size_bytes, end)`` for every non-blank line,
+    one decode a line: ``end`` is the byte offset past the line's newline
+    (the one it should have, if a crash cut only that).  A journal can end
+    mid-record — a crash while :meth:`PlanJournal.append` was writing — so
+    an undecodable *final* line is skipped; one before it raises
+    :class:`~repro.exceptions.CacheError`.  ``whole=True`` reads a file
+    published whole (a snapshot): every line must decode and end with its
+    newline, so a cut file fails closed instead.
+    """
+    offset = 0
     torn: Optional[Tuple[int, json.JSONDecodeError]] = None
     with open(path, "rb") as stream:
         for lineno, raw in enumerate(stream, start=1):
@@ -102,11 +114,22 @@ def _scan(path: PathLike) -> Iterator[Tuple[Dict[str, Any], int, int]]:
             try:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
+                if whole:
+                    raise CacheError(f"{path}: line {lineno} is not a record ({exc.msg})") from exc
                 torn = (lineno, exc)
                 continue
-            record["round"] = int(record.get("round", previous_round + 1))
-            previous_round = record["round"]
-            yield record, len(line), offset + (not raw.endswith(b"\n"))
+            if whole and not raw.endswith(b"\n"):
+                raise CacheError(f"{path}: line {lineno} was cut short")
+            yield lineno, record, len(line), offset + (not raw.endswith(b"\n"))
+
+
+def _scan(path: PathLike) -> Iterator[Tuple[Dict[str, Any], int, int]]:
+    """:func:`read_lines` over a journal, each record carrying its ``round``
+    (see :meth:`PlanJournal.read_records`)."""
+    previous_round = 0
+    for _, record, size, end in read_lines(path):
+        record["round"] = previous_round = int(record.get("round", previous_round + 1))
+        yield record, size, end
 
 
 def decode_hits(raw: Sequence[Sequence[Any]]) -> Tuple[HitEvent, ...]:
@@ -221,7 +244,7 @@ class PlanJournal:
             self._adopt()
             self._last_round += 1
             record["round"] = self._last_round
-            line = _canonical_line(record)
+            line = canonical_line(record)
             self._count += 1
             self._records.append(record)
             if self._path is not None:
@@ -300,7 +323,7 @@ class PlanJournal:
         excluded so the identity covers decisions, not timings.
         """
         return "\n".join(
-            _canonical_line(
+            canonical_line(
                 {k: v for k, v in record.items() if k not in _VOLATILE_KEYS}
             )
             for record in self.records()
@@ -328,7 +351,7 @@ class PlanJournal:
                 all_records = self.read_records(self._path)
                 kept = [r for r in all_records if r["round"] > round_watermark]
                 dropped = len(all_records) - len(kept)
-                blob = "".join(_canonical_line(record) + "\n" for record in kept)
+                blob = "".join(canonical_line(record) + "\n" for record in kept)
                 publish(self._path, lambda stream: stream.write(blob.encode("utf-8")))
             retained = [
                 r
@@ -372,13 +395,9 @@ class PlanJournal:
         ``round >= since_round``; ``tail`` keeps only the last ``tail``
         records (applied after ``since_round``).
 
-        Append-only journals can legitimately end mid-record: a crash while
-        :meth:`append` was writing leaves a torn final line.  That tail is
-        skipped — every complete earlier round is still returned.  An
-        undecodable line anywhere *before* the tail means the file is not a
-        plan journal (or was corrupted in place) and raises
-        :class:`~repro.exceptions.CacheError`; a missing or unreadable file
-        raises the underlying :class:`OSError`.
+        A torn final line is skipped and an undecodable earlier one raises
+        :class:`~repro.exceptions.CacheError` (see :func:`read_lines`); a
+        missing or unreadable file raises the underlying :class:`OSError`.
         """
         records = [
             record

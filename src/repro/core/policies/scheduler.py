@@ -166,10 +166,25 @@ class MaintenanceScheduler:
         inline: bool,
         sampled: Sequence[float],
     ) -> MaintenanceReport:
-        """Run decide+apply for one drained window and record everything."""
+        """Run decide+apply for one drained window and record everything.
+
+        The round's clock runs until the frame is journaled, so
+        ``elapsed_s`` covers the append as well as decide and apply.
+        """
         started = time.perf_counter()
         plan, index_ops, backend_row_ops, hit_events = self._engine.run(
             window_entries, current_serial, lock=self._round_lock(), sampled=sampled
+        )
+        # Journal the round as a complete replayable frame: the plan, the
+        # admitted window entries (the rows a replica must install) and the
+        # hit events the round consumed.
+        by_serial = {entry.serial: entry for entry in window_entries}
+        self._journal.append(
+            plan,
+            admitted_entries=tuple(
+                by_serial[serial] for serial in plan.admitted_serials
+            ),
+            hits=hit_events,
         )
         elapsed = time.perf_counter() - started
         report = MaintenanceReport(
@@ -182,17 +197,6 @@ class MaintenanceScheduler:
             index_ops=index_ops,
             backend_row_ops=backend_row_ops,
             plan=plan,
-        )
-        # Journal the round as a complete replayable frame: the plan, the
-        # admitted window entries (the rows a replica must install) and the
-        # hit events the round consumed.
-        by_serial = {entry.serial: entry for entry in window_entries}
-        self._journal.append(
-            plan,
-            admitted_entries=tuple(
-                by_serial[serial] for serial in plan.admitted_serials
-            ),
-            hits=hit_events,
         )
         with self._state_lock:
             self._reports.append(report)

@@ -378,10 +378,12 @@ class QueryGraphIndex:
             self._apply_add(buffer, serial, query)
             added.append((serial, query))
 
-    def _publish(self, replay: Callable[[_IndexBuffer], None]) -> None:
-        """Swap the buffers, bump the version, drain the old copy and
-        converge it by calling ``replay`` on it.  Called under the write lock
-        with the mutation applied to the standby copy.
+    def _publish(
+        self, replay: Callable[[_IndexBuffer], None], version: Optional[int] = None
+    ) -> None:
+        """Swap the buffers, bump the version (or set ``version``), drain the
+        old copy and converge it by calling ``replay`` on it.  Called under
+        the write lock with the mutation applied to the standby copy.
 
         Single-copy mode: mutations already landed in the only copy (under
         the write lock, which also excludes views), so publication is just
@@ -389,12 +391,12 @@ class QueryGraphIndex:
         """
         if not self._double_buffered:
             with self._read_cond:
-                self._version += 1
+                self._version = self._version + 1 if version is None else version
             return
         with self._read_cond:
             retired = self._buffers[self._published]
             self._published = 1 - self._published
-            self._version += 1
+            self._version = self._version + 1 if version is None else version
             while retired.readers > 0:
                 self._read_cond.wait()
         replay(retired)
@@ -437,11 +439,14 @@ class QueryGraphIndex:
         """Remove a cached query from the index (no-op if absent)."""
         self.apply_delta(removals=(serial,))
 
-    def rebuild(self, entries: Iterable[Tuple[int, Graph]]) -> None:
+    def rebuild(
+        self, entries: Iterable[Tuple[int, Graph]], version: Optional[int] = None
+    ) -> None:
         """Rebuild the index from scratch for a new set of cached queries.
 
         This mirrors the restore/warm-start path: the new index contents are
-        built on the standby copy and swapped in wholesale.
+        built on the standby copy and swapped in wholesale.  ``version`` (a
+        restored state record's) is published instead of the next one.
         """
         materialized, added = list(entries), []
         with self._write_lock:
@@ -450,7 +455,9 @@ class QueryGraphIndex:
                 self._apply_delta(self._standby(), (), materialized, [], added, reset=True)
             finally:
                 self.op_counts.adds += len(added)
-                self._publish(lambda buffer: self._apply_delta(buffer, (), added, [], [], True))
+                self._publish(
+                    lambda buffer: self._apply_delta(buffer, (), added, [], [], True), version
+                )
 
     # ------------------------------------------------------------------ #
     # Candidate generation (to be confirmed by sub-iso tests).

@@ -10,22 +10,24 @@ journals exactly that — every appended record is a complete, replayable
   :class:`~repro.core.sharding.ShardedGraphCache`) that owns admission: it
   serves queries, fills its window, decides and applies rounds, and appends
   frames to its journal;
-* a :class:`ReplicaSet` subscribes to every shard's journal and ships each
-  frame, in append order, to N **followers** — read-only caches that apply
-  the frames, one at a time, through the same delta machinery as crash
-  recovery (:meth:`~repro.core.cache.GraphCache.replay_frames` →
-  :meth:`~repro.core.policies.engine.MaintenanceEngine.replay`) without
-  re-deciding anything;
+* a :class:`ReplicaSet` ships every shard's current state record, then
+  subscribes to its journal and ships each frame, in append order, to N
+  **followers** — read-only caches that restore the record and apply the
+  frames, one at a time, through the same entry as crash recovery
+  (:meth:`~repro.core.cache.GraphCache.restore`, then
+  :meth:`~repro.core.cache.GraphCache.replay_frames`) without re-deciding
+  anything, so a follower can join a fresh, warm or restarted primary;
 * followers serve :meth:`~repro.core.cache.GraphCache.lookup` — the full
   GC read pipeline (Mfilter → processors → pruner → verification) with no
   serial assignment, no window commit and no statistics movement — so read
   throughput scales with the replica count while the primary alone mutates.
 
 **Identity invariant** (pinned by the tests and the replication benchmark):
-because a frame carries everything ``apply`` consumed on the primary, a
-follower that has applied rounds ``1..k`` holds *exactly* the primary's
-cache state at round ``k``'s boundary — same entries, same per-query
-statistics, same GCindex publication version, same next serial.
+because a state record is the fold of rounds ``1..w`` and a frame carries
+everything ``apply`` consumed on the primary, a follower that restored the
+record and applied rounds ``w+1..k`` holds *exactly* the primary's cache
+state at round ``k``'s boundary — same entries, same per-query statistics,
+same GCindex publication version, same next serial.
 
 Two fan-out modes:
 
@@ -68,7 +70,7 @@ from ..methods.base import Method
 from .cache import GraphCache
 from .config import GraphCacheConfig
 from .policies import MaintenancePlan
-from .policies.journal import HitEvent, decode_hits
+from .policies.journal import HitEvent, PlanJournal, decode_hits
 from .sharding import ShardedGraphCache, build_cache
 from .statistics import CachedQueryStats
 from .stores import CacheEntryCodec, WindowEntry, WindowEntryCodec
@@ -102,11 +104,14 @@ class ReplicationFrame:
     size_bytes: int
 
     @classmethod
-    def from_record(cls, record: Dict[str, Any], size_bytes: int) -> "ReplicationFrame":
+    def from_record(
+        cls, record: Dict[str, Any], size_bytes: int, dataset_size: int
+    ) -> "ReplicationFrame":
         """Decode a journal record into a frame.
 
         ``size_bytes`` is the length of the record's journal line.  Admitted
-        entries are checked, not built (:meth:`WindowEntryCodec.check`).  A
+        entries are checked, not built (:meth:`WindowEntryCodec.check`), their
+        answers against the ``dataset_size`` graphs of the dataset.  A
         record that admits serials but carries no ``admitted_entries``
         predates frame journaling (pre-PR-10 audit-only journals) and cannot
         be replayed — that is a hard error, not a silent skip, because a
@@ -119,9 +124,10 @@ class ReplicationFrame:
                 "this journal predates replication frames and cannot be "
                 "replayed (re-run the primary to produce a frame journal)"
             )
+        entries = record.get("admitted_entries", ())
         return cls(
             plan=plan,
-            entries=tuple(map(WindowEntryCodec.check, record.get("admitted_entries", ()))),
+            entries=tuple([WindowEntryCodec.check(entry, dataset_size) for entry in entries]),
             hits=decode_hits(record.get("hits", ())),
             size_bytes=size_bytes,
         )
@@ -246,13 +252,21 @@ class CacheReplica:
         """The follower cache (exposed for inspection and tests)."""
         return self._cache
 
-    def apply_frame(self, shard: int, frame: ReplicationFrame) -> None:
-        """Apply one frame to the addressed shard (the sanctioned delta path);
-        frame by frame, the follower matches the primary at every boundary."""
+    def apply_frame(self, shard: int, record: Dict[str, Any], line: Optional[str]) -> None:
+        """Apply one shipped record to the addressed shard, only through the
+        one restore-then-replay entry: the primary's state record (shipped
+        first, with no journal ``line``) is restored, each journal frame
+        after it replayed; frame by frame, the follower matches the primary
+        at every boundary."""
         if isinstance(self._cache, ShardedGraphCache):
             target = self._cache.shards[shard]
         else:
             target = self._cache
+        if line is None:
+            target.restore(record)
+            return
+        size = len(target.method.dataset)
+        frame = ReplicationFrame.from_record(record, len(line.encode("utf-8")), size)
         target.replay_frames((frame,))
 
     def lookup(self, query: Graph) -> FrozenSet[int]:
@@ -303,7 +317,7 @@ class _ThreadFollower:
         )
         self._thread.start()
 
-    def ship(self, shard: int, record: Dict[str, Any], line: str) -> None:
+    def ship(self, shard: int, record: Dict[str, Any], line: Optional[str]) -> None:
         self._queue.put(("frame", shard, record, line))
 
     def _loop(self) -> None:
@@ -314,8 +328,7 @@ class _ThreadFollower:
                     return
                 if self._error is None:
                     _, shard, record, line = message
-                    frame = ReplicationFrame.from_record(record, len(line.encode("utf-8")))
-                    self._replica.apply_frame(shard, frame)
+                    self._replica.apply_frame(shard, record, line)
             except BaseException as exc:  # surfaced on the next sync()
                 self._error = exc
             finally:
@@ -367,8 +380,7 @@ def _follower_process_loop(conn, method, config, matcher) -> None:
                 if error is None:
                     try:
                         _, shard, record, line = message
-                        frame = ReplicationFrame.from_record(record, len(line.encode("utf-8")))
-                        replica.apply_frame(shard, frame)
+                        replica.apply_frame(shard, record, line)
                     except BaseException as exc:
                         error = repr(exc)
             elif kind == "sync":
@@ -426,7 +438,7 @@ class _ProcessFollower:
         )
         self._thread.start()
 
-    def ship(self, shard: int, record: Dict[str, Any], line: str) -> None:
+    def ship(self, shard: int, record: Dict[str, Any], line: Optional[str]) -> None:
         self._queue.put(("frame", shard, record, line))
 
     def _call(self, *message: Any) -> Any:
@@ -520,10 +532,9 @@ class ReplicaSet:
     Parameters
     ----------
     primary:
-        The cache that owns admission.  Must be **fresh** (no rounds
-        journaled yet): followers start empty and replicate forward, so a
-        primary with applied rounds would leave them permanently behind —
-        recover the follower from a checkpoint first in that case.
+        The cache that owns admission, fresh or warm: every follower starts
+        from each shard's current state record (empty for a fresh primary)
+        and replicates forward from the frames past its watermark.
     replicas:
         Number of followers (each a complete cache with the primary's shard
         topology).
@@ -557,12 +568,6 @@ class ReplicaSet:
             self._shards: Tuple[GraphCache, ...] = primary.shards
         else:
             self._shards = (primary,)
-        for shard in self._shards:
-            if shard.plan_journal.last_round:
-                raise CacheError(
-                    "attach replicas before the primary applies maintenance "
-                    "rounds (followers replicate forward from round 1)"
-                )
         self._state_lock = make_lock("replication.state")
         self._reader_lock = make_lock("replication.reader")
         self._cursor = 0
@@ -577,12 +582,14 @@ class ReplicaSet:
         ]
         self._subscriptions = []
         for shard_id, shard in enumerate(self._shards):
-            callback = self._make_subscriber(shard_id)
-            shard.plan_journal.subscribe(callback)
-            self._subscriptions.append((shard.plan_journal, callback))
+            shard.snapshot_state(self._attacher(shard_id, shard.plan_journal))
         self._closed = False
 
-    def _make_subscriber(self, shard_id: int):
+    def _attacher(self, shard_id: int, journal: PlanJournal):
+        """The follower bootstrap, run by ``snapshot_state`` under the
+        shard's GC lock: ship the state record, then subscribe to the
+        journal, before any later round can append."""
+
         def _ship(record: Dict[str, Any], line: str) -> None:
             # Runs under the journal lock (rank 45): bump the ship counters
             # (rank 47) and enqueue — the frame is applied on the follower's
@@ -593,7 +600,13 @@ class ReplicaSet:
             for follower in self._followers:
                 follower.ship(shard_id, record, line)
 
-        return _ship
+        def attach(state: Dict[str, Any]) -> None:
+            for follower in self._followers:
+                follower.ship(shard_id, state, None)
+            journal.subscribe(_ship)
+            self._subscriptions.append((journal, _ship))
+
+        return attach
 
     # ------------------------------------------------------------------ #
     @property

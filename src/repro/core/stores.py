@@ -81,6 +81,20 @@ class WindowEntry(NamedTuple):
         return expensiveness(self.filter_time_s, self.verify_time_s)
 
 
+def _answers(record: Dict[str, Any], dataset_size: Optional[int]) -> FrozenSet[int]:
+    """An encoded entry's answer ids; given ``dataset_size`` (state records
+    and journal frames), each must be a graph id of that dataset."""
+    answers = frozenset(map(int, record["answers"]))
+    if dataset_size is not None and answers and not (
+        0 <= min(answers) and max(answers) < dataset_size
+    ):
+        raise ValueError(
+            f"entry {record['serial']} answers graph ids outside the "
+            f"dataset's {dataset_size} graphs"
+        )
+    return answers
+
+
 class CacheEntryCodec:
     """JSON codec for :class:`CacheEntry` (backend serialization + snapshots)."""
 
@@ -93,11 +107,11 @@ class CacheEntryCodec:
         }
 
     @staticmethod
-    def decode(record: Dict[str, Any]) -> CacheEntry:
+    def decode(record: Dict[str, Any], dataset_size: Optional[int] = None) -> CacheEntry:
         return CacheEntry(
             serial=int(record["serial"]),
             query=graph_from_text(record["query"]),
-            answer_ids=frozenset(int(x) for x in record["answers"]),
+            answer_ids=_answers(record, dataset_size),
         )
 
 
@@ -115,20 +129,20 @@ class WindowEntryCodec:
         }
 
     @staticmethod
-    def check(record: Dict[str, Any]) -> WindowEntry:
+    def check(record: Dict[str, Any], dataset_size: Optional[int] = None) -> WindowEntry:
         """Every check :meth:`decode` makes, without building the query graph:
         the entry's ``query`` is a :class:`~repro.graphs.io.ParsedGraph`."""
         return WindowEntry(
             serial=int(record["serial"]),
             query=parse_graph_text(record["query"]),
-            answer_ids=frozenset(map(int, record["answers"])),
+            answer_ids=_answers(record, dataset_size),
             filter_time_s=float(record["filter_time_s"]),
             verify_time_s=float(record["verify_time_s"]),
         )
 
     @staticmethod
-    def decode(record: Dict[str, Any]) -> WindowEntry:
-        entry = WindowEntryCodec.check(record)
+    def decode(record: Dict[str, Any], dataset_size: Optional[int] = None) -> WindowEntry:
+        entry = WindowEntryCodec.check(record, dataset_size)
         return entry._replace(query=entry.query.build())
 
 

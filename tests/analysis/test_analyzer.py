@@ -36,6 +36,7 @@ class TestGoldenFixtures:
             ("repro007_packed.py", "REPRO007", "PackedGraph"),
             ("repro007_view.py", "REPRO007", "PackedGraph"),
             ("repro008_replica.py", "REPRO008", "delta path"),
+            ("repro008_restore.py", "REPRO008", "delta path"),
         ],
     )
     def test_exactly_one_finding(self, fixture, rule, needle):
@@ -60,6 +61,11 @@ class TestGoldenFixtures:
         (finding,) = findings_of("repro008_replica.py")
         assert "CacheStore.add" in finding.message
         assert "_install" in finding.message
+
+    def test_a_side_route_beside_the_sanctioned_restore_is_reported(self):
+        (finding,) = findings_of("repro008_restore.py")
+        assert finding.symbol == "LateReplica.apply_frame:CacheStore.add"
+        assert "_backfill" in finding.message
 
 
 def _view_write_module(comment_above: str = "", comment_inline: str = "") -> str:

@@ -102,7 +102,7 @@ def test_a_window_of_exact_hits_journals_one_frame_with_its_hits():
     follower = GraphCache(METHOD, cache.config)
     for record in cache.plan_journal.records():  # one frame at a time, as followers do
         # The size only feeds the replay byte counter, which is not digested.
-        follower.replay_frames([ReplicationFrame.from_record(record, 0)])
+        follower.replay_frames([ReplicationFrame.from_record(record, 0, len(METHOD.dataset))])
     assert cache_state_digest(follower, replicated_only=True) == cache_state_digest(
         cache, replicated_only=True
     )

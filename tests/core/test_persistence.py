@@ -3,7 +3,9 @@
 Includes the snapshot round-trip property (ISSUE-3): save → load → replay of
 a workload yields identical answer sets and deterministic work counters to
 the uninterrupted run — for both storage backends and for ``shards > 1``.
-Only format v4 loads; older snapshots are rejected by name.
+Only format v5 loads — a header line, then one state record per shard, in
+the journal's line format; older snapshots are rejected by name, and a
+damaged one fails closed with a ``CacheError`` naming the file and record.
 """
 
 from __future__ import annotations
@@ -26,6 +28,15 @@ from repro.graphs.generators import aids_like
 from repro.graphs.graph import Graph
 from repro.methods import SIMethod
 from repro.workloads import generate_type_a
+
+
+def _lines(path):
+    """A snapshot's records: the header, then one state record per shard."""
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+def _write(path, records):
+    path.write_text("".join(json.dumps(record) + "\n" for record in records))
 
 
 @pytest.fixture
@@ -214,23 +225,19 @@ class TestSnapshotFormatV2:
         sharded = ShardedGraphCache(SIMethod(dataset, matcher="vf2plus"), config)
         path = tmp_path / "sharded.json"
         save_cache(sharded, path)
-        payload = json.loads(path.read_text())
-        payload["shards"] = payload["shards"][:1]
-        path.write_text(json.dumps(payload))
-        with pytest.raises(CacheError):
+        _write(path, _lines(path)[:2])
+        with pytest.raises(CacheError, match="declares 2 shards"):
             load_cache(path, SIMethod(dataset, matcher="vf2plus"))
 
 class TestPublicRestoreApi:
     def test_load_cache_does_not_touch_private_stores(self, warm_cache, tmp_path):
         """Restores flow through GraphCache.restore(); spot-check the API."""
         cache, method, _ = warm_cache
-        entries = [cache.cached_entry(s) for s in cache.cached_serials]
-        stats = [cache.statistics_manager.snapshot(s) for s in cache.cached_serials]
-
         fresh = GraphCache(method, cache.config)
-        fresh.restore(entries, stats=stats, next_serial=cache.current_serial)
+        fresh.restore(cache.snapshot_state())
         assert fresh.cached_serials == cache.cached_serials
         assert fresh.current_serial == cache.current_serial
+        assert fresh.query_index.version == cache.query_index.version
         for serial in cache.cached_serials:
             assert fresh.statistics_manager.snapshot(
                 serial
@@ -238,12 +245,14 @@ class TestPublicRestoreApi:
 
     def test_restore_replaces_preexisting_window(self, tiny_dataset):
         method = SIMethod(tiny_dataset, matcher="vf2plus")
-        cache = GraphCache(method, GraphCacheConfig(cache_capacity=5, window_size=4))
+        config = GraphCacheConfig(cache_capacity=5, window_size=4)
+        cache = GraphCache(method, config)
         workload = generate_type_a(tiny_dataset, "ZZ", 3, query_sizes=(3,), seed=8)
         for query in workload:
             cache.query(query)
         assert cache.window_manager.window_entries()
-        cache.restore([], next_serial=50)
+        state = GraphCache(method, config).snapshot_state()
+        cache.restore({**state, "next_serial": 50})
         assert cache.window_manager.window_entries() == []
         assert cache.current_serial == 50
         assert cache.cached_serials == []
@@ -374,45 +383,35 @@ class TestValidation:
         with pytest.raises(CacheError):
             load_cache(path, other_method)
 
-    @pytest.mark.parametrize("version", [1, 2, 3])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4])
     def test_pre_v4_snapshot_raises_naming_its_version(
         self, warm_cache, tmp_path, version
     ):
         cache, method, _ = warm_cache
         path = tmp_path / f"v{version}.json"
         save_cache(cache, path)
-        payload = json.loads(path.read_text())
-        payload["format_version"] = version
-        path.write_text(json.dumps(payload))
-        with pytest.raises(CacheError, match=f"version {version}: load_cache reads v4 only"):
+        header, *states = _lines(path)
+        _write(path, [{**header, "format_version": version}, *states])
+        with pytest.raises(CacheError, match=f"version {version}: load_cache reads v5 only"):
             load_cache(path, method)
 
-    @pytest.mark.parametrize(
-        "key, value",
-        [("execution_mode", "serial"), ("packed_match", "on"), ("packed_match", "auto")],
-    )
-    def test_v4_snapshot_with_retired_config_key_still_loads(
-        self, warm_cache, tmp_path, key, value
-    ):
-        # Snapshots saved while the stage order or the mmap serving mode was
-        # configurable carry that retired key in their config.
+    def test_a_v4_document_fails_closed(self, warm_cache, tmp_path):
+        # Format v4 was one pretty-printed JSON document, not one record a line.
         cache, method, _ = warm_cache
-        path = tmp_path / "cache.json"
+        path = tmp_path / "v4.json"
         save_cache(cache, path)
-        payload = json.loads(path.read_text())
-        payload["config"][key] = value
-        path.write_text(json.dumps(payload))
-        for restored in (load_cache(path, method), recover_cache(path, method)):
-            assert restored.config == cache.config
-            assert sorted(restored.cached_serials) == sorted(cache.cached_serials)
+        header, state = _lines(path)
+        path.write_text(json.dumps({**header, "format_version": 4, "shards": [state]}, indent=2))
+        with pytest.raises(CacheError, match="line 1 is not a record"):
+            load_cache(path, method)
 
     def test_unknown_config_key_rejected(self, warm_cache, tmp_path):
         cache, method, _ = warm_cache
         path = tmp_path / "cache.json"
         save_cache(cache, path)
-        payload = json.loads(path.read_text())
-        payload["config"]["no_such_field"] = 1
-        path.write_text(json.dumps(payload))
+        header, *states = _lines(path)
+        header["config"]["no_such_field"] = 1
+        _write(path, [header, *states])
         with pytest.raises(CacheError, match="no_such_field"):
             load_cache(path, method)
 
@@ -420,7 +419,72 @@ class TestValidation:
         cache, method, _ = warm_cache
         path = tmp_path / "cache.json"
         save_cache(cache, path)
-        text = path.read_text().replace('"format_version": 4', '"format_version": 99')
+        text = path.read_text().replace('"format_version":5', '"format_version":99')
         path.write_text(text)
-        with pytest.raises(CacheError):
+        with pytest.raises(CacheError, match="version 99"):
+            load_cache(path, method)
+
+
+def _damage(damage, state):
+    if damage == "answers_text":
+        state["entries"][0]["answers"] = ["x"]
+    elif damage == "answers_range":
+        state["entries"][0]["answers"] = [1_000_000]
+    else:
+        del state[damage]
+
+
+class TestDamagedSnapshots:
+    """A snapshot is published whole, so any damage fails closed: a
+    ``CacheError`` naming the file and the record, chained from the cause."""
+
+    @pytest.mark.parametrize("cut", ["half", "empty", "newline", "shard"])
+    @pytest.mark.parametrize("load", [load_cache, recover_cache])
+    def test_a_cut_snapshot_raises(self, warm_cache, tmp_path, load, cut):
+        cache, method, _ = warm_cache
+        path = tmp_path / "cache.json"
+        save_cache(cache, path)
+        blob = path.read_bytes()
+        path.write_bytes(
+            {
+                "half": blob[: len(blob) // 2],
+                "empty": b"",
+                "newline": blob[:-1],
+                "shard": blob[: blob.index(b"\n") + 1],
+            }[cut]
+        )
+        with pytest.raises(CacheError, match=str(path)):
+            load(path, method)
+
+    @pytest.mark.parametrize(
+        "damage", ["next_serial", "entries", "maintenance", "answers_text", "answers_range"]
+    )
+    @pytest.mark.parametrize("load", [load_cache, recover_cache])
+    def test_a_damaged_state_record_raises_naming_it(self, warm_cache, tmp_path, load, damage):
+        cache, method, _ = warm_cache
+        assert cache.cached_serials
+        path = tmp_path / "cache.json"
+        save_cache(cache, path)
+        header, state = _lines(path)
+        _damage(damage, state)
+        _write(path, [header, state])
+        with pytest.raises(CacheError, match="shard 0's state \\(line 2\\)") as raised:
+            load(path, method)
+        assert str(path) in str(raised.value)
+        assert isinstance(raised.value.__cause__, (KeyError, ValueError))
+
+    def test_an_answer_outside_the_dataset_is_never_served(self, tmp_path):
+        dataset = aids_like(scale=0.05, seed=3)
+        assert len(dataset) == 10
+        method = SIMethod(dataset, matcher="vf2plus")
+        cache = GraphCache(method, GraphCacheConfig(cache_capacity=5, window_size=1))
+        query = generate_type_a(dataset, "ZZ", 1, query_sizes=(3,), seed=1)[0]
+        cache.query(query)
+        assert cache.cached_serials
+        path = tmp_path / "cache.json"
+        save_cache(cache, path)
+        header, state = _lines(path)
+        _damage("answers_range", state)
+        _write(path, [header, state])
+        with pytest.raises(CacheError, match="outside the dataset's 10 graphs"):
             load_cache(path, method)

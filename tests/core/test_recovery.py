@@ -62,6 +62,11 @@ def _shards_of(cache):
     return cache.shards if isinstance(cache, ShardedGraphCache) else (cache,)
 
 
+def _states(checkpoint: Path):
+    """The checkpoint's state records, one per shard (line 1 is the header)."""
+    return [json.loads(line) for line in checkpoint.read_text().splitlines()[1:]]
+
+
 def _journal_paths(base: Path, shard_count: int):
     if shard_count == 1:
         return [base]
@@ -251,10 +256,10 @@ class TestCompaction:
         compacted = tmp_path / "compacted"
         compacted.mkdir()
         base = _write_crash_journals(run, compacted, final, torn=False)
-        payload = json.loads(run["checkpoint"].read_text(encoding="utf-8"))
+        states = _states(run["checkpoint"])
         dropped = 0
         for s, path in enumerate(_journal_paths(base, run["shard_count"])):
-            watermark = payload["shards"][s]["journal_round"]
+            watermark = states[s]["journal_round"]
             dropped += PlanJournal(path).truncate_before(watermark)
         assert dropped == sum(run["checkpoint_counts"])
         got = _recovered_digest(run, base)
@@ -356,12 +361,12 @@ class TestGuards:
         downgraded.write_text(
             run["checkpoint"]
             .read_text(encoding="utf-8")
-            .replace('"format_version": 4', '"format_version": 3'),
+            .replace('"format_version":5', '"format_version":3'),
             encoding="utf-8",
         )
-        with pytest.raises(CacheError, match="v4"):
+        with pytest.raises(CacheError, match="v5"):
             recover_cache(downgraded, METHOD)
-        # A plain load rejects it too: load_cache reads v4 only.
+        # A plain load rejects it too: load_cache reads v5 only.
         with pytest.raises(CacheError, match="version 3"):
             load_cache(downgraded, METHOD)
 
@@ -637,15 +642,15 @@ def test_recovery_builds_query_graphs_for_survivors_only(
     )
     checkpoint = tmp_path / "checkpoint.json"
     _run(config, _workload(count=80, seed=9), checkpoint, 8)
-    snapshot = json.loads(checkpoint.read_text())
+    states = _states(checkpoint)
     checkpointed = {  # serials are numbered per shard
         (index, record["serial"])
-        for index, shard in enumerate(snapshot["shards"])
+        for index, shard in enumerate(states)
         for record in shard["entries"]
     }
     admitted = sum(
         len(record["admitted_serials"])
-        for path, shard in zip(_journal_paths(base, shard_count), snapshot["shards"], strict=True)
+        for path, shard in zip(_journal_paths(base, shard_count), states, strict=True)
         for record in PlanJournal.read_records(path, since_round=shard["journal_round"] + 1)
     )
 
@@ -684,6 +689,26 @@ def _corrupt(field, record):
         record["verify_time_s"] = "slow"
 
 
+def _tail_with_damage(tmp_path, evicted: bool):
+    """Run to a checkpoint and on; returns the checkpoint, the journal, its
+    records and an entry admitted past the checkpoint that a later round
+    evicts (``evicted=True``) or that survives to the end."""
+    journal = tmp_path / "journal.jsonl"
+    config = GraphCacheConfig(cache_capacity=3, window_size=2, journal_path=str(journal))
+    checkpoint = tmp_path / "checkpoint.json"
+    _run(config, _workload(count=40, seed=9), checkpoint, 4)
+    since = _states(checkpoint)[0]["journal_round"]
+    records = [json.loads(line) for line in journal.read_text().splitlines()]
+    gone = {s for record in records[since:] for s in record["evicted_serials"]}
+    victim = next(
+        entry
+        for record in records[since:]
+        for entry in record["admitted_entries"]
+        if (entry["serial"] in gone) == evicted and "v 1 " in entry["query"]
+    )
+    return checkpoint, journal, records, victim
+
+
 @pytest.mark.parametrize(
     "field, error",
     [
@@ -695,23 +720,24 @@ def _corrupt(field, record):
 )
 def test_a_damaged_entry_fails_recovery_even_when_evicted(tmp_path, field, error):
     """The damaged entry is admitted and evicted inside the tail, so it never
-    becomes a Graph; its check still fails the recovery closed."""
-    journal = tmp_path / "journal.jsonl"
-    config = GraphCacheConfig(cache_capacity=3, window_size=2, journal_path=str(journal))
-    checkpoint = tmp_path / "checkpoint.json"
-    _run(config, _workload(count=40, seed=9), checkpoint, 4)
-    since = json.loads(checkpoint.read_text())["shards"][0]["journal_round"]
-    records = [json.loads(line) for line in journal.read_text().splitlines()]
-    evicted = {s for record in records[since:] for s in record["evicted_serials"]}
-    victim = next(
-        entry
-        for record in records[since:]
-        for entry in record["admitted_entries"]
-        if entry["serial"] in evicted and "v 1 " in entry["query"]
-    )
+    becomes a Graph; its check still fails the recovery closed, naming the
+    journal and the round."""
+    checkpoint, journal, records, victim = _tail_with_damage(tmp_path, evicted=True)
     _corrupt(field, victim)
     journal.write_text("".join(json.dumps(record) + "\n" for record in records))
-    with pytest.raises(error):
+    with pytest.raises(CacheError, match="journal round") as raised:
+        recover_cache(checkpoint, METHOD)
+    assert str(journal) in str(raised.value)
+    assert isinstance(raised.value.__cause__, error)
+
+
+def test_an_answer_outside_the_dataset_fails_recovery(tmp_path):
+    """A surviving entry that answers a graph id past the dataset would be
+    served as an answer; the frame decode rejects it."""
+    checkpoint, journal, records, victim = _tail_with_damage(tmp_path, evicted=False)
+    victim["answers"] = [len(DATASET) * 100_000]
+    journal.write_text("".join(json.dumps(record) + "\n" for record in records))
+    with pytest.raises(CacheError, match=f"outside the dataset's {len(DATASET)} graphs"):
         recover_cache(checkpoint, METHOD)
 
 

@@ -17,6 +17,7 @@ lock-sanitizer job alongside the scheduler/sharding concurrency tests.
 from __future__ import annotations
 
 import multiprocessing
+import threading
 
 import pytest
 
@@ -45,7 +46,7 @@ def _workload(count: int = 30, seed: int = 7):
 
 def _config(**overrides) -> GraphCacheConfig:
     return GraphCacheConfig(
-        cache_capacity=6, window_size=3, maintenance_mode="sync", **overrides
+        **{"cache_capacity": 6, "window_size": 3, "maintenance_mode": "sync", **overrides}
     )
 
 
@@ -196,18 +197,82 @@ class TestProcessMode:
         primary.close()
 
 
-class TestGuards:
-    def test_primary_must_be_fresh(self):
-        primary = _primary()
-        try:
-            for query in _workload(count=3):
-                primary.query(query)
-            assert primary.plan_journal.last_round > 0
-            with pytest.raises(CacheError, match="before the primary applies"):
-                ReplicaSet(primary, replicas=1)
-        finally:
-            primary.close()
+def _follow_boundaries(primary, replica_set, queries):
+    """Serve ``queries`` on the primary; at each shard's round boundary the
+    followers hold that shard's replicated state.  Returns rounds checked."""
+    shards = _shards_of(primary)
+    counts = [shard.plan_journal.last_round for shard in shards]
+    checked = 0
+    for query in queries:
+        primary.query(query)
+        grown = [s for s, shard in enumerate(shards) if shard.plan_journal.last_round != counts[s]]
+        if not grown:
+            continue
+        for s in grown:
+            counts[s] = shards[s].plan_journal.last_round
+        replica_set.sync()
+        expected = replica_set.primary_digest(replicated_only=True)
+        for digest in replica_set.replica_digests(replicated_only=True):
+            for s in grown:
+                assert digest[s] == expected[s], f"shard {s}"
+        checked += len(grown)
+    return checked
 
+
+class TestLateFollower:
+    """A follower attached to a warm primary starts from each shard's state
+    record and replicates forward from the frames past its watermark."""
+
+    @pytest.mark.parametrize("mode", ["thread", pytest.param("process", marks=needs_fork)])
+    @pytest.mark.parametrize("shards", [1, 3])
+    @pytest.mark.parametrize("attach_after", [12, 13], ids=["boundary", "mid-window"])
+    def test_attach_after_rounds_reaches_identity(self, mode, shards, attach_after):
+        primary = _primary(shards=shards)
+        workload = _workload()
+        for query in workload[:attach_after]:
+            primary.query(query)
+        assert sum(shard.plan_journal.last_round for shard in _shards_of(primary)) >= 2
+        if shards == 1 and attach_after == 13:
+            assert primary.maintenance_engine.state_record()["pending_hits"]
+        with ReplicaSet(primary, replicas=2, mode=mode) as replica_set:
+            replica_set.sync()
+            expected = replica_set.primary_digest(replicated_only=True)
+            assert replica_set.replica_digests(replicated_only=True) == [expected] * 2
+            assert _follow_boundaries(primary, replica_set, workload[attach_after:]) > 0
+            for query in workload[:6]:
+                assert replica_set.lookup(query) == primary.lookup(query)
+        primary.close()
+
+    def test_attach_while_the_primary_serves_in_the_background(self):
+        primary = _primary(maintenance_mode="background")
+        workload = _workload()
+        started = threading.Event()
+
+        def serve():
+            for index, query in enumerate(workload):
+                primary.query(query)
+                if index == 8:
+                    started.set()
+
+        server = threading.Thread(target=serve)
+        server.start()
+        try:
+            started.wait(timeout=60)
+            replica_set = ReplicaSet(primary, replicas=1)
+        finally:
+            server.join(timeout=60)
+        with replica_set:
+            primary.drain_maintenance()
+            replica_set.sync()
+            # 30 requests fill 10 windows: the last round took every hit.
+            assert primary.plan_journal.last_round == 10
+            assert replica_set.replica_digests(replicated_only=True) == [
+                replica_set.primary_digest(replicated_only=True)
+            ]
+        primary.close()
+
+
+class TestGuards:
     def test_replica_count_and_mode_validated(self):
         primary = _primary()
         try:
@@ -227,7 +292,7 @@ class TestGuards:
             assert record["admitted_serials"]
             record.pop("admitted_entries")
             with pytest.raises(CacheError, match="predates replication frames"):
-                ReplicationFrame.from_record(record, 0)
+                ReplicationFrame.from_record(record, 0, len(DATASET))
         finally:
             primary.close()
 

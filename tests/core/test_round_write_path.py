@@ -29,6 +29,7 @@ from repro.core.pipeline import CommitStage
 from repro.core.policies import PlanJournal
 from repro.core.policies.engine import MaintenanceEngine
 from repro.core.policies.plan import MaintenancePlan
+from repro.core.replication import ReplicaSet
 from repro.core.stores import CacheEntry, CacheEntryCodec, WindowStore
 from repro.ftv.ggsx import GraphGrepSX
 from repro.graphs.graph import Graph
@@ -291,3 +292,41 @@ def test_stream_frames_are_canonical_and_credit_reads_the_cost_row(
         line for _, line in frames
     ]
     assert journal_opens.count(journal_path) == 1
+
+
+# --------------------------------------------------------------------------- #
+# A late follower joins a warm, durable primary.
+# --------------------------------------------------------------------------- #
+def test_a_follower_attached_after_round_500_reaches_the_primary(tmp_path):
+    from benchmarks.e2e.workloads import build_dataset
+
+    spec, stream = _stream("aids_write_durable")
+    config = GraphCacheConfig(
+        **spec.config,
+        backend_path=str(tmp_path / "store"),
+        journal_path=str(tmp_path / "journal.jsonl"),
+    )
+    primary = GraphCache(GraphGrepSX(build_dataset(spec.dataset)), config)
+    queries = iter(list(stream.warmup) + list(stream.measured))
+    while primary.plan_journal.last_round < 500:
+        primary.query(next(queries))
+    replica_set = ReplicaSet(primary, replicas=1)
+    try:
+        replica_set.sync()
+        assert replica_set.replica_digests(replicated_only=True) == [
+            replica_set.primary_digest(replicated_only=True)
+        ]
+        boundaries, last_round = 0, primary.plan_journal.last_round
+        for query in queries:
+            primary.query(query)
+            if primary.plan_journal.last_round != last_round:
+                last_round = primary.plan_journal.last_round
+                replica_set.sync()
+                assert replica_set.replica_digests(replicated_only=True) == [
+                    replica_set.primary_digest(replicated_only=True)
+                ], last_round
+                boundaries += 1
+        assert boundaries > 100
+    finally:
+        replica_set.close()
+        primary.close()

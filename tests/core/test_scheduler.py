@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import repro.core.policies.scheduler as scheduler_module
 from repro.core import GraphCache, GraphCacheConfig, build_cache, load_cache, save_cache
 from repro.core.policies import (
     SCHEDULER_MODES,
@@ -165,6 +166,26 @@ class TestJournal:
             sync_cache.close()
             barrier_cache.close()
 
+    def test_a_round_is_timed_through_its_journal_append(self, monkeypatch):
+        """``elapsed_s`` (and so ``maintenance_time_s``) covers the append."""
+        clock = [0.0]
+        monkeypatch.setattr(scheduler_module.time, "perf_counter", lambda: clock[0])
+        append = PlanJournal.append
+
+        def slow_append(self, *args, **kwargs):
+            clock[0] += 5.0
+            append(self, *args, **kwargs)
+
+        monkeypatch.setattr(PlanJournal, "append", slow_append)
+        cache = _cache("sync")
+        try:
+            results = [cache.query(query) for query in _workload(count=3)]
+        finally:
+            cache.close()
+        (report,) = cache.window_manager.reports
+        assert report.elapsed_s == 5.0
+        assert results[-1].maintenance_time_s == 5.0
+
     def test_journal_file_round_trip(self, tmp_path: Path):
         journal_file = tmp_path / "plans.jsonl"
         cache = _cache("background", journal_path=str(journal_file))
@@ -259,9 +280,8 @@ class TestDrainSemantics:
                 expected.extend(plan.admitted_serials)
             # ... and it must match the persisted entries exactly (same
             # serials, same insertion order).
-            payload = json.loads(bg_path.read_text())
-            (shard_payload,) = payload["shards"]
-            assert [e["serial"] for e in shard_payload["entries"]] == expected
+            _, state = map(json.loads, bg_path.read_text().splitlines())
+            assert [e["serial"] for e in state["entries"]] == expected
             restored = load_cache(bg_path, SIMethod(DATASET, matcher="vf2plus"))
             assert restored.cached_serials == expected
             restored.close()

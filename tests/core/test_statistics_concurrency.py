@@ -40,7 +40,7 @@ from repro.core.policies import MaintenanceEngine, policy_by_name
 from repro.core.query_index import QueryGraphIndex
 from repro.core.replication import ReplicationFrame, cache_state_digest
 from repro.core.statistics import CachedQueryStats, StatisticsManager
-from repro.core.stores import CacheEntry, CacheEntryCodec, CacheStore, WindowEntry
+from repro.core.stores import CacheEntry, CacheStore, WindowEntry
 from repro.graphs.graph import Graph
 from repro.graphs.generators import aids_like
 from repro.methods import SIMethod
@@ -59,13 +59,17 @@ def _workload():
 
 def _state(cache: GraphCache):
     """``snapshot_state`` with the measured times left out."""
-    entries, stats, window, next_serial, maintenance = cache.snapshot_state()
+    state = cache.snapshot_state()
+    maintenance = state["maintenance"]
     maintenance = dict(maintenance, window_sampled=len(maintenance["window_sampled"]))
     return (
-        [CacheEntryCodec.encode(entry) for entry in entries],
-        [{k: v for k, v in vars(row).items() if k not in _TIMES} for row in stats],
-        [entry.serial for entry in window],
-        next_serial,
+        [{k: v for k, v in e.items() if k != "statistics"} for e in state["entries"]],
+        [
+            {k: v for k, v in e["statistics"].items() if k not in _TIMES}
+            for e in state["entries"]
+        ],
+        [entry["serial"] for entry in state["window"]],
+        state["next_serial"],
         maintenance,
     )
 
@@ -216,7 +220,7 @@ def test_a_hit_on_a_just_admitted_entry_counts():
         assert cache.maintenance_engine.state_record()["pending_hits"] == []
         follower = GraphCache(SIMethod(DATASET, matcher="vf2plus"), cache.config)
         for record in cache.plan_journal.records():
-            follower.replay_frames([ReplicationFrame.from_record(record, 0)])
+            follower.replay_frames([ReplicationFrame.from_record(record, 0, len(DATASET))])
         assert cache_state_digest(follower, replicated_only=True) == cache_state_digest(
             cache, replicated_only=True
         )
