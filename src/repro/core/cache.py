@@ -31,7 +31,7 @@ exactly the answer set Method M would return on its own.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import (
     TYPE_CHECKING, Any, Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Set,
     Tuple,
@@ -212,6 +212,11 @@ class GraphCache:
         ``config.containment_matcher`` (by registry name), then the method's
         own verifier — so every pipeline stage shares one matcher instance
         and its plan memo.
+    warm_start:
+        Start from what a durable backend already holds (a reopened mmap
+        cache over its sealed arena: the stored entries and window, with
+        cold statistics rows).  ``False`` for a cache whose state record is
+        restored next (:mod:`repro.core.persistence`), so it starts once.
 
     Examples
     --------
@@ -230,6 +235,7 @@ class GraphCache:
         method: Method,
         config: Optional[GraphCacheConfig] = None,
         matcher: Optional[SubgraphMatcher] = None,
+        warm_start: bool = True,
     ) -> None:
         self._method = method
         self._config = config or GraphCacheConfig()
@@ -331,38 +337,12 @@ class GraphCache:
             CommitStage(self),
             gc_lock=self._gc_lock,
         )
-        self._warm_start_from_backend()
-
-    def _warm_start_from_backend(self) -> None:
-        """Adopt entries a durable backend already holds.
-
-        Reopening an mmap-backed cache on a sealed arena warm-starts it
-        without a JSON snapshot: the GCindex is rebuilt from the stored
-        query graphs — the same code path the Window Manager uses after a
-        cache-update round — and the serial counter resumes past every stored
-        serial.  Hit/contribution statistics are *not* in the backend; they
-        restart cold and re-accumulate (use :mod:`repro.core.persistence` for
-        a full-fidelity restore including statistics).
-        """
-        entries = list(self._cache_store)
-        window_entries = self._window_store.entries()
-        if not entries and not window_entries:
-            return
-        self._index.rebuild((entry.serial, entry.query) for entry in entries)
-        self._statistics.rebuild(
-            CachedQueryStats(
-                serial=entry.serial,
-                order=entry.query.order,
-                size=entry.query.size,
-                distinct_labels=len(entry.query.distinct_labels()),
-            )
-            for entry in entries
-        )
-        self._serial = max(
-            [entry.serial for entry in entries]
-            + [entry.serial for entry in window_entries]
-        )
-        self._window_manager.resync()
+        if warm_start:  # what a durable backend holds, with cold statistics rows
+            entries, window_entries = list(self._cache_store), self._window_store.entries()
+            if entries or window_entries:
+                cold = [CachedQueryStats(e.serial, e.query.order, e.query.size,
+                                         len(e.query.distinct_labels())) for e in entries]
+                self._start(entries, cold, window_entries)
 
     def _resolve_containment_matcher(
         self, matcher: Optional[SubgraphMatcher]
@@ -655,20 +635,28 @@ class GraphCache:
                 if not self._scheduler.idle():
                     continue  # a round slipped in before we took the lock
                 self._cache_store.replace_contents(entries)
-                self._index.rebuild(
-                    ((entry.serial, entry.query) for entry in entries), index_version
-                )
                 self._window_store.drain()  # discard pre-existing window contents
                 for entry in window_entries:
                     self._window_store.add(entry)
-                self._window_manager.resync(maintenance)
-                self._statistics.rebuild(stats)
-                self._engine.restore_state(maintenance)
-                serials = [entry.serial for entry in (*entries, *window_entries)]
-                with self._serial_lock:
-                    self._serial = max([next_serial, *serials])
+                self._start(entries, stats, window_entries, maintenance, next_serial, index_version)
                 break
         self.replay_frames(frames)
+
+    def _start(self, entries: List[CacheEntry], stats: Iterable[CachedQueryStats],
+               window_entries: List[WindowEntry], maintenance: Optional[Dict[str, Any]] = None,
+               next_serial: int = 0, index_version: Optional[int] = None) -> None:
+        """Start from the stores' contents, ``entries`` and ``window_entries``:
+        the GCindex over the entries (at ``index_version``), their statistics
+        rows, the window and engine state, and a serial counter at least
+        every stored serial.  The one start step of :meth:`restore` and of
+        the warm start over a durable backend."""
+        self._index.rebuild(((entry.serial, entry.query) for entry in entries), index_version)
+        self._window_manager.resync(maintenance)
+        self._statistics.rebuild(stats)
+        self._engine.restore_state(maintenance)
+        serials = [entry.serial for entry in (*entries, *window_entries)]
+        with self._serial_lock:
+            self._serial = max([next_serial, *serials])
 
     # ------------------------------------------------------------------ #
     # Replication / recovery: the replay side of the plan journal.
@@ -696,7 +684,7 @@ class GraphCache:
                     if not rounds:
                         skip = len(self._engine.take_pending_hits())
                         if skip:
-                            frame = replace(frame, hits=frame.hits[skip:])
+                            frame = frame._replace(hits=frame.hits[skip:])
                     rounds += 1
                     size_bytes += frame.size_bytes
                     top = max(top, frame.plan.current_serial, *frame.plan.window_serials)

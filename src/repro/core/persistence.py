@@ -25,7 +25,10 @@ damaged record fails the load with a :class:`CacheError` naming the file and
 the record.  :func:`recover_cache` restores each shard's record and replays
 the journal frames past its watermark through the same entry,
 :meth:`GraphCache.restore`, that starts a late follower of a
-:class:`~repro.core.replication.ReplicaSet`.
+:class:`~repro.core.replication.ReplicaSet`.  Recovery memory is the live
+entries plus at most
+:data:`~repro.core.stores.WindowEntryCodec.PARSE_MEMO_LIMIT` parsed entry
+texts (one frame stream's memo), never the whole tail.
 """
 
 from __future__ import annotations
@@ -112,7 +115,7 @@ def _read(path: PathLike, method: Method) -> Tuple[AnyCache, List[Tuple[int, Dic
             f"{path}: snapshot declares {shard_count} shards "
             f"(config.shards={config.shards}) but carries {len(lines) - 1} state records"
         )
-    return build_cache(method, config), [(lineno, record) for lineno, record, _, _ in lines[1:]]
+    return build_cache(method, config, warm_start=False), [line[:2] for line in lines[1:]]
 
 
 def load_cache(path: PathLike, method: Method) -> AnyCache:
@@ -141,12 +144,14 @@ def recover_cache(
     journaled round.  A torn final journal line is ignored; an undecodable
     line before it, or a damaged record, raises :class:`CacheError`.
 
-    Cost: one decode per snapshot and journal line (the journal read also
-    adopts a shard's own journal for appending) and a full check of every
-    admitted entry, so a damaged one fails even if the tail evicts it.  The
-    rest is for the tail's *net* effect: an entry admitted and evicted after
-    the checkpoint never becomes a Graph, is never packed, indexed or
-    stored; memory holds the live entries, not the tail.
+    Cost: each shard starts once, from its state record (what a sealed
+    arena under it holds is not adopted first); one decode per snapshot and
+    journal line, from its UTF-8 text (the journal read also adopts a
+    shard's own journal for appending); one parse per distinct admitted
+    entry text, and every other check of every admitted entry, so a damaged
+    one fails even if the tail evicts it.  The rest is for the tail's *net*
+    effect: an entry admitted and evicted after the checkpoint never becomes
+    a Graph, is never packed, indexed or stored.
 
     ``journal=None`` replays from each shard's configured
     ``journal_path``; an explicit path is used directly (for sharded
@@ -187,11 +192,12 @@ def _restore(
 
 
 def _frames(shard: GraphCache, path: Path, since_round: int) -> Iterator[ReplicationFrame]:
-    """Decode the frames of ``path`` from ``since_round`` on, one at a time."""
-    size = len(shard.method.dataset)
+    """Decode the frames of ``path`` from ``since_round`` on, one at a time,
+    parsing each distinct admitted entry text once (a memo of this stream)."""
+    size, parsed = len(shard.method.dataset), {}
     for record, size_bytes in shard.plan_journal.stream(since_round, path):
         try:
-            frame = ReplicationFrame.from_record(record, size_bytes, size)
+            frame = ReplicationFrame.from_record(record, size_bytes, size, parsed)
         except _DAMAGE as exc:
             raise _damaged(path, f"journal round {record['round']}", exc) from exc
         yield frame

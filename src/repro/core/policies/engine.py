@@ -44,6 +44,7 @@ from ..statistics import CachedQueryStats, StatisticsManager
 from ..stores import CacheEntry, CacheStore, WindowEntry
 from .adaptive import AdaptiveAdmissionController
 from .admission import AdmissionController
+from .journal import decode_hits
 from .plan import MaintenancePlan
 from .registry import admission_from_record
 from .replacement import ReplacementPolicy
@@ -401,7 +402,4 @@ class MaintenanceEngine:
         if admission_record:
             self._admission = admission_from_record(admission_record)
         self._window_cost_saving = float(record.get("window_cost_saving", 0.0))
-        self._hit_events = [
-            (int(s), int(b), float(cs), float(cost), bool(special))
-            for s, b, cs, cost, special in record.get("pending_hits", [])
-        ]
+        self._hit_events = list(decode_hits(record.get("pending_hits", ())))

@@ -76,6 +76,8 @@ HitEvent = Tuple[int, int, float, float, bool]
 
 #: ``json.dumps(record, sort_keys=True, separators=(",", ":"))``, built once.
 _CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+#: Decodes a line's text (``json.loads`` on bytes detects their encoding per call).
+_DECODER = json.JSONDecoder()
 
 
 def canonical_line(record: Dict[str, Any]) -> str:
@@ -112,7 +114,7 @@ def read_lines(
                     f"only the final line of a crashed append may be partial"
                 ) from torn[1]
             try:
-                record = json.loads(line)
+                record = _DECODER.decode(line.decode("utf-8", "surrogatepass"))
             except json.JSONDecodeError as exc:
                 if whole:
                     raise CacheError(f"{path}: line {lineno} is not a record ({exc.msg})") from exc
@@ -134,10 +136,10 @@ def _scan(path: PathLike) -> Iterator[Tuple[Dict[str, Any], int, int]]:
 
 def decode_hits(raw: Sequence[Sequence[Any]]) -> Tuple[HitEvent, ...]:
     """Decode journaled hit events back into ``on_hit`` argument tuples."""
-    return tuple(
+    return tuple([
         (int(s), int(b), float(cs), float(cost), bool(special))
         for s, b, cs, cost, special in raw
-    )
+    ])
 
 
 class PlanJournal:

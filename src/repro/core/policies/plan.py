@@ -16,14 +16,12 @@ scale with the window size, never with the cache size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, NamedTuple, Optional, Tuple
 
 __all__ = ["MaintenancePlan", "MaintenanceReport"]
 
 
-@dataclass(frozen=True)
-class MaintenancePlan:
+class MaintenancePlan(NamedTuple):
     """One cache-update decision, as pure data.
 
     Attributes
@@ -82,23 +80,22 @@ class MaintenancePlan:
         """Rebuild a plan from a :meth:`to_record` dictionary."""
         threshold = record.get("admission_threshold")
         return cls(
-            current_serial=int(record["current_serial"]),
-            window_serials=tuple(int(s) for s in record["window_serials"]),
-            admitted_serials=tuple(int(s) for s in record["admitted_serials"]),
-            rejected_serials=tuple(int(s) for s in record["rejected_serials"]),
-            evicted_serials=tuple(int(s) for s in record["evicted_serials"]),
-            policy=str(record["policy"]),
-            policy_delegate=record.get("policy_delegate"),
-            admission_threshold=None if threshold is None else float(threshold),
-            victim_utilities=tuple(
+            int(record["current_serial"]),
+            tuple(map(int, record["window_serials"])),
+            tuple(map(int, record["admitted_serials"])),
+            tuple(map(int, record["rejected_serials"])),
+            tuple(map(int, record["evicted_serials"])),
+            str(record["policy"]),
+            record.get("policy_delegate"),
+            None if threshold is None else float(threshold),
+            tuple([
                 (int(serial), float(utility))
                 for serial, utility in record.get("victim_utilities", ())
-            ),
+            ]),
         )
 
 
-@dataclass(frozen=True)
-class MaintenanceReport:
+class MaintenanceReport(NamedTuple):
     """Summary of one executed cache-update round.
 
     The first six fields are the seed's report (kept for compatibility);
@@ -118,4 +115,4 @@ class MaintenanceReport:
     #: apply step on the cache store.
     backend_row_ops: int = 0
     #: The full decision this round executed.
-    plan: Optional[MaintenancePlan] = field(default=None, repr=False)
+    plan: Optional[MaintenancePlan] = None

@@ -49,22 +49,13 @@ from __future__ import annotations
 
 import queue
 import threading
-from dataclasses import asdict, dataclass, replace
-from typing import (
-    Any,
-    Dict,
-    FrozenSet,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from dataclasses import asdict, replace
+from typing import Any, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from ..analysis.runtime import make_lock
 from ..exceptions import CacheError
 from ..graphs.graph import Graph
-from ..graphs.io import graph_from_text, graph_to_text
+from ..graphs.io import ParsedGraph, graph_from_text, graph_to_text
 from ..isomorphism.base import SubgraphMatcher
 from ..methods.base import Method
 from .cache import GraphCache
@@ -89,8 +80,7 @@ AnyCache = Union[GraphCache, ShardedGraphCache]
 # ---------------------------------------------------------------------- #
 # Frames.
 # ---------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class ReplicationFrame:
+class ReplicationFrame(NamedTuple):
     """One shippable maintenance round: plan + admitted entries + hits.
 
     The decoded form of one journal record — everything a follower (or a
@@ -104,14 +94,14 @@ class ReplicationFrame:
     size_bytes: int
 
     @classmethod
-    def from_record(
-        cls, record: Dict[str, Any], size_bytes: int, dataset_size: int
-    ) -> "ReplicationFrame":
+    def from_record(cls, record: Dict[str, Any], size_bytes: int, dataset_size: int,
+                    parsed: Optional[Dict[str, ParsedGraph]] = None) -> "ReplicationFrame":
         """Decode a journal record into a frame.
 
         ``size_bytes`` is the length of the record's journal line.  Admitted
-        entries are checked, not built (:meth:`WindowEntryCodec.check`), their
-        answers against the ``dataset_size`` graphs of the dataset.  A
+        entries are checked, not built (:meth:`WindowEntryCodec.check`, with
+        the ``parsed`` memo of a frame stream), their answers against the
+        ``dataset_size`` graphs of the dataset.  A
         record that admits serials but carries no ``admitted_entries``
         predates frame journaling (pre-PR-10 audit-only journals) and cannot
         be replayed — that is a hard error, not a silent skip, because a
@@ -125,12 +115,8 @@ class ReplicationFrame:
                 "replayed (re-run the primary to produce a frame journal)"
             )
         entries = record.get("admitted_entries", ())
-        return cls(
-            plan=plan,
-            entries=tuple([WindowEntryCodec.check(entry, dataset_size) for entry in entries]),
-            hits=decode_hits(record.get("hits", ())),
-            size_bytes=size_bytes,
-        )
+        checked = tuple([WindowEntryCodec.check(entry, dataset_size, parsed) for entry in entries])
+        return cls(plan, checked, decode_hits(record.get("hits", ())), size_bytes)
 
 
 # ---------------------------------------------------------------------- #

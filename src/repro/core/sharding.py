@@ -93,6 +93,8 @@ class ShardedGraphCache:
         arenas from ``<path>.shard<k>`` so shard files stay independent.
     matcher:
         Optional containment-matcher override, forwarded to every shard.
+    warm_start:
+        Passed to every shard (see :class:`GraphCache`).
     """
 
     def __init__(
@@ -100,6 +102,7 @@ class ShardedGraphCache:
         method: Method,
         config: Optional[GraphCacheConfig] = None,
         matcher: Optional[SubgraphMatcher] = None,
+        warm_start: bool = True,
     ) -> None:
         self._config = config or GraphCacheConfig()
         self._method = method
@@ -111,7 +114,7 @@ class ShardedGraphCache:
             double_buffered=False,
         )
         self._shards: Tuple[GraphCache, ...] = tuple(
-            GraphCache(method, self._shard_config(shard), matcher=matcher)
+            GraphCache(method, self._shard_config(shard), matcher, warm_start)
             for shard in range(self._config.shards)
         )
 
@@ -278,14 +281,16 @@ def build_cache(
     method: Method,
     config: Optional[GraphCacheConfig] = None,
     matcher: Optional[SubgraphMatcher] = None,
+    warm_start: bool = True,
 ) -> Union[GraphCache, ShardedGraphCache]:
     """Build the cache the configuration asks for: plain, or sharded.
 
     ``config.shards == 1`` (default) yields a plain :class:`GraphCache`;
     anything larger yields a :class:`ShardedGraphCache`.  This is the single
-    construction point the harness, the service facade and the CLI share.
+    construction point the harness, the service facade and the CLI share
+    (``warm_start``: see :class:`GraphCache`).
     """
     config = config or GraphCacheConfig()
     if config.shards > 1:
-        return ShardedGraphCache(method, config, matcher=matcher)
-    return GraphCache(method, config, matcher=matcher)
+        return ShardedGraphCache(method, config, matcher, warm_start)
+    return GraphCache(method, config, matcher, warm_start)

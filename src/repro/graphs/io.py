@@ -49,11 +49,13 @@ PathLike = Union[str, Path]
 
 class ParsedGraph(NamedTuple):
     """A graph record that passed every check :class:`Graph` makes; its label
-    and (duplicate-free) edge lists give its shape without building it."""
+    and (duplicate-free) edge tuples give its shape without building it.
+    Tuples of atoms, unlike lists, leave the garbage collector's lists on its
+    first pass, so a recovery's memo of parses is not rescanned."""
 
     graph_id: object
-    labels: List[str]
-    edges: List[Tuple[int, int]]
+    labels: Tuple[str, ...]
+    edges: Tuple[Tuple[int, int], ...]
 
     def build(self) -> Graph:
         return Graph(self.labels, self.edges, graph_id=self.graph_id)
@@ -75,7 +77,7 @@ def _parse_lines(lines: Iterable[str], build: bool = True) -> list:
                 graphs.append(Graph(labels=labels, edges=edges, graph_id=current_id))
             else:
                 canonical_edge_set(edges, len(labels))
-                graphs.append(ParsedGraph(current_id, labels, edges))
+                graphs.append(ParsedGraph(current_id, tuple(labels), tuple(edges)))
         except GraphError as exc:  # re-raise with format context
             raise GraphFormatError(f"invalid graph {current_id!r}: {exc}") from exc
 

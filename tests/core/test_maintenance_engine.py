@@ -10,7 +10,10 @@ Covers the PR-4 acceptance surface:
   full-rescore oracle, for all five policies, under randomized hit streams;
 * row-level ``apply_delta`` on both store backends (order, errors,
   counters);
-* the admission registry and the engine's persistable state.
+* the admission registry and the engine's persistable state;
+* the round's records (plan, report, replication frame) as ``NamedTuple``s:
+  no attribute assignment, the same defaults, and a plan record that keeps
+  its keys, their order and a lossless round trip.
 """
 
 from __future__ import annotations
@@ -19,19 +22,25 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.backends import create_backend
+from repro.core.cache import GraphCache
+from repro.core.config import GraphCacheConfig
 from repro.core.policies import (
     AdaptiveAdmissionController,
     AdmissionController,
     MaintenanceEngine,
     MaintenancePlan,
+    MaintenanceReport,
     admission_by_name,
     admission_from_record,
     available_admission_controllers,
     policy_by_name,
 )
 from repro.core.query_index import QueryGraphIndex
+from repro.core.replication import ReplicationFrame
 from repro.core.statistics import CachedQueryStats, StatisticsManager
 from repro.core.stores import (
     CacheEntry,
@@ -40,7 +49,10 @@ from repro.core.stores import (
     WindowEntry,
 )
 from repro.exceptions import CacheError
+from repro.graphs.generators import aids_like
 from repro.graphs.graph import Graph
+from repro.methods import SIMethod
+from repro.workloads import generate_type_a
 
 #: The statistics snapshot of Table 1 in the paper (§6.3).
 TABLE_1 = [
@@ -163,6 +175,90 @@ class TestPlanGolden:
         first = engine.decide(window, current_serial=CURRENT_SERIAL)
         second = engine.decide(window, current_serial=CURRENT_SERIAL)
         assert first.evicted_serials == second.evicted_serials == (13, 37)
+
+
+class TestFrameRecords:
+    """The per-round records are ``NamedTuple``s with the dataclasses' fields,
+    order and defaults, and the plan's encoded record keeps its keys."""
+
+    _PLAN_KEYS = [
+        "current_serial",
+        "window_serials",
+        "admitted_serials",
+        "rejected_serials",
+        "evicted_serials",
+        "policy",
+        "policy_delegate",
+        "admission_threshold",
+        "victim_utilities",
+    ]
+
+    def test_the_round_records_refuse_attribute_assignment(self):
+        dataset = aids_like(scale=0.05, seed=3)
+        cache = GraphCache(
+            SIMethod(dataset, matcher="vf2plus"),
+            GraphCacheConfig(cache_capacity=3, window_size=2),
+        )
+        for query in generate_type_a(dataset, "ZZ", 6, query_sizes=(3, 5), seed=7):
+            cache.query(query)
+        report = cache.window_manager.reports[0]
+        frame = ReplicationFrame.from_record(
+            cache.plan_journal.records()[0], 0, len(dataset)
+        )
+        cache.close()
+        for record, kind in (
+            (report, MaintenanceReport),
+            (report.plan, MaintenancePlan),
+            (frame, ReplicationFrame),
+        ):
+            assert type(record) is kind
+            field = record._fields[0]
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
+            with pytest.raises(AttributeError):
+                record.note = "added"  # no attribute dictionary either
+        assert report._replace(elapsed_s=0.0).elapsed_s == 0.0
+
+    def test_defaults_and_key_order_are_the_dataclasses(self):
+        plan = MaintenancePlan(7, (6, 7), (7,), (6,), (), "lru")
+        assert (plan.policy_delegate, plan.admission_threshold, plan.victim_utilities) == (
+            None,
+            None,
+            (),
+        )
+        assert list(plan.to_record()) == self._PLAN_KEYS
+        assert MaintenancePlan._fields == tuple(self._PLAN_KEYS)
+        report = MaintenanceReport(2, (7,), (6,), (), 1, 0.5)
+        assert (report.index_ops, report.backend_row_ops, report.plan) == (0, 0, None)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        serials=st.lists(st.integers(-(2**40), 2**40), max_size=6),
+        policy=st.text(max_size=8),
+        delegate=st.none() | st.text(max_size=8),
+        threshold=st.none() | st.floats(allow_nan=False),
+        utilities=st.lists(
+            st.tuples(st.integers(0, 2**40), st.floats(allow_nan=False)), max_size=4
+        ),
+    )
+    def test_a_plan_round_trips_through_its_record(
+        self, serials, policy, delegate, threshold, utilities
+    ):
+        plan = MaintenancePlan(
+            serials[0] if serials else 0,
+            tuple(serials),
+            tuple(serials[:2]),
+            tuple(serials[2:]),
+            tuple(serials[1:3]),
+            policy,
+            delegate,
+            threshold,
+            tuple(utilities),
+        )
+        record = plan.to_record()
+        assert list(record) == self._PLAN_KEYS
+        assert MaintenancePlan.from_record(record) == plan
+        assert MaintenancePlan.from_record(json.loads(json.dumps(record))) == plan
 
 
 class TestRejectedSetSemantics:

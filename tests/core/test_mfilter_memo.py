@@ -131,7 +131,7 @@ def _observe(method, config, workload, clear_before_each_request: bool):
             if isinstance(cache, ShardedGraphCache)
             else cache.window_manager.reports
         )
-        reports = [replace(report, elapsed_s=0.0) for report in reports]
+        reports = [report._replace(elapsed_s=0.0) for report in reports]
         digest = cache_state_digest(cache)
         for shard in digest:
             for record in shard["stats"] + shard["window"]:

@@ -28,6 +28,7 @@ from hypothesis import strategies as st
 
 import repro.core.policies.journal as journal_module
 import repro.core.query_index as query_index_module
+import repro.core.stores as stores_module
 from repro.core import (
     GraphCacheConfig,
     build_cache,
@@ -39,6 +40,8 @@ from repro.core.cache import GraphCache
 from repro.core.policies import MaintenancePlan, PlanJournal
 from repro.core.replication import cache_state_digest
 from repro.core.sharding import ShardedGraphCache
+from repro.core.statistics import StatisticsManager
+from repro.core.stores import WindowEntryCodec
 from repro.exceptions import CacheError, GraphFormatError
 from repro.ftv.ggsx import GraphGrepSX
 from repro.graphs.dataset import GraphDataset
@@ -773,3 +776,159 @@ def test_a_label_with_whitespace_survives_the_journal(tmp_path):
         assert recovered.query(query).answer_ids == expected
     finally:
         recovered.close()
+
+
+# ---------------------------------------------------------------------- #
+# One start per cache; one parse per distinct entry text.
+# ---------------------------------------------------------------------- #
+def _sealed_run(config, queries, checkpoint, checkpoint_at):
+    """Serve ``queries`` with a snapshot before query ``checkpoint_at``, then
+    seal the mmap arena the restored caches open and close the cache."""
+    cache = build_cache(METHOD, config)
+    for i, query in enumerate(queries):
+        if i == checkpoint_at:
+            save_cache(cache, checkpoint)
+        cache.query(query)
+    cache.seal_storage()
+    serials = [list(shard.cached_serials) for shard in _shards_of(cache)]
+    cache.close()
+    return serials
+
+
+@pytest.mark.parametrize("shard_count", [1, 3])
+def test_a_restored_cache_starts_once(tmp_path, monkeypatch, shard_count):
+    """Over a sealed arena, ``load_cache`` and ``recover_cache`` start each
+    shard from its state record alone: one GCindex rebuild, one statistics
+    rebuild, the record's entries plus the tail's survivors indexed.  A plain
+    reopen of the same arena still warm-starts from it."""
+    config = GraphCacheConfig(
+        cache_capacity=3,
+        window_size=2,
+        backend="mmap",
+        backend_path=str(tmp_path / "store"),
+        shards=shard_count,
+        journal_path=str(tmp_path / "journal.jsonl"),
+    )
+    checkpoint = tmp_path / "checkpoint.json"
+    sealed = _sealed_run(config, _workload(count=40, seed=9), checkpoint, 20)
+    assert all(sealed), sealed
+    states = _states(checkpoint)
+    rebuilt = []
+    real = StatisticsManager.rebuild
+
+    def counting(self, rows):
+        rebuilt.append(self)
+        real(self, rows)
+
+    monkeypatch.setattr(StatisticsManager, "rebuild", counting)
+    for load in (load_cache, recover_cache):
+        rebuilt.clear()
+        cache = load(checkpoint, METHOD)
+        try:
+            shards = _shards_of(cache)
+            assert sorted(map(id, rebuilt)) == sorted(id(s.statistics_manager) for s in shards)
+            for shard, state in zip(shards, states, strict=True):
+                restored = {record["serial"] for record in state["entries"]}
+                survivors = set(shard.cached_serials) - restored
+                if load is load_cache:
+                    assert not survivors
+                counts = shard.query_index.op_counts
+                assert counts.rebuilds == 1
+                assert counts.adds == len(restored) + len(survivors)
+        finally:
+            cache.close()
+
+    rebuilt.clear()
+    cache = build_cache(METHOD, config)  # no snapshot: the arena's contents
+    try:
+        shards = _shards_of(cache)
+        assert [list(shard.cached_serials) for shard in shards] == sealed
+        assert len(rebuilt) == shard_count
+        for shard, serials in zip(shards, sealed, strict=True):
+            assert shard.query_index.op_counts.rebuilds == 1
+            assert shard.query_index.op_counts.adds == len(serials)
+            assert sorted(shard.statistics_manager.known_serials()) == sorted(serials)
+    finally:
+        cache.close()
+
+
+def _repeating_tail(tmp_path):
+    """A journal tail whose admitted entries repeat texts: two slots, a
+    window of one (so the checkpoint holds no window) and a pool of five
+    queries.  Returns the checkpoint, the journal, its records, the
+    watermark and the tail's admitted texts in order."""
+    journal = tmp_path / "journal.jsonl"
+    config = GraphCacheConfig(cache_capacity=2, window_size=1, journal_path=str(journal))
+    checkpoint = tmp_path / "checkpoint.json"
+    picks = [POOL[k % 5] for k in (0, 1, 2, 3, 4, 2, 0, 3, 1, 4, 0, 2, 4, 1, 3, 0, 1, 2)]
+    _run(config, picks, checkpoint, 2)
+    since = _states(checkpoint)[0]["journal_round"]
+    records = [json.loads(line) for line in journal.read_text().splitlines()]
+    texts = [entry["query"] for record in records[since:] for entry in record["admitted_entries"]]
+    assert len(set(texts)) < len(texts), texts
+    return checkpoint, journal, records, since, texts
+
+
+def _occurrences(records, since, text):
+    """``(round, entry)`` of every tail entry admitted with ``text``."""
+    return [
+        (record["round"], entry)
+        for record in records[since:]
+        for entry in record["admitted_entries"]
+        if entry["query"] == text
+    ]
+
+
+def _repeated(records, since, texts):
+    text = next(text for text in texts if texts.count(text) > 1)
+    return _occurrences(records, since, text)
+
+
+def test_a_damaged_first_occurrence_of_a_text_fails_its_round(tmp_path):
+    checkpoint, journal, records, since, texts = _repeating_tail(tmp_path)
+    (first_round, first), *_ = _repeated(records, since, texts)
+    first["query"] += "e 0 0\n"
+    journal.write_text("".join(json.dumps(record) + "\n" for record in records))
+    with pytest.raises(CacheError, match=f"journal round {first_round} is damaged") as raised:
+        recover_cache(checkpoint, METHOD)
+    assert isinstance(raised.value.__cause__, GraphFormatError)
+
+
+def test_a_repeated_text_keeps_the_answer_check_of_every_record(tmp_path):
+    checkpoint, journal, records, since, texts = _repeating_tail(tmp_path)
+    _, (later_round, later), *_ = _repeated(records, since, texts)
+    later["answers"] = [len(DATASET)]
+    journal.write_text("".join(json.dumps(record) + "\n" for record in records))
+    with pytest.raises(CacheError, match=f"journal round {later_round} is damaged") as raised:
+        recover_cache(checkpoint, METHOD)
+    assert f"outside the dataset's {len(DATASET)} graphs" in str(raised.value)
+
+
+def test_a_recovery_parses_each_distinct_entry_text_once(tmp_path, monkeypatch):
+    checkpoint, _, _, _, texts = _repeating_tail(tmp_path)
+    parsed = []
+    real = stores_module.parse_graph_text
+
+    def counting(text):
+        parsed.append(text)
+        return real(text)
+
+    monkeypatch.setattr(stores_module, "parse_graph_text", counting)
+
+    def recovered():
+        cache = recover_cache(checkpoint, METHOD)
+        try:
+            return cache_state_digest(cache, include_index_version=False)
+        finally:
+            cache.close()
+
+    digest = recovered()
+    assert sorted(parsed) == sorted(set(texts))
+    parsed.clear()
+    assert recovered() == digest  # the memo lives for one stream: parsed afresh
+    assert sorted(parsed) == sorted(set(texts))
+
+    parsed.clear()
+    monkeypatch.setattr(WindowEntryCodec, "PARSE_MEMO_LIMIT", 2)
+    assert recovered() == digest
+    assert len(set(texts)) < len(parsed) <= len(texts)  # cleared, parsed again
