@@ -36,9 +36,7 @@ name                    rank  guards
 ``replication.reader``    48  replica-set read fan-out (round-robin cursor)
 ``index.readers``         50  published-buffer pointer + per-buffer reader counts
 ``serial``                61  the cache's serial counter
-``pipeline.mfilter_memo`` 69  the Mfilter stage's query → CS_M memo
-``index.memo``            70  the query-feature memo
-``processors.memo``       71  the containment-verdict memo
+``memo``                  70  one :class:`~repro.memo.BoundedMemo`'s writes (a leaf)
 ``matcher.fallback``      75  lazy construction of the shared fallback matcher
 ``label.intern``          80  the process-wide label intern table
 ======================  ====  =====================================================
@@ -65,9 +63,7 @@ LOCK_RANKS: Dict[str, int] = {
     "replication.reader": 48,
     "index.readers": 50,
     "serial": 61,
-    "pipeline.mfilter_memo": 69,
-    "index.memo": 70,
-    "processors.memo": 71,
+    "memo": 70,
     "matcher.fallback": 75,
     "label.intern": 80,
 }

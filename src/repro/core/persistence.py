@@ -26,9 +26,8 @@ the record.  :func:`recover_cache` restores each shard's record and replays
 the journal frames past its watermark through the same entry,
 :meth:`GraphCache.restore`, that starts a late follower of a
 :class:`~repro.core.replication.ReplicaSet`.  Recovery memory is the live
-entries plus at most
-:data:`~repro.core.stores.WindowEntryCodec.PARSE_MEMO_LIMIT` parsed entry
-texts (one frame stream's memo), never the whole tail.
+entries plus at most 1 024 parsed entry texts (one frame stream's memo,
+emptied when full), never the whole tail.
 """
 
 from __future__ import annotations
@@ -38,6 +37,7 @@ from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from ..exceptions import CacheError, GraphError, GraphFormatError
+from ..memo import BoundedMemo
 from ..methods.base import Method
 from .atomic_io import publish
 from .cache import GraphCache
@@ -194,7 +194,7 @@ def _restore(
 def _frames(shard: GraphCache, path: Path, since_round: int) -> Iterator[ReplicationFrame]:
     """Decode the frames of ``path`` from ``since_round`` on, one at a time,
     parsing each distinct admitted entry text once (a memo of this stream)."""
-    size, parsed = len(shard.method.dataset), {}
+    size, parsed = len(shard.method.dataset), BoundedMemo(1024)
     for record, size_bytes in shard.plan_journal.stream(since_round, path):
         try:
             frame = ReplicationFrame.from_record(record, size_bytes, size, parsed)

@@ -51,6 +51,7 @@ from typing import (
 from ..analysis.runtime import make_rlock
 from ..graphs.graph import Graph
 from ..isomorphism.cost import candidates_cost
+from ..memo import BoundedMemo
 from ..methods.base import Method
 from ..methods.executor import verify_candidates
 from .processors import CacheProcessors, ProcessorOutcome
@@ -62,7 +63,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (cache builds us)
 
 __all__ = [
     "STAGE_NAMES",
-    "MFILTER_MEMO_ID_LIMIT",
     "MfilterResult",
     "StageContext",
     "PipelineStage",
@@ -76,13 +76,6 @@ __all__ = [
 
 #: Canonical stage order; ``StageContext.stage_times`` is keyed by these names.
 STAGE_NAMES: Tuple[str, ...] = ("mfilter", "processors", "prune", "verify", "commit")
-
-#: Most candidate ids one :class:`MfilterStage` memo may hold before it is
-#: reset.  The bound is on ids, not entries: a ``CS_M`` is a few dozen ids at
-#: reproduction scale but thousands on a real dataset, and an id costs some
-#: tens of bytes of ``frozenset`` table, so this caps the memo near 10 MB.
-MFILTER_MEMO_ID_LIMIT = 262_144
-
 
 class MfilterResult(NamedTuple):
     """What one pass through :meth:`MfilterStage.filter` produced."""
@@ -181,7 +174,7 @@ class MfilterStage:
     enumerated to the GCindex (``adopt_features``), so the processors do not
     enumerate the query's paths again.  The dataset and Method M's index are
     immutable for the life of a cache, so an entry never goes stale; should
-    dynamic datasets ever land, :meth:`clear_memo` is the hook a dataset
+    dynamic datasets ever land, ``memo.clear()`` is the hook a dataset
     update must call.  The memo sits on the cache side of the seam: Method M
     itself — and therefore uncached ``execute_query`` — is left untouched.
     """
@@ -191,39 +184,25 @@ class MfilterStage:
     def __init__(self, method: Method, index: Optional[QueryGraphIndex] = None) -> None:
         self._method = method
         self._index = index
-        # Values carry Method M's own seconds beside CS_M so a memo hit can
-        # still report the query's first-execution filter cost.
-        self._memo: Dict[Graph, _MemoEntry] = {}
-        self._memo_ids = 0
-        self._memo_lock = make_rlock("pipeline.mfilter_memo")
-
-    @property
-    def memo_ids(self) -> int:
-        """Total number of candidate ids the memo currently holds."""
-        return self._memo_ids
-
-    def clear_memo(self) -> None:
-        """Forget every memoised ``CS_M``."""
-        with self._memo_lock:
-            self._memo.clear()
-            self._memo_ids = 0
+        #: ``query → _MemoEntry``, weighted by ``len(CS_M)``.  The bound is on
+        #: ids, not entries: a ``CS_M`` is a few dozen ids at reproduction
+        #: scale but thousands on a real dataset, and an id costs some tens
+        #: of bytes of ``frozenset`` table, so this caps the memo near 10 MB.
+        #: Values carry Method M's own seconds beside CS_M so a memo hit can
+        #: still report the query's first-execution filter cost.
+        self.memo = BoundedMemo(262_144)
 
     def filter(self, query: Graph) -> MfilterResult:
         """``CS_M`` of ``query``, from the memo or from Method M's filter."""
         started = time.perf_counter()
-        entry = self._memo.get(query)
+        entry = self.memo.get(query)
         if entry is None:
             filtered = self._method.filter(query)
             candidates = frozenset(filtered.candidates)
             entry = _MemoEntry(candidates, time.perf_counter() - started)
             if filtered.paths is not None and self._index is not None:
                 self._index.adopt_features(query, filtered.paths, filtered.path_length)
-            with self._memo_lock:
-                if query not in self._memo:  # a concurrent miss may have won
-                    if self._memo_ids + len(candidates) > MFILTER_MEMO_ID_LIMIT:
-                        self.clear_memo()
-                    self._memo[query] = entry
-                    self._memo_ids += len(candidates)
+            entry = self.memo.put(query, entry, len(candidates))
         return MfilterResult(
             entry.candidates, time.perf_counter() - started, entry.first_elapsed_s
         )
@@ -237,7 +216,7 @@ class MfilterStage:
         memo's own set (the memo was cleared since this request filtered)
         are priced afresh, over the same set in the same order.
         """
-        entry = self._memo.get(query)
+        entry = self.memo.get(query)
         if entry is None or entry.candidates is not candidates:
             return candidates_cost(query, candidates, self._method.dataset)
         if entry.credit is None:

@@ -23,12 +23,13 @@ with the configured matcher.
 from __future__ import annotations
 
 import time
-from typing import Dict, FrozenSet, NamedTuple, Optional, Tuple
+from typing import FrozenSet, NamedTuple, Optional, Tuple
 
-from ..analysis.runtime import make_lock, make_rlock
+from ..analysis.runtime import make_lock
 from ..graphs.graph import Graph
 from ..isomorphism.base import SubgraphMatcher
 from ..isomorphism.vf2_plus import VF2PlusMatcher
+from ..memo import BoundedMemo
 from .query_index import QueryGraphIndex
 
 __all__ = ["ProcessorOutcome", "CacheProcessors"]
@@ -95,13 +96,8 @@ class CacheProcessors:
     heavily, so re-confirming the same pair against the same cached query is
     pure waste.  The memo is keyed by the ``(pattern, target)`` graph pair —
     :class:`~repro.graphs.graph.Graph` hashes/compares on its exact labelled
-    structure — and bounded by :data:`MEMO_LIMIT`.
+    structure.
     """
-
-    #: Maximum number of memoised verdicts before the memo is reset.  Workload
-    #: runs at reproduction scale produce a few thousand distinct pairs, so
-    #: the bound exists purely as a safety valve for long-lived services.
-    MEMO_LIMIT = 200_000
 
     def __init__(
         self,
@@ -110,9 +106,10 @@ class CacheProcessors:
     ) -> None:
         self._index = index
         self._matcher = matcher if matcher is not None else _shared_fallback_matcher()
-        self._memo: Dict[Tuple[Graph, Graph], bool] = {}
-        self._memo_hits = 0
-        self._memo_lock = make_rlock("processors.memo")
+        #: ``(pattern, target) → verdict``.  Workload runs at reproduction
+        #: scale produce a few thousand distinct pairs, so the bound exists
+        #: purely as a safety valve for long-lived services.
+        self.memo = BoundedMemo(200_000)
 
     @property
     def index(self) -> QueryGraphIndex:
@@ -124,16 +121,6 @@ class CacheProcessors:
         """Matcher used for query-vs-query containment confirmation."""
         return self._matcher
 
-    @property
-    def memo_hits(self) -> int:
-        """Lifetime count of containment verdicts answered from the memo."""
-        return self._memo_hits
-
-    @property
-    def memo_size(self) -> int:
-        """Number of memoised query-vs-query verdicts currently held."""
-        return len(self._memo)
-
     # ------------------------------------------------------------------ #
     def _contains(self, pattern: Graph, target: Graph) -> Tuple[bool, bool]:
         """Memoised ``pattern ⊆ target`` verdict.
@@ -142,17 +129,10 @@ class CacheProcessors:
         ran an actual sub-iso test.
         """
         key = (pattern, target)
-        with self._memo_lock:
-            verdict = self._memo.get(key)
-            if verdict is not None:
-                self._memo_hits += 1
-                return verdict, True
-        verdict = self._matcher.is_subgraph(pattern, target)
-        with self._memo_lock:
-            if len(self._memo) >= self.MEMO_LIMIT:
-                self._memo.clear()
-            self._memo[key] = verdict
-        return verdict, False
+        verdict = self.memo.get(key)
+        if verdict is not None:
+            return verdict, True
+        return self.memo.put(key, self._matcher.is_subgraph(pattern, target)), False
 
     # ------------------------------------------------------------------ #
     def process(self, query: Graph) -> ProcessorOutcome:

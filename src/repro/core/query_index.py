@@ -63,11 +63,12 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Tuple
 
-from ..analysis.runtime import make_condition, make_lock, make_rlock
+from ..analysis.runtime import make_condition, make_rlock
 from ..ftv.features import path_features
 from ..ftv.postings import Postings
 from ..graphs.graph import Graph
 from ..graphs.signatures import could_be_subgraph
+from ..memo import BoundedMemo
 
 __all__ = ["IndexOpCounts", "IndexView", "QueryFeatures", "QueryGraphIndex"]
 
@@ -213,11 +214,6 @@ class QueryGraphIndex:
     #: candidates through to the confirmation sub-iso test.
     PROBE_LIMIT = 24
 
-    #: Maximum number of memoised query-feature counters (safety valve; the
-    #: memo is keyed by the query's labelled structure, which Zipf-skewed
-    #: workloads repeat heavily).
-    FEATURE_MEMO_LIMIT = 8192
-
     def __init__(
         self, max_path_length: int = 3, double_buffered: bool = True
     ) -> None:
@@ -239,8 +235,9 @@ class QueryGraphIndex:
         self._read_cond = make_condition("index.readers")
         # Serializes writers; single-copy views take it too.
         self._write_lock = make_rlock("index.write")
-        self._feature_memo: Dict[Graph, QueryFeatures] = {}
-        self._memo_lock = make_lock("index.memo")
+        # Query → QueryFeatures, keyed by the query's labelled structure,
+        # which Zipf-skewed workloads repeat heavily.
+        self._feature_memo = BoundedMemo(8192)
 
     # ------------------------------------------------------------------ #
     @property
@@ -492,12 +489,7 @@ class QueryGraphIndex:
         )
 
     def _remember_features(self, query: Graph, counts: Counter) -> QueryFeatures:
-        features = QueryFeatures(counts, self._probe_of(counts))
-        with self._memo_lock:
-            if len(self._feature_memo) >= self.FEATURE_MEMO_LIMIT:
-                self._feature_memo.clear()
-            self._feature_memo[query] = features
-        return features
+        return self._feature_memo.put(query, QueryFeatures(counts, self._probe_of(counts)))
 
     # ------------------------------------------------------------------ #
     def approximate_size_bytes(self) -> int:

@@ -55,8 +55,9 @@ from typing import Any, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, T
 from ..analysis.runtime import make_lock
 from ..exceptions import CacheError
 from ..graphs.graph import Graph
-from ..graphs.io import ParsedGraph, graph_from_text, graph_to_text
+from ..graphs.io import graph_from_text, graph_to_text
 from ..isomorphism.base import SubgraphMatcher
+from ..memo import BoundedMemo
 from ..methods.base import Method
 from .cache import GraphCache
 from .config import GraphCacheConfig
@@ -95,7 +96,7 @@ class ReplicationFrame(NamedTuple):
 
     @classmethod
     def from_record(cls, record: Dict[str, Any], size_bytes: int, dataset_size: int,
-                    parsed: Optional[Dict[str, ParsedGraph]] = None) -> "ReplicationFrame":
+                    parsed: Optional[BoundedMemo] = None) -> "ReplicationFrame":
         """Decode a journal record into a frame.
 
         ``size_bytes`` is the length of the record's journal line.  Admitted

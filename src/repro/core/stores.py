@@ -33,7 +33,8 @@ from typing import Any, Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, O
 from ..analysis.runtime import make_rlock
 from ..exceptions import CacheError
 from ..graphs.graph import Graph
-from ..graphs.io import ParsedGraph, graph_from_text, graph_to_text, parse_graph_text
+from ..graphs.io import graph_from_text, graph_to_text, parse_graph_text
+from ..memo import BoundedMemo
 from .backends import StorageBackend, create_backend
 
 __all__ = [
@@ -118,9 +119,6 @@ class CacheEntryCodec:
 class WindowEntryCodec:
     """JSON codec for :class:`WindowEntry`."""
 
-    #: Distinct ``query`` texts a :meth:`check` memo holds before it clears.
-    PARSE_MEMO_LIMIT = 1024
-
     @staticmethod
     def encode(entry: WindowEntry) -> Dict[str, Any]:
         return {
@@ -131,20 +129,20 @@ class WindowEntryCodec:
             "verify_time_s": entry.verify_time_s,
         }
 
-    @classmethod
-    def check(cls, record: Dict[str, Any], dataset_size: Optional[int] = None,
-              parsed: Optional[Dict[str, ParsedGraph]] = None) -> WindowEntry:
+    @staticmethod
+    def check(record: Dict[str, Any], dataset_size: Optional[int] = None,
+              parsed: Optional[BoundedMemo] = None) -> WindowEntry:
         """Every check :meth:`decode` makes, without building the query graph:
         the entry's ``query`` is a :class:`~repro.graphs.io.ParsedGraph`, one
-        per distinct text in ``parsed`` (a caller's memo for one frame stream,
-        emptied when it holds :data:`PARSE_MEMO_LIMIT` texts)."""
+        per distinct text in ``parsed`` (a caller's memo for one frame stream)."""
         serial, text = int(record["serial"]), record["query"]
-        parsed = {} if parsed is None else parsed
-        query = parsed.get(text)
+        if not isinstance(text, str):
+            raise TypeError(f"entry query must be graph text, not {type(text).__name__}")
+        query = None if parsed is None else parsed.get(text)
         if query is None:
-            if len(parsed) >= cls.PARSE_MEMO_LIMIT:
-                parsed.clear()
-            query = parsed[text] = parse_graph_text(text)
+            query = parse_graph_text(text)
+            if parsed is not None:
+                query = parsed.put(text, query)
         return WindowEntry(serial, query, _answers(record, dataset_size),
                            float(record["filter_time_s"]), float(record["verify_time_s"]))
 

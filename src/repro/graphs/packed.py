@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 import struct
-from collections import OrderedDict
+from functools import lru_cache
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -41,7 +41,6 @@ __all__ = [
     "INDPTR_DTYPE",
     "INDEX_DTYPE",
     "pack_graphs",
-    "table_cache_evictions",
 ]
 
 #: Explicit little-endian dtypes: packed records are byte-identical across
@@ -59,34 +58,15 @@ _MAGIC = 0x3152_4750  # "PGR1" read as a little-endian uint32.
 #: stay aligned no matter what was appended before them.
 _ALIGN = 8
 
-#: Memoised label-table parses keyed by the raw JSON blob.  Workload graphs
-#: draw their labels from a dataset's small alphabet, so distinct blobs
-#: number in the hundreds while records number in the millions; the LRU cap
-#: bounds a never-repeating label universe to a fixed footprint instead of
-#: letting the memo grow without limit.
-_TABLE_CACHE: "OrderedDict[bytes, Tuple[object, ...]]" = OrderedDict()
-_TABLE_CACHE_MAX = 4096
-_table_cache_evictions = 0
-
-
+# A pure function of one bytes argument is what ``lru_cache`` already
+# memoises; a BoundedMemo here would only write it again.  Workload graphs
+# draw their labels from a dataset's small alphabet, so distinct blobs
+# number in the hundreds while records number in the millions; the LRU cap
+# bounds a never-repeating label universe to a fixed footprint.
+@lru_cache(maxsize=4096)
 def _cached_label_table(table_blob: bytes) -> Tuple[object, ...]:
-    """Parse (or recall) the JSON label table for ``table_blob``, LRU-bounded."""
-    global _table_cache_evictions
-    table = _TABLE_CACHE.get(table_blob)
-    if table is not None:
-        _TABLE_CACHE.move_to_end(table_blob)
-        return table
-    table = tuple(json.loads(table_blob))
-    _TABLE_CACHE[table_blob] = table
-    if len(_TABLE_CACHE) > _TABLE_CACHE_MAX:
-        _TABLE_CACHE.popitem(last=False)
-        _table_cache_evictions += 1
-    return table
-
-
-def table_cache_evictions() -> int:
-    """Number of label-table memo entries evicted by the LRU cap so far."""
-    return _table_cache_evictions
+    """The JSON label table ``table_blob`` encodes, as an immutable tuple."""
+    return tuple(json.loads(table_blob))
 
 
 def _pad(nbytes: int) -> int:

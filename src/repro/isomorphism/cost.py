@@ -65,6 +65,8 @@ def estimate_subiso_cost(
     return math.exp(log_cost)
 
 
+# A pure function of hashable arguments is what ``lru_cache`` already
+# memoises; a BoundedMemo here would only write it again.
 @lru_cache(maxsize=256)
 def subiso_cost_row(n: int, labels: int, max_order: int) -> Tuple[float, ...]:
     """``estimate_subiso_cost(n, labels, N)`` for every ``N`` in ``0..max_order``.

@@ -21,6 +21,7 @@ import heapq
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..graphs.graph import Graph
+from ..memo import BoundedMemo
 from .base import SearchBudget, SubgraphMatcher
 
 __all__ = ["PatternPlan", "VF2Matcher"]
@@ -98,11 +99,8 @@ class VF2Matcher(SubgraphMatcher):
 
     name = "vf2"
 
-    #: Upper bound on memoised plans; the memo is cleared when it fills.
-    PLAN_MEMO_LIMIT = 16384
-
     def __init__(self) -> None:
-        self._plans: Dict[object, PatternPlan] = {}
+        self._plans = BoundedMemo(16384)
 
     def _order(self, pattern: Graph, target: Graph) -> List[int]:
         """Pattern vertex processing order; subclasses override to reorder."""
@@ -116,24 +114,22 @@ class VF2Matcher(SubgraphMatcher):
         """The memoised plan of ``pattern`` (``target`` only informs the order)."""
         key = self._plan_key(pattern, target)
         plan = self._plans.get(key)
-        if plan is None:
-            order = self._order(pattern, target)
-            position_of = {vertex: pos for pos, vertex in enumerate(order)}
-            anchors = tuple(
-                tuple(position_of[nb] for nb in pattern.neighbors(vertex) if position_of[nb] < pos)
-                for pos, vertex in enumerate(order)
-            )
-            degrees = [pattern.degree(vertex) for vertex in order]
-            plan = PatternPlan(
-                tuple(order),
-                anchors,
-                tuple(d - len(mapped) for d, mapped in zip(degrees, anchors, strict=True)),
-                tuple(zip(map(pattern.label_id, order), degrees, strict=True)),
-            )
-            if len(self._plans) >= self.PLAN_MEMO_LIMIT:
-                self._plans.clear()
-            self._plans[key] = plan
-        return plan
+        if plan is not None:
+            return plan
+        order = self._order(pattern, target)
+        position_of = {vertex: pos for pos, vertex in enumerate(order)}
+        anchors = tuple(
+            tuple(position_of[nb] for nb in pattern.neighbors(vertex) if position_of[nb] < pos)
+            for pos, vertex in enumerate(order)
+        )
+        degrees = [pattern.degree(vertex) for vertex in order]
+        plan = PatternPlan(
+            tuple(order),
+            anchors,
+            tuple(d - len(mapped) for d, mapped in zip(degrees, anchors, strict=True)),
+            tuple(zip(map(pattern.label_id, order), degrees, strict=True)),
+        )
+        return self._plans.put(key, plan)
 
     def _search(
         self,

@@ -229,7 +229,7 @@ def test_a_graph_equal_repeat_runs_no_test_and_no_memo_probe():
     assert outcome.result_sub == outcome.result_super == frozenset({3})
     assert outcome.containment_tests == 0
     assert outcome.memo_hits == 0
-    assert processors.memo_size == 0
+    assert len(processors.memo) == 0
 
 
 def test_a_renumbered_repeat_is_still_an_exact_hit_through_the_loop():

@@ -243,17 +243,14 @@ def _pool_events(monkeypatch, tmp_path, limit=None):
     spec, stream = _stream("aids_pool_hit")
     cache = _e2e_cache(spec, tmp_path)
     stage = cache.pipeline.stages[0]
-    clears = []
+    if limit is not None:
+        stage.memo.limit = limit
     with monkeypatch.context() as patch:
-        if limit is not None:
-            patch.setattr(pipeline, "MFILTER_MEMO_ID_LIMIT", limit)
-            clear = type(stage).clear_memo
-            patch.setattr(type(stage), "clear_memo", lambda self: clears.append(1) or clear(self))
         events = _credit_events(patch)
         for query in stream.warmup + stream.measured[:1500]:
             cache.query(query)
     cache.close()
-    return events, len(clears)
+    return events, stage.memo.clears
 
 
 def test_clearing_the_memo_at_its_id_limit_credits_identical_floats(monkeypatch, tmp_path):
@@ -269,10 +266,10 @@ def test_clearing_the_memo_between_filter_and_commit_credits_identical_floats(mo
     credited = _credit_events(monkeypatch)
     cache.query(query)  # the memoised credit
     filtered = cache.prefilter(query)
-    stage.clear_memo()  # no memo entry at commit
+    stage.memo.clear()  # no memo entry at commit
     cache.execute_prefiltered(query, filtered)
     cache.prefilter(query)  # a memo entry over another CS_M object
-    assert stage._memo[query].candidates is not filtered.candidates
+    assert stage.memo[query].candidates is not filtered.candidates
     cache.execute_prefiltered(query, filtered)
     cache.close()
     assert len(credited) == 3
@@ -331,8 +328,9 @@ def test_the_per_request_records_refuse_attribute_assignment():
     )
     for record, kind in records:
         assert type(record) is kind
+        field = record._fields[0]  # read outside the raises: a record has fields
         with pytest.raises(AttributeError):
-            setattr(record, record._fields[0], None)  # a field
+            setattr(record, field, None)
         with pytest.raises(AttributeError):
             record.note = "added"  # no attribute dictionary either
 

@@ -27,7 +27,6 @@ from repro.bench.scenarios import (
     type_b_workload,
 )
 from repro.core import GraphCacheConfig, GraphCacheService, ProcessPoolCacheService
-from repro.core import pipeline as pipeline_module
 from repro.core.cache import GraphCache
 from repro.core.replication import ReplicaSet, cache_state_digest
 from repro.core.sharding import ShardedGraphCache, build_cache
@@ -116,7 +115,7 @@ def _observe(method, config, workload, clear_before_each_request: bool):
         for query in workload:
             if clear_before_each_request:
                 for stage in _mfilter_stages(cache):
-                    stage.clear_memo()
+                    stage.memo.clear()
             answers.append(cache.query(query).answer_ids)
             # A background round lands whenever its worker gets to it; draining
             # after every request makes what the next request sees repeatable.
@@ -283,13 +282,13 @@ class TestOneSeam:
 # ---------------------------------------------------------------------- #
 # (c) The bound.
 # ---------------------------------------------------------------------- #
-def test_filling_past_the_limit_clears_and_keeps_answering(monkeypatch):
+def test_filling_past_the_limit_clears_and_keeps_answering():
     graphs = len(DATASET)
     limit = 3 * graphs  # room for three SI candidate sets (the whole dataset)
-    monkeypatch.setattr(pipeline_module, "MFILTER_MEMO_ID_LIMIT", limit)
     method = CountingMethod(SIMethod(DATASET, matcher="vf2plus"))
     cache = GraphCache(method, _small_config())
     stage = cache.pipeline.stages[0]
+    stage.memo.limit = limit
     stream = _stream()
     oracle = {q: execute_query(method, q).answer_ids for q in set(stream)}
     assert len(oracle) > 3
@@ -298,13 +297,14 @@ def test_filling_past_the_limit_clears_and_keeps_answering(monkeypatch):
     for query in stream:
         assert cache.query(query).answer_ids == oracle[query]
         assert cache.lookup(query) == oracle[query]
-        assert 0 < stage.memo_ids <= limit
-        held.append(stage.memo_ids)
+        assert 0 < stage.memo.weight_held <= limit
+        held.append(stage.memo.weight_held)
     assert any(later < earlier for earlier, later in zip(held, held[1:])), "never cleared"
+    assert stage.memo.clears > 0
     # Clearing forgets, so some structures are filtered again — but far from all.
     assert len(oracle) < method.calls - before < len(stream)
-    stage.clear_memo()
-    assert stage.memo_ids == 0
+    stage.memo.clear()
+    assert stage.memo.weight_held == 0
     cache.close()
 
 
@@ -365,13 +365,13 @@ def test_eight_threads_hammer_the_memo_under_the_lock_sanitizer(monkeypatch):
     monkeypatch.setenv(lock_runtime.ENV_VAR, "1")
     lock_runtime._reset_for_tests()
     limit = 4 * len(DATASET)
-    monkeypatch.setattr(pipeline_module, "MFILTER_MEMO_ID_LIMIT", limit)
     method = SIMethod(DATASET, matcher="vf2plus")
     stream = _stream(count=96, seed=17)
     oracle = {q: execute_query(method, q).answer_ids for q in set(stream)}
     assert len(oracle) > 4
     cache = GraphCache(method, _small_config())
     stage = cache.pipeline.stages[0]
+    stage.memo.limit = limit
     threads_count = 8
     barrier = threading.Barrier(threads_count)
     failures: list = []
@@ -410,6 +410,6 @@ def test_eight_threads_hammer_the_memo_under_the_lock_sanitizer(monkeypatch):
     assert not any(thread.is_alive() for thread in threads)
     assert failures == []
     # A lost update on the id count would leave it out of step with the table.
-    assert stage.memo_ids == sum(len(entry.candidates) for entry in stage._memo.values())
-    assert 0 < stage.memo_ids <= limit
+    assert stage.memo.weight_held == sum(len(entry.candidates) for entry in stage.memo.values())
+    assert 0 < stage.memo.weight_held <= limit
     cache.close()

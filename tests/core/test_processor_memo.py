@@ -74,21 +74,24 @@ class TestContainmentMemo:
         rng = random.Random(7)
         # A Zipf-ish stream: heavy repetition of a few pool structures.
         stream = [pool[min(rng.randint(0, 11), rng.randint(0, 11))] for _ in range(60)]
+        memo_hits = {"memoised": 0, "plain": 0}
         for query in stream:
             a = memoised.process(query)
             b = plain.process(query)
             assert a.result_sub == b.result_sub
             assert a.result_super == b.result_super
             assert a.exact_match_serial == b.exact_match_serial
-        assert memoised.memo_hits > 0
-        assert plain.memo_hits == 0
+            memo_hits["memoised"] += a.memo_hits
+            memo_hits["plain"] += b.memo_hits
+        assert memo_hits["memoised"] > 0
+        assert memo_hits["plain"] == 0
 
     def test_memo_limit_clears(self):
         processors = CacheProcessors(build_index([(1, CCON_PATH)]))
-        processors.MEMO_LIMIT = 1
+        processors.memo.limit = 1
         processors.process(CCO_PATH)
         processors.process(CC_EDGE)
-        assert processors.memo_size <= 1
+        assert len(processors.memo) <= 1
 
     def test_unmemoised_counts_every_test(self):
         processors = MatcherVerdicts(build_index([(1, CCON_PATH)]))

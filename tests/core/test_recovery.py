@@ -38,10 +38,9 @@ from repro.core import (
 )
 from repro.core.cache import GraphCache
 from repro.core.policies import MaintenancePlan, PlanJournal
-from repro.core.replication import cache_state_digest
+from repro.core.replication import ReplicationFrame, cache_state_digest
 from repro.core.sharding import ShardedGraphCache
 from repro.core.statistics import StatisticsManager
-from repro.core.stores import WindowEntryCodec
 from repro.exceptions import CacheError, GraphFormatError
 from repro.ftv.ggsx import GraphGrepSX
 from repro.graphs.dataset import GraphDataset
@@ -684,6 +683,8 @@ def test_recovery_builds_query_graphs_for_survivors_only(
 def _corrupt(field, record):
     if field == "query":  # still parses line by line; the edge rules reject it
         record["query"] += "e 0 0\n"
+    elif field == "query_type":  # a JSON number is no graph text
+        record["query"] = 7
     elif field == "vertex":
         record["query"] = record["query"].replace("v 1 ", "v one ", 1)
     elif field == "answers":
@@ -716,6 +717,7 @@ def _tail_with_damage(tmp_path, evicted: bool):
     "field, error",
     [
         ("query", GraphFormatError),
+        ("query_type", TypeError),
         ("vertex", ValueError),
         ("answers", ValueError),
         ("verify_time_s", ValueError),
@@ -732,6 +734,21 @@ def test_a_damaged_entry_fails_recovery_even_when_evicted(tmp_path, field, error
         recover_cache(checkpoint, METHOD)
     assert str(journal) in str(raised.value)
     assert isinstance(raised.value.__cause__, error)
+
+
+def test_a_state_record_window_entry_with_a_non_text_query_fails_the_load(tmp_path):
+    config = GraphCacheConfig(cache_capacity=3, window_size=3)
+    checkpoint = tmp_path / "checkpoint.json"
+    _run(config, _workload(), checkpoint, CHECKPOINT_AFTER)
+    header, state = checkpoint.read_text().splitlines()
+    state = json.loads(state)
+    assert state["window"], "the checkpoint must sit mid-window"
+    state["window"][0]["query"] = 7
+    checkpoint.write_text(header + "\n" + json.dumps(state) + "\n")
+    with pytest.raises(CacheError, match="shard 0's state \\(line 2\\)") as raised:
+        load_cache(checkpoint, METHOD)
+    assert str(checkpoint) in str(raised.value)
+    assert isinstance(raised.value.__cause__, TypeError)
 
 
 def test_an_answer_outside_the_dataset_fails_recovery(tmp_path):
@@ -929,6 +946,12 @@ def test_a_recovery_parses_each_distinct_entry_text_once(tmp_path, monkeypatch):
     assert sorted(parsed) == sorted(set(texts))
 
     parsed.clear()
-    monkeypatch.setattr(WindowEntryCodec, "PARSE_MEMO_LIMIT", 2)
+    from_record = ReplicationFrame.from_record
+
+    def with_a_small_memo(record, size_bytes, size, memo):
+        memo.limit = 2  # the stream's own memo instance
+        return from_record(record, size_bytes, size, memo)
+
+    monkeypatch.setattr(ReplicationFrame, "from_record", with_a_small_memo)
     assert recovered() == digest
     assert len(set(texts)) < len(parsed) <= len(texts)  # cleared, parsed again

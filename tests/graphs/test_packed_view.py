@@ -24,7 +24,7 @@ import repro.graphs.packed as packed_module
 from repro.core.backends.arena import GraphArena
 from repro.graphs.generators import random_connected_graph
 from repro.graphs.graph import Graph
-from repro.graphs.packed import PackedGraph, PackedGraphView, table_cache_evictions
+from repro.graphs.packed import PackedGraph, PackedGraphView
 from repro.isomorphism import available_matchers, matcher_by_name
 
 LABELS = ["C", "N", "O", "S"]
@@ -161,25 +161,24 @@ def _slot_is_set(view, name: str) -> bool:
 class TestLabelTableMemo:
     """The decode-side label-table memo is bounded (regression: PR 8)."""
 
-    def test_lru_cap_evicts(self, monkeypatch):
-        monkeypatch.setattr(packed_module, "_TABLE_CACHE_MAX", 4)
-        packed_module._TABLE_CACHE.clear()
-        before = table_cache_evictions()
-        records = []
-        for index in range(12):
+    def test_lru_cap_evicts(self):
+        memo = packed_module._cached_label_table
+        maxsize = memo.cache_info().maxsize
+        before = memo.cache_info().misses
+        for index in range(maxsize + 8):
             graph = Graph(labels=(f"L{index}", f"M{index}"), edges=((0, 1),))
-            records.append(graph.to_packed().to_bytes())
-        for payload in records:
-            PackedGraph.decode_graph(payload)
-        assert len(packed_module._TABLE_CACHE) <= 4
-        assert table_cache_evictions() - before >= 8
+            PackedGraph.decode_graph(graph.to_packed().to_bytes())
+        info = memo.cache_info()
+        assert info.misses - before == maxsize + 8  # every table was distinct
+        assert info.currsize <= maxsize
 
-    def test_repeat_decode_hits_memo(self, monkeypatch):
-        monkeypatch.setattr(packed_module, "_TABLE_CACHE_MAX", 4)
-        packed_module._TABLE_CACHE.clear()
+    def test_repeat_decode_hits_memo(self):
+        memo = packed_module._cached_label_table
         payload = Graph(labels=("C", "N"), edges=((0, 1),)).to_packed().to_bytes()
         PackedGraph.decode_graph(payload)
-        before = table_cache_evictions()
+        before = memo.cache_info()
         for _ in range(20):
             PackedGraph.decode_graph(payload)
-        assert table_cache_evictions() == before
+        after = memo.cache_info()
+        assert after.hits - before.hits == 20
+        assert after.misses == before.misses

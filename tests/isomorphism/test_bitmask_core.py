@@ -132,7 +132,7 @@ class TestPlanCacheDeterminism:
 
     def test_plan_memo_bounded(self):
         matcher = VF2Matcher()
-        matcher.PLAN_MEMO_LIMIT = 4
+        matcher._plans.limit = 4
         for seed in range(10):
             r = random.Random(seed)
             target = random_connected_graph(10, 2.2, LABELS, r)

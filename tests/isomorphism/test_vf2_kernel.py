@@ -343,7 +343,7 @@ class TestPlanMemo:
 
     def test_memo_is_bounded(self, kernel_cls):
         matcher = kernel_cls()
-        matcher.PLAN_MEMO_LIMIT = 4
+        matcher._plans.limit = 4
         for seed in range(10):
             pattern, target = contained_pair(seed, target_order=10)
             assert matcher.is_subgraph(pattern, target)
