@@ -165,11 +165,12 @@ class MaintenanceScheduler:
         current_serial: int,
         inline: bool,
         sampled: Sequence[float],
+        drain_s: float,
     ) -> MaintenanceReport:
         """Run decide+apply for one drained window and record everything.
 
-        The round's clock runs until the frame is journaled, so
-        ``elapsed_s`` covers the append as well as decide and apply.
+        ``elapsed_s`` is ``drain_s`` (the submitter's window drain, never a
+        background round's queue wait) plus decide, apply and the append.
         """
         started = time.perf_counter()
         plan, index_ops, backend_row_ops, hit_events = self._engine.run(
@@ -186,7 +187,7 @@ class MaintenanceScheduler:
             ),
             hits=hit_events,
         )
-        elapsed = time.perf_counter() - started
+        elapsed = drain_s + time.perf_counter() - started
         report = MaintenanceReport(
             window_queries=len(window_entries),
             admitted_serials=plan.admitted_serials,
@@ -233,10 +234,11 @@ class MaintenanceScheduler:
         window_entries: Sequence[WindowEntry],
         current_serial: int,
         sampled: Sequence[float] = (),
+        drain_s: float = 0.0,
     ) -> Optional[MaintenanceReport]:
         """Schedule one round for a drained window.
 
-        ``sampled`` (admission calibration samples) travels with the round.
+        ``sampled`` (admission calibration samples) and ``drain_s`` ride with the round.
         Returns the completed report when the round ran to completion before
         returning (``sync``/``barrier``), else ``None`` (``background``).
         """
@@ -285,11 +287,12 @@ class SyncMaintenanceScheduler(MaintenanceScheduler):
         window_entries: Sequence[WindowEntry],
         current_serial: int,
         sampled: Sequence[float] = (),
+        drain_s: float = 0.0,
     ) -> Optional[MaintenanceReport]:
         # The submitter is the committing thread and already holds the GC
         # lock (re-entrant), so taking it again in the apply phase is free.
         return self._execute_round(
-            window_entries, current_serial, inline=True, sampled=sampled
+            window_entries, current_serial, inline=True, sampled=sampled, drain_s=drain_s
         )
 
 
@@ -308,9 +311,9 @@ class BackgroundMaintenanceScheduler(MaintenanceScheduler):
         journal: Optional[PlanJournal] = None,
     ) -> None:
         super().__init__(engine, gc_lock=gc_lock, journal=journal)
-        # Queue items: None (shutdown sentinel), a (window, serial, sampled)
-        # round, or a callable storage-maintenance task (submit_task).
-        self._queue: "queue.Queue[Union[None, Tuple[List[WindowEntry], int, List[float]], Callable[[], None]]]" = (
+        # Queue items: None (shutdown sentinel), a (window, serial, sampled,
+        # drain_s) round, or a callable storage-maintenance task.
+        self._queue: "queue.Queue[Union[None, Tuple[List[WindowEntry], int, List[float], float], Callable[[], None]]]" = (
             queue.Queue()
         )
         self._worker: Optional[threading.Thread] = None
@@ -338,10 +341,8 @@ class BackgroundMaintenanceScheduler(MaintenanceScheduler):
                 if callable(task):
                     self._execute_task(task, inline=False)
                     continue
-                window_entries, current_serial, sampled = task
-                self._execute_round(
-                    window_entries, current_serial, inline=False, sampled=sampled
-                )
+                window_entries, current_serial, sampled, drain_s = task
+                self._execute_round(window_entries, current_serial, False, sampled, drain_s)
             except BaseException as exc:  # noqa: BLE001 - surfaced on drain
                 self._failure = exc
             finally:
@@ -360,6 +361,7 @@ class BackgroundMaintenanceScheduler(MaintenanceScheduler):
         window_entries: Sequence[WindowEntry],
         current_serial: int,
         sampled: Sequence[float] = (),
+        drain_s: float = 0.0,
     ) -> Optional[MaintenanceReport]:
         self._raise_pending_failure()
         # The closed-check, worker start and enqueue form one critical
@@ -370,7 +372,7 @@ class BackgroundMaintenanceScheduler(MaintenanceScheduler):
             if self._closed:
                 raise CacheError("maintenance scheduler is closed")
             self._ensure_worker_locked()
-            self._queue.put((list(window_entries), current_serial, list(sampled)))
+            self._queue.put((list(window_entries), current_serial, list(sampled), drain_s))
         return None
 
     def submit_task(self, task: Callable[[], None]) -> None:
@@ -427,8 +429,9 @@ class BarrierMaintenanceScheduler(BackgroundMaintenanceScheduler):
         window_entries: Sequence[WindowEntry],
         current_serial: int,
         sampled: Sequence[float] = (),
+        drain_s: float = 0.0,
     ) -> Optional[MaintenanceReport]:
-        super().submit(window_entries, current_serial, sampled)
+        super().submit(window_entries, current_serial, sampled, drain_s)
         self._queue.join()
         self._raise_pending_failure()
         with self._state_lock:

@@ -37,6 +37,7 @@ charged to query response time.
 
 from __future__ import annotations
 
+import time
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Set
 
 from ...graphs.graph import Graph
@@ -180,15 +181,18 @@ class WindowManager:
     def run_maintenance(self, current_serial: int) -> Optional[MaintenanceReport]:
         """Drain the window and submit one round to the scheduler.
 
-        The drain itself stays on the calling thread (the window store can
-        never overflow while a round is pending); the scheduler decides
-        whether decide/apply run inline, behind a barrier, or asynchronously
-        (in which case ``None`` is returned and the report appears in
-        :attr:`reports` once applied).  An empty drain is still a round: its
-        frame journals the hit events of a window made only of hits.
+        The drain stays on the calling thread (the window store can never
+        overflow while a round is pending), timed into the round's
+        ``elapsed_s``; the scheduler decides whether decide/apply run
+        inline, behind a barrier, or asynchronously (in which case ``None``
+        is returned and the report appears in :attr:`reports` once
+        applied).  An empty drain is still a round: its frame journals the
+        hit events of a window made only of hits.
         """
+        started = time.perf_counter()
         window_entries = self._window_store.drain()
         sampled, self._sampled = self._sampled, []
         self._structures.clear()
         self._requests = 0
-        return self._scheduler.submit(window_entries, current_serial, sampled)
+        drain_s = time.perf_counter() - started
+        return self._scheduler.submit(window_entries, current_serial, sampled, drain_s)

@@ -22,7 +22,7 @@ from ..graphs.graph import Graph
 from ..isomorphism.base import SubgraphMatcher
 from ..isomorphism.vf2_plus import VF2PlusMatcher
 from ..methods.base import FilterResult, Method
-from .features import path_features
+from .features import dataset_path_features, path_features
 from .index_arena import FeatureIndexArena, dataset_content_hash
 from .postings import Postings
 
@@ -166,10 +166,8 @@ class PathFTVMethod(FTVMethod):
 
     def _build_index(self) -> None:
         postings = Postings()
-        for graph in self.dataset:  # CSR route: faster on dataset graphs, not on queries
-            postings.insert_features(
-                path_features(graph.to_packed(), self._max_path_length), graph.graph_id
-            )
+        for record, paths in dataset_path_features(self.dataset, self._max_path_length):
+            postings.insert_features(paths, record.graph_id)
         self._postings = postings
 
     def _filter(self, query: Graph) -> frozenset:

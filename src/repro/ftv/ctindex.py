@@ -16,6 +16,7 @@ size 6 and cycles up to size 8 in 4,096-bit fingerprints.
 
 from __future__ import annotations
 
+from collections import Counter
 from pathlib import Path
 from typing import Dict, Optional
 
@@ -25,7 +26,7 @@ from ..graphs.graph import Graph
 from ..graphs.packed import PackedGraph
 from ..isomorphism.base import SubgraphMatcher
 from .base import FTVMethod, PathLike
-from .features import cycle_features, path_features
+from .features import cycle_features, dataset_path_features, path_features
 from .fingerprints import Fingerprint
 from .index_arena import FeatureIndexArena, dataset_content_hash
 
@@ -81,20 +82,21 @@ class CTIndex(FTVMethod):
         """Maximum indexed cycle feature size in vertices."""
         return self._max_cycle_size
 
-    def _graph_fingerprint(self, graph: Graph | PackedGraph) -> Fingerprint:
+    def _graph_fingerprint(self, graph: Graph | PackedGraph, paths: Counter) -> Fingerprint:
         fingerprint = Fingerprint(self._fingerprint_bits)
-        fingerprint.add_features(path_features(graph, self._max_tree_size).keys())
+        fingerprint.add_features(paths.keys())
         fingerprint.add_features(cycle_features(graph, self._max_cycle_size).keys())
         return fingerprint
 
     def _build_index(self) -> None:
         self._fingerprints = {
-            graph.graph_id: self._graph_fingerprint(graph.to_packed())
-            for graph in self.dataset
+            record.graph_id: self._graph_fingerprint(record, paths)
+            for record, paths in dataset_path_features(self.dataset, self._max_tree_size)
         }
 
     def _filter(self, query: Graph) -> frozenset:
-        query_fingerprint = self._graph_fingerprint(query)
+        paths = path_features(query, self._max_tree_size)
+        query_fingerprint = self._graph_fingerprint(query, paths)
         if self._findex is not None:
             return self._findex.fingerprint_filter(query_fingerprint.bits)
         return frozenset(

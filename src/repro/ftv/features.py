@@ -20,40 +20,30 @@ does not depend on the length bound, so the GCindex cuts its counter out of
 Method M's longer one by key length (``QueryGraphIndex.adopt_features``).
 
 Two extraction routes produce Counter-identical results, both oracled
-against brute-force ``networkx`` path and cycle enumerations:
+against brute-force ``networkx`` path and cycle enumerations: the
+**decoded route** (:func:`extract_label_paths` /
+:func:`extract_label_cycles`) walks a :class:`~repro.graphs.graph.Graph`;
+the **CSR-native route** walks :class:`~repro.graphs.packed.PackedGraph`
+records' ``indptr``/``indices`` rows, canonicalising on label *ranks*
+(:func:`label_rank_map`) and decoding only the chosen keys to strings, so
+int- and str-labelled datasets get identical keys through both routes.
 
-* the **decoded route** (:func:`extract_label_paths` /
-  :func:`extract_label_cycles`) walks a materialised
-  :class:`~repro.graphs.graph.Graph`;
-* the **CSR-native route** (:func:`packed_path_features` /
-  :func:`packed_cycle_features`) walks a
-  :class:`~repro.graphs.packed.PackedGraph` record's ``indptr``/``indices``
-  slices.  Canonicalisation runs on small integers: each label code maps
-  once to its *rank* in the sorted distinct ``str(label)`` universe of the
-  record's label table (:func:`label_rank_map`), so comparing rank tuples
-  is order-equivalent to comparing the string tuples the keys are built
-  from, and only the chosen canonical sequence is decoded back to strings.
-  Int- and str-labelled datasets therefore get identical keys through both
-  routes.
-
-:func:`path_features` / :func:`cycle_features` dispatch on the input:
-packed records and :class:`~repro.graphs.packed.PackedGraphView` objects
-take the CSR-native route without materialising a ``Graph``; everything
-else takes the decoded route.  Each route earns its keep in one role.  An
-FTV index build featurises each *dataset* graph through a transient
-``graph.to_packed()``: at 4 edges, packing included, the stand-ins' whole
-datasets take 0.058 s decoded and 0.031 s CSR (aids, 200 graphs), 0.27 s
-and 0.075 s (pdbs, 60 graphs of ~410 vertices), on one core of an AMD
-EPYC.  A *query* keeps the decoded route, faster on query-sized graphs: a
-13-vertex query of either stand-in takes ~50 µs decoded and ~90 µs CSR.
-A record with too many distinct labels for ``int64`` path codes is
-decoded instead (see :func:`packed_path_features`).
+:func:`path_features` / :func:`cycle_features` send packed records and
+:class:`~repro.graphs.packed.PackedGraphView` objects down the CSR-native
+route and everything else down the decoded one.  Each route earns its
+keep in one role.  An FTV index build featurises its *dataset* in batches
+of consecutive records (:func:`dataset_path_features`): at 4 edges,
+packing included, the stand-ins' whole datasets take 0.083 s decoded and
+0.023 s batched (aids, 200 graphs), 0.375 s and 0.086 s (pdbs, 60 graphs
+of ~410 vertices), on one core of a 2-vCPU Intel Xeon.  A *query* keeps
+the decoded route, faster on query-sized graphs: a 13-vertex query of
+either stand-in takes ~70 µs decoded and ~200 µs as a CSR batch of one.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Callable, Iterable, List, Optional, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -67,6 +57,7 @@ __all__ = [
     "extract_label_paths",
     "extract_label_cycles",
     "packed_path_features",
+    "dataset_path_features",
     "packed_cycle_features",
     "path_features",
     "cycle_features",
@@ -108,9 +99,8 @@ def label_rank_map(label_table: Tuple[object, ...]) -> Tuple[Tuple[int, ...], Tu
     distinct-string universe of the table, so rank comparison is
     order-equivalent to string comparison (labels whose strings collide —
     e.g. ``1`` and ``"1"`` — share a rank, exactly as they share a canonical
-    key).  Computed per call: a record's table is in first-occurrence order,
-    so dataset records rarely repeat one, and a memo keyed on it would miss
-    about half the time and pin the tables it keeps.
+    key).  Computed once per batch, over its concatenated tables: a memo
+    keyed on tables would miss about half the time and pin what it keeps.
     """
     strings = [str(label) for label in label_table]
     ordered = tuple(sorted(set(strings)))
@@ -203,105 +193,107 @@ def _count_cycles(
 # --------------------------------------------------------------------------- #
 # CSR-native extraction over packed records
 # --------------------------------------------------------------------------- #
+#: Vertices per featurisation batch: each numpy call serves ~20 aids records,
+#: and the pdbs build's ``tracemalloc`` peak is ~1.1x a one-record batch's
+#: (~7x for one whole-dataset batch).  A larger record is a batch of its own.
+BATCH_VERTICES = 1024
+
+
+def dataset_path_features(
+    graphs: Iterable[Graph], max_length: int
+) -> Iterator[Tuple[PackedGraph, Counter]]:
+    """``(graph.to_packed(), extract_label_paths(graph, max_length))`` per
+    graph, in order, featurised in batches of up to :data:`BATCH_VERTICES`."""
+    batch: List[PackedGraph] = []
+    vertices = 0
+    for record in (graph.to_packed() for graph in graphs):
+        if batch and vertices + record.order > BATCH_VERTICES:
+            yield from zip(batch, _batch_counters(batch, max_length), strict=True)
+            batch, vertices = [], 0
+        batch.append(record)
+        vertices += record.order
+    yield from zip(batch, _batch_counters(batch, max_length), strict=True)
+
+
 def packed_path_features(packed: PackedGraph, max_length: int) -> Counter:
-    """CSR-native :func:`extract_label_paths` over a packed record.
+    """CSR-native :func:`extract_label_paths` over one record: a batch of one."""
+    return _batch_counters([packed], max_length)[0]
 
-    Level-synchronous frontier expansion instead of a per-path DFS: level
-    ``L`` holds every directed simple path of ``L`` edges as parallel numpy
-    arrays — its end vertex, its visited-vertex set, and two integer *path
-    codes* (the base-``W`` digit strings of the forward and reversed label
-    ranks, ``W`` = rank universe size, see :func:`label_rank_map`).  One
-    CSR gather extends all paths at once, one elementwise minimum picks
-    each path's canonical code (integer comparison of equal-length base-W
-    numbers is exactly the lexicographic comparison the decoded extractor
-    does on string tuples), and one ``np.unique`` counts the level.  Every
-    undirected path appears twice (once per direction), so the unique
-    counts are halved; the surviving canonical codes — a far smaller set
-    than the paths — are decoded to string keys only when the Counter is
-    filled, one numpy digit expression per level.  The codes are ``int64``,
-    so a record whose ``W ** (max_length + 1)`` exceeds ``2**63`` (at 4
-    edges, more than 6 208 distinct labels) takes the decoded route
-    instead.  Visited sets are single ``uint64`` bitsets when the graph has
-    at most 64 vertices (the common case for molecule records), otherwise
-    a per-level column comparison against the stored path matrix.
-    Counter-identical to the decoded extractor on the same graph.
+
+def _batch_counters(batch: List[PackedGraph], max_length: int) -> List[Counter]:
+    """:func:`extract_label_paths` of every record in ``batch``, in one pass.
+
+    The records' CSR rows are concatenated and their labels ranked under
+    one sorted alphabet of ``W`` strings (:func:`label_rank_map`).  Level
+    ``L`` holds every directed simple path of ``L`` edges as arrays: its
+    vertex columns (a step must differ from each) and the base-``W`` codes
+    of its forward and reversed ranks; the smaller is canonical, since
+    equal-length base-``W`` numbers compare as their digit strings.  One
+    ``np.unique`` over ``record * W ** (L + 1) + code`` counts a level for
+    the whole batch, in ascending key order per record (halved: each path
+    was found once per direction), and each distinct code is decoded once.
+    A batch whose keys could pass ``2**63`` splits in two; a lone record
+    that still overflows (at 4 edges, more than 6 208 labels) is decoded.
     """
-    counts: Counter = Counter()
-    if max_length < 0:
+    counts = [Counter() for _ in batch]
+    orders = [record.order for record in batch]
+    if max_length < 0 or not sum(orders):
         return counts
-    n = packed.order
-    if n == 0:
-        return counts
-    code_ranks, strings = label_rank_map(packed.label_table)
+    tables = [label for record in batch for label in record.label_table]
+    code_ranks, strings = label_rank_map(tables)
     width = len(strings)
-    if width ** (max_length + 1) > 2**63:
-        # The longest level's codes would wrap in int64: exact beats fast.
-        return extract_label_paths(packed.to_graph(), max_length)
-    rank_arr = np.asarray(code_ranks, dtype=np.int64)[packed.label_codes]
-
-    # 0-edge paths (single vertices): one vectorised histogram over ranks.
-    occupancy = np.bincount(rank_arr, minlength=width)
-    for rank in np.nonzero(occupancy)[0].tolist():
-        counts[(strings[rank],)] = int(occupancy[rank])
-    if max_length == 0 or not len(packed.indices):
-        return counts
-
-    indptr = packed.indptr.astype(np.int64)
-    indices = packed.indices.astype(np.int64)
-    powers = width ** np.arange(max_length + 1, dtype=np.int64)
+    if len(batch) * width ** (max_length + 1) >= 2**63:
+        if len(batch) == 1:  # the codes would wrap in int64: exact beats fast
+            return [extract_label_paths(batch[0].to_graph(), max_length)]
+        halves = (batch[: len(batch) // 2], batch[len(batch) // 2 :])
+        return [counter for half in halves for counter in _batch_counters(half, max_length)]
+    table_offsets = np.cumsum([0] + [len(record.label_table) for record in batch])
+    rank = np.asarray(code_ranks, dtype=np.int64)[
+        np.concatenate([record.label_codes for record in batch])
+        + np.repeat(table_offsets[:-1], orders)
+    ]
+    owner = np.repeat(np.arange(len(batch), dtype=np.int64), orders)
+    degrees = np.concatenate([record.degrees for record in batch]).astype(np.int64)
+    row_starts = np.cumsum(degrees) - degrees
+    shift = np.repeat(np.cumsum([0] + orders[:-1]), [len(record.indices) for record in batch])
+    indices = np.concatenate([record.indices for record in batch]) + shift
+    powers = width ** np.arange(max_length + 2, dtype=np.int64)
     label_strings = np.array(strings, dtype=object)
-    small = n <= 64
 
-    last = np.arange(n, dtype=np.int64)
-    forward = rank_arr.copy()
-    backward = rank_arr.copy()
-    if small:
-        bit_table = np.uint64(1) << np.arange(n, dtype=np.uint64)
-        visited = bit_table.copy()
-        paths: Optional[np.ndarray] = None
-    else:
-        bit_table = None
-        visited = None
-        paths = last.reshape(n, 1)
-    for edges in range(1, max_length + 1):
-        starts = indptr[last]
-        degrees = indptr[last + 1] - starts
-        total = int(degrees.sum())
-        if not total:
-            break
-        parent = np.repeat(np.arange(len(last), dtype=np.int64), degrees)
-        neighbour = indices[
-            np.repeat(starts - (np.cumsum(degrees) - degrees), degrees)
-            + np.arange(total, dtype=np.int64)
-        ]
-        if small:
-            keep = (visited[parent] & bit_table[neighbour]) == 0
-        else:
-            keep = np.ones(total, dtype=bool)
-            for column in range(paths.shape[1]):
-                keep &= neighbour != paths[parent, column]
-        parent = parent[keep]
-        neighbour = neighbour[keep]
-        if not len(parent):
-            break
-        step_rank = rank_arr[neighbour]
-        forward = forward[parent] * width + step_rank
-        backward = backward[parent] + step_rank * powers[edges]
-        if small:
-            visited = visited[parent] | bit_table[neighbour]
-        else:
-            paths = np.concatenate([paths[parent], neighbour[:, None]], axis=1)
-        last = neighbour
-        uniques, pair_counts = np.unique(
-            np.minimum(forward, backward), return_counts=True
-        )
-        # Decode every canonical code at once: its base-W digits index the
-        # rank -> string table.  Codes are unique within a level and key
-        # lengths differ across levels, so one update per level adds no
-        # key twice; each undirected path was found once per direction.
-        digits = uniques[:, None] // powers[edges::-1] % width
-        keys = map(tuple, label_strings[digits].tolist())
-        counts.update(dict(zip(keys, (pair_counts // 2).tolist(), strict=True)))
+    last = np.arange(len(rank), dtype=np.int64)
+    columns, forward, backward = [last], rank, rank
+    for edges in range(max_length + 1):
+        if edges:
+            steps = degrees[last]
+            parent = np.repeat(np.arange(len(last), dtype=np.int64), steps)
+            row_offsets = np.repeat(row_starts[last] + steps - np.cumsum(steps), steps)
+            neighbour = indices[row_offsets + np.arange(len(parent), dtype=np.int64)]
+            # No self-loops, so only the columns before the last can repeat.
+            keep = np.ones(len(parent), dtype=bool)
+            for column in columns[:-1]:
+                keep &= neighbour != column[parent]
+            parent = parent[keep]
+            last = neighbour[keep]
+            if not len(last):  # no longer paths in the batch
+                break
+            step_rank = rank[last]
+            forward = forward[parent] * width + step_rank
+            backward = backward[parent] + step_rank * powers[edges]
+            if edges < max_length:  # the last level is counted, not kept
+                columns = [column[parent] for column in columns] + [last]
+        level = owner[last] * powers[edges + 1] + np.minimum(forward, backward)
+        keys, found = np.unique(level, return_counts=True)
+        owners, codes = np.divmod(keys, powers[edges + 1])
+        distinct, inverse = np.unique(codes, return_inverse=True)
+        digits = distinct[:, None] // powers[edges::-1] % width
+        decoded = list(map(tuple, label_strings[digits].tolist()))
+        level_keys = list(map(decoded.__getitem__, inverse.tolist()))
+        level_counts = (found // 2 if edges else found).tolist()  # found both ways
+        cuts = np.searchsorted(owners, np.arange(len(batch) + 1)).tolist()
+        for counter, low, high in zip(counts, cuts[:-1], cuts[1:], strict=True):
+            # Keys differ in length across levels and are distinct within one,
+            # so a plain dict update adds no key twice.
+            dict.update(counter, zip(level_keys[low:high], level_counts[low:high], strict=True))
     return counts
 
 

@@ -27,7 +27,7 @@ from ..graphs.graph import Graph
 from ..isomorphism.base import SubgraphMatcher
 from ..methods.base import FilterResult
 from .base import FTVMethod
-from .features import path_features
+from .features import dataset_path_features, path_features
 
 __all__ = ["SupergraphFeatureIndex"]
 
@@ -67,8 +67,8 @@ class SupergraphFeatureIndex(FTVMethod):
 
     def _build_index(self) -> None:
         self._graph_features = {
-            graph.graph_id: path_features(graph.to_packed(), self._max_path_length)
-            for graph in self.dataset
+            record.graph_id: paths
+            for record, paths in dataset_path_features(self.dataset, self._max_path_length)
         }
 
     def _filter(self, query: Graph) -> frozenset:

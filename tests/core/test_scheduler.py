@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import itertools
 import json
+import threading
+import types
 from pathlib import Path
 
 import pytest
 
 import repro.core.policies.scheduler as scheduler_module
+import repro.core.policies.window as window_module
 from repro.core import GraphCache, GraphCacheConfig, build_cache, load_cache, save_cache
 from repro.core.policies import (
     SCHEDULER_MODES,
@@ -185,6 +189,53 @@ class TestJournal:
         (report,) = cache.window_manager.reports
         assert report.elapsed_s == 5.0
         assert results[-1].maintenance_time_s == 5.0
+
+    @staticmethod
+    def _stepping_clocks(monkeypatch):
+        """Fake ``perf_counter``s that advance a fixed step per call: 0.25 s
+        for the window manager's drain clock, 1 s for the round's own."""
+
+        def stepping(step):
+            ticks = itertools.count(1)
+            return types.SimpleNamespace(perf_counter=lambda: step * next(ticks))
+
+        monkeypatch.setattr(window_module, "time", stepping(0.25))
+        monkeypatch.setattr(scheduler_module, "time", stepping(1.0))
+
+    @pytest.mark.parametrize("mode", ["sync", "barrier"])
+    def test_a_round_is_timed_through_its_window_drain(self, monkeypatch, mode):
+        self._stepping_clocks(monkeypatch)
+        cache = _cache(mode)
+        try:
+            results = [cache.query(query) for query in _workload(count=3)]
+        finally:
+            cache.close()
+        (report,) = cache.window_manager.reports
+        assert report.elapsed_s == 1.25  # one drain step + one round step
+        assert results[-1].maintenance_time_s == 1.25
+        assert cache.maintenance_scheduler.total_maintenance_s == 1.25
+
+    def test_a_background_round_adds_its_drain_not_its_queue_wait(self, monkeypatch):
+        self._stepping_clocks(monkeypatch)
+        cache = _cache("background")
+        parked = threading.Event()
+        try:
+            # Park the worker so the round waits in the queue: the wait must
+            # not reach elapsed_s, whatever the clocks read meanwhile.
+            cache.maintenance_scheduler.submit_task(lambda: parked.wait(timeout=30))
+            for query in _workload(count=3):
+                cache.query(query)
+            assert cache.window_manager.reports == []
+            scheduler_module.time.perf_counter()  # time passes in the queue
+            window_module.time.perf_counter()
+            parked.set()
+            cache.drain_maintenance()
+            assert cache.maintenance_scheduler.idle()
+        finally:
+            parked.set()
+            cache.close()
+        (report,) = cache.window_manager.reports
+        assert report.elapsed_s == 1.25
 
     def test_journal_file_round_trip(self, tmp_path: Path):
         journal_file = tmp_path / "plans.jsonl"

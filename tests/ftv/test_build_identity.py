@@ -1,9 +1,9 @@
 """Dataset index builds take the CSR route and build the decoded route's index.
 
-Every FTV build featurises a dataset graph through a transient
-``graph.to_packed()`` (:func:`~repro.ftv.features.packed_path_features` /
-:func:`~repro.ftv.features.packed_cycle_features`), while a query keeps the
-decoded extractors.  The index a build leaves behind must be exactly the one
+Every FTV build featurises its dataset's packed records in batches
+(:func:`~repro.ftv.features.dataset_path_features`; CT-Index's cycles go
+through :func:`~repro.ftv.features.packed_cycle_features`), while a query
+keeps the decoded extractors.  The index a build leaves behind must be exactly the one
 a test-side build over the decoded extractors gives: GGSX and Grapes
 postings (plus Grapes' location hints), CT-Index fingerprint bits and the
 supergraph index's per-graph counters.  Checked on the aids and pdbs
