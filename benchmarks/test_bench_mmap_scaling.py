@@ -28,7 +28,7 @@ CSR-native matching):
    decode-then-match through fresh ``Graph`` construction; verdicts
    asserted identical, the ratio recorded.
 6. **FTV index construction and serving** (PR: sealed shareable feature
-   index) — CSR-native ``packed_path_features`` vs the decode-then-extract
+   index) — CSR-native ``dataset_path_features`` vs the decode-then-extract
    baseline over the bench payloads (Counter identity asserted, the ratio
    recorded), cold ``FeatureIndexArena.attach`` + content-hash
    handshake vs a full in-process index rebuild, and per-query filter rate
@@ -66,11 +66,11 @@ from repro.core import GraphCache, ProcessPoolCacheService, ShardedGraphCache
 from repro.core.backends import create_backend
 from repro.core.packed_dataset import PackedGraphDataset, seal_dataset
 from repro.core.stores import CacheEntry, CacheEntryCodec
-from repro.ftv.features import extract_label_paths, packed_path_features
+from repro.ftv.features import dataset_path_features, extract_label_paths
 from repro.ftv.ggsx import GraphGrepSX
 from repro.ftv.index_arena import FeatureIndexArena, dataset_content_hash
 from repro.graphs.graph import Graph, graph_constructions
-from repro.graphs.packed import PackedGraph
+from repro.graphs.packed import PackedGraph, PackedGraphView
 from repro.isomorphism import matcher_by_name
 from repro.methods import method_by_name
 
@@ -371,11 +371,14 @@ def _ftv_index_cells() -> Dict[str, object]:
     dataset = get_dataset("aids")
     payloads = [graph.to_packed().to_bytes() for graph in dataset]
 
+    def csr_paths(payload: bytes):
+        view = PackedGraphView(PackedGraph.from_bytes(payload))
+        ((_, counter),) = dataset_path_features([view], FTV_PATH_LENGTH)
+        return counter
+
     # -- Build rate: decode-then-extract vs CSR-native, same process. -- #
     for payload in payloads:  # Counter identity before any timing
-        assert packed_path_features(
-            PackedGraph.from_bytes(payload), FTV_PATH_LENGTH
-        ) == extract_label_paths(
+        assert csr_paths(payload) == extract_label_paths(
             PackedGraph.decode_graph(payload), FTV_PATH_LENGTH
         )
     # The two routes are timed interleaved (decoded, CSR, decoded, CSR, …)
@@ -389,7 +392,7 @@ def _ftv_index_cells() -> Dict[str, object]:
         decoded_best = min(decoded_best, time.perf_counter() - start)
         start = time.perf_counter()
         for payload in payloads:
-            packed_path_features(PackedGraph.from_bytes(payload), FTV_PATH_LENGTH)
+            csr_paths(payload)
         csr_best = min(csr_best, time.perf_counter() - start)
     decoded_rate = len(payloads) / decoded_best
     csr_rate = len(payloads) / csr_best

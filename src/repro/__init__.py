@@ -5,7 +5,7 @@ This library reproduces *"GraphCache: A Caching System for Graph Queries"*
 
 * :mod:`repro.graphs` — labelled-graph substrate, datasets, generators, I/O;
 * :mod:`repro.isomorphism` — subgraph-isomorphism algorithms (VF2, VF2+,
-  Ullmann, GraphQL-style) and the analytic cost model;
+  GraphQL-style) and the analytic cost model;
 * :mod:`repro.ftv` — filter-then-verify methods (GraphGrepSX, Grapes,
   CT-Index);
 * :mod:`repro.methods` — the pluggable "Method M" abstraction and SI methods;

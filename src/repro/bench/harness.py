@@ -13,7 +13,6 @@ results into the rows/series of each figure.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Union
 

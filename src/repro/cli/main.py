@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -492,14 +493,10 @@ def _command_policies(args: argparse.Namespace) -> int:
             # Each policy must start cold: every run seals its arena, so
             # a shared path would warm-start each run after the first from
             # its predecessor's leftovers and invalidate the comparison.
-            config = config.with_backend(
-                config.backend, f"{config.backend_path}.{policy}"
-            )
+            config = replace(config, backend_path=f"{config.backend_path}.{policy}")
         if config.journal_path is not None:
             # One decision stream per policy, for the same reason.
-            config = config.with_maintenance_mode(
-                config.maintenance_mode, f"{config.journal_path}.{policy}"
-            )
+            config = replace(config, journal_path=f"{config.journal_path}.{policy}")
         cache = build_cache(method, config)
         results = [cache.query(query) for query in workload]
         _seal_backend_path(cache, config)

@@ -70,7 +70,11 @@ def write_segment(target: Path, magic: bytes, payloads: Sequence[bytes], table: 
 
 
 def read_segment_table(path: Path, magic: bytes, kind: str) -> Tuple[int, Dict]:
-    """Validate a :func:`write_segment` header; return ``(payload_length, table)``."""
+    """Validate a :func:`write_segment` header; return ``(payload_length, table)``.
+
+    A file whose header, payload and table do not exactly fill it, or whose
+    table is not a UTF-8 JSON object, raises :class:`CacheError`.
+    """
     with open(path, "rb") as stream:
         raw = stream.read(SEGMENT_HEADER_BYTES)
         if len(raw) < SEGMENT_HEADER_BYTES or raw[:8] != magic:
@@ -80,8 +84,20 @@ def read_segment_table(path: Path, magic: bytes, kind: str) -> Tuple[int, Dict]:
         ).tolist()
         if version != _VERSION:
             raise CacheError(f"{path}: unsupported {kind} version {version}")
+        size = os.fstat(stream.fileno()).st_size
+        if (
+            min(payload_length, table_length) < 0
+            or table_offset != SEGMENT_HEADER_BYTES + payload_length
+            or table_offset + table_length != size
+        ):
+            raise CacheError(f"{path}: {kind} header does not match the {size}-byte file")
         stream.seek(table_offset)
-        table = json.loads(stream.read(table_length).decode("utf-8"))
+        try:
+            table = json.loads(stream.read(table_length).decode("utf-8"))
+        except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError alike
+            raise CacheError(f"{path}: unreadable {kind} table ({exc})") from None
+    if not isinstance(table, dict):
+        raise CacheError(f"{path}: {kind} table is not a JSON object")
     return payload_length, table
 
 
@@ -90,6 +106,16 @@ class ArenaExtent(NamedTuple):
 
     offset: int
     length: int
+
+
+def _table_extents(path: Path, table: Dict, start: int) -> Dict[int, ArenaExtent]:
+    """The extents a segment's table lists, shifted by the segment's ``start``."""
+    try:
+        return {
+            start + int(o): ArenaExtent(start + int(o), int(n)) for o, n in table["graphs"]
+        }
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CacheError(f"{path}: malformed graph-arena table ({exc!r})") from None
 
 
 class _Segment(NamedTuple):
@@ -137,11 +163,6 @@ class GraphArena:
     def delta_count(self) -> int:
         """Delta segments published since the last full seal (or attach)."""
         return max(0, len(self._segments) - 1)
-
-    @property
-    def total_bytes(self) -> int:
-        """Bytes addressable through the arena (sealed segments + tail)."""
-        return self._tail_end if self._tail else self._sealed_end
 
     @property
     def live_bytes(self) -> int:
@@ -360,21 +381,17 @@ class GraphArena:
         base = Path(path)
         payload_length, table = read_segment_table(base, _MAGIC, "graph-arena")
         segments = [arena._open_segment(base, 0, payload_length)]
-        extents = {
-            int(o): ArenaExtent(int(o), int(n)) for o, n in table["graphs"]
-        }
+        extents = _table_extents(base, table, 0)
         position = payload_length
         for delta in cls._existing_delta_paths(base):
             delta_length, delta_table = read_segment_table(delta, _MAGIC, "graph-arena")
-            start = int(delta_table["start"])
+            start = delta_table.get("start")
             if start != position:
                 raise CacheError(
-                    f"{delta}: delta segment starts at {start}, expected {position}"
+                    f"{delta}: delta segment starts at {start!r}, expected {position}"
                 )
             segments.append(arena._open_segment(delta, start, delta_length))
-            for o, n in delta_table["graphs"]:
-                offset = start + int(o)
-                extents[offset] = ArenaExtent(offset, int(n))
+            extents.update(_table_extents(delta, delta_table, start))
             position = start + delta_length
         arena._install_segments(segments)
         arena._extents = extents

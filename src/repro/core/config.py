@@ -9,15 +9,12 @@ the hybrid (HD) replacement policy, admission control disabled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from ..exceptions import CacheError
 
 __all__ = ["GraphCacheConfig", "QueryMode"]
-
-#: Sentinel distinguishing "argument omitted" from an explicit ``None``.
-_UNSET = object()
 
 #: Valid query modes: GraphCache serves subgraph queries (dataset graphs that
 #: contain the query) or supergraph queries (dataset graphs contained in it).
@@ -181,67 +178,6 @@ class GraphCacheConfig:
             )
         if self.compaction_threshold is not None and self.compaction_threshold <= 0:
             raise CacheError("compaction_threshold must be positive (or None)")
-
-    # ------------------------------------------------------------------ #
-    def with_policy(self, policy: str) -> "GraphCacheConfig":
-        """Return a copy using a different replacement policy."""
-        return replace(self, replacement_policy=policy)
-
-    def with_capacity(self, cache_capacity: int, window_size: Optional[int] = None) -> "GraphCacheConfig":
-        """Return a copy with a different cache capacity (and optionally window)."""
-        if window_size is None:
-            return replace(self, cache_capacity=cache_capacity)
-        return replace(self, cache_capacity=cache_capacity, window_size=window_size)
-
-    def with_admission_control(
-        self,
-        enabled: bool = True,
-        expensive_fraction: Optional[float] = None,
-        threshold: Optional[float] = None,
-        kind: Optional[str] = None,
-    ) -> "GraphCacheConfig":
-        """Return a copy with admission control switched on/off."""
-        fraction = (
-            self.admission_expensive_fraction
-            if expensive_fraction is None
-            else expensive_fraction
-        )
-        return replace(
-            self,
-            admission_control=enabled,
-            admission_expensive_fraction=fraction,
-            admission_threshold=threshold,
-            admission_kind=self.admission_kind if kind is None else kind,
-        )
-
-    def with_backend(
-        self, backend: str, backend_path: Optional[str] = None
-    ) -> "GraphCacheConfig":
-        """Return a copy using a different storage backend."""
-        return replace(self, backend=backend, backend_path=backend_path)
-
-    def with_shards(self, shards: int) -> "GraphCacheConfig":
-        """Return a copy with a different shard count."""
-        return replace(self, shards=shards)
-
-    def with_maintenance_mode(
-        self, maintenance_mode: str, journal_path: object = _UNSET
-    ) -> "GraphCacheConfig":
-        """Return a copy using a different maintenance scheduler.
-
-        ``journal_path`` is changed only when passed (pass ``None``
-        explicitly to drop a configured journal) — switching the mode never
-        silently discards the journal location.
-        """
-        if journal_path is _UNSET:
-            journal_path = self.journal_path
-        return replace(
-            self, maintenance_mode=maintenance_mode, journal_path=journal_path
-        )
-
-    def with_compaction(self, threshold: Optional[float]) -> "GraphCacheConfig":
-        """Return a copy with a different automatic-compaction threshold."""
-        return replace(self, compaction_threshold=threshold)
 
     def label(self) -> str:
         """Short label like ``c100-b20`` used in the paper's figures.

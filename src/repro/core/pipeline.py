@@ -336,11 +336,6 @@ class QueryPipeline:
         return (self._mfilter, self._processors, self._prune, self._verify, self._commit)
 
     @property
-    def stage_names(self) -> Tuple[str, ...]:
-        """Names of the stages in dataflow order."""
-        return tuple(stage.name for stage in self.stages)
-
-    @property
     def gc_lock(self) -> threading.RLock:
         """The lock serializing access to shared cache state."""
         return self._gc_lock

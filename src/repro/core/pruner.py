@@ -58,11 +58,6 @@ class PruningResult(NamedTuple):
     shortcut_serial: Optional[int]
     contributions: Dict[int, FrozenSet[int]]
 
-    @property
-    def removed_count(self) -> int:
-        """Total number of sub-iso tests alleviated by pruning."""
-        return sum(len(ids) for ids in self.contributions.values())
-
 
 class CandidateSetPruner:
     """Applies the cache-derived pruning rules to Method M's candidate set."""

@@ -64,7 +64,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Tuple
 
 from ..analysis.runtime import make_condition, make_rlock
-from ..ftv.features import path_features
+from ..ftv.features import extract_label_paths
 from ..ftv.postings import Postings
 from ..graphs.graph import Graph
 from ..graphs.signatures import could_be_subgraph
@@ -76,7 +76,7 @@ __all__ = ["IndexOpCounts", "IndexView", "QueryFeatures", "QueryGraphIndex"]
 class QueryFeatures(NamedTuple):
     """One query's label-path counter and the probe derived from it."""
 
-    #: ``path_features(query, max_path_length)`` — read-only.
+    #: ``extract_label_paths(query, max_path_length)`` — read-only.
     counts: Counter
     #: The most selective (longest) ``(feature, count)`` pairs, longest first.
     probe: Tuple[Tuple[Tuple[str, ...], int], ...]
@@ -469,12 +469,12 @@ class QueryGraphIndex:
         features = self._feature_memo.get(query)
         if features is None:
             features = self._remember_features(
-                query, path_features(query, self._max_path_length)
+                query, extract_label_paths(query, self._max_path_length)
             )
         return features
 
     def adopt_features(self, query: Graph, paths: Counter, path_length: int) -> None:
-        """Memoise ``query``'s features from ``path_features(query, path_length)``.
+        """Memoise ``query``'s features from ``extract_label_paths(query, path_length)``.
 
         Canonical keys do not depend on the length bound, so dropping keys of
         more than ``max_path_length + 1`` labels is exact; a shorter counter

@@ -46,12 +46,7 @@ from ..isomorphism.base import SubgraphMatcher
 from ..methods.base import Method
 from .cache import CacheQueryResult, CacheRuntimeStatistics, GraphCache
 from .config import GraphCacheConfig
-from .policies import (
-    MaintenanceEngine,
-    MaintenanceReport,
-    MaintenanceScheduler,
-    PlanJournal,
-)
+from .policies import MaintenanceEngine, MaintenanceReport
 from .query_index import QueryGraphIndex
 
 __all__ = ["ShardedGraphCache", "build_cache", "stable_feature_hash"]
@@ -225,14 +220,6 @@ class ShardedGraphCache:
         shards proceed concurrently, like everything else per-shard.
         """
         return [shard.maintenance_engine for shard in self._shards]
-
-    def maintenance_schedulers(self) -> List[MaintenanceScheduler]:
-        """Per-shard maintenance schedulers, indexed by shard id."""
-        return [shard.maintenance_scheduler for shard in self._shards]
-
-    def plan_journals(self) -> List[PlanJournal]:
-        """Per-shard plan journals, indexed by shard id."""
-        return [shard.plan_journal for shard in self._shards]
 
     def drain_maintenance(self) -> None:
         """Block until every shard's pending maintenance rounds are applied."""

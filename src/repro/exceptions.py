@@ -41,14 +41,6 @@ class MatchTimeout(ReproError):
         self.node_limit = node_limit
 
 
-class IndexError_(ReproError):
-    """Raised for invalid FTV / cache index operations.
-
-    Named with a trailing underscore to avoid shadowing the builtin
-    :class:`IndexError`.
-    """
-
-
 class CacheError(ReproError):
     """Raised for invalid GraphCache configuration or operation."""
 

@@ -10,8 +10,6 @@ from .features import (
     extract_label_paths,
     label_rank_map,
     packed_cycle_features,
-    packed_path_features,
-    path_features,
 )
 from .fingerprints import Fingerprint, feature_bit
 from .ggsx import GraphGrepSX
@@ -38,6 +36,4 @@ __all__ = [
     "extract_label_paths",
     "label_rank_map",
     "packed_cycle_features",
-    "packed_path_features",
-    "path_features",
 ]

@@ -22,7 +22,7 @@ from ..graphs.graph import Graph
 from ..isomorphism.base import SubgraphMatcher
 from ..isomorphism.vf2_plus import VF2PlusMatcher
 from ..methods.base import FilterResult, Method
-from .features import dataset_path_features, path_features
+from .features import dataset_path_features, extract_label_paths
 from .index_arena import FeatureIndexArena, dataset_content_hash
 from .postings import Postings
 
@@ -63,11 +63,6 @@ class FTVMethod(Method):
     def build_time_s(self) -> float:
         """Wall-clock time spent building the dataset index."""
         return self._build_time_s
-
-    @property
-    def feature_index(self) -> Optional[FeatureIndexArena]:
-        """The attached sealed index, when the method serves from one."""
-        return self._findex
 
     # ------------------------------------------------------------------ #
     # Sealed-index lifecycle
@@ -179,7 +174,7 @@ class PathFTVMethod(FTVMethod):
         A method serving from an attached sealed segment hands no counter
         over, like :meth:`~repro.methods.base.Method.filter`'s default.
         """
-        paths = path_features(query, self._max_path_length)
+        paths = extract_label_paths(query, self._max_path_length)
         if self._findex is not None:
             return FilterResult(self._findex.filter_counted(paths))
         assert self._postings is not None, "index not built"

@@ -26,7 +26,7 @@ from ..graphs.graph import Graph
 from ..graphs.packed import PackedGraph
 from ..isomorphism.base import SubgraphMatcher
 from .base import FTVMethod, PathLike
-from .features import cycle_features, dataset_path_features, path_features
+from .features import cycle_features, dataset_path_features, extract_label_paths
 from .fingerprints import Fingerprint
 from .index_arena import FeatureIndexArena, dataset_content_hash
 
@@ -95,7 +95,7 @@ class CTIndex(FTVMethod):
         }
 
     def _filter(self, query: Graph) -> frozenset:
-        paths = path_features(query, self._max_tree_size)
+        paths = extract_label_paths(query, self._max_tree_size)
         query_fingerprint = self._graph_fingerprint(query, paths)
         if self._findex is not None:
             return self._findex.fingerprint_filter(query_fingerprint.bits)
@@ -139,11 +139,3 @@ class CTIndex(FTVMethod):
         if self._findex is not None:
             return self._findex.nbytes
         return sum(fp.size_bytes() for fp in self._fingerprints.values())
-
-    def fingerprint_of(self, graph_id: int) -> Fingerprint:
-        """Return the stored fingerprint of a dataset graph (for inspection)."""
-        if self._findex is not None and graph_id not in self._fingerprints:
-            return Fingerprint(
-                self._fingerprint_bits, bits=self._findex.fingerprint_row(graph_id)
-            )
-        return self._fingerprints[graph_id]

@@ -28,22 +28,23 @@ records' ``indptr``/``indices`` rows, canonicalising on label *ranks*
 (:func:`label_rank_map`) and decoding only the chosen keys to strings, so
 int- and str-labelled datasets get identical keys through both routes.
 
-:func:`path_features` / :func:`cycle_features` send packed records and
-:class:`~repro.graphs.packed.PackedGraphView` objects down the CSR-native
-route and everything else down the decoded one.  Each route earns its
-keep in one role.  An FTV index build featurises its *dataset* in batches
-of consecutive records (:func:`dataset_path_features`): at 4 edges,
-packing included, the stand-ins' whole datasets take 0.083 s decoded and
-0.023 s batched (aids, 200 graphs), 0.375 s and 0.086 s (pdbs, 60 graphs
-of ~410 vertices), on one core of a 2-vCPU Intel Xeon.  A *query* keeps
-the decoded route, faster on query-sized graphs: a 13-vertex query of
-either stand-in takes ~70 µs decoded and ~200 µs as a CSR batch of one.
+Each route earns its keep in one role.  An FTV index build featurises its
+*dataset* in batches of consecutive records (:func:`dataset_path_features`):
+at 4 edges, packing included, the stand-ins' whole datasets take 0.083 s
+decoded and 0.023 s batched (aids, 200 graphs), 0.375 s and 0.086 s (pdbs,
+60 graphs of ~410 vertices), on one core of a 2-vCPU Intel Xeon.  A
+*query* takes :func:`extract_label_paths`, faster on query-sized graphs
+even when it is a :class:`~repro.graphs.packed.PackedGraphView`: over 60
+aids queries of 9–17 vertices, ~83 µs per query decoded (a fresh view
+included) against ~215 µs as a CSR batch of one.  :func:`cycle_features`
+sends packed records and views (CT-Index's dataset build) down the CSR
+route and everything else down the decoded one.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Callable, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Iterable, Iterator, List, Tuple
 
 import numpy as np
 
@@ -56,10 +57,8 @@ __all__ = [
     "label_rank_map",
     "extract_label_paths",
     "extract_label_cycles",
-    "packed_path_features",
     "dataset_path_features",
     "packed_cycle_features",
-    "path_features",
     "cycle_features",
 ]
 
@@ -215,11 +214,6 @@ def dataset_path_features(
     yield from zip(batch, _batch_counters(batch, max_length), strict=True)
 
 
-def packed_path_features(packed: PackedGraph, max_length: int) -> Counter:
-    """CSR-native :func:`extract_label_paths` over one record: a batch of one."""
-    return _batch_counters([packed], max_length)[0]
-
-
 def _batch_counters(batch: List[PackedGraph], max_length: int) -> List[Counter]:
     """:func:`extract_label_paths` of every record in ``batch``, in one pass.
 
@@ -318,26 +312,11 @@ def packed_cycle_features(packed: PackedGraph, max_size: int) -> Counter:
     return _count_cycles(rows, max_size, ring_key)
 
 
-def _packed_source(graph: Graph) -> Optional[PackedGraph]:
-    """The CSR record behind ``graph``, when extraction can skip decoding."""
+def cycle_features(graph: Graph | PackedGraph, max_size: int) -> Counter:
+    """Bounded label-cycle features (CT-Index): a packed record or a view of
+    one takes the CSR route, anything else the decoded one."""
     if isinstance(graph, PackedGraphView):
-        return graph.packed
+        graph = graph.packed
     if isinstance(graph, PackedGraph):
-        return graph
-    return None
-
-
-def path_features(graph: Graph, max_length: int) -> Counter:
-    """Bounded label-path features (GGSX / Grapes / CT-Index tree features)."""
-    packed = _packed_source(graph)
-    if packed is not None:
-        return packed_path_features(packed, max_length)
-    return extract_label_paths(graph, max_length)
-
-
-def cycle_features(graph: Graph, max_size: int) -> Counter:
-    """Bounded label-cycle features (CT-Index), same dispatch as paths."""
-    packed = _packed_source(graph)
-    if packed is not None:
-        return packed_cycle_features(packed, max_size)
+        return packed_cycle_features(graph, max_size)
     return extract_label_cycles(graph, max_size)

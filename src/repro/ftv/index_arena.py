@@ -102,6 +102,9 @@ class FeatureIndexArena:
         self._feature_ids: Optional[Dict[Tuple[str, ...], int]] = None
         self._owners = frozenset(table["owners"])
         self._graph_ids: List[int] = list(table["graph_ids"])
+        self._family = str(table["family"])
+        self._params: Dict[str, object] = dict(table["params"])
+        self._dataset_hash = str(table["dataset_hash"])
 
     # ------------------------------------------------------------------ #
     @property
@@ -112,17 +115,17 @@ class FeatureIndexArena:
     @property
     def family(self) -> str:
         """Feature family the index was built for (``paths`` / ``ctindex``)."""
-        return str(self._table["family"])
+        return self._family
 
     @property
     def params(self) -> Dict[str, object]:
         """Build parameters recorded at seal time."""
-        return dict(self._table["params"])
+        return dict(self._params)
 
     @property
     def dataset_hash(self) -> str:
         """Content hash of the dataset the index was built over."""
-        return str(self._table["dataset_hash"])
+        return self._dataset_hash
 
     @property
     def owners(self) -> frozenset:
@@ -231,29 +234,34 @@ class FeatureIndexArena:
     # ------------------------------------------------------------------ #
     @classmethod
     def attach(cls, path: PathLike) -> "FeatureIndexArena":
-        """Open a sealed index segment read-only (shared pages across processes)."""
+        """Open a sealed index segment read-only (shared pages across processes).
+
+        A damaged file raises :class:`CacheError`, never a raw decode error.
+        """
         target = Path(path)
         payload_length, table = read_segment_table(target, _MAGIC, "feature-index")
         buffer = np.memmap(target, dtype=np.uint8, mode="r")
-        layout = table["sections"]
 
         def section(name: str, dtype: str) -> np.ndarray:
-            offset, length = (int(x) for x in layout[name])
+            offset, length = (int(x) for x in table["sections"][name])
             return np.frombuffer(
                 buffer, dtype=dtype, count=length // np.dtype(dtype).itemsize,
                 offset=SEGMENT_HEADER_BYTES + offset,
             )
 
-        post_ptr = section("post_ptr", "<i8")
-        post_ids = section("post_ids", "<i4")
-        post_counts = section("post_counts", "<i4")
-        fp_matrix = None
-        bits = int(table.get("fingerprint_bits", 0))
-        if bits:
-            flat = section("fp_matrix", "u1")
-            fp_matrix = flat.reshape(len(table["graph_ids"]), bits // 8)
-        nbytes = target.stat().st_size
-        return cls(target, table, post_ptr, post_ids, post_counts, fp_matrix, nbytes)
+        try:
+            post_ptr = section("post_ptr", "<i8")
+            post_ids = section("post_ids", "<i4")
+            post_counts = section("post_counts", "<i4")
+            fp_matrix = None
+            bits = int(table.get("fingerprint_bits", 0))
+            if bits:
+                flat = section("fp_matrix", "u1")
+                fp_matrix = flat.reshape(len(table["graph_ids"]), bits // 8)
+            nbytes = target.stat().st_size
+            return cls(target, table, post_ptr, post_ids, post_counts, fp_matrix, nbytes)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CacheError(f"{target}: malformed feature-index table ({exc!r})") from None
 
     # ------------------------------------------------------------------ #
     # Filtering
@@ -303,13 +311,6 @@ class FeatureIndexArena:
             if not len(survivors):
                 return frozenset()
         return frozenset(survivors.tolist())
-
-    def fingerprint_row(self, graph_id: int) -> int:
-        """The stored bitmap of ``graph_id`` as an integer."""
-        if self._fp_matrix is None:
-            raise CacheError(f"{self._path}: index has no fingerprint section")
-        row = self._graph_ids.index(graph_id)
-        return int.from_bytes(self._fp_matrix[row].tobytes(), "little")
 
     def fingerprint_filter(self, query_bits: int) -> frozenset:
         """Graph ids whose bitmap is a superset of ``query_bits`` (row-wise)."""

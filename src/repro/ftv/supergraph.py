@@ -27,7 +27,7 @@ from ..graphs.graph import Graph
 from ..isomorphism.base import SubgraphMatcher
 from ..methods.base import FilterResult
 from .base import FTVMethod
-from .features import dataset_path_features, path_features
+from .features import dataset_path_features, extract_label_paths
 
 __all__ = ["SupergraphFeatureIndex"]
 
@@ -76,7 +76,7 @@ class SupergraphFeatureIndex(FTVMethod):
 
     def filter(self, query: Graph) -> FilterResult:
         """``CS_M`` plus the query's path counter, which the filter enumerated."""
-        query_features = path_features(query, self._max_path_length)
+        query_features = extract_label_paths(query, self._max_path_length)
         survivors = []
         for graph_id, features in self._graph_features.items():
             graph = self.dataset[graph_id]

@@ -15,9 +15,7 @@ from .io import (
 from .signatures import (
     could_be_subgraph,
     degree_sequence_dominates,
-    graph_signature,
     label_histogram_dominates,
-    vertex_signature,
 )
 
 __all__ = [
@@ -34,7 +32,5 @@ __all__ = [
     "write_transaction_text",
     "could_be_subgraph",
     "degree_sequence_dominates",
-    "graph_signature",
     "label_histogram_dominates",
-    "vertex_signature",
 ]

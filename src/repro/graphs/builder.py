@@ -9,7 +9,7 @@ produces the frozen integer-vertex graph.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Tuple
+from typing import Dict, Hashable, List, Tuple
 
 from ..exceptions import GraphError
 from .graph import Graph
@@ -33,7 +33,6 @@ class GraphBuilder:
 
     def __init__(self, graph_id: object | None = None) -> None:
         self._graph_id = graph_id
-        self._names: List[Hashable] = []
         self._index: Dict[Hashable, int] = {}
         self._labels: List[object] = []
         self._edges: List[Tuple[int, int]] = []
@@ -43,7 +42,7 @@ class GraphBuilder:
     @property
     def order(self) -> int:
         """Number of vertices added so far."""
-        return len(self._names)
+        return len(self._labels)
 
     @property
     def size(self) -> int:
@@ -76,8 +75,7 @@ class GraphBuilder:
                     f"{self._labels[vertex]!r} (got {label!r})"
                 )
             return vertex
-        vertex = len(self._names)
-        self._names.append(name)
+        vertex = len(self._labels)
         self._index[name] = vertex
         self._labels.append(label)
         return vertex
@@ -99,22 +97,6 @@ class GraphBuilder:
             return
         self._edge_set.add(key)
         self._edges.append(key)
-
-    def add_edges(self, edges: Iterable[Tuple[Hashable, Hashable]]) -> None:
-        """Add every edge in ``edges``."""
-        for u, v in edges:
-            self.add_edge(u, v)
-
-    def vertex_id(self, name: Hashable) -> int:
-        """Return the integer id assigned to ``name``."""
-        try:
-            return self._index[name]
-        except KeyError:
-            raise GraphError(f"unknown vertex {name!r}") from None
-
-    def vertex_names(self) -> Tuple[Hashable, ...]:
-        """Names in insertion order (index ``i`` is vertex id ``i``)."""
-        return tuple(self._names)
 
     # ------------------------------------------------------------------ #
     def build(self, graph_id: object | None = None) -> Graph:

@@ -145,13 +145,5 @@ class GraphDataset:
             labels.update(g.distinct_labels())
         return frozenset(labels)
 
-    def total_vertices(self) -> int:
-        """Total number of vertices across all member graphs."""
-        return sum(g.order for g in self._graphs)
-
-    def total_edges(self) -> int:
-        """Total number of edges across all member graphs."""
-        return sum(g.size for g in self._graphs)
-
     def __repr__(self) -> str:
         return f"<GraphDataset {self._name!r} graphs={len(self._graphs)}>"

@@ -448,10 +448,6 @@ class Graph:
         """Mapping ``label -> number of vertices carrying it`` (a new dict)."""
         return dict(Counter(self._labels))
 
-    def label_count(self, label: object) -> int:
-        """Number of vertices carrying ``label``."""
-        return self._labels.count(label)
-
     def distinct_labels(self) -> frozenset:
         """Set of distinct labels present in the graph."""
         return frozenset(self._labels)
@@ -486,39 +482,6 @@ class Graph:
         if n < 2:
             return 0.0
         return 2.0 * self._size / (n * (n - 1))
-
-    def is_connected(self) -> bool:
-        """Return ``True`` if the graph is connected (empty graph is connected)."""
-        n = len(self._labels)
-        if n == 0:
-            return True
-        seen = {0}
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for v in self._adjacency[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return len(seen) == n
-
-    def connected_components(self) -> List[Tuple[int, ...]]:
-        """Return the vertex sets of the connected components."""
-        unseen = set(range(len(self._labels)))
-        components: List[Tuple[int, ...]] = []
-        while unseen:
-            root = unseen.pop()
-            component = {root}
-            stack = [root]
-            while stack:
-                u = stack.pop()
-                for v in self._adjacency[u]:
-                    if v in unseen:
-                        unseen.discard(v)
-                        component.add(v)
-                        stack.append(v)
-            components.append(tuple(sorted(component)))
-        return components
 
     # ------------------------------------------------------------------ #
     # Packed (CSR) round-trip

@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 import struct
 from functools import lru_cache
-from typing import Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -40,7 +40,6 @@ __all__ = [
     "PackedGraphView",
     "INDPTR_DTYPE",
     "INDEX_DTYPE",
-    "pack_graphs",
 ]
 
 #: Explicit little-endian dtypes: packed records are byte-identical across
@@ -243,16 +242,6 @@ class PackedGraph:
         return payload + b"\x00" * _pad(len(payload))
 
     @classmethod
-    def packed_nbytes(cls, buffer, offset: int = 0) -> int:
-        """Total record length (with padding) of the record at ``offset``."""
-        header = np.frombuffer(buffer, dtype=INDPTR_DTYPE, count=_HEADER_FIELDS, offset=offset)
-        if int(header[0]) != _MAGIC:
-            raise GraphError(f"packed graph record at offset {offset}: bad magic")
-        n, nnz, label_len, id_len = (int(x) for x in header[1:])
-        raw = _HEADER_BYTES + (n + 1) * 8 + nnz * 4 + n * 4 + label_len + id_len
-        return raw + _pad(raw)
-
-    @classmethod
     def from_buffer(cls, buffer, offset: int = 0) -> "PackedGraph":
         """Open the record at ``offset`` as zero-copy views over ``buffer``.
 
@@ -345,16 +334,11 @@ class PackedGraph:
         return f"<PackedGraph{ident} |V|={self.order} |E|={self.size}>"
 
 
-def pack_graphs(graphs: Sequence[Graph]) -> Tuple[bytes, ...]:
-    """Pack a sequence of graphs into byte records (convenience helper)."""
-    return tuple(graph.packed_bytes() for graph in graphs)
-
-
 class PackedGraphView(Graph):
     """A :class:`Graph` facade over a :class:`PackedGraph` — CSR-native matching.
 
     The single matcher-facing adapter of the packed serving path: every
-    matcher (VF2/VF2+/Ullmann/GraphQL) and pipeline stage takes a ``Graph``,
+    matcher (VF2/VF2+/GraphQL) and pipeline stage takes a ``Graph``,
     and a view *is* one — ``isinstance``, equality, hashing and every read
     method behave identically — but nothing is derived from the CSR record
     until a caller actually needs it:

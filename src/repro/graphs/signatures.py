@@ -15,16 +15,12 @@ oracles.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
-
 from .graph import Graph
 
 __all__ = [
     "could_be_subgraph",
     "label_histogram_dominates",
     "degree_sequence_dominates",
-    "vertex_signature",
-    "graph_signature",
 ]
 
 
@@ -67,29 +63,3 @@ def could_be_subgraph(pattern: Graph, target: Graph) -> bool:
     if not degree_sequence_dominates(pattern, target):
         return False
     return True
-
-
-def vertex_signature(graph: Graph, vertex: int) -> Tuple[object, int, Tuple[object, ...]]:
-    """Signature of a vertex: (label, degree, sorted multiset of neighbour labels).
-
-    Used by GraphQL-style pruning: a pattern vertex can only map onto a target
-    vertex whose signature *covers* it (same label, ≥ degree, neighbour-label
-    multiset containment).
-    """
-    neighbour_labels = tuple(sorted(repr(graph.label(n)) for n in graph.neighbors(vertex)))
-    return (graph.label(vertex), graph.degree(vertex), neighbour_labels)
-
-
-def graph_signature(graph: Graph) -> Dict[str, object]:
-    """Order-invariant structural summary of a graph.
-
-    Two isomorphic graphs always produce equal signatures (the converse does
-    not hold).  Used in tests and as a cheap bucketing key.
-    """
-    label_hist = tuple(sorted((repr(k), v) for k, v in graph.label_histogram.items()))
-    return {
-        "order": graph.order,
-        "size": graph.size,
-        "degree_sequence": graph.degree_sequence(),
-        "label_histogram": label_hist,
-    }

@@ -1,11 +1,9 @@
 """Subgraph-isomorphism algorithms (the "Mverifier" substrate)."""
 
 from .base import MatchOutcome, SearchBudget, SubgraphMatcher
-from .cost import estimate_query_cost, estimate_subiso_cost
-from .enumeration import count_embeddings, find_all_embeddings, iter_embeddings
+from .cost import estimate_subiso_cost
 from .graphql_match import GraphQLMatcher
-from .registry import available_matchers, matcher_by_name, register_matcher
-from .ullmann import UllmannMatcher
+from .registry import available_matchers, matcher_by_name
 from .vf2 import VF2Matcher
 from .vf2_plus import VF2PlusMatcher
 
@@ -15,14 +13,8 @@ __all__ = [
     "SubgraphMatcher",
     "VF2Matcher",
     "VF2PlusMatcher",
-    "UllmannMatcher",
     "GraphQLMatcher",
-    "estimate_query_cost",
     "estimate_subiso_cost",
-    "count_embeddings",
-    "find_all_embeddings",
-    "iter_embeddings",
     "available_matchers",
     "matcher_by_name",
-    "register_matcher",
 ]

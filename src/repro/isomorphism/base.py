@@ -3,13 +3,12 @@
 GraphCache treats the verifier as a pluggable component ("Mverifier" in the
 paper's architecture): any algorithm able to decide non-induced subgraph
 isomorphism between two labelled graphs can be used.  This module defines the
-abstract interface shared by the bundled implementations (VF2, VF2+, Ullmann,
+abstract interface shared by the bundled implementations (VF2, VF2+,
 GraphQL-style) plus the result record returned by a decision call.
 
 All matchers answer the *decision* problem used by subgraph queries: "does the
 target contain at least one subgraph isomorphic to the pattern?"  They can
-also return one witness embedding and count embeddings up to a limit, which
-the tests use for cross-validation.
+also return one witness embedding, which the tests use for cross-validation.
 """
 
 from __future__ import annotations

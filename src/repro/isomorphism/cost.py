@@ -21,7 +21,7 @@ from typing import Iterable, Tuple
 from ..graphs.dataset import GraphDataset
 from ..graphs.graph import Graph
 
-__all__ = ["estimate_subiso_cost", "estimate_query_cost", "subiso_cost_row", "candidates_cost"]
+__all__ = ["estimate_subiso_cost", "subiso_cost_row", "candidates_cost"]
 
 _LOG_FLOAT_MAX = math.log(1.7976931348623157e308)
 
@@ -88,12 +88,3 @@ def candidates_cost(query: Graph, graph_ids: Iterable[int], dataset: GraphDatase
     for graph_id in graph_ids:
         saving += costs[orders[graph_id]]
     return saving
-
-
-def estimate_query_cost(query: Graph, target: Graph) -> float:
-    """Convenience wrapper taking :class:`Graph` objects."""
-    return estimate_subiso_cost(
-        query_order=query.order,
-        query_distinct_labels=len(query.distinct_labels()),
-        target_order=target.order,
-    )

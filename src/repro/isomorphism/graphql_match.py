@@ -43,21 +43,6 @@ def _neighbour_label_counter(graph: Graph, vertex: int) -> Counter:
     return counter
 
 
-def _counter_covers(big: Counter, small: Counter) -> bool:
-    """Return True if multiset ``big`` contains multiset ``small``."""
-    return all(big.get(label, 0) >= count for label, count in small.items())
-
-
-def _mask_bits(mask: int) -> List[int]:
-    """Vertex ids of the set bits of ``mask``, ascending."""
-    bits: List[int] = []
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        bits.append(low.bit_length() - 1)
-    return bits
-
-
 class GraphQLMatcher(SubgraphMatcher):
     """GraphQL-style matcher: profile pruning + selectivity-ordered search."""
 
@@ -86,10 +71,6 @@ class GraphQLMatcher(SubgraphMatcher):
                         break
             masks.append(pool)
         return masks
-
-    def _initial_candidates(self, pattern: Graph, target: Graph) -> List[set]:
-        """Set view of :meth:`_initial_candidate_masks` (kept for inspection)."""
-        return [set(_mask_bits(mask)) for mask in self._initial_candidate_masks(pattern, target)]
 
     def _refine(self, pattern: Graph, target: Graph, candidates: List[int]) -> bool:
         """Pseudo-isomorphism refinement: neighbours must be coverable.
@@ -126,19 +107,12 @@ class GraphQLMatcher(SubgraphMatcher):
                 break
         return True
 
-    @staticmethod
-    def _candidate_count(candidates: object) -> int:
-        """Size of a candidate set given as a bitmask or a plain set."""
-        if isinstance(candidates, int):
-            return candidates.bit_count()
-        return len(candidates)
-
-    def _search_order(self, pattern: Graph, candidates: List) -> List[int]:
+    def _search_order(self, pattern: Graph, candidates: List[int]) -> List[int]:
         """Order pattern vertices by increasing candidate-set size, keeping
         connectivity: after the first vertex, prefer vertices adjacent to the
-        already-ordered prefix.  Accepts bitmask or set candidate lists."""
+        already-ordered prefix.  ``candidates`` are bitmasks."""
         n = pattern.order
-        sizes = [self._candidate_count(c) for c in candidates]
+        sizes = [c.bit_count() for c in candidates]
         ordered: List[int] = []
         placed = set()
         remaining = set(range(n))

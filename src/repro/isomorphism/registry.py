@@ -1,9 +1,7 @@
 """Registry of bundled subgraph-isomorphism algorithms.
 
-The paper bundles three SI algorithms (VF2, VF2+, GraphQL); we additionally
-ship Ullmann's algorithm.  New matchers can be registered at runtime, which is
-how a downstream user would plug their own verifier into GraphCache or into an
-FTV method's verification stage.
+The paper bundles three SI algorithms (VF2, VF2+, GraphQL); this registry
+names exactly those three.
 """
 
 from __future__ import annotations
@@ -13,26 +11,16 @@ from typing import Callable, Dict, List
 from ..exceptions import MatcherError
 from .base import SubgraphMatcher
 from .graphql_match import GraphQLMatcher
-from .ullmann import UllmannMatcher
 from .vf2 import VF2Matcher
 from .vf2_plus import VF2PlusMatcher
 
-__all__ = ["matcher_by_name", "register_matcher", "available_matchers"]
+__all__ = ["matcher_by_name", "available_matchers"]
 
 _FACTORIES: Dict[str, Callable[[], SubgraphMatcher]] = {
     "vf2": VF2Matcher,
     "vf2plus": VF2PlusMatcher,
-    "ullmann": UllmannMatcher,
     "graphql": GraphQLMatcher,
 }
-
-
-def register_matcher(name: str, factory: Callable[[], SubgraphMatcher]) -> None:
-    """Register a matcher factory under ``name`` (case-insensitive)."""
-    key = name.strip().lower()
-    if not key:
-        raise MatcherError("matcher name must be non-empty")
-    _FACTORIES[key] = factory
 
 
 def matcher_by_name(name: str) -> SubgraphMatcher:

@@ -2,7 +2,7 @@
 
 from .base import Method, VerificationRecord
 from .executor import QueryExecution, execute_query, verify_candidates
-from .registry import available_methods, method_by_name, register_method
+from .registry import available_methods, method_by_name
 from .si import SIMethod
 
 __all__ = [
@@ -14,5 +14,4 @@ __all__ = [
     "SIMethod",
     "available_methods",
     "method_by_name",
-    "register_method",
 ]

@@ -14,7 +14,7 @@ graph.  Both kinds are modelled by :class:`Method`:
   sub-iso test of the query against one dataset graph.
 
 The bundled implementations live in :mod:`repro.ftv` (GraphGrepSX, Grapes,
-CT-Index) and :mod:`repro.methods.si` (VF2, VF2+, GraphQL, Ullmann).
+CT-Index) and :mod:`repro.methods.si` (VF2, VF2+, GraphQL).
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ __all__ = ["FilterResult", "Method", "VerificationRecord"]
 
 
 class FilterResult(NamedTuple):
-    """``CS_M`` of one query, plus ``path_features(query, path_length)`` when
+    """``CS_M`` of one query, plus ``extract_label_paths(query, path_length)`` when
     the filter enumerated it (read-only; the caller may keep it)."""
 
     candidates: frozenset

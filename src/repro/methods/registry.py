@@ -19,7 +19,7 @@ from ..graphs.dataset import GraphDataset
 from .base import Method
 from .si import SIMethod
 
-__all__ = ["method_by_name", "available_methods", "register_method"]
+__all__ = ["method_by_name", "available_methods"]
 
 _BUILDERS: Dict[str, Callable[[GraphDataset], Method]] = {
     # FTV methods (paper defaults: paths of length 4, CT-Index trees/cycles).
@@ -31,16 +31,7 @@ _BUILDERS: Dict[str, Callable[[GraphDataset], Method]] = {
     "vf2": lambda dataset: SIMethod(dataset, matcher="vf2"),
     "vf2plus": lambda dataset: SIMethod(dataset, matcher="vf2plus"),
     "graphql": lambda dataset: SIMethod(dataset, matcher="graphql"),
-    "ullmann": lambda dataset: SIMethod(dataset, matcher="ullmann"),
 }
-
-
-def register_method(name: str, builder: Callable[[GraphDataset], Method]) -> None:
-    """Register a new Method M builder under ``name`` (case-insensitive)."""
-    key = name.strip().lower()
-    if not key:
-        raise BenchmarkError("method name must be non-empty")
-    _BUILDERS[key] = builder
 
 
 def method_by_name(name: str, dataset: GraphDataset) -> Method:

@@ -29,7 +29,7 @@ class SIMethod(Method):
         The dataset queries are answered against.
     matcher:
         Either a matcher instance or a registered matcher name
-        (``"vf2"``, ``"vf2plus"``, ``"graphql"``, ``"ullmann"``).
+        (``"vf2"``, ``"vf2plus"``, ``"graphql"``).
     prefilter:
         When ``True`` (default ``False``), trivially impossible candidates
         (fewer vertices/edges/labels than the query) are dropped before

@@ -66,7 +66,3 @@ class ZipfSampler:
     def sample(self) -> int:
         """Draw one index."""
         return bisect.bisect_left(self._cumulative, self._rng.random())
-
-    def sample_many(self, count: int) -> List[int]:
-        """Draw ``count`` independent indices."""
-        return [self.sample() for _ in range(count)]

@@ -15,6 +15,12 @@ empty-answer shortcut all answer.  A capacity of 3
 and a window of 2 make rounds admit and evict in mid-stream.  Every
 ``query()`` answer and every ``lookup()`` answer, on the memory and on the
 mmap backend, must equal the oracle's.
+
+Both query modes are judged.  In subgraph mode (GraphGrepSX as Method M) a
+dataset graph answers when it contains the query; in supergraph mode
+(``SupergraphFeatureIndex``) when the query contains it, so there the
+dataset holds small pieces of random graphs and fresh queries are random
+graphs of four to nine vertices.
 """
 
 from __future__ import annotations
@@ -29,12 +35,14 @@ from hypothesis import strategies as st
 from repro.core.cache import GraphCache
 from repro.core.config import GraphCacheConfig
 from repro.ftv.ggsx import GraphGrepSX
+from repro.ftv.supergraph import SupergraphFeatureIndex
 from repro.graphs.dataset import GraphDataset
 from repro.graphs.generators import random_connected_graph
 from repro.graphs.graph import Graph
 from ..isomorphism.helpers import LABELS, networkx_is_subgraph
 
 BACKENDS = ("memory", "mmap")
+MODES = ("subgraph", "supergraph")
 KINDS = ("fresh", "grown", "repeat", "renumbered")
 
 steps = st.lists(
@@ -42,11 +50,12 @@ steps = st.lists(
 )
 
 
-def _dataset(seed: int) -> GraphDataset:
+def _dataset(seed: int, mode: str) -> GraphDataset:
     rng = random.Random(seed)
-    return GraphDataset(
-        [random_connected_graph(rng.randint(5, 9), 2.4, LABELS, rng) for _ in range(6)]
-    )
+    graphs = [random_connected_graph(rng.randint(5, 9), 2.4, LABELS, rng) for _ in range(6)]
+    if mode == "supergraph":
+        graphs = [_piece(graph, rng) for graph in graphs]
+    return GraphDataset(graphs)
 
 
 def _piece(graph: Graph, rng: random.Random) -> Graph:
@@ -79,11 +88,13 @@ def _grown(query: Graph, rng: random.Random) -> Graph:
     )
 
 
-def _stream(dataset: GraphDataset, drawn) -> List[Graph]:
+def _stream(dataset: GraphDataset, drawn, mode: str) -> List[Graph]:
     queries: List[Graph] = []
     for kind, value in drawn:
         rng = random.Random(value)
-        if kind == "fresh" or not queries:
+        if (kind == "fresh" or not queries) and mode == "supergraph":
+            queries.append(random_connected_graph(rng.randint(4, 9), 2.4, LABELS, rng))
+        elif kind == "fresh" or not queries:
             if rng.random() < 0.7:
                 queries.append(_piece(dataset[rng.randrange(len(dataset))], rng))
             else:  # may carry "S", which no dataset graph has
@@ -100,27 +111,34 @@ def _stream(dataset: GraphDataset, drawn) -> List[Graph]:
 class Oracle:
     """Answer sets by networkx, over every dataset graph."""
 
-    def __init__(self, dataset: GraphDataset) -> None:
+    def __init__(self, dataset: GraphDataset, mode: str) -> None:
         self._dataset = dataset
+        self._mode = mode
         self._answers: Dict[Graph, frozenset] = {}
+
+    def _answers_query(self, query: Graph, graph: Graph) -> bool:
+        if self._mode == "supergraph":
+            return networkx_is_subgraph(graph, query)
+        return networkx_is_subgraph(query, graph)
 
     def __call__(self, query: Graph) -> frozenset:
         if query not in self._answers:
             self._answers[query] = frozenset(
                 graph_id
                 for graph_id, graph in enumerate(self._dataset)
-                if networkx_is_subgraph(query, graph)
+                if self._answers_query(query, graph)
             )
         return self._answers[query]
 
 
-def _serve(backend: str, dataset: GraphDataset, queries: List[Graph]):
+def _serve(backend: str, mode: str, dataset: GraphDataset, queries: List[Graph]):
     """Serve ``queries`` through a fresh cache, checking every answer;
     returns the cache (closed) and its ``query()`` results."""
-    oracle = Oracle(dataset)
+    oracle = Oracle(dataset, mode)
+    method = SupergraphFeatureIndex(dataset) if mode == "supergraph" else GraphGrepSX(dataset)
     cache = GraphCache(
-        GraphGrepSX(dataset),
-        GraphCacheConfig(cache_capacity=3, window_size=2, backend=backend),
+        method,
+        GraphCacheConfig(cache_capacity=3, window_size=2, backend=backend, query_mode=mode),
     )
     results = []
     try:
@@ -134,29 +152,37 @@ def _serve(backend: str, dataset: GraphDataset, queries: List[Graph]):
     return cache, results
 
 
+@pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("backend", BACKENDS)
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(dataset_seed=st.integers(0, 2**16), drawn=steps)
-def test_every_answer_equals_the_networkx_oracle(backend, dataset_seed, drawn):
-    dataset = _dataset(dataset_seed)
-    _serve(backend, dataset, _stream(dataset, drawn))
+def test_every_answer_equals_the_networkx_oracle(backend, mode, dataset_seed, drawn):
+    dataset = _dataset(dataset_seed, mode)
+    _serve(backend, mode, dataset, _stream(dataset, drawn, mode))
 
 
+@pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_the_streams_reach_every_hit_path(backend):
+def test_the_streams_reach_every_hit_path(backend, mode):
     """The drawn streams are not trivial: over a few fixed ones the cache
     evicts, answers exact hits from the table and through the processors'
-    loop, and proves empty answers."""
+    loop, takes direct answers from the pruning equations and (in subgraph
+    mode) proves empty answers.  The supergraph-mode shortcut needs a query
+    contained in a cached query without answers, which streams of queries
+    larger than the dataset graphs almost never make."""
     rng = random.Random(7)
-    totals = dict(table_exact=0, loop_exact=0, empty=0, evicted=0)
+    totals = dict(table_exact=0, loop_exact=0, direct=0, empty=0, evicted=0)
     for _ in range(12):
-        dataset = _dataset(rng.randrange(2**16))
+        dataset = _dataset(rng.randrange(2**16), mode)
         drawn = [(rng.choice(KINDS), rng.randrange(2**16)) for _ in range(16)]
-        cache, results = _serve(backend, dataset, _stream(dataset, drawn))
+        cache, results = _serve(backend, mode, dataset, _stream(dataset, drawn, mode))
         for result in results:
             confirmed = result.containment_tests + result.containment_memo_hits
             totals["table_exact"] += result.shortcut == "exact" and not confirmed
             totals["loop_exact"] += result.shortcut == "exact" and bool(confirmed)
+            totals["direct"] += result.direct_answers > 0
             totals["empty"] += result.shortcut == "empty"
         totals["evicted"] += sum(len(r.evicted_serials) for r in cache.window_manager.reports)
+    if mode == "supergraph":
+        del totals["empty"]
     assert all(totals.values()), totals

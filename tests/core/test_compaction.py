@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import threading
+from dataclasses import replace
 
 import pytest
 
@@ -78,7 +79,7 @@ class TestConfigValidation:
         assert GraphCacheConfig().compaction_threshold is None
 
     def test_with_compaction_and_label(self):
-        config = GraphCacheConfig().with_compaction(0.5)
+        config = replace(GraphCacheConfig(), compaction_threshold=0.5)
         assert config.compaction_threshold == 0.5
         assert "compact0.5" in config.label()
 

@@ -1,6 +1,8 @@
-"""Tests for GraphCacheConfig validation and helpers."""
+"""Tests for GraphCacheConfig defaults and validation."""
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import pytest
 
@@ -49,31 +51,50 @@ class TestValidation:
         assert GraphCacheConfig(replacement_policy="PINC").replacement_policy == "PINC"
 
 
-class TestHelpers:
-    def test_with_policy(self):
-        config = GraphCacheConfig().with_policy("lru")
+class TestReplace:
+    """Derived configs are made with ``dataclasses.replace``, which keeps
+    every other field and validates the result like the constructor."""
+
+    def test_policy(self):
+        config = replace(GraphCacheConfig(), replacement_policy="lru")
         assert config.replacement_policy == "lru"
         assert config.cache_capacity == 100
 
-    def test_with_capacity(self):
-        config = GraphCacheConfig().with_capacity(300)
+    def test_capacity(self):
+        config = replace(GraphCacheConfig(), cache_capacity=300)
         assert config.cache_capacity == 300
         assert config.window_size == 20
 
-    def test_with_capacity_and_window(self):
-        config = GraphCacheConfig().with_capacity(500, window_size=50)
+    def test_capacity_and_window(self):
+        config = replace(GraphCacheConfig(), cache_capacity=500, window_size=50)
         assert (config.cache_capacity, config.window_size) == (500, 50)
 
-    def test_with_admission_control(self):
-        config = GraphCacheConfig().with_admission_control(True, expensive_fraction=0.4)
+    def test_admission_control(self):
+        config = replace(
+            GraphCacheConfig(), admission_control=True, admission_expensive_fraction=0.4
+        )
         assert config.admission_control
         assert config.admission_expensive_fraction == 0.4
 
-    def test_with_admission_control_threshold(self):
-        config = GraphCacheConfig().with_admission_control(True, threshold=5.0)
+    def test_admission_control_threshold(self):
+        config = replace(GraphCacheConfig(), admission_control=True, admission_threshold=5.0)
         assert config.admission_threshold == 5.0
 
     def test_original_config_unchanged(self):
         base = GraphCacheConfig()
-        base.with_policy("pin")
+        replace(base, replacement_policy="pin")
         assert base.replacement_policy == "hd"
+
+    @pytest.mark.parametrize("field, value", [
+        ("cache_capacity", 0),
+        ("replacement_policy", "mru"),
+        ("backend_path", "graphs.arena"),  # only meaningful with backend="mmap"
+    ])
+    def test_replace_validates(self, field, value):
+        with pytest.raises(CacheError):
+            replace(GraphCacheConfig(), **{field: value})
+
+    def test_backend_path_on_mmap(self):
+        config = replace(GraphCacheConfig(backend="mmap"), backend_path="graphs.arena.lru")
+        assert config.backend_path == "graphs.arena.lru"
+        assert config.backend == "mmap"

@@ -23,7 +23,7 @@ from repro.core.query_index import QueryGraphIndex
 from repro.ftv import base as ftv_base_module
 from repro.ftv import supergraph as ftv_supergraph_module
 from repro.ftv.ctindex import CTIndex
-from repro.ftv.features import path_features
+from repro.ftv.features import extract_label_paths
 from repro.ftv.ggsx import GraphGrepSX
 from repro.ftv.grapes import Grapes
 from repro.ftv.supergraph import SupergraphFeatureIndex
@@ -46,14 +46,14 @@ def queries(dataset):
 
 
 def _count_calls(monkeypatch, module) -> Counter:
-    """Count ``path_features`` calls made from ``module``, per query."""
+    """Count ``extract_label_paths`` calls made from ``module``, per query."""
     calls: Counter = Counter()
 
     def counting(graph, max_length):
         calls[graph] += 1
-        return path_features(graph, max_length)
+        return extract_label_paths(graph, max_length)
 
-    monkeypatch.setattr(module, "path_features", counting)
+    monkeypatch.setattr(module, "extract_label_paths", counting)
     return calls
 
 
@@ -71,7 +71,7 @@ def test_handed_over_counter_is_the_index_counter_on_the_e2e_streams(name, monke
     for query in stream.distinct:
         cache.prefilter(query)
         features = cache.query_index.query_features(query)
-        expected = path_features(query, length)
+        expected = extract_label_paths(query, length)
         assert features.counts == expected
         assert features.probe == QueryGraphIndex._probe_of(expected)
     assert not own, "the GCindex enumerated a query Method M had enumerated"
@@ -79,7 +79,7 @@ def test_handed_over_counter_is_the_index_counter_on_the_e2e_streams(name, monke
 
 
 #: Methods that hand their counter over: query mode, constructor, and the
-#: module whose ``path_features`` the method's filter calls.
+#: module whose ``extract_label_paths`` the method's filter calls.
 HANDOVERS = {
     "ggsx": ("subgraph", GraphGrepSX, ftv_base_module),
     "supergraph-ftv": ("supergraph", SupergraphFeatureIndex, ftv_supergraph_module),
@@ -144,7 +144,7 @@ def test_fallbacks_extract_the_counter_themselves(name, dataset, queries, tmp_pa
         assert not own[query]
         cache.query(query)
         assert own[query] == 1
-        assert cache.query_index.query_features(query).counts == path_features(query, 3)
+        assert cache.query_index.query_features(query).counts == extract_label_paths(query, 3)
     cache.close()
 
 

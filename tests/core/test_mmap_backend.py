@@ -188,7 +188,7 @@ class TestDeadExtentReclamation:
         for serial in range(1, 6):
             backend.put(serial, entry(serial))
         backend.seal()
-        sealed_bytes = backend.arena.total_bytes
+        sealed_bytes = sum(stat["bytes"] for stat in backend.arena.segment_stats())
         # Freeing sealed-region extents leaves dead bytes in the segment
         # until the next seal compacts them away.
         backend.delete(2)
@@ -198,8 +198,9 @@ class TestDeadExtentReclamation:
         assert arena.dead_bytes > 0
         backend.seal()
         assert arena.dead_bytes == 0
-        assert arena.live_bytes == arena.total_bytes
-        assert arena.total_bytes < sealed_bytes
+        compacted_bytes = sum(stat["bytes"] for stat in arena.segment_stats())
+        assert arena.live_bytes == compacted_bytes
+        assert compacted_bytes < sealed_bytes
         assert sorted(backend.serials()) == [1, 3, 5]
         assert backend.get(1).answer_ids == frozenset({7})
         backend.close()

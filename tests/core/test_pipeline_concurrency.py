@@ -107,7 +107,7 @@ class TestStageAccounting:
             SIMethod(dataset, matcher="vf2plus"),
             GraphCacheConfig(cache_capacity=4, window_size=1),
         )
-        assert cache.pipeline.stage_names == STAGE_NAMES
+        assert tuple(stage.name for stage in cache.pipeline.stages) == STAGE_NAMES
 
         query = list(generate_type_a(dataset, "ZZ", 2, query_sizes=(4,), seed=3))[0]
         first = cache.query(query)

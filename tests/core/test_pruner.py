@@ -61,7 +61,7 @@ class TestSubgraphMode:
         # Equation 1 moves {1,2} to answers; equation 2 then drops 4.
         assert result.direct_answers == frozenset({1, 2})
         assert result.final_candidates == frozenset({3})
-        assert result.removed_count == 3
+        assert sum(map(len, result.contributions.values())) == 3
 
     def test_multiple_supergraph_answers_unioned(self):
         store = make_store({1: {1}, 2: {2}})
@@ -110,7 +110,7 @@ class TestSubgraphMode:
         pruner = CandidateSetPruner(store, query_mode="subgraph")
         result = pruner.prune(frozenset({1, 2}), outcome())
         assert result.final_candidates == frozenset({1, 2})
-        assert result.removed_count == 0
+        assert result.contributions == {}
 
 
 class TestSupergraphMode:

@@ -548,13 +548,13 @@ def test_recovery_does_storage_work_for_survivors_only(tmp_path, monkeypatch, ba
     assert admitted >= 5 * config.cache_capacity
 
     enumerated = []
-    real = query_index_module.path_features
+    real = query_index_module.extract_label_paths
 
     def counting(query, max_length):
         enumerated.append(query)
         return real(query, max_length)
 
-    monkeypatch.setattr(query_index_module, "path_features", counting)
+    monkeypatch.setattr(query_index_module, "extract_label_paths", counting)
     cache = recover_cache(checkpoint, METHOD)
     try:
         survivors = len(cache.cached_serials)

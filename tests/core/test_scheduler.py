@@ -6,6 +6,7 @@ import itertools
 import json
 import threading
 import types
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -83,14 +84,14 @@ class TestFactoryAndConfig:
             == "c100-b20-background"
         )
 
-    def test_with_maintenance_mode_preserves_journal_path(self):
+    def test_replacing_maintenance_mode_preserves_journal_path(self):
         config = GraphCacheConfig(journal_path="plans.jsonl")
-        switched = config.with_maintenance_mode("background")
+        switched = replace(config, maintenance_mode="background")
         assert switched.maintenance_mode == "background"
         assert switched.journal_path == "plans.jsonl"  # not silently dropped
-        cleared = config.with_maintenance_mode("background", journal_path=None)
+        cleared = replace(config, maintenance_mode="background", journal_path=None)
         assert cleared.journal_path is None
-        replaced = config.with_maintenance_mode("barrier", journal_path="other.jsonl")
+        replaced = replace(config, maintenance_mode="barrier", journal_path="other.jsonl")
         assert replaced.journal_path == "other.jsonl"
 
 
@@ -306,7 +307,7 @@ class TestJournal:
         written = sorted(p.name for p in tmp_path.iterdir())
         assert written == [f"plans.jsonl.shard{k}" for k in range(3)]
         total = sum(len(PlanJournal.read_records(path)) for path in tmp_path.iterdir())
-        assert total == sum(len(j) for j in cache.plan_journals())
+        assert total == sum(len(shard.plan_journal) for shard in cache.shards)
         assert total > 0
 
 

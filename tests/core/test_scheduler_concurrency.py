@@ -21,6 +21,7 @@ as its background-mode race smoke with ``PYTHONHASHSEED=0``):
 from __future__ import annotations
 
 import threading
+from dataclasses import replace
 
 from repro.core import GraphCache, GraphCacheConfig, build_cache
 from repro.graphs.generators import aids_like
@@ -140,11 +141,11 @@ class TestSyncBarrierEquivalence:
         config = GraphCacheConfig(cache_capacity=6, window_size=3)
         sync_cache = GraphCache(
             SIMethod(DATASET, matcher="vf2plus"),
-            config.with_maintenance_mode("sync"),
+            replace(config, maintenance_mode="sync"),
         )
         barrier_cache = GraphCache(
             SIMethod(DATASET, matcher="vf2plus"),
-            config.with_maintenance_mode("barrier"),
+            replace(config, maintenance_mode="barrier"),
         )
         try:
             for query in workload:
@@ -221,15 +222,10 @@ class TestShardedBackgroundRaceSmoke:
             cache.drain_maintenance()
             assert cache.runtime_statistics.queries_processed == len(workload)
             assert len(cache) <= 4 * 6
-            total_rounds = sum(
-                scheduler.counters.rounds
-                for scheduler in cache.maintenance_schedulers()
-            )
-            assert total_rounds == sum(len(j) for j in cache.plan_journals())
+            schedulers = [shard.maintenance_scheduler for shard in cache.shards]
+            total_rounds = sum(scheduler.counters.rounds for scheduler in schedulers)
+            assert total_rounds == sum(len(shard.plan_journal) for shard in cache.shards)
             assert total_rounds > 0
-            assert all(
-                scheduler.counters.inline_rounds == 0
-                for scheduler in cache.maintenance_schedulers()
-            )
+            assert all(scheduler.counters.inline_rounds == 0 for scheduler in schedulers)
         finally:
             cache.close()

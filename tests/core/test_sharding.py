@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -145,7 +146,7 @@ class TestCounterIdentity:
         workload = _workload()
         config = GraphCacheConfig(cache_capacity=6, window_size=3)
         plain = GraphCache(_method(), config)
-        sharded = ShardedGraphCache(_method(), config.with_shards(3))
+        sharded = ShardedGraphCache(_method(), replace(config, shards=3))
         for query in workload:
             assert sharded.query(query).answer_ids == plain.query(query).answer_ids
 

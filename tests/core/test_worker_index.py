@@ -140,7 +140,7 @@ class TestStaleIndexFallback:
         with pytest.warns(UserWarning, match="stale"):
             attached = method.attach_feature_index(index_path)
         assert attached is False
-        assert method.feature_index is None
+        assert method._findex is None
         method.rebuild_index()
         probe = _workload(count=4)[0]
         assert method.candidates(probe) == GraphGrepSX(_dataset()).candidates(probe)

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ftv import features
+from repro.ftv import base, ctindex, features, supergraph
 from repro.ftv.ctindex import CTIndex
 from repro.ftv.features import canonical_path_key, extract_label_cycles, extract_label_paths
 from repro.ftv.fingerprints import Fingerprint
@@ -68,7 +68,7 @@ def _decoded_fingerprints(dataset, method):
 def _assert_decoded_index(method, dataset):
     if isinstance(method, CTIndex):
         reference = _decoded_fingerprints(dataset, method)
-        assert {gid: method.fingerprint_of(gid).bits for gid in reference} == {
+        assert {gid: method._fingerprints[gid].bits for gid in reference} == {
             gid: fingerprint.bits for gid, fingerprint in reference.items()
         }
     elif isinstance(method, SupergraphFeatureIndex):
@@ -136,7 +136,10 @@ def test_build_never_decodes_a_dataset_graph_and_a_query_does(monkeypatch, metho
 
         return wrapper
 
-    monkeypatch.setattr(features, "extract_label_paths", spy(extract_label_paths))
+    # The builds' own fallback decode lives in ``features``; a query's
+    # extraction is called from the method's module.
+    for module in (features, base, ctindex, supergraph):
+        monkeypatch.setattr(module, "extract_label_paths", spy(extract_label_paths))
     monkeypatch.setattr(features, "extract_label_cycles", spy(extract_label_cycles))
     method = method_cls(dataset)
     assert seen == []

@@ -12,7 +12,6 @@ from repro.ftv.features import (
     cycle_features,
     extract_label_cycles,
     extract_label_paths,
-    path_features,
 )
 from repro.graphs.generators import random_connected_graph
 from repro.graphs.graph import Graph
@@ -72,9 +71,6 @@ class TestPathExtraction:
     def test_max_length_zero_only_vertices(self, path_graph):
         counts = extract_label_paths(path_graph, 0)
         assert all(len(key) == 1 for key in counts)
-
-    def test_alias(self, triangle):
-        assert path_features(triangle, 2) == extract_label_paths(triangle, 2)
 
 
 class TestCycleExtraction:

@@ -49,7 +49,7 @@ class TestSealAttachRoundTrip:
 
         attacher = method_cls(dataset)
         assert attacher.attach_feature_index(path) is True
-        assert attacher.feature_index is not None
+        assert attacher._findex is not None
         for query, answer in zip(queries, expected, strict=True):
             assert attacher.candidates(query) == answer
 
@@ -83,11 +83,11 @@ class TestSealAttachRoundTrip:
         method.seal_feature_index(path)
         attacher = CTIndex(dataset)
         assert attacher.attach_feature_index(path) is True
-        for graph_id in sorted(dataset.graph_ids)[:20]:
-            assert (
-                attacher.fingerprint_of(graph_id).bits
-                == method.fingerprint_of(graph_id).bits
-            )
+        arena = attacher._findex
+        assert sorted(arena._graph_ids) == sorted(dataset.graph_ids)
+        for row, graph_id in enumerate(arena._graph_ids):
+            bits = int.from_bytes(arena._fp_matrix[row].tobytes(), "little")
+            assert bits == method._fingerprints[graph_id].bits
 
     def test_sealed_bytes_deterministic(self, tmp_path, dataset):
         first = tmp_path / "a.ftv.arena"
@@ -104,7 +104,7 @@ class TestAttachHandshake:
         method = GraphGrepSX(dataset)
         with pytest.warns(UserWarning, match="attach failed"):
             assert method.attach_feature_index(path) is False
-        assert method.feature_index is None
+        assert method._findex is None
 
     def test_params_mismatch_declines(self, tmp_path, dataset):
         GraphGrepSX(dataset, max_path_length=2).seal_feature_index(

@@ -150,11 +150,6 @@ class TestCTIndex:
         method = CTIndex(tiny_dataset, max_tree_size=2, max_cycle_size=4, fingerprint_bits=512)
         assert method.index_size_bytes() == len(tiny_dataset) * 512 // 8
 
-    def test_fingerprint_of_dataset_graph(self, tiny_dataset):
-        method = CTIndex(tiny_dataset, max_tree_size=2, max_cycle_size=4, fingerprint_bits=512)
-        fp = method.fingerprint_of(0)
-        assert fp.popcount() > 0
-
     def test_wider_fingerprints_filter_at_least_as_well(self, tiny_dataset):
         narrow = CTIndex(tiny_dataset, max_tree_size=3, max_cycle_size=4, fingerprint_bits=64)
         wide = CTIndex(tiny_dataset, max_tree_size=3, max_cycle_size=4, fingerprint_bits=4096)

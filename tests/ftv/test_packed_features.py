@@ -1,7 +1,7 @@
 """CSR-native feature extraction: Counter identity against the decoded route.
 
-The packed extractors (:func:`packed_path_features` /
-:func:`packed_cycle_features`) must be *Counter-identical* to the decoded
+The packed extractors (:func:`dataset_path_features`, here over one graph,
+and :func:`packed_cycle_features`) must be *Counter-identical* to the decoded
 reference extractors on every graph — same keys, same multiplicities — or
 the sealed feature index silently diverges from the postings it replaces.  These
 tests pin that identity with hypothesis over random labelled graphs (mixed
@@ -21,12 +21,11 @@ from hypothesis import strategies as st
 
 from repro.ftv.features import (
     cycle_features,
+    dataset_path_features,
     extract_label_cycles,
     extract_label_paths,
     label_rank_map,
     packed_cycle_features,
-    packed_path_features,
-    path_features,
 )
 from repro.ftv.ggsx import GraphGrepSX
 from repro.ftv.grapes import Grapes
@@ -38,6 +37,12 @@ from repro.graphs.packed import PackedGraphView
 #: Mixed label universe: int labels, str labels, and a str/int collision
 #: (``1`` vs ``"1"``) that must share a canonical key through every route.
 MIXED_LABELS = [0, 1, "1", "C", "N", 7]
+
+
+def _csr_paths(graph: Graph, max_length: int) -> Counter:
+    """``graph``'s label paths through the CSR batch extractor, a batch of one."""
+    ((_, counter),) = dataset_path_features([graph], max_length)
+    return counter
 
 
 def _random_graph(seed: int) -> Graph:
@@ -68,7 +73,7 @@ class TestPackedPathIdentity:
     def test_counter_identity_random_graphs(self, seed, max_length):
         graph = _random_graph(seed)
         decoded = extract_label_paths(graph, max_length)
-        packed = packed_path_features(graph.to_packed(), max_length)
+        packed = _csr_paths(graph, max_length)
         assert packed == decoded
 
     @given(seed=st.integers(0, 10_000), max_size=st.integers(3, 6))
@@ -91,9 +96,7 @@ class TestPackedPathIdentity:
     )
     def test_edge_cases(self, graph):
         for max_length in range(0, 4):
-            assert packed_path_features(
-                graph.to_packed(), max_length
-            ) == extract_label_paths(graph, max_length)
+            assert _csr_paths(graph, max_length) == extract_label_paths(graph, max_length)
         for max_size in range(3, 6):
             assert packed_cycle_features(
                 graph.to_packed(), max_size
@@ -107,14 +110,12 @@ class TestPackedPathIdentity:
         # dataset graph is built this way, at 4 edges.
         rng = random.Random(seed)
         graph = random_connected_graph(rng.randint(65, 90), 2.0, MIXED_LABELS, rng)
-        assert packed_path_features(
-            graph.to_packed(), max_length
-        ) == extract_label_paths(graph, max_length)
+        assert _csr_paths(graph, max_length) == extract_label_paths(graph, max_length)
 
     def test_degenerate_bounds(self):
-        packed = _random_graph(3).to_packed()
-        assert packed_path_features(packed, -1) == Counter()
-        assert packed_cycle_features(packed, 2) == Counter()
+        graph = _random_graph(3)
+        assert _csr_paths(graph, -1) == Counter()
+        assert packed_cycle_features(graph.to_packed(), 2) == Counter()
 
 
 def _labelled_path(width: int) -> Graph:
@@ -132,16 +133,15 @@ class TestCodeSpaceOverflow:
 
     def test_seven_thousand_labels(self):
         graph = _labelled_path(7000)
-        packed = packed_path_features(graph.to_packed(), 4)
+        packed = _csr_paths(graph, 4)
         assert len(packed) == 34_990
         assert packed == extract_label_paths(graph, 4)
 
     @pytest.mark.parametrize("width, decodes", [(6208, 0), (6209, 1)])
     def test_widest_code_space_at_four_edges(self, width, decodes):
         graph = _labelled_path(width)
-        record = graph.to_packed()
         before = graph_constructions()
-        packed = packed_path_features(record, 4)
+        packed = _csr_paths(graph, 4)
         # 6 208 ** 5 still fits: only the next width falls back to a Graph.
         assert graph_constructions() - before == decodes
         assert packed == extract_label_paths(graph, 4)
@@ -152,17 +152,13 @@ class TestDispatch:
         packed = _random_graph(5).to_packed()
         view = PackedGraphView(packed)
         before = graph_constructions()
-        by_packed = path_features(packed, 3)
-        by_view = path_features(view, 3)
+        cycle_by_packed = cycle_features(packed, 5)
         cycle_by_view = cycle_features(view, 5)
         assert graph_constructions() == before  # no Graph materialised
-        graph = packed.to_graph()
-        assert by_packed == by_view == extract_label_paths(graph, 3)
-        assert cycle_by_view == extract_label_cycles(graph, 5)
+        assert cycle_by_packed == cycle_by_view == extract_label_cycles(packed.to_graph(), 5)
 
     def test_plain_graph_takes_decoded_route(self):
         graph = _random_graph(6)
-        assert path_features(graph, 3) == extract_label_paths(graph, 3)
         assert cycle_features(graph, 5) == extract_label_cycles(graph, 5)
 
 
@@ -215,6 +211,6 @@ class TestLabelCanonicalisationRegression:
         for int_graph, str_graph in zip(int_ds, str_ds, strict=True):
             decoded_int = extract_label_paths(int_graph, 3)
             decoded_str = extract_label_paths(str_graph, 3)
-            packed_int = packed_path_features(int_graph.to_packed(), 3)
-            packed_str = packed_path_features(str_graph.to_packed(), 3)
+            packed_int = _csr_paths(int_graph, 3)
+            packed_str = _csr_paths(str_graph, 3)
             assert decoded_int == decoded_str == packed_int == packed_str

@@ -1,7 +1,7 @@
 """Label-path enumeration against an outside referee.
 
 Both path extractors — the decoded frontier (:func:`extract_label_paths`)
-and the CSR-native one (:func:`packed_path_features`) — must count exactly
+and the CSR-native one (:func:`dataset_path_features`) — must count exactly
 what a brute-force enumeration of simple paths with ``networkx`` counts:
 every vertex once as a 0-edge path, and every undirected simple path of up
 to ``L`` edges once, under the key of its lexicographically smaller
@@ -23,10 +23,10 @@ from hypothesis import strategies as st
 from repro.ftv.features import (
     canonical_cycle_key,
     canonical_path_key,
+    dataset_path_features,
     extract_label_cycles,
     extract_label_paths,
     packed_cycle_features,
-    packed_path_features,
 )
 from repro.graphs.graph import Graph
 
@@ -67,7 +67,8 @@ def labelled_graphs(draw, max_order: int = 12, max_edges: int = 20, labels: str 
 def _assert_three_agree(graph: Graph, max_length: int) -> None:
     expected = _networkx_path_count(graph, max_length)
     assert extract_label_paths(graph, max_length) == expected
-    assert packed_path_features(graph.to_packed(), max_length) == expected
+    ((_, packed),) = dataset_path_features([graph], max_length)
+    assert packed == expected
 
 
 @given(graph=labelled_graphs(), max_length=st.integers(0, 4))

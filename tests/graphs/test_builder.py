@@ -72,13 +72,6 @@ class TestAddEdge:
         builder.add_edge("b", "a")
         assert builder.size == 1
 
-    def test_add_edges_bulk(self):
-        builder = GraphBuilder()
-        for name in "abc":
-            builder.add_vertex(name, "C")
-        builder.add_edges([("a", "b"), ("b", "c")])
-        assert builder.size == 2
-
     def test_has_edge_with_unknown_vertices(self):
         builder = GraphBuilder()
         assert not builder.has_edge("x", "y")
@@ -100,20 +93,6 @@ class TestBuild:
         builder = GraphBuilder(graph_id="x")
         builder.add_vertex("a", "C")
         assert builder.build(graph_id="y").graph_id == "y"
-
-    def test_vertex_id_lookup(self):
-        builder = GraphBuilder()
-        builder.add_vertex("first", "C")
-        builder.add_vertex("second", "N")
-        assert builder.vertex_id("second") == 1
-        with pytest.raises(GraphError):
-            builder.vertex_id("third")
-
-    def test_vertex_names_order(self):
-        builder = GraphBuilder()
-        builder.add_vertex("x", "C")
-        builder.add_vertex("y", "O")
-        assert builder.vertex_names() == ("x", "y")
 
     def test_builder_reusable_after_build(self):
         builder = GraphBuilder()

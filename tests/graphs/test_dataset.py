@@ -82,11 +82,6 @@ class TestStatistics:
         dataset = GraphDataset(_graphs())
         assert dataset.label_alphabet() == frozenset({"C", "O", "N", "S"})
 
-    def test_totals(self):
-        dataset = GraphDataset(_graphs())
-        assert dataset.total_vertices() == 6
-        assert dataset.total_edges() == 3
-
     def test_single_graph_statistics(self):
         dataset = GraphDataset([Graph(labels=["C"])])
         stats = dataset.statistics()

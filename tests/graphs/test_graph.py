@@ -82,10 +82,6 @@ class TestAccessors:
     def test_label_histogram(self, star_graph):
         assert star_graph.label_histogram == {"C": 1, "O": 3}
 
-    def test_label_count(self, star_graph):
-        assert star_graph.label_count("O") == 3
-        assert star_graph.label_count("N") == 0
-
     def test_distinct_labels(self, path_graph):
         assert path_graph.distinct_labels() == frozenset({"C", "O", "N"})
 
@@ -109,23 +105,6 @@ class TestStructuralSummaries:
 
     def test_density_single_vertex(self):
         assert Graph(labels=["C"]).density() == 0.0
-
-    def test_connected_path(self, path_graph):
-        assert path_graph.is_connected()
-
-    def test_disconnected_graph(self):
-        g = Graph(labels=["C", "C", "O"], edges=[(0, 1)])
-        assert not g.is_connected()
-        components = g.connected_components()
-        assert sorted(map(len, components)) == [1, 2]
-
-    def test_empty_graph_is_connected(self):
-        assert Graph(labels=[]).is_connected()
-
-    def test_connected_components_cover_all_vertices(self, random_molecule):
-        components = random_molecule.connected_components()
-        covered = sorted(v for component in components for v in component)
-        assert covered == list(range(random_molecule.order))
 
 
 class TestLabelMasks:

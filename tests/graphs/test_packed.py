@@ -21,7 +21,7 @@ from repro.core.backends.arena import GraphArena
 from repro.exceptions import GraphError
 from repro.graphs.generators import dataset_by_name, random_connected_graph
 from repro.graphs.graph import _CSR_SCALAR_CUTOFF, Graph
-from repro.graphs.packed import INDEX_DTYPE, INDPTR_DTYPE, PackedGraph, pack_graphs
+from repro.graphs.packed import INDEX_DTYPE, INDPTR_DTYPE, PackedGraph
 
 LABELS = ["C", "N", "O", "S"]
 
@@ -134,10 +134,6 @@ class TestRecordLayout:
             payload = _random_graph(seed).to_packed().to_bytes()
             assert len(payload) % 8 == 0
 
-    def test_packed_nbytes_matches_record_length(self):
-        payload = _random_graph(5).to_packed().to_bytes()
-        assert PackedGraph.packed_nbytes(payload) == len(payload)
-
     def test_bytes_round_trip(self):
         graph = _random_graph(17)
         packed = graph.to_packed()
@@ -148,7 +144,7 @@ class TestRecordLayout:
 
     def test_from_buffer_at_offset(self):
         graphs = [_random_graph(seed) for seed in (1, 2, 3)]
-        records = pack_graphs(graphs)
+        records = [graph.packed_bytes() for graph in graphs]
         blob = b"".join(records)
         offset = 0
         for graph, record in zip(graphs, records):

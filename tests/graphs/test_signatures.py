@@ -10,9 +10,7 @@ from repro.graphs.graph import Graph
 from repro.graphs.signatures import (
     could_be_subgraph,
     degree_sequence_dominates,
-    graph_signature,
     label_histogram_dominates,
-    vertex_signature,
 )
 from repro.isomorphism.vf2_plus import VF2PlusMatcher
 
@@ -69,32 +67,3 @@ class TestCouldBeSubgraph:
             pattern = target.induced_subgraph(vertices)
             if matcher.is_subgraph(pattern, target):
                 assert could_be_subgraph(pattern, target)
-
-
-class TestVertexSignature:
-    def test_signature_contents(self, path_graph):
-        label, degree, neighbours = vertex_signature(path_graph, 1)
-        assert label == "C"
-        assert degree == 2
-        assert neighbours == (repr("C"), repr("O"))
-
-    def test_leaf_signature(self, star_graph):
-        label, degree, neighbours = vertex_signature(star_graph, 1)
-        assert degree == 1
-        assert neighbours == (repr("C"),)
-
-
-class TestGraphSignature:
-    def test_isomorphic_graphs_same_signature(self):
-        a = Graph(labels=["C", "O", "N"], edges=[(0, 1), (1, 2)])
-        b = Graph(labels=["N", "O", "C"], edges=[(0, 1), (1, 2)])
-        assert graph_signature(a) == graph_signature(b)
-
-    def test_different_structure_different_signature(self, triangle, path_graph):
-        assert graph_signature(triangle) != graph_signature(path_graph)
-
-    def test_signature_fields(self, triangle):
-        signature = graph_signature(triangle)
-        assert signature["order"] == 3
-        assert signature["size"] == 3
-        assert signature["degree_sequence"] == (2, 2, 2)

@@ -52,3 +52,25 @@ def contained_pair(seed: int, target_order: int = 14) -> Tuple[Graph, Graph]:
         keep = rng.sample(list(pattern.edges), k=max(1, pattern.size - 1))
         pattern = pattern.edge_subgraph(keep)
     return pattern, target
+
+
+def near_miss_pair(seed: int, target_order: int = 10) -> Tuple[Graph, Graph]:
+    """An induced subgraph of four to six vertices of a random target, with
+    one change: an extra edge or one relabelled vertex.  The change breaks
+    containment about half the time, so these pairs sit on the boundary the
+    matchers' pruning rules must get right."""
+    rng = random.Random(seed)
+    target = random_connected_graph(target_order, 2.8, LABELS, rng)
+    k = rng.randint(4, min(6, target_order))
+    pattern = target.induced_subgraph(rng.sample(range(target.order), k=k))
+    missing = [
+        (u, v)
+        for u in pattern.vertices()
+        for v in pattern.vertices()
+        if u < v and not pattern.has_edge(u, v)
+    ]
+    if missing and rng.random() < 0.5:
+        return Graph(labels=pattern.labels, edges=[*pattern.edges, rng.choice(missing)]), target
+    vertex = rng.randrange(pattern.order)
+    label = rng.choice([label for label in LABELS if label != pattern.label(vertex)])
+    return pattern.relabelled({vertex: label}), target

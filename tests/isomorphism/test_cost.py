@@ -8,8 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graphs.graph import Graph
-from repro.isomorphism.cost import estimate_query_cost, estimate_subiso_cost
+from repro.isomorphism.cost import estimate_subiso_cost
 
 
 class TestEstimateSubisoCost:
@@ -51,13 +50,3 @@ class TestEstimateSubisoCost:
     )
     def test_never_negative(self, n, labels, big_n):
         assert estimate_subiso_cost(n, labels, big_n) >= 0.0
-
-
-class TestEstimateQueryCost:
-    def test_wrapper_uses_graph_attributes(self, triangle):
-        target = Graph(labels=["C"] * 10, edges=[(i, i + 1) for i in range(9)])
-        expected = estimate_subiso_cost(3, 2, 10)
-        assert estimate_query_cost(triangle, target) == pytest.approx(expected)
-
-    def test_zero_for_small_target(self, path_graph, triangle):
-        assert estimate_query_cost(path_graph, triangle) == 0.0

@@ -14,14 +14,13 @@ from repro.graphs.graph import Graph
 from repro.isomorphism import (
     GraphQLMatcher,
     SearchBudget,
-    UllmannMatcher,
     VF2Matcher,
     VF2PlusMatcher,
 )
 
-from .helpers import contained_pair, networkx_is_subgraph, random_pair
+from .helpers import contained_pair, near_miss_pair, networkx_is_subgraph, random_pair
 
-MATCHERS = [VF2Matcher(), VF2PlusMatcher(), UllmannMatcher(), GraphQLMatcher()]
+MATCHERS = [VF2Matcher(), VF2PlusMatcher(), GraphQLMatcher()]
 MATCHER_IDS = [m.name for m in MATCHERS]
 
 
@@ -102,6 +101,14 @@ class TestEmbeddings:
         assert outcome.elapsed_s >= 0.0
         assert outcome.nodes_expanded >= 0
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_witness_exists_exactly_when_networkx_matches(self, matcher, seed):
+        pattern, target = near_miss_pair(100 + seed)
+        embedding = matcher.find_embedding(pattern, target)
+        assert (embedding is not None) == networkx_is_subgraph(pattern, target)
+        if embedding is not None:
+            assert matcher.verify_embedding(pattern, target, embedding)
+
 
 class TestAgainstNetworkxOracle:
     @pytest.mark.parametrize("seed", range(30))
@@ -113,6 +120,11 @@ class TestAgainstNetworkxOracle:
     def test_contained_pairs_always_match(self, matcher, seed):
         pattern, target = contained_pair(seed)
         assert matcher.is_subgraph(pattern, target)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_near_miss_pairs_agree_with_networkx(self, matcher, seed):
+        pattern, target = near_miss_pair(seed)
+        assert matcher.is_subgraph(pattern, target) == networkx_is_subgraph(pattern, target)
 
     def test_all_matchers_agree_pairwise(self):
         for seed in range(25):

@@ -3,12 +3,10 @@
 from __future__ import annotations
 
 import random
-from collections import Counter
 
 from repro.graphs.generators import random_connected_graph
 from repro.graphs.graph import Graph
-from repro.isomorphism.graphql_match import GraphQLMatcher, _counter_covers
-from repro.isomorphism.ullmann import UllmannMatcher
+from repro.isomorphism.graphql_match import GraphQLMatcher
 from repro.isomorphism.vf2 import VF2Matcher, connectivity_order
 from repro.isomorphism.vf2_plus import VF2PlusMatcher
 
@@ -69,46 +67,18 @@ class TestVF2PlusOrdering:
             )
 
 
-class TestUllmannRefinement:
-    def test_initial_domains_respect_labels_and_degree(self, star_graph):
-        pattern = Graph(labels=["C", "O"], edges=[(0, 1)])
-        domains = UllmannMatcher()._initial_domains(pattern, star_graph)
-        assert domains[0] == {0}
-        assert domains[1] == {1, 2, 3}
-
-    def test_refinement_prunes_impossible(self):
-        pattern = Graph(labels=["C", "C", "C"], edges=[(0, 1), (1, 2)])
-        # Target: two disconnected C-C edges; the middle pattern vertex needs
-        # two C neighbours, which no target vertex has.
-        target = Graph(labels=["C"] * 4, edges=[(0, 1), (2, 3)])
-        matcher = UllmannMatcher()
-        domains = matcher._initial_domains(pattern, target)
-        assert not matcher._refine(pattern, target, domains) or not all(domains)
-
-    def test_refinement_keeps_valid_candidates(self, triangle):
-        pattern = Graph(labels=["C", "O"], edges=[(0, 1)])
-        matcher = UllmannMatcher()
-        domains = matcher._initial_domains(pattern, triangle)
-        assert matcher._refine(pattern, triangle, domains)
-        assert domains[1] == {2}
-
-
 class TestGraphQLInternals:
-    def test_counter_covers(self):
-        assert _counter_covers(Counter({"C": 2, "O": 1}), Counter({"C": 1}))
-        assert not _counter_covers(Counter({"C": 1}), Counter({"C": 2}))
-
     def test_initial_candidates_use_profiles(self, path_graph):
         pattern = Graph(labels=["C", "O"], edges=[(0, 1)])
         matcher = GraphQLMatcher()
-        candidates = matcher._initial_candidates(pattern, path_graph)
+        candidates = matcher._initial_candidate_masks(pattern, path_graph)
         # Pattern vertex 0 is a C adjacent to an O: only vertex 1 qualifies.
-        assert candidates[0] == {1}
+        assert candidates[0] == 1 << 1
 
     def test_search_order_prefers_small_candidate_sets(self, path_graph):
         pattern = Graph(labels=["C", "C", "O"], edges=[(0, 1), (1, 2)])
         matcher = GraphQLMatcher()
-        candidates = matcher._initial_candidates(pattern, path_graph)
+        candidates = matcher._initial_candidate_masks(pattern, path_graph)
         order = matcher._search_order(pattern, candidates)
         assert sorted(order) == [0, 1, 2]
-        assert len(candidates[order[0]]) == min(len(c) for c in candidates)
+        assert candidates[order[0]].bit_count() == min(c.bit_count() for c in candidates)

@@ -21,7 +21,7 @@ from repro.exceptions import MatchTimeout
 from repro.graphs.generators import random_connected_graph
 from repro.graphs.graph import Graph
 from repro.graphs.packed import PackedGraphView
-from repro.isomorphism import VF2Matcher, VF2PlusMatcher, iter_embeddings
+from repro.isomorphism import VF2Matcher, VF2PlusMatcher
 from repro.isomorphism.base import SearchBudget
 from repro.isomorphism.vf2 import connectivity_order
 
@@ -349,20 +349,3 @@ class TestPlanMemo:
             assert matcher.is_subgraph(pattern, target)
             assert len(matcher._plans) <= 4
         assert len(matcher._plans) > 0
-
-
-class TestEnumerationSharesThePlan:
-    def test_first_embedding_is_the_vf2plus_witness(self):
-        matcher = VF2PlusMatcher()
-        for seed in range(30):
-            pattern, target = contained_pair(seed, target_order=12)
-            first = next(iter_embeddings(pattern, target))
-            assert list(first.items()) == list(matcher.find_embedding(pattern, target).items())
-
-    def test_enumeration_ticks_the_budget(self):
-        pattern, target = contained_pair(2, target_order=12)
-        budget = SearchBudget()
-        count = sum(1 for _ in iter_embeddings(pattern, target, budget=budget))
-        assert budget.nodes_expanded >= count * pattern.order > 0
-        with pytest.raises(MatchTimeout):
-            list(iter_embeddings(pattern, target, budget=SearchBudget(node_limit=2)))

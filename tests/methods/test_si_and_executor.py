@@ -12,7 +12,6 @@ from repro.methods import (
     available_methods,
     execute_query,
     method_by_name,
-    register_method,
     verify_candidates,
 )
 
@@ -138,12 +137,3 @@ class TestMethodRegistry:
     def test_unknown_method(self, handmade_dataset):
         with pytest.raises(BenchmarkError):
             method_by_name("turbo-iso", handmade_dataset)
-
-    def test_register_custom_method(self, handmade_dataset):
-        register_method("custom-si", lambda dataset: SIMethod(dataset, matcher="vf2"))
-        assert "custom-si" in available_methods()
-        assert method_by_name("custom-si", handmade_dataset).name == "si-vf2"
-
-    def test_register_empty_name_rejected(self):
-        with pytest.raises(BenchmarkError):
-            register_method("", lambda dataset: None)

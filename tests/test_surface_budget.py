@@ -20,7 +20,8 @@ from repro.core.config import GraphCacheConfig
 from repro.core.persistence import load_cache
 from repro.exceptions import CacheError
 from repro.graphs.generators import aids_like
-from repro.methods import SIMethod
+from repro.isomorphism import available_matchers
+from repro.methods import SIMethod, available_methods
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -34,8 +35,12 @@ CLI_ARGUMENTS = 49
 STORAGE_BACKENDS = 2
 #: Snapshot ``format_version`` values ``load_cache`` accepts.
 SNAPSHOT_FORMATS_READ = 1
+#: Bundled subgraph-isomorphism matchers: the paper's VF2, VF2+ and GraphQL.
+MATCHERS = 3
+#: Method M builders ``method_by_name`` knows (four FTV, three SI).
+METHODS = 7
 #: Lines of Python under ``src/``.
-SRC_LINES = 18_316
+SRC_LINES = 17_734
 
 
 def _concrete_subclasses(base):
@@ -62,6 +67,15 @@ def test_cli_arguments():
 def test_storage_backends():
     assert len(AVAILABLE_BACKENDS) == STORAGE_BACKENDS
     assert len(_concrete_subclasses(StorageBackend)) == STORAGE_BACKENDS
+
+
+def test_matchers():
+    assert available_matchers() == ["graphql", "vf2", "vf2plus"]
+    assert len(available_matchers()) == MATCHERS
+
+
+def test_methods():
+    assert len(available_methods()) == METHODS
 
 
 def test_snapshot_formats_read(tmp_path):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 
+import networkx as nx
 import pytest
 
 from repro.exceptions import WorkloadError
@@ -11,6 +12,8 @@ from repro.graphs.generators import random_connected_graph
 from repro.graphs.graph import Graph
 from repro.isomorphism import VF2PlusMatcher
 from repro.workloads.base import Workload, extract_query_bfs, extract_query_random_walk
+
+from ..isomorphism.helpers import to_networkx
 
 MATCHER = VF2PlusMatcher()
 
@@ -31,7 +34,7 @@ class TestBFSExtraction:
     def test_query_is_connected(self):
         source = source_graph(3)
         query = extract_query_bfs(source, 2, 6)
-        assert query is not None and query.is_connected()
+        assert query is not None and nx.is_connected(to_networkx(query))
 
     def test_deterministic_without_rng(self):
         source = source_graph(1)

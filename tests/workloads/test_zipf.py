@@ -43,24 +43,19 @@ class TestZipfSampler:
         for _ in range(200):
             assert 0 <= sampler.sample() < 10
 
-    def test_sample_many(self):
-        sampler = ZipfSampler(10, 1.4, random.Random(0))
-        assert len(sampler.sample_many(25)) == 25
-
     def test_rank_zero_most_popular(self):
         sampler = ZipfSampler(50, 1.4, random.Random(1))
-        counts = Counter(sampler.sample_many(3000))
+        counts = Counter(sampler.sample() for _ in range(3000))
         assert counts[0] == max(counts.values())
 
     def test_empirical_frequency_matches_probability(self):
         sampler = ZipfSampler(20, 1.4, random.Random(2))
-        counts = Counter(sampler.sample_many(20000))
+        counts = Counter(sampler.sample() for _ in range(20000))
         assert counts[0] / 20000 == pytest.approx(sampler.probability(0), rel=0.15)
 
     def test_deterministic_given_seed(self):
-        a = ZipfSampler(30, 1.4, random.Random(7)).sample_many(50)
-        b = ZipfSampler(30, 1.4, random.Random(7)).sample_many(50)
-        assert a == b
+        a, b = (ZipfSampler(30, 1.4, random.Random(7)) for _ in range(2))
+        assert [a.sample() for _ in range(50)] == [b.sample() for _ in range(50)]
 
     def test_properties(self):
         sampler = ZipfSampler(30, 1.7, random.Random(0))
