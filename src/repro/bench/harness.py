@@ -143,9 +143,7 @@ def run_cached(
     selects the storage backend.  With ``jobs > 1`` the queries go through
     the batched service facade — Mfilter prefetch over a plain cache, full
     per-shard pipelines over a sharded one; answers and work counters are
-    byte-identical to the serial run — except under wall-clock based
-    admission control (``config.admission_control``), whose threshold
-    calibrates on measured times and is non-deterministic even serially.
+    byte-identical to the serial run, with admission control on or off.
     """
     config = config or GraphCacheConfig()
     if warmup_queries is None:

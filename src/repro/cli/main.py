@@ -108,9 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="cache replacement policy")
     run.add_argument("--jobs", type=int, default=1,
                      help="threads prefetching Method M filtering (answers and "
-                          "work counters are identical to --jobs 1, except "
-                          "under --admission-control, whose threshold "
-                          "calibrates on measured wall-clock times)")
+                          "work counters are identical to --jobs 1)")
 
     # batch -------------------------------------------------------------------- #
     batch = subparsers.add_parser(

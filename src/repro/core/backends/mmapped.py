@@ -2,7 +2,7 @@
 
 :class:`MmapBackend` keeps every entry's *query graph* as a packed record in
 a :class:`~repro.core.backends.arena.GraphArena` and everything else (serial,
-answer set, timings) in RAM.  An entry this process wrote keeps the query
+answer set, expensiveness) in RAM.  An entry this process wrote keeps the query
 object it was written from (a reference, not a copy), so ``get()`` hands that
 object back and never decodes its own writes.  Only entries adopted from a
 sealed sidecar (attach, warm start, pool workers) are decoded, lazily: the
@@ -39,7 +39,7 @@ from .base import EntryCodec, StorageBackend
 
 __all__ = ["MmapBackend"]
 
-_META_VERSION = 1
+_META_VERSION = 2
 
 #: Stand-in query used to run an entry through the owning store's text codec
 #: without serialising the real graph: the mmap backend stores graphs as

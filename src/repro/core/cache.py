@@ -297,11 +297,7 @@ class GraphCache:
             statistics=self._statistics,
             index=self._index,
             admission=admission_by_name(
-                self._config.admission_kind,
-                enabled=self._config.admission_control,
-                expensive_fraction=self._config.admission_expensive_fraction,
-                calibration_windows=self._config.admission_calibration_windows,
-                threshold=self._config.admission_threshold,
+                self._config.admission_kind, enabled=self._config.admission_control
             ),
         )
         self._scheduler = create_scheduler(
@@ -340,8 +336,7 @@ class GraphCache:
         if warm_start:  # what a durable backend holds, with cold statistics rows
             entries, window_entries = list(self._cache_store), self._window_store.entries()
             if entries or window_entries:
-                cold = [CachedQueryStats(e.serial, e.query.order, e.query.size,
-                                         len(e.query.distinct_labels())) for e in entries]
+                cold = [CachedQueryStats(entry.serial) for entry in entries]
                 self._start(entries, cold, window_entries)
 
     def _resolve_containment_matcher(
@@ -468,7 +463,7 @@ class GraphCache:
         counters byte-identical to :meth:`query`.
         """
         ctx = self._new_context(query)
-        ctx.method_candidates, ctx.filter_time_s, ctx.first_filter_time_s = filtered
+        ctx.method_candidates, ctx.filter_time_s = filtered
         return self._pipeline.execute(ctx)
 
     def _new_context(self, query: Graph) -> StageContext:
@@ -494,18 +489,17 @@ class GraphCache:
         # Window admission: an exact hit credited above to a still-cached
         # entry builds no window entry (the cache never holds two isomorphic
         # queries); it only counts, and its expensiveness joins the round's
-        # samples.  Any other query joins the window with its
-        # first-execution costs (Method M's filtering time + its verification
-        # effort) — on an Mfilter memo hit that is the filter time of the call
-        # that filled the memo, so repeats do not look cheaper to admission.
-        filter_time_s = ctx.first_filter_time_s + outcome.elapsed_s
+        # samples.  Any other query joins the window with its expensiveness:
+        # the verifier's search nodes over the query's GCindex features (the
+        # processors' memo holds them whenever anything was verified).
+        nodes = ctx.nodes_expanded
+        features = len(self._index.query_features(ctx.query).counts) if nodes else 0
+        score = expensiveness(nodes, features)
         if credited:
-            report = self._window_manager.add_hit(
-                ctx.serial, expensiveness(filter_time_s, ctx.verify_time_s)
-            )
+            report = self._window_manager.add_hit(ctx.serial, score)
         else:
             report = self._window_manager.add_query(
-                WindowEntry(ctx.serial, ctx.query, answer_ids, filter_time_s, ctx.verify_time_s)
+                WindowEntry(ctx.serial, ctx.query, answer_ids, score)
             )
         maintenance_s = 0.0 if report is None else report.elapsed_s
 

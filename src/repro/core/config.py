@@ -41,18 +41,11 @@ class GraphCacheConfig:
     replacement_policy:
         One of ``"lru"``, ``"pop"``, ``"pin"``, ``"pinc"``, ``"hd"``.
     admission_control:
-        Enable the expensiveness-based admission filter of §6.2.
-    admission_expensive_fraction:
-        Fraction of calibration queries that should be classified as
-        expensive; the threshold is set to the corresponding quantile of the
-        observed verification/filtering time ratios.
-    admission_calibration_windows:
-        Number of initial windows observed before the threshold is fixed.
-    admission_threshold:
-        Explicit expensiveness threshold.  ``None`` means "calibrate from the
-        first windows"; ``0.0`` disables admission control even if
-        ``admission_control`` is ``True`` (paper: "a threshold value of 0
-        disables this component").
+        Enable the expensiveness-based admission filter of §6.2.  A query's
+        expensiveness is its verification work over its filtering work
+        (:func:`~repro.core.stores.expensiveness`); the threshold is the
+        score that the top quarter of the first two windows' requests reach
+        (:class:`~repro.core.policies.admission.AdmissionController`).
     admission_kind:
         Which admission controller the maintenance engine runs:
         ``"threshold"`` (the §6.2 quantile-calibrated filter, default) or
@@ -119,9 +112,6 @@ class GraphCacheConfig:
     window_size: int = 20
     replacement_policy: str = "hd"
     admission_control: bool = False
-    admission_expensive_fraction: float = 0.25
-    admission_calibration_windows: int = 2
-    admission_threshold: Optional[float] = None
     admission_kind: str = "threshold"
     query_mode: QueryMode = "subgraph"
     index_path_length: int = 3
@@ -149,10 +139,6 @@ class GraphCacheConfig:
             raise CacheError(
                 f"unknown query mode {self.query_mode!r}; valid modes: {', '.join(_VALID_MODES)}"
             )
-        if not (0.0 < self.admission_expensive_fraction <= 1.0):
-            raise CacheError("admission_expensive_fraction must be in (0, 1]")
-        if self.admission_calibration_windows < 1:
-            raise CacheError("admission_calibration_windows must be >= 1")
         if self.admission_kind.lower() not in _VALID_ADMISSION_KINDS:
             raise CacheError(
                 f"unknown admission kind {self.admission_kind!r}; "

@@ -16,7 +16,7 @@ and the ``journal_round`` watermark, the last journaled round folded in.  A
 journal frame is a transition; a state record is their fold, and one reader,
 :func:`~repro.core.policies.journal.read_lines`, decodes both.
 
-Snapshot format v5 (the only one read; an older snapshot raises
+Snapshot format v6 (the only one read; an older snapshot raises
 :class:`~repro.exceptions.CacheError`): a header line — ``format_version``,
 ``config``, ``dataset_name``, ``dataset_size``, ``shard_count`` — then one
 state record per shard.  The file is published atomically, so unlike a
@@ -51,7 +51,7 @@ __all__ = ["save_cache", "load_cache", "recover_cache"]
 PathLike = Union[str, Path]
 AnyCache = Union[GraphCache, ShardedGraphCache]
 
-_FORMAT_VERSION = 5
+_FORMAT_VERSION = 6
 
 
 #: What decoding a damaged record raises.
@@ -68,7 +68,7 @@ def _shards(cache: AnyCache) -> Tuple[GraphCache, ...]:
 
 
 def save_cache(cache: AnyCache, path: PathLike) -> None:
-    """Write a warm-cache snapshot of ``cache`` to ``path`` (format v5).
+    """Write a warm-cache snapshot of ``cache`` to ``path`` (format v6).
 
     The snapshot is published atomically
     (:func:`~repro.core.atomic_io.publish`) — a crash mid-save leaves the
@@ -119,7 +119,7 @@ def _read(path: PathLike, method: Method) -> Tuple[AnyCache, List[Tuple[int, Dic
 
 
 def load_cache(path: PathLike, method: Method) -> AnyCache:
-    """Restore a warm cache over ``method`` from a v5 snapshot.
+    """Restore a warm cache over ``method`` from a v6 snapshot.
 
     Returns a plain :class:`GraphCache` for single-shard snapshots and a
     :class:`ShardedGraphCache` for multi-shard ones.  The snapshot must have
@@ -133,7 +133,7 @@ def load_cache(path: PathLike, method: Method) -> AnyCache:
 def recover_cache(
     path: PathLike, method: Method, journal: Optional[PathLike] = None
 ) -> AnyCache:
-    """Load a v5 checkpoint and replay journal rounds past its watermark.
+    """Load a v6 checkpoint and replay journal rounds past its watermark.
 
     The crash-recovery entry point: ``path`` is the last published
     checkpoint and ``journal`` the (possibly crash-torn) plan journal the

@@ -84,19 +84,15 @@ class MfilterResult(NamedTuple):
     candidates: FrozenSet[int]
     #: Seconds this call took (a memo hit costs one dictionary probe).
     elapsed_s: float
-    #: Seconds Method M's filter took when this ``CS_M`` was computed — the
-    #: query's *first-execution* filter cost, which admission control scores.
-    first_elapsed_s: float
 
 
 class _MemoEntry:
     """One ``query → CS_M`` memo value; ``credit`` is filled on first use."""
 
-    __slots__ = ("candidates", "first_elapsed_s", "credit")
+    __slots__ = ("candidates", "credit")
 
-    def __init__(self, candidates: FrozenSet[int], first_elapsed_s: float) -> None:
+    def __init__(self, candidates: FrozenSet[int]) -> None:
         self.candidates = candidates
-        self.first_elapsed_s = first_elapsed_s
         #: The ``C`` credit of a shortcut that removed all of ``candidates``.
         self.credit: Optional[float] = None
 
@@ -113,11 +109,9 @@ class StageContext:
     serial: int
 
     # MfilterStage (may be pre-filled by GraphCacheService's batched prefetch):
-    # CS_M, the seconds observed for this request, and the seconds Method M
-    # took when CS_M was first computed (they differ on a memo hit).
+    # CS_M and the seconds observed for this request.
     method_candidates: Optional[FrozenSet[int]] = None
     filter_time_s: float = 0.0
-    first_filter_time_s: float = 0.0
 
     # ProcessorStage.
     outcome: Optional[ProcessorOutcome] = None
@@ -129,6 +123,7 @@ class StageContext:
     verified_answers: FrozenSet[int] = frozenset()
     verify_time_s: float = 0.0
     subiso_tests: int = 0
+    nodes_expanded: int = 0
 
     # CommitStage.
     result: Optional["CacheQueryResult"] = None
@@ -188,8 +183,6 @@ class MfilterStage:
         #: ids, not entries: a ``CS_M`` is a few dozen ids at reproduction
         #: scale but thousands on a real dataset, and an id costs some tens
         #: of bytes of ``frozenset`` table, so this caps the memo near 10 MB.
-        #: Values carry Method M's own seconds beside CS_M so a memo hit can
-        #: still report the query's first-execution filter cost.
         self.memo = BoundedMemo(262_144)
 
     def filter(self, query: Graph) -> MfilterResult:
@@ -199,13 +192,11 @@ class MfilterStage:
         if entry is None:
             filtered = self._method.filter(query)
             candidates = frozenset(filtered.candidates)
-            entry = _MemoEntry(candidates, time.perf_counter() - started)
+            entry = _MemoEntry(candidates)
             if filtered.paths is not None and self._index is not None:
                 self._index.adopt_features(query, filtered.paths, filtered.path_length)
             entry = self.memo.put(query, entry, len(candidates))
-        return MfilterResult(
-            entry.candidates, time.perf_counter() - started, entry.first_elapsed_s
-        )
+        return MfilterResult(entry.candidates, time.perf_counter() - started)
 
     def shortcut_credit(self, query: Graph, candidates: FrozenSet[int]) -> float:
         """The cost credit ``C`` of a shortcut that removed all of ``candidates``.
@@ -225,9 +216,7 @@ class MfilterStage:
 
     def run(self, ctx: StageContext) -> None:
         if ctx.method_candidates is None:  # else prefetched by the service facade
-            ctx.method_candidates, ctx.filter_time_s, ctx.first_filter_time_s = (
-                self.filter(ctx.query)
-            )
+            ctx.method_candidates, ctx.filter_time_s = self.filter(ctx.query)
 
 
 class ProcessorStage:
@@ -269,7 +258,7 @@ class VerifyStage:
         self._query_mode = query_mode
 
     def run(self, ctx: StageContext) -> None:
-        answers, raw_time, tests, _, _ = verify_candidates(
+        answers, raw_time, tests, nodes, _ = verify_candidates(
             self._method,
             ctx.query,
             ctx.pruning.final_candidates,
@@ -278,6 +267,7 @@ class VerifyStage:
         ctx.verified_answers = answers
         ctx.verify_time_s = raw_time / max(1, self._method.verify_parallelism)
         ctx.subiso_tests = tests
+        ctx.nodes_expanded = nodes
 
 
 class CommitStage:

@@ -4,13 +4,20 @@ While experimenting with dense datasets the paper's authors observed *cache
 pollution*: the cache filled with cheap queries whose hits saved little time,
 so the expensive queries that dominate total processing time saw no benefit.
 The admission-control mechanism scores every executed query by its
-*expensiveness* — the ratio of its verification time to its filtering time —
-and only queries above a threshold may enter the cache.
+*expensiveness* — in the paper the ratio of its verification time to its
+filtering time — and only queries above a threshold may enter the cache.
 
-The threshold is calibrated from the requests of the first few windows: it is
-set so that a configured fraction of those requests classify as expensive.  A
-threshold of zero disables the mechanism (the paper's "C" configuration; the
-calibrated one is "C + AC").
+Here the ratio is taken over work, not seconds
+(:func:`~repro.core.stores.expensiveness`): the search-tree nodes the
+verifier expanded over the distinct label-path features of the query.  Its
+ranking follows the time ratio closely (README, "Admission control"), and
+it is the same number on every run, so a calibrated threshold and every
+admission decision are reproducible.
+
+The threshold is calibrated from the requests of the first few windows
+(two by default): it is set so that a fraction of those requests (a quarter
+by default) classify as expensive.  A threshold of zero disables the
+mechanism (the paper's "C" configuration; the calibrated one is "C + AC").
 
 Controllers are *stateful* (calibration scores, fixed threshold, adaptive
 history) and that state is part of the cache's persistable identity: a

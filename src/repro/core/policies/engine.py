@@ -21,9 +21,9 @@ and rebuilt the whole GCindex.  The engine replaces that with a clean
 Each cached query has one statistics row, kept by the
 :class:`~repro.core.statistics.StatisticsManager`, which also selects the
 victims over those rows.  The per-hit :meth:`on_hit` hook applies a hit to
-it once.  An admitted entry's row starts as
-:meth:`~repro.core.statistics.CachedQueryStats.of_window_entry` — a window
-query is never credited, so nothing is lost by giving it no row until then.
+it once.  An admitted entry's row starts empty, ``CachedQueryStats(serial)``
+— a window query is never credited, so nothing is lost by giving it no row
+until then.
 The row exists before the store and GCindex publish the entry, and an
 evicted row outlives its entry's publication, so a query committing during
 a background apply never credits a cached entry without a row.  A full sort
@@ -270,7 +270,7 @@ class MaintenanceEngine:
     def _start_rows(self, admitted: Sequence[WindowEntry]) -> None:  # repro: holds[gc]
         """Each ``admitted`` entry (in plan order) starts its row."""
         for entry in admitted:
-            self._statistics.add(CachedQueryStats.of_window_entry(entry))
+            self._statistics.add(CachedQueryStats(entry.serial))
 
     def _drop_rows(self, evicted: Sequence[int]) -> None:  # repro: holds[gc]
         """The ``evicted`` entries' rows go."""

@@ -21,9 +21,9 @@ one cache (one journal per shard for a sharded cache):
 * **equivalence evidence** — :meth:`dumps` renders the stream in a canonical
   byte form (sorted-key JSON lines), which is what the scheduler benchmarks
   compare to prove ``barrier`` scheduling produces a byte-identical plan
-  stream to ``sync``.  Volatile keys (``admitted_entries`` carries measured
-  wall-clock filter/verify times) are excluded from that rendering, so the
-  identity remains a statement about *decisions*, not timings.
+  stream to ``sync``.  It covers whole records: no record carries a clock
+  reading (an admitted entry's expensiveness is a ratio of work counters),
+  so two runs that made the same decisions render the same bytes.
 
 When constructed with a ``path`` the journal is also written through to disk
 as JSON lines, one record per line, through one append handle opened by the
@@ -62,11 +62,6 @@ from .plan import MaintenancePlan
 __all__ = ["PlanJournal", "canonical_line", "read_lines"]
 
 PathLike = Union[str, Path]
-
-#: Record keys excluded from :meth:`PlanJournal.dumps`: they carry measured
-#: wall-clock times (window-entry filter/verify seconds), which differ between
-#: two otherwise decision-identical runs.
-_VOLATILE_KEYS = ("admitted_entries", "hits")
 
 #: One hit event as journaled: ``(serial, benefiting_serial, cs_reduction,
 #: cost_reduction, special)`` — the exact argument tuple of
@@ -320,16 +315,9 @@ class PlanJournal:
 
         Two schedulers that made identical decisions produce identical
         strings — the byte-identity the ``barrier``-vs-``sync`` benchmark
-        asserts (in-memory journals retain the whole stream).  Volatile
-        keys (:data:`_VOLATILE_KEYS` — measured wall-clock times) are
-        excluded so the identity covers decisions, not timings.
+        asserts (in-memory journals retain the whole stream).
         """
-        return "\n".join(
-            canonical_line(
-                {k: v for k, v in record.items() if k not in _VOLATILE_KEYS}
-            )
-            for record in self.records()
-        )
+        return "\n".join(canonical_line(record) for record in self.records())
 
     # ------------------------------------------------------------------ #
     # Compaction.

@@ -8,7 +8,7 @@ snapshot loader can name controllers the same way they name policies.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from ...exceptions import CacheError
 from .adaptive import AdaptiveAdmissionController
@@ -26,14 +26,9 @@ _ADMISSIONS = {
 }
 
 
-def admission_by_name(
-    name: str,
-    enabled: bool = False,
-    expensive_fraction: float = 0.25,
-    calibration_windows: int = 2,
-    threshold: Optional[float] = None,
-) -> AdmissionController:
-    """Instantiate an admission controller by (case-insensitive) kind name."""
+def admission_by_name(name: str, enabled: bool = False) -> AdmissionController:
+    """Instantiate an admission controller by (case-insensitive) kind name,
+    with its default calibration (top quarter of two windows' scores)."""
     key = name.strip().lower()
     try:
         cls = _ADMISSIONS[key]
@@ -42,12 +37,7 @@ def admission_by_name(
         raise CacheError(
             f"unknown admission controller {name!r}; known: {known}"
         ) from None
-    return cls(
-        enabled=enabled,
-        expensive_fraction=expensive_fraction,
-        calibration_windows=calibration_windows,
-        threshold=threshold,
-    )
+    return cls(enabled=enabled)
 
 
 def admission_from_record(record: Dict[str, Any]) -> AdmissionController:

@@ -140,9 +140,9 @@ def _shard_digest(shard: GraphCache, replicated_only: bool) -> Dict[str, Any]:
         "index_version": shard.query_index.version,
     }
     if not replicated_only:
-        # A window query has no row; its statistics follow from its entry.
+        # A window query has no row; its statistics are an empty row.
         window_entries = sorted(shard.window_entries(), key=lambda entry: entry.serial)
-        stats += [asdict(CachedQueryStats.of_window_entry(e)) for e in window_entries]
+        stats += [asdict(CachedQueryStats(e.serial)) for e in window_entries]
         digest["window"] = [WindowEntryCodec.encode(e) for e in window_entries]
         digest["next_serial"] = shard.current_serial
     return digest

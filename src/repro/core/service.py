@@ -25,10 +25,8 @@ byte-identical answer sets and identical deterministic work counters
 aggregate, for any workload (property-tested in
 ``tests/core/test_pipeline_concurrency.py`` and
 ``tests/core/test_sharding_concurrency.py``).  Wall-clock timings are the
-only thing that may differ.  The one deliberate exception is time-*based*
-admission control (``admission_control=True``), whose expensiveness threshold
-calibrates on measured wall-clock ratios and is thus non-deterministic even
-across two serial runs.
+only thing that may differ; admission control scores work, not time, so
+this holds with it on too.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ those rows (§6.3).  One lock guards the rows and the selection's lazy
 recency heap, so a hit is applied once, and a victim selection on the
 background worker never reads a row a commit is mutating.  A query waiting
 in the window has no row: it cannot be credited before it is cached, so its
-statistics are exactly :meth:`CachedQueryStats.of_window_entry`.
+statistics are exactly ``CachedQueryStats(serial)``.
 
 Victim selection never touches the storage backend:
 
@@ -65,30 +65,11 @@ class CachedQueryStats:
     """
 
     serial: int
-    order: int = 0
-    size: int = 0
-    distinct_labels: int = 0
-    filter_time_s: float = 0.0
-    verify_time_s: float = 0.0
     hits: int = 0
     special_hits: int = 0
     last_hit_serial: Optional[int] = None
     cs_reduction: float = 0.0
     cost_reduction: float = 0.0
-
-    @classmethod
-    def of_window_entry(cls, entry) -> "CachedQueryStats":
-        """Initial statistics of a window entry: static shape + first-run costs.
-        The shape comes from the label and edge lists, which a checked entry's
-        :class:`~repro.graphs.io.ParsedGraph` carries as well as a Graph."""
-        return cls(
-            serial=entry.serial,
-            order=len(entry.query.labels),
-            size=len(entry.query.edges),
-            distinct_labels=len(set(entry.query.labels)),
-            filter_time_s=float(entry.filter_time_s),
-            verify_time_s=float(entry.verify_time_s),
-        )
 
 
 class SelectionOutcome(NamedTuple):

@@ -48,11 +48,13 @@ __all__ = [
 ]
 
 
-def expensiveness(filter_time_s: float, verify_time_s: float) -> float:
-    """Verification/filtering time ratio (admission-control score)."""
-    if filter_time_s <= 0.0:
-        return float("inf") if verify_time_s > 0.0 else 0.0
-    return verify_time_s / filter_time_s
+def expensiveness(nodes_expanded: int, features: int) -> float:
+    """Admission-control score of §6.2: verification work (search-tree nodes
+    the verifier expanded) over filtering work (distinct label-path features
+    of the query)."""
+    if features <= 0:
+        return float("inf") if nodes_expanded > 0 else 0.0
+    return nodes_expanded / features
 
 
 class CacheEntry(NamedTuple):
@@ -67,19 +69,13 @@ class WindowEntry(NamedTuple):
     """One window query awaiting the next cache-update round.
 
     Carries everything the admission controller and the replacement round
-    need: the answer set and the first-execution filter/verify times.
+    need: the answer set and the query's :func:`expensiveness`.
     """
 
     serial: int
     query: Graph
     answer_ids: FrozenSet[int]
-    filter_time_s: float
-    verify_time_s: float
-
-    @property
-    def expensiveness(self) -> float:
-        """Verification/filtering time ratio (admission-control score)."""
-        return expensiveness(self.filter_time_s, self.verify_time_s)
+    expensiveness: float
 
 
 def _answers(record: Dict[str, Any], dataset_size: Optional[int]) -> FrozenSet[int]:
@@ -125,8 +121,7 @@ class WindowEntryCodec:
             "serial": entry.serial,
             "query": graph_to_text(entry.query),
             "answers": sorted(entry.answer_ids),
-            "filter_time_s": entry.filter_time_s,
-            "verify_time_s": entry.verify_time_s,
+            "expensiveness": entry.expensiveness,
         }
 
     @staticmethod
@@ -134,8 +129,12 @@ class WindowEntryCodec:
               parsed: Optional[BoundedMemo] = None) -> WindowEntry:
         """Every check :meth:`decode` makes, without building the query graph:
         the entry's ``query`` is a :class:`~repro.graphs.io.ParsedGraph`, one
-        per distinct text in ``parsed`` (a caller's memo for one frame stream)."""
+        per distinct text in ``parsed`` (a caller's memo for one frame stream).
+        A record without ``expensiveness`` (one priced in seconds, before the
+        work score) raises :class:`CacheError`."""
         serial, text = int(record["serial"]), record["query"]
+        if "expensiveness" not in record:
+            raise CacheError(f"window entry {serial} carries no expensiveness score")
         if not isinstance(text, str):
             raise TypeError(f"entry query must be graph text, not {type(text).__name__}")
         query = None if parsed is None else parsed.get(text)
@@ -144,7 +143,7 @@ class WindowEntryCodec:
             if parsed is not None:
                 query = parsed.put(text, query)
         return WindowEntry(serial, query, _answers(record, dataset_size),
-                           float(record["filter_time_s"]), float(record["verify_time_s"]))
+                           float(record["expensiveness"]))
 
     @staticmethod
     def decode(record: Dict[str, Any], dataset_size: Optional[int] = None) -> WindowEntry:

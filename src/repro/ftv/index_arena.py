@@ -25,13 +25,16 @@ additionally records the *build parameters* and a *dataset content hash*
 (:func:`dataset_content_hash`), so an attaching worker can prove the index
 matches both its method configuration and the exact sealed dataset — a
 stale index (dataset resealed after the build) fails the hash check and the
-worker falls back to an in-process rebuild with a warning.
+worker falls back to an in-process rebuild with a warning.  It also holds
+the payload's CRC-32, so a flipped payload bit declines the attach the same
+way instead of serving wrong candidate sets.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+import zlib
 from pathlib import Path
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -217,6 +220,7 @@ class FeatureIndexArena:
             payload += b"\x00" * _pad8(len(payload))
         table = {
             "version": _VERSION,
+            "crc32": zlib.crc32(payload),
             "family": family,
             "params": dict(params),
             "dataset_hash": dataset_hash,
@@ -236,11 +240,15 @@ class FeatureIndexArena:
     def attach(cls, path: PathLike) -> "FeatureIndexArena":
         """Open a sealed index segment read-only (shared pages across processes).
 
-        A damaged file raises :class:`CacheError`, never a raw decode error.
+        A damaged file raises :class:`CacheError`, never a raw decode error;
+        a payload whose CRC-32 differs from the table's is damaged.
         """
         target = Path(path)
         payload_length, table = read_segment_table(target, _MAGIC, "feature-index")
         buffer = np.memmap(target, dtype=np.uint8, mode="r")
+        payload = buffer[SEGMENT_HEADER_BYTES:SEGMENT_HEADER_BYTES + payload_length]
+        if zlib.crc32(payload) != table.get("crc32"):
+            raise CacheError(f"{target}: feature-index payload fails its checksum")
 
         def section(name: str, dtype: str) -> np.ndarray:
             offset, length = (int(x) for x in table["sections"][name])

@@ -58,13 +58,6 @@ class QueryExecution:
         """Filtering plus effective verification time."""
         return self.filter_time_s + self.verify_time_s
 
-    @property
-    def expensiveness(self) -> float:
-        """Verification/filtering time ratio used by admission control (§6.2)."""
-        if self.filter_time_s <= 0.0:
-            return float("inf") if self.verify_time_s > 0 else 0.0
-        return self.verify_time_s / self.filter_time_s
-
 
 def verify_candidates(
     method: Method,

@@ -5,23 +5,24 @@ from __future__ import annotations
 import pytest
 
 from repro.core.policies import AdaptiveAdmissionController
-from repro.core.stores import WindowEntry
+from repro.core.stores import WindowEntry, expensiveness
 from repro.graphs.graph import Graph
 
 
-def entry(serial, verify, filter_=1.0):
+def entry(serial, nodes, features=1):
+    """A window entry whose verification expanded ``nodes`` search nodes
+    for a query of ``features`` distinct label paths."""
     return WindowEntry(
         serial=serial,
         query=Graph(labels=["C"], edges=[]),
         answer_ids=frozenset(),
-        filter_time_s=filter_,
-        verify_time_s=verify,
+        expensiveness=expensiveness(nodes, features),
     )
 
 
 def calibrated_controller(**kwargs):
     controller = AdaptiveAdmissionController(calibration_windows=1, **kwargs)
-    controller.observe_window([entry(i, verify=float(i)) for i in range(1, 9)])
+    controller.observe_window([entry(i, nodes=i) for i in range(1, 9)])
     return controller
 
 
@@ -32,8 +33,8 @@ class TestConstruction:
 
     def test_inherits_base_admission_behaviour(self):
         controller = AdaptiveAdmissionController(enabled=True, threshold=2.0)
-        assert controller.admit(entry(1, verify=5.0))
-        assert not controller.admit(entry(2, verify=1.0))
+        assert controller.admit(entry(1, nodes=5))
+        assert not controller.admit(entry(2, nodes=1))
 
 
 class TestAdaptation:
@@ -73,4 +74,4 @@ class TestAdaptation:
         controller = AdaptiveAdmissionController(enabled=False)
         controller.record_window_saving(1.0)
         assert controller.threshold is None
-        assert controller.admit(entry(1, verify=0.001))
+        assert controller.admit(entry(1, nodes=1, features=1000))

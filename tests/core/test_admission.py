@@ -4,29 +4,30 @@ from __future__ import annotations
 
 
 from repro.core.policies import AdmissionController
-from repro.core.stores import WindowEntry
+from repro.core.stores import WindowEntry, expensiveness
 from repro.graphs.graph import Graph
 
 
-def entry(serial, verify, filter_=1.0):
+def entry(serial, nodes, features=1):
+    """A window entry whose verification expanded ``nodes`` search nodes
+    for a query of ``features`` distinct label paths."""
     return WindowEntry(
         serial=serial,
         query=Graph(labels=["C"], edges=[]),
         answer_ids=frozenset(),
-        filter_time_s=filter_,
-        verify_time_s=verify,
+        expensiveness=expensiveness(nodes, features),
     )
 
 
 class TestDisabledController:
     def test_everything_admitted_when_disabled(self):
         controller = AdmissionController(enabled=False)
-        assert controller.admit(entry(1, verify=0.0))
-        assert controller.admit(entry(2, verify=100.0))
+        assert controller.admit(entry(1, nodes=0))
+        assert controller.admit(entry(2, nodes=100))
 
     def test_observe_window_noop_when_disabled(self):
         controller = AdmissionController(enabled=False)
-        controller.observe_window([entry(1, verify=5.0)])
+        controller.observe_window([entry(1, nodes=5)])
         assert controller.threshold is None
 
 
@@ -34,18 +35,18 @@ class TestExplicitThreshold:
     def test_threshold_filters_cheap_queries(self):
         controller = AdmissionController(enabled=True, threshold=2.0)
         assert controller.calibrated
-        assert not controller.admit(entry(1, verify=1.0))   # expensiveness 1 < 2
-        assert controller.admit(entry(2, verify=5.0))        # expensiveness 5 >= 2
+        assert not controller.admit(entry(1, nodes=1))   # expensiveness 1 < 2
+        assert controller.admit(entry(2, nodes=5))        # expensiveness 5 >= 2
 
     def test_zero_threshold_disables_filtering(self):
         """Paper: 'a threshold value of 0 disables this component'."""
         controller = AdmissionController(enabled=True, threshold=0.0)
-        assert controller.admit(entry(1, verify=0.0))
-        assert controller.admit(entry(2, verify=100.0))
+        assert controller.admit(entry(1, nodes=0))
+        assert controller.admit(entry(2, nodes=100))
 
     def test_explicit_threshold_not_overwritten_by_observation(self):
         controller = AdmissionController(enabled=True, threshold=2.0)
-        controller.observe_window([entry(i, verify=100.0) for i in range(10)])
+        controller.observe_window([entry(i, nodes=100) for i in range(10)])
         assert controller.threshold == 2.0
 
 
@@ -53,14 +54,14 @@ class TestCalibration:
     def test_admits_everything_while_calibrating(self):
         controller = AdmissionController(enabled=True, calibration_windows=2)
         assert not controller.calibrated
-        assert controller.admit(entry(1, verify=0.01))
+        assert controller.admit(entry(1, nodes=1, features=100))
 
     def test_threshold_fixed_after_calibration_windows(self):
         controller = AdmissionController(
             enabled=True, expensive_fraction=0.25, calibration_windows=2
         )
-        window1 = [entry(i, verify=float(i)) for i in range(1, 11)]
-        window2 = [entry(i + 10, verify=float(i)) for i in range(1, 11)]
+        window1 = [entry(i, nodes=i) for i in range(1, 11)]
+        window2 = [entry(i + 10, nodes=i) for i in range(1, 11)]
         controller.observe_window(window1)
         assert not controller.calibrated
         controller.observe_window(window2)
@@ -71,7 +72,7 @@ class TestCalibration:
 
     def test_filter_admitted_preserves_order(self):
         controller = AdmissionController(enabled=True, threshold=3.0)
-        entries = [entry(1, verify=5.0), entry(2, verify=1.0), entry(3, verify=9.0)]
+        entries = [entry(1, nodes=5), entry(2, nodes=1), entry(3, nodes=9)]
         assert [e.serial for e in controller.filter_admitted(entries)] == [1, 3]
 
     def test_calibration_ignores_infinite_ratios(self):
@@ -79,7 +80,7 @@ class TestCalibration:
             enabled=True, expensive_fraction=0.5, calibration_windows=1
         )
         controller.observe_window(
-            [entry(1, verify=1.0, filter_=0.0), entry(2, verify=4.0), entry(3, verify=1.0)]
+            [entry(1, nodes=1, features=0), entry(2, nodes=4), entry(3, nodes=1)]
         )
         assert controller.calibrated
         assert controller.threshold != float("inf")
@@ -88,10 +89,10 @@ class TestCalibration:
         controller = AdmissionController(enabled=True, calibration_windows=1)
         controller.observe_window([])
         assert controller.threshold == 0.0
-        assert controller.admit(entry(1, verify=0.001))
+        assert controller.admit(entry(1, nodes=1, features=1000))
 
     def test_higher_fraction_admits_more(self):
-        scores = [entry(i, verify=float(i)) for i in range(1, 21)]
+        scores = [entry(i, nodes=i) for i in range(1, 21)]
         strict = AdmissionController(enabled=True, expensive_fraction=0.1, calibration_windows=1)
         lenient = AdmissionController(enabled=True, expensive_fraction=0.8, calibration_windows=1)
         strict.observe_window(scores)

@@ -164,7 +164,7 @@ class TestMmapDurability:
             WindowEntryCodec(), path=path, table="window_entries"
         )
         cache_backend.put(1, cache_entry(1))
-        window_backend.put(1, WindowEntry(1, cache_entry(1).query, frozenset({0}), 0.1, 0.2))
+        window_backend.put(1, WindowEntry(1, cache_entry(1).query, frozenset({0}), 2.0))
         assert cache_backend.count() == 1
         assert window_backend.count() == 1
         assert isinstance(window_backend.get(1), WindowEntry)
@@ -259,7 +259,7 @@ class TestStoreFacadesOverBackends:
         query = Graph(labels=["C", "O"], edges=[(0, 1)])
 
         def window_entry(serial):
-            return WindowEntry(serial, query, frozenset({0}), 0.1, 1.0)
+            return WindowEntry(serial, query, frozenset({0}), 10.0)
 
         store.add(window_entry(2))
         store.add(window_entry(1))

@@ -76,7 +76,6 @@ class TestAnswerEquivalence:
             method,
             GraphCacheConfig(
                 cache_capacity=8, window_size=4, admission_control=True,
-                admission_expensive_fraction=0.3,
             ),
         )
         for query, answer in zip(module_workload, expected, strict=True):

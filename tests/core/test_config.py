@@ -7,6 +7,7 @@ from dataclasses import replace
 import pytest
 
 from repro.core.config import GraphCacheConfig
+from repro.core.policies import admission_by_name
 from repro.exceptions import CacheError
 
 
@@ -29,15 +30,20 @@ class TestValidation:
         ("cache_capacity", 0),
         ("cache_capacity", -5),
         ("window_size", 0),
-        ("admission_expensive_fraction", 0.0),
-        ("admission_expensive_fraction", 1.5),
-        ("admission_calibration_windows", 0),
         ("index_path_length", 0),
         ("warmup_windows", -1),
     ])
     def test_invalid_numeric_fields(self, field, value):
         with pytest.raises(CacheError):
             GraphCacheConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", [
+        "admission_expensive_fraction", "admission_calibration_windows", "admission_threshold",
+    ])
+    def test_admission_calibration_is_not_a_field(self, field):
+        """Only the switch and the controller kind are settable."""
+        with pytest.raises(TypeError):
+            GraphCacheConfig(**{field: 1})
 
     def test_invalid_policy(self):
         with pytest.raises(CacheError):
@@ -70,15 +76,16 @@ class TestReplace:
         assert (config.cache_capacity, config.window_size) == (500, 50)
 
     def test_admission_control(self):
-        config = replace(
-            GraphCacheConfig(), admission_control=True, admission_expensive_fraction=0.4
-        )
+        config = replace(GraphCacheConfig(), admission_control=True, admission_kind="adaptive")
         assert config.admission_control
-        assert config.admission_expensive_fraction == 0.4
+        assert config.admission_kind == "adaptive"
 
     def test_admission_control_threshold(self):
-        config = replace(GraphCacheConfig(), admission_control=True, admission_threshold=5.0)
-        assert config.admission_threshold == 5.0
+        """The threshold is calibrated: the top quarter of two windows' scores."""
+        config = replace(GraphCacheConfig(), admission_control=True)
+        record = admission_by_name(config.admission_kind, config.admission_control).state_record()
+        assert (record["expensive_fraction"], record["calibration_windows"]) == (0.25, 2)
+        assert record["explicit_threshold"] is None
 
     def test_original_config_unchanged(self):
         base = GraphCacheConfig()

@@ -41,13 +41,9 @@ def _distinct(count, seed=3):
 
 
 def _digest(cache):
-    """The full state digest minus wall-clock fields: two runs of one stream
-    measure different times, and nothing here decides on them (admission
-    control is off)."""
+    """The full state digest: no field is a clock reading, so two runs of
+    one stream agree on all of it."""
     (digest,) = cache_state_digest(cache, include_index_version=False)
-    for record in digest["stats"] + digest["window"]:
-        record.pop("filter_time_s")
-        record.pop("verify_time_s")
     return digest
 
 
@@ -136,7 +132,6 @@ def test_admission_still_calibrates_over_every_request():
             cache_capacity=6,
             window_size=3,
             admission_control=True,
-            admission_calibration_windows=2,
         ),
     )
     a, b, c = _distinct(3)
@@ -161,7 +156,6 @@ def test_a_late_background_round_calibrates_on_its_own_window_only():
             window_size=3,
             maintenance_mode="background",
             admission_control=True,
-            admission_calibration_windows=1,
         ),
     )
     engine = cache.maintenance_engine

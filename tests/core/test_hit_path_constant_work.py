@@ -317,7 +317,7 @@ def test_the_per_request_records_refuse_attribute_assignment():
     ctx = pipeline.StageContext(query=query, serial=0)
     cache.pipeline.execute_readonly(ctx)
     entry = cache.cached_entry(next(iter(cache.cached_serials)))
-    window = WindowEntry(1, query, frozenset(), 0.5, 1.0)
+    window = WindowEntry(1, query, frozenset(), 2.0)
     cache.close()
     records = (
         (result, CacheQueryResult),

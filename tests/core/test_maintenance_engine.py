@@ -47,6 +47,7 @@ from repro.core.stores import (
     CacheEntryCodec,
     CacheStore,
     WindowEntry,
+    expensiveness,
 )
 from repro.exceptions import CacheError
 from repro.graphs.generators import aids_like
@@ -70,13 +71,12 @@ def query_graph(serial: int) -> Graph:
     return Graph(labels=["C", "O"], edges=[(0, 1)], graph_id=serial)
 
 
-def window_entry(serial, verify=1.0, filter_=0.1) -> WindowEntry:
+def window_entry(serial, nodes=10, features=1) -> WindowEntry:
     return WindowEntry(
         serial=serial,
         query=query_graph(serial),
         answer_ids=frozenset({serial % 3}),
-        filter_time_s=filter_,
-        verify_time_s=verify,
+        expensiveness=expensiveness(nodes, features),
     )
 
 
@@ -268,8 +268,8 @@ class TestRejectedSetSemantics:
         admission = AdmissionController(enabled=True, threshold=5.0)
         engine, _, _, _ = make_engine(capacity=6, admission=admission)
         window = [
-            window_entry(1, verify=10.0, filter_=1.0),  # ratio 10 → admit
-            window_entry(2, verify=1.0, filter_=1.0),   # ratio 1  → reject
+            window_entry(1, nodes=10),  # ratio 10 → admit
+            window_entry(2, nodes=1),   # ratio 1  → reject
         ]
         plan = engine.decide(window, current_serial=2)
         assert plan.admitted_serials == (1,)
@@ -279,14 +279,14 @@ class TestRejectedSetSemantics:
         """Regression: two window entries sharing a serial, only one of which
         passes admission.  The seed's ``entry not in admitted`` equality scan
         would have listed the serial as *both* admitted and rejected (the
-        copies differ in their timing fields, so ``!=``); per-serial
+        copies differ in their expensiveness, so ``!=``); per-serial
         partitioning keeps the plan consistent."""
         admission = AdmissionController(enabled=True, threshold=5.0)
         engine, _, _, _ = make_engine(capacity=6, admission=admission)
         window = [
-            window_entry(7, verify=10.0, filter_=1.0),  # admitted copy
-            window_entry(7, verify=1.0, filter_=1.0),   # rejected copy
-            window_entry(8, verify=1.0, filter_=1.0),   # genuinely rejected
+            window_entry(7, nodes=10),  # admitted copy
+            window_entry(7, nodes=1),   # rejected copy
+            window_entry(8, nodes=1),   # genuinely rejected
         ]
         plan = engine.decide(window, current_serial=8)
         assert 7 in plan.admitted_serials
@@ -304,7 +304,7 @@ class TestHeapVersusOracle:
         engine, store, statistics, _ = make_engine(capacity=12, policy=policy)
         # Install 12 entries through the delta path (as maintenance would).
         for serial in range(1, 13):
-            store_entry = window_entry(serial, verify=rng.uniform(0.5, 3.0))
+            store_entry = window_entry(serial, nodes=round(rng.uniform(5, 30)))
             store.apply_delta(
                 [
                     CacheEntry(
@@ -316,7 +316,7 @@ class TestHeapVersusOracle:
                 [],
             )
             statistics.add(
-                CachedQueryStats(serial=serial, order=2, size=1, distinct_labels=2)
+                CachedQueryStats(serial=serial)
             )
         # Randomized hit stream through the engine's hook.
         for benefiting in range(13, 113):
@@ -392,10 +392,9 @@ class TestApplyDeltas:
         engine.apply(plan, window)
         assert len(statistics) == len(store)
         assert 53 not in statistics and 82 not in statistics
-        # An admitted query's row starts from its window entry, appended in
-        # the store's order.
+        # An admitted query's row starts empty, appended in the store's order.
         assert statistics.known_serials() == store.serials()
-        assert statistics.snapshot(99) == CachedQueryStats.of_window_entry(window[0])
+        assert statistics.snapshot(99) == CachedQueryStats(serial=99)
 
 
 class TestCacheStoreApplyDelta:
@@ -477,7 +476,7 @@ class TestAdmissionRegistry:
         controller = AdmissionController(
             enabled=True, expensive_fraction=0.5, calibration_windows=3
         )
-        controller.observe_window([window_entry(1, verify=2.0)])
+        controller.observe_window([window_entry(1, nodes=20)])
         record = json.loads(json.dumps(controller.state_record()))
         restored = admission_from_record(record)
         assert isinstance(restored, AdmissionController)
@@ -488,7 +487,7 @@ class TestAdmissionRegistry:
         controller = AdaptiveAdmissionController(
             enabled=True, calibration_windows=1, step_factor=2.0
         )
-        controller.observe_window([window_entry(i, verify=float(i)) for i in range(1, 9)])
+        controller.observe_window([window_entry(i, nodes=10 * i) for i in range(1, 9)])
         controller.record_window_saving(2.0)
         controller.record_window_saving(1.0)  # reversal: direction + step mutate
         record = json.loads(json.dumps(controller.state_record()))
@@ -519,7 +518,7 @@ class TestEngineState:
             )
         )
         engine.decide(
-            [window_entry(1, verify=1.0), window_entry(2, verify=9.0)],
+            [window_entry(1, nodes=10), window_entry(2, nodes=90)],
             current_serial=2,
         )
         assert not engine.admission.calibrated
@@ -533,11 +532,11 @@ class TestEngineState:
         # One more window completes the calibration exactly as the original
         # engine would have.
         fresh.decide(
-            [window_entry(3, verify=2.0), window_entry(4, verify=8.0)],
+            [window_entry(3, nodes=20), window_entry(4, nodes=80)],
             current_serial=4,
         )
         engine.decide(
-            [window_entry(3, verify=2.0), window_entry(4, verify=8.0)],
+            [window_entry(3, nodes=20), window_entry(4, nodes=80)],
             current_serial=4,
         )
         assert fresh.admission.calibrated
@@ -564,18 +563,18 @@ class TestAdaptiveFeedbackLoop:
     def test_threshold_adapts_after_each_round(self):
         engine, _, statistics, _ = self.make_adaptive_engine()
         # Round 1 calibrates; the history is seeded with the threshold.
-        engine.run([window_entry(i, verify=float(i)) for i in (1, 2, 3, 4)], 4)
+        engine.run([window_entry(i, nodes=10 * i) for i in (1, 2, 3, 4)], 4)
         assert engine.admission.calibrated
         seeded = len(engine.admission.threshold_history)
         # Hits between rounds accumulate the estimated cost saving that
         # feeds the climb on the next round.
         engine.on_hit(1, benefiting_serial=5, cs_reduction=2.0, cost_reduction=8.0)
-        engine.run([window_entry(i, verify=1.0) for i in (5, 6, 7, 8)], 8)
+        engine.run([window_entry(i, nodes=10) for i in (5, 6, 7, 8)], 8)
         assert len(engine.admission.threshold_history) > seeded
 
     def test_pending_saving_survives_state_round_trip(self):
         engine, _, _, _ = self.make_adaptive_engine()
-        engine.run([window_entry(i, verify=float(i)) for i in (1, 2, 3, 4)], 4)
+        engine.run([window_entry(i, nodes=10 * i) for i in (1, 2, 3, 4)], 4)
         engine.on_hit(1, benefiting_serial=5, cs_reduction=1.0, cost_reduction=6.5)
         record = json.loads(json.dumps(engine.state_record()))
         assert record["window_cost_saving"] == 6.5
@@ -583,10 +582,10 @@ class TestAdaptiveFeedbackLoop:
         fresh, _, _, _ = self.make_adaptive_engine()
         fresh.restore_state(record)
         fresh_plan, _, _, _ = fresh.run(
-            [window_entry(i, verify=1.0) for i in (5, 6, 7, 8)], 8
+            [window_entry(i, nodes=10) for i in (5, 6, 7, 8)], 8
         )
         engine_plan, _, _, _ = engine.run(
-            [window_entry(i, verify=1.0) for i in (5, 6, 7, 8)], 8
+            [window_entry(i, nodes=10) for i in (5, 6, 7, 8)], 8
         )
         # Same admission decisions at decide time, and — because the pending
         # saving survived — the same post-round hill-climb step.
@@ -598,8 +597,8 @@ class TestAdaptiveFeedbackLoop:
         engine, _, _, _ = make_engine(
             admission=AdmissionController(enabled=True, calibration_windows=1)
         )
-        engine.run([window_entry(i, verify=float(i)) for i in (1, 2, 3, 4)], 4)
+        engine.run([window_entry(i, nodes=10 * i) for i in (1, 2, 3, 4)], 4)
         threshold = engine.admission.threshold
         engine.on_hit(1, benefiting_serial=5, cs_reduction=1.0, cost_reduction=9.0)
-        engine.run([window_entry(i, verify=1.0) for i in (5, 6, 7, 8)], 8)
+        engine.run([window_entry(i, nodes=10) for i in (5, 6, 7, 8)], 8)
         assert engine.admission.threshold == threshold

@@ -30,6 +30,8 @@ from repro.core import GraphCacheConfig, GraphCacheService, ProcessPoolCacheServ
 from repro.core.cache import GraphCache
 from repro.core.replication import ReplicaSet, cache_state_digest
 from repro.core.sharding import ShardedGraphCache, build_cache
+from repro.core.stores import expensiveness
+from repro.ftv.features import extract_label_paths
 from repro.graphs.generators import aids_like
 from repro.methods import SIMethod
 from repro.methods.base import Method
@@ -98,9 +100,6 @@ IDENTITY_CASES = [
     for cell in (index, len(CELLS) - 1 - index)
 ]
 
-_TIMINGS = ("filter_time_s", "verify_time_s")
-
-
 def _workload(dataset: str, label: str):
     if label.endswith("%"):
         return list(type_b_workload(dataset, float(label.rstrip("%")) / 100.0))
@@ -131,12 +130,7 @@ def _observe(method, config, workload, clear_before_each_request: bool):
             else cache.window_manager.reports
         )
         reports = [report._replace(elapsed_s=0.0) for report in reports]
-        digest = cache_state_digest(cache)
-        for shard in digest:
-            for record in shard["stats"] + shard["window"]:
-                for name in _TIMINGS:
-                    record.pop(name)
-        return answers, counters, reports, digest
+        return answers, counters, reports, cache_state_digest(cache)
     finally:
         cache.close()
 
@@ -309,10 +303,10 @@ def test_filling_past_the_limit_clears_and_keeps_answering():
 
 
 # ---------------------------------------------------------------------- #
-# The admission signal keeps seeing first-execution cost.
+# The admission signal scores a repeat's work like a first execution's.
 # ---------------------------------------------------------------------- #
 def test_admission_calibration_is_unchanged_by_repeats():
-    delay = 0.02  # Method M's filter, far above a memo hit and a tiny verify
+    delay = 0.02  # Method M's filter, far above a memo hit
     tiny = aids_like(scale=0.03, seed=5)
     pool = list(generate_type_a(tiny, "UU", 4, query_sizes=(3, 4), seed=2))
     assert len(set(pool)) == 4
@@ -324,7 +318,6 @@ def test_admission_calibration_is_unchanged_by_repeats():
             cache_capacity=2,
             window_size=4,
             admission_control=True,
-            admission_calibration_windows=1,
         ),
     )
     controller = cache.maintenance_engine.admission
@@ -336,6 +329,14 @@ def test_admission_calibration_is_unchanged_by_repeats():
         return filter_admitted(entries, *args)
 
     controller.filter_admitted = spy
+    verify, nodes = cache.pipeline.stages[3], {}
+    verify_run = verify.run
+
+    def counting_verify(ctx):
+        verify_run(ctx)
+        nodes[ctx.serial] = ctx.nodes_expanded
+
+    verify.run = counting_verify
     results = [cache.query(query) for query in stream]
     cache.close()
     assert method.calls == 4
@@ -346,16 +347,21 @@ def test_admission_calibration_is_unchanged_by_repeats():
     assert all(r.stage_times["mfilter"] < delay / 4 for r in repeats)
     # Exact hits are credited, never re-admitted: admission sees the four
     # first executions, then only repeats of the structures it rejected —
-    # and what it scores for those is still the first execution's cost.
+    # and what it scores for each is the request's verification work over
+    # the query's own label-path features, whether Method M filtered it or
+    # the memo answered.
     by_serial = {r.serial: r for r in results}
     assert [entry.query for entry in seen_by_admission[:4]] == pool
     assert len(seen_by_admission) > len(pool), "no rejected structure came back"
     assert not any(by_serial[e.serial].shortcut == "exact" for e in seen_by_admission)
-    assert all(entry.filter_time_s >= 0.9 * delay for entry in seen_by_admission)
-    # So the calibrated threshold sits where a stream without repeats would
-    # put it: verify/filter with the real filter cost in the denominator.
+    length = cache.config.index_path_length
+    assert [e.expensiveness for e in seen_by_admission] == [
+        expensiveness(nodes.get(e.serial, 0), len(extract_label_paths(e.query, length)))
+        for e in seen_by_admission
+    ]
+    # So the calibrated threshold is one of the scores the calibration saw.
     assert controller.calibrated
-    assert controller.threshold <= max(r.verify_time_s for r in results) / (0.9 * delay)
+    assert controller.threshold in controller.state_record()["observed_scores"]
 
 
 # ---------------------------------------------------------------------- #

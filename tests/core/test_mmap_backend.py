@@ -82,7 +82,7 @@ class TestSealAttach:
             make_backend(tmp_path)
 
     def test_sidecar_is_codec_generic(self, tmp_path):
-        """The window store's codec (extra timing fields) seals and adopts
+        """The window store's codec (an extra expensiveness field) seals and adopts
         through the same stub-graph mechanism as the cache codec."""
         backend = MmapBackend(
             WindowEntryCodec(), path=str(tmp_path / "store"), table="window_entries"
@@ -91,8 +91,7 @@ class TestSealAttach:
             serial=5,
             query=Graph(labels=["C", "N"], edges=[(0, 1)], graph_id=5),
             answer_ids=frozenset({9}),
-            filter_time_s=0.25,
-            verify_time_s=0.5,
+            expensiveness=2.0,
         )
         backend.put(5, item)
         backend.seal()
@@ -108,7 +107,7 @@ class TestSealAttach:
         backend.put(1, entry(1))
         backend.seal()
         payload = json.loads(backend.meta_path.read_text())
-        assert payload["version"] == 1
+        assert payload["version"] == 2
         (record,) = payload["records"]
         offset, length = record["query"]
         assert offset == 0 and length > 0

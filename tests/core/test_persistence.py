@@ -22,7 +22,7 @@ from repro.core.cache import GraphCache
 from repro.core.config import GraphCacheConfig
 from repro.core.persistence import load_cache, recover_cache, save_cache
 from repro.core.sharding import ShardedGraphCache, build_cache
-from repro.core.stores import WindowEntry
+from repro.core.stores import WindowEntry, expensiveness
 from repro.exceptions import CacheError
 from repro.graphs.generators import aids_like
 from repro.graphs.graph import Graph
@@ -259,13 +259,12 @@ class TestPublicRestoreApi:
 
 
 def _synthetic_stream(seed: int, count: int = 24):
-    """Deterministic WindowEntry stream (synthetic timings, real graphs).
+    """Deterministic WindowEntry stream (synthetic work scores, real graphs).
 
-    Admission expensiveness is a wall-clock ratio on the live query path, so
-    replay identity under admission control is tested by *injecting* the
-    timings: the stream is a pure function of ``seed``, making the
-    maintenance decisions — including the calibrated threshold — exactly
-    reproducible across runs.
+    The stream is a pure function of ``seed`` and goes straight to the
+    window managers, so replay identity under admission control is tested
+    on the maintenance decisions alone — including the calibrated
+    threshold — without running queries.
     """
     rng = random.Random(seed)
     entries = []
@@ -276,8 +275,7 @@ def _synthetic_stream(seed: int, count: int = 24):
                 serial=serial,
                 query=Graph(labels=list(labels), edges=[(0, 1), (1, 2)]),
                 answer_ids=frozenset({serial % 3}),
-                filter_time_s=1.0,
-                verify_time_s=rng.uniform(0.1, 10.0),
+                expensiveness=expensiveness(round(rng.uniform(1, 100)), 10),
             )
         )
     return entries
@@ -329,8 +327,6 @@ class TestMidCalibrationRoundTrip:
             cache_capacity=5,
             window_size=4,
             admission_control=True,
-            admission_expensive_fraction=0.5,
-            admission_calibration_windows=3,
             backend=backend,
             shards=shards,
         )
@@ -358,7 +354,6 @@ class TestMidCalibrationRoundTrip:
             window_size=4,
             admission_control=True,
             admission_kind="adaptive",
-            admission_calibration_windows=1,
         )
         cache = GraphCache(SIMethod(dataset, matcher="vf2plus"), config)
         _feed_stream(cache, _synthetic_stream(3, count=8))
@@ -383,7 +378,7 @@ class TestValidation:
         with pytest.raises(CacheError):
             load_cache(path, other_method)
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
     def test_pre_v4_snapshot_raises_naming_its_version(
         self, warm_cache, tmp_path, version
     ):
@@ -392,7 +387,7 @@ class TestValidation:
         save_cache(cache, path)
         header, *states = _lines(path)
         _write(path, [{**header, "format_version": version}, *states])
-        with pytest.raises(CacheError, match=f"version {version}: load_cache reads v5 only"):
+        with pytest.raises(CacheError, match=f"version {version}: load_cache reads v6 only"):
             load_cache(path, method)
 
     def test_a_v4_document_fails_closed(self, warm_cache, tmp_path):
@@ -419,7 +414,7 @@ class TestValidation:
         cache, method, _ = warm_cache
         path = tmp_path / "cache.json"
         save_cache(cache, path)
-        text = path.read_text().replace('"format_version":5', '"format_version":99')
+        text = path.read_text().replace('"format_version":6', '"format_version":99')
         path.write_text(text)
         with pytest.raises(CacheError, match="version 99"):
             load_cache(path, method)

@@ -56,6 +56,7 @@ def _counters(cache: GraphCache) -> dict:
 
 
 class TestSerialConcurrentEquivalence:
+    @pytest.mark.parametrize("admission", [False, True], ids=["all-admitted", "admission"])
     @settings(
         max_examples=5,
         deadline=None,
@@ -66,12 +67,16 @@ class TestSerialConcurrentEquivalence:
         window=st.sampled_from([2, 3, 5]),
         jobs=st.sampled_from([2, 4]),
     )
-    def test_query_many_matches_serial(self, seed: int, window: int, jobs: int) -> None:
+    def test_query_many_matches_serial(
+        self, seed: int, window: int, jobs: int, admission: bool
+    ) -> None:
         dataset = _dataset(seed % 3)
         workload = generate_type_a(
             dataset, "ZZ", 14, query_sizes=(3, 5, 8), seed=seed
         )
-        config = GraphCacheConfig(cache_capacity=6, window_size=window)
+        config = GraphCacheConfig(
+            cache_capacity=6, window_size=window, admission_control=admission
+        )
 
         serial_cache = GraphCache(SIMethod(dataset, matcher="vf2plus"), config)
         serial_results = [serial_cache.query(query) for query in workload]
@@ -91,6 +96,7 @@ class TestSerialConcurrentEquivalence:
             assert concurrent.shortcut == serial.shortcut
             assert concurrent.short_circuit_stage == serial.short_circuit_stage
         assert _counters(service.cache) == _counters(serial_cache)
+        assert service.cache.plan_journal.dumps() == serial_cache.plan_journal.dumps()
 
     def test_jobs_must_be_positive(self) -> None:
         service = GraphCacheService.for_method(

@@ -363,12 +363,12 @@ class TestGuards:
         downgraded.write_text(
             run["checkpoint"]
             .read_text(encoding="utf-8")
-            .replace('"format_version":5', '"format_version":3'),
+            .replace('"format_version":6', '"format_version":3'),
             encoding="utf-8",
         )
-        with pytest.raises(CacheError, match="v5"):
+        with pytest.raises(CacheError, match="v6"):
             recover_cache(downgraded, METHOD)
-        # A plain load rejects it too: load_cache reads v5 only.
+        # A plain load rejects it too: load_cache reads v6 only.
         with pytest.raises(CacheError, match="version 3"):
             load_cache(downgraded, METHOD)
 
@@ -690,7 +690,7 @@ def _corrupt(field, record):
     elif field == "answers":
         record["answers"] = record["answers"] + ["seven"]
     else:
-        record["verify_time_s"] = "slow"
+        record["expensiveness"] = "slow"
 
 
 def _tail_with_damage(tmp_path, evicted: bool):
@@ -720,7 +720,7 @@ def _tail_with_damage(tmp_path, evicted: bool):
         ("query_type", TypeError),
         ("vertex", ValueError),
         ("answers", ValueError),
-        ("verify_time_s", ValueError),
+        ("expensiveness", ValueError),
     ],
 )
 def test_a_damaged_entry_fails_recovery_even_when_evicted(tmp_path, field, error):

@@ -158,12 +158,18 @@ class TestSchedulingBehaviour:
 
 class TestJournal:
     def test_sync_and_barrier_journals_byte_identical(self):
-        sync_cache, barrier_cache = _cache("sync"), _cache("barrier")
+        """Whole records, admitted entries and hits included, with the
+        admission filter deciding on its work scores."""
+        sync_cache = _cache("sync", admission_control=True)
+        barrier_cache = _cache("barrier", admission_control=True)
         try:
             for query in _workload():
                 sync_cache.query(query)
                 barrier_cache.query(query)
             assert len(sync_cache.plan_journal) > 0
+            assert sync_cache.maintenance_engine.admission.calibrated
+            records = sync_cache.plan_journal.records()
+            assert all("admitted_entries" in record for record in records)
             assert (
                 sync_cache.plan_journal.dumps() == barrier_cache.plan_journal.dumps()
             )

@@ -138,7 +138,7 @@ class TestHeldApplySnapshotReads:
 class TestSyncBarrierEquivalence:
     def test_identity_at_every_barrier_point(self):
         workload = _workload(36, seed=5)
-        config = GraphCacheConfig(cache_capacity=6, window_size=3)
+        config = GraphCacheConfig(cache_capacity=6, window_size=3, admission_control=True)
         sync_cache = GraphCache(
             SIMethod(DATASET, matcher="vf2plus"),
             replace(config, maintenance_mode="sync"),
@@ -175,6 +175,7 @@ class TestSyncBarrierEquivalence:
                     == sync_cache.plan_journal.dumps()
                 )
             assert len(sync_cache.plan_journal) > 0
+            assert sync_cache.maintenance_engine.admission.calibrated
         finally:
             sync_cache.close()
             barrier_cache.close()

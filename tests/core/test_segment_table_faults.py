@@ -7,8 +7,9 @@ surface as :class:`CacheError` from ``GraphArena.attach`` and as a declined
 attach (``False`` plus a warning, the built index still serving) from
 ``FTVMethod.attach_feature_index`` — never as a raw ``JSONDecodeError`` or
 ``UnicodeDecodeError``, nor as the ``KeyError`` of a table that parses but
-lacks its keys.  A flipped *payload* byte is not detected: the
-segment carries no checksum.
+lacks its keys.  A sealed feature index also carries its payload's CRC-32,
+so a flipped *payload* bit declines the attach the same way instead of
+serving wrong candidate sets; the graph arena has no checksum.
 """
 
 from __future__ import annotations
@@ -76,8 +77,26 @@ def test_graph_arena_attach_raises_cache_error(tmp_path, damage):
         GraphArena.attach(path)
 
 
+def _payload_bit(position: float):
+    """Flip the low bit of the payload byte at ``position`` (0 first, 1 last)."""
+
+    def damage(data: bytes) -> bytes:
+        first, last = 40, _table_offset(data) - 1  # 40: the header's length
+        damaged = bytearray(data)
+        damaged[first + round(position * (last - first))] ^= 0x01
+        return bytes(damaged)
+
+    return damage
+
+
+PAYLOAD_FLIPS = [_payload_bit(position) for position in (0.0, 0.37, 1.0)]
+PAYLOAD_FLIP_IDS = ["payload-first-byte", "payload-inner-byte", "payload-last-byte"]
+
+
 @pytest.mark.parametrize("method_cls", [GraphGrepSX, CTIndex])
-@pytest.mark.parametrize("damage", DAMAGES, ids=DAMAGE_IDS)
+@pytest.mark.parametrize(
+    "damage", DAMAGES + PAYLOAD_FLIPS, ids=DAMAGE_IDS + PAYLOAD_FLIP_IDS
+)
 def test_feature_index_attach_declines_and_keeps_serving(tmp_path, method_cls, damage):
     path = tmp_path / "index.ftv.arena"
     method_cls(DATASET).seal_feature_index(path)

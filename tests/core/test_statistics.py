@@ -2,43 +2,26 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.core.policies import policy_by_name
 from repro.core.statistics import CachedQueryStats, StatisticsManager
-from repro.core.stores import WindowEntry, WindowEntryCodec
 from repro.exceptions import CacheError
-from repro.graphs.graph import Graph
 
 
 class TestCachedQueryStats:
-    def test_of_window_entry(self):
-        entry = WindowEntry(
-            serial=4,
-            query=Graph(labels=["C", "C", "O"], edges=[(0, 1), (1, 2)]),
-            answer_ids=frozenset({1}),
-            filter_time_s=1,
-            verify_time_s=0.25,
+    def test_a_row_holds_only_what_a_policy_reads(self):
+        """Table 1's columns; a query's shape and cost are not statistics."""
+        assert [field.name for field in dataclasses.fields(CachedQueryStats)] == [
+            "serial", "hits", "special_hits", "last_hit_serial",
+            "cs_reduction", "cost_reduction",
+        ]
+        assert CachedQueryStats(serial=4) == CachedQueryStats(
+            4, hits=0, special_hits=0, last_hit_serial=None,
+            cs_reduction=0.0, cost_reduction=0.0,
         )
-        stats = CachedQueryStats.of_window_entry(entry)
-        assert stats == CachedQueryStats(
-            serial=4, order=3, size=2, distinct_labels=2,
-            filter_time_s=1.0, verify_time_s=0.25,
-        )
-        # Times are floats whatever the entry carried, so a snapshot writes
-        # them as it always has.
-        assert type(stats.filter_time_s) is float
-
-    def test_of_checked_entry_matches_built_entry(self):
-        entry = WindowEntry(
-            serial=9,
-            query=Graph(labels=["N", "C"], edges=[(0, 1)]),
-            answer_ids=frozenset(),
-            filter_time_s=0.5,
-            verify_time_s=2.0,
-        )
-        checked = WindowEntryCodec.check(WindowEntryCodec.encode(entry))
-        assert CachedQueryStats.of_window_entry(checked) == CachedQueryStats.of_window_entry(entry)
 
 
 def _manager(policy="lru"):
@@ -48,17 +31,11 @@ def _manager(policy="lru"):
 class TestStatisticsManager:
     def test_add_and_snapshot_round_trip(self):
         manager = _manager()
-        manager.add(
-            CachedQueryStats(
-                serial=11, order=5, size=6, distinct_labels=3,
-                filter_time_s=0.1, verify_time_s=0.9,
-            )
-        )
+        manager.add(CachedQueryStats(serial=11, cs_reduction=3.0, cost_reduction=9.0))
         snapshot = manager.snapshot(11)
         assert snapshot.serial == 11
-        assert snapshot.order == 5
-        assert snapshot.size == 6
-        assert snapshot.distinct_labels == 3
+        assert snapshot.cs_reduction == 3.0
+        assert snapshot.cost_reduction == 9.0
         assert snapshot.hits == 0
         assert snapshot.last_hit_serial is None
 
@@ -66,8 +43,8 @@ class TestStatisticsManager:
         manager = _manager()
         manager.add(CachedQueryStats(serial=1))
         with pytest.raises(CacheError):
-            manager.add(CachedQueryStats(serial=1, order=3))
-        assert manager.snapshot(1).order == 0
+            manager.add(CachedQueryStats(serial=1, hits=3))
+        assert manager.snapshot(1).hits == 0
 
     def test_record_hit_updates_counters(self):
         manager = _manager()
@@ -97,7 +74,7 @@ class TestStatisticsManager:
 
     def test_remove(self):
         manager = _manager()
-        manager.add(CachedQueryStats(serial=7, order=3))
+        manager.add(CachedQueryStats(serial=7, hits=3))
         manager.remove(7)
         assert 7 not in manager.known_serials()
         with pytest.raises(CacheError):
@@ -123,11 +100,11 @@ class TestStatisticsManager:
     def test_snapshots_bulk_order_preserved(self):
         manager = _manager()
         for serial in (5, 3, 9):
-            manager.add(CachedQueryStats(serial=serial, order=serial))
+            manager.add(CachedQueryStats(serial=serial, hits=serial))
         # Every row, in insertion order (the cache store's order).
         snapshots = manager.snapshots()
         assert [s.serial for s in snapshots] == [5, 3, 9]
-        assert [s.order for s in snapshots] == [5, 3, 9]
+        assert [s.hits for s in snapshots] == [5, 3, 9]
 
     def test_snapshots_are_copies(self):
         manager = _manager()

@@ -49,29 +49,15 @@ from repro.workloads import generate_type_a
 DATASET = aids_like(scale=0.05, seed=2)
 REPEATS = 2
 
-#: Wall-clock measurements: they differ between any two runs.
-_TIMES = ("filter_time_s", "verify_time_s")
-
-
 def _workload():
     return list(generate_type_a(DATASET, "ZZ", 48, query_sizes=(3, 5, 8), seed=29))
 
 
 def _state(cache: GraphCache):
-    """``snapshot_state`` with the measured times left out."""
+    """``snapshot_state``'s entries with their rows, window, serial counter
+    and maintenance state, whole: no field is a clock reading."""
     state = cache.snapshot_state()
-    maintenance = state["maintenance"]
-    maintenance = dict(maintenance, window_sampled=len(maintenance["window_sampled"]))
-    return (
-        [{k: v for k, v in e.items() if k != "statistics"} for e in state["entries"]],
-        [
-            {k: v for k, v in e["statistics"].items() if k not in _TIMES}
-            for e in state["entries"]
-        ],
-        [entry["serial"] for entry in state["window"]],
-        state["next_serial"],
-        maintenance,
-    )
+    return tuple(state[key] for key in ("entries", "window", "next_serial", "maintenance"))
 
 
 def _run(mode, policy, repeats=None):
@@ -246,7 +232,7 @@ def test_oracle_scores_the_rows_the_selection_saw(policy):
         )
     window = [
         WindowEntry(serial=serial, query=_entry(serial).query, answer_ids=frozenset(),
-                    filter_time_s=0.1, verify_time_s=1.0)
+                    expensiveness=10.0)
         for serial in (20, 21)
     ]
     victims = engine.oracle_victims(2, 21)
@@ -288,7 +274,7 @@ def test_stress_hits_against_deciding_thread():
         statistics.add(CachedQueryStats(serial=serial))
     window = [
         WindowEntry(serial=100, query=_entry(100).query, answer_ids=frozenset(),
-                    filter_time_s=0.1, verify_time_s=1.0)
+                    expensiveness=10.0)
     ]
     threads_count, hits_each = 4, 400
     stop = threading.Event()

@@ -12,6 +12,7 @@ from repro.core.stores import (
     CacheStore,
     WindowEntry,
     WindowStore,
+    expensiveness,
 )
 from repro.exceptions import CacheError
 from repro.graphs.graph import Graph
@@ -25,13 +26,12 @@ def entry(serial, answers=(0,)):
     )
 
 
-def window_entry(serial, filter_time=0.1, verify_time=1.0):
+def window_entry(serial, nodes=10, features=3):
     return WindowEntry(
         serial=serial,
         query=Graph(labels=["C", "O"], edges=[(0, 1)]),
         answer_ids=frozenset({0}),
-        filter_time_s=filter_time,
-        verify_time_s=verify_time,
+        expensiveness=expensiveness(nodes, features),
     )
 
 
@@ -156,6 +156,8 @@ class TestWindowStore:
         assert [e.serial for e in store] == [1]
 
     def test_expensiveness(self):
-        assert window_entry(1, filter_time=0.5, verify_time=2.0).expensiveness == 4.0
-        assert window_entry(1, filter_time=0.0, verify_time=1.0).expensiveness == float("inf")
-        assert window_entry(1, filter_time=0.0, verify_time=0.0).expensiveness == 0.0
+        """Search nodes expanded over distinct label-path features."""
+        assert window_entry(1, nodes=12, features=3).expensiveness == 4.0
+        assert window_entry(1, nodes=5, features=0).expensiveness == float("inf")
+        assert window_entry(1, nodes=0, features=0).expensiveness == 0.0
+        assert window_entry(1, nodes=0, features=7).expensiveness == 0.0

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 from repro.core.policies import AdmissionController, WindowManager, policy_by_name
 from repro.core.query_index import QueryGraphIndex
-from repro.core.statistics import StatisticsManager
-from repro.core.stores import CacheStore, WindowEntry, WindowStore
+from repro.core.statistics import CachedQueryStats, StatisticsManager
+from repro.core.stores import CacheStore, WindowEntry, WindowStore, expensiveness
 from repro.graphs.graph import Graph
 
 
@@ -24,15 +24,14 @@ def make_manager(cache_capacity=4, window_size=2, policy="lru", admission=None):
     return manager, cache_store, window_store, statistics, index
 
 
-def entry(serial, verify=1.0, filter_=0.1, label=None):
+def entry(serial, nodes=10, features=1, label=None):
     """A window entry whose structure is its own unless ``label`` is shared
     (a repeat of one structure folds into the first waiting entry)."""
     return WindowEntry(
         serial=serial,
         query=Graph(labels=["C", label or f"O{serial}"], edges=[(0, 1)], graph_id=serial),
         answer_ids=frozenset({serial % 3}),
-        filter_time_s=filter_,
-        verify_time_s=verify,
+        expensiveness=expensiveness(nodes, features),
     )
 
 
@@ -58,14 +57,12 @@ class TestWindowFilling:
 
     def test_statistics_row_starts_at_admission(self):
         manager, _, _, statistics, _ = make_manager(window_size=2)
-        manager.add_query(entry(7, verify=2.0, filter_=0.5))
+        manager.add_query(entry(7, nodes=4, features=3))
         # A waiting query has no row: nothing can credit it yet.
         assert 7 not in statistics.known_serials()
         manager.add_query(entry(8))
-        snapshot = statistics.snapshot(7)
-        assert snapshot.order == 2
-        assert snapshot.verify_time_s == 2.0
-        assert snapshot.filter_time_s == 0.5
+        # Admitted, it starts uncredited: its score is not a statistic.
+        assert statistics.snapshot(7) == CachedQueryStats(serial=7)
 
 
 class TestEviction:
@@ -112,8 +109,8 @@ class TestAdmissionIntegration:
         manager, cache_store, _, statistics, _ = make_manager(
             window_size=2, admission=admission
         )
-        manager.add_query(entry(1, verify=10.0, filter_=1.0))  # ratio 10 → admit
-        report = manager.add_query(entry(2, verify=1.0, filter_=1.0))  # ratio 1 → reject
+        manager.add_query(entry(1, nodes=10, features=1))  # ratio 10 → admit
+        report = manager.add_query(entry(2, nodes=1, features=1))  # ratio 1 → reject
         assert report.admitted_serials == (1,)
         assert report.rejected_serials == (2,)
         assert cache_store.serials() == [1]
@@ -124,8 +121,8 @@ class TestAdmissionIntegration:
             enabled=True, expensive_fraction=0.5, calibration_windows=1
         )
         manager, _, _, _, _ = make_manager(window_size=2, admission=admission)
-        manager.add_query(entry(1, verify=1.0))
-        manager.add_query(entry(2, verify=9.0))
+        manager.add_query(entry(1, nodes=1))
+        manager.add_query(entry(2, nodes=9))
         assert admission.calibrated
 
 

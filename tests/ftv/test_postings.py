@@ -249,9 +249,11 @@ class TestSealedForm:
     def test_sealed_ggsx_segment_bytes_are_pinned(self, tmp_path):
         # Sealing sorts features and owners, so the segment does not depend
         # on how the index was laid out in memory; this digest was taken
-        # from a segment sealed off the former prefix-postings layout.
+        # from a segment sealed off the former prefix-postings layout, then
+        # retaken when the table gained the payload's CRC-32 (the segment
+        # without that key still hashes to cc53f5c5…509e205).
         path = tmp_path / "ggsx.ftv.arena"
         GraphGrepSX(aids_like(scale=0.02, seed=1)).seal_feature_index(path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "cc53f5c5f79aa54f109d57e216a4626a7c8b6e52eceb57cf10247d675509e205"
+            "5f44fb03acb1f37ded7acab330ed7c746a573f1656db4b3f0ba556e36c0b4083"
         )

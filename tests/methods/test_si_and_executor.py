@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.stores import expensiveness
 from repro.exceptions import BenchmarkError
+from repro.ftv.features import extract_label_paths
 from repro.graphs.graph import Graph
 from repro.isomorphism import VF2PlusMatcher
 from repro.methods import (
@@ -86,9 +88,12 @@ class TestExecuteQuery:
         assert execution.nodes_expanded >= 0
 
     def test_expensiveness_ratio(self, handmade_dataset):
+        """Admission scores verification work over the query's path features."""
         method = SIMethod(handmade_dataset, matcher="vf2plus")
-        execution = execute_query(method, Graph(labels=["C", "C"], edges=[(0, 1)]))
-        assert execution.expensiveness >= 0.0
+        query = Graph(labels=["C", "C"], edges=[(0, 1)])
+        execution = execute_query(method, query)
+        features = len(extract_label_paths(query, 3))
+        assert expensiveness(execution.nodes_expanded, features) > 0.0
 
     def test_supergraph_mode(self, handmade_dataset):
         method = SIMethod(handmade_dataset, matcher="vf2plus")
